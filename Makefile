@@ -1,7 +1,8 @@
 # Convenience targets; dune is the real build system.
 
 .PHONY: all check test smoke psmoke cachesmoke faultsmoke profsmoke \
-  benchsmoke certsmoke certfuzz arenasmoke servesmoke bench lint clean
+  benchsmoke certsmoke certfuzz arenasmoke optsmoke servesmoke bench lint \
+  clean
 
 all:
 	dune build @all
@@ -20,6 +21,7 @@ check:
 	$(MAKE) certsmoke
 	$(MAKE) certfuzz
 	$(MAKE) arenasmoke
+	$(MAKE) optsmoke
 	$(MAKE) servesmoke
 
 # Static lint of the shipped artifacts + the whole suite under the
@@ -170,6 +172,14 @@ arenasmoke:
 	  --seed 5
 	dune exec --no-build bin/fuzz.exe -- --arena --rounds 30 --vars 28 \
 	  --seed 23
+
+# Differential optimum gate: random cones with support <= 8, STEP-QD/QB/
+# QDB on all three gates (plain and MG-bootstrapped); the optimum k and
+# every "indecomposable" verdict must match exhaustive enumeration.
+optsmoke:
+	dune build bin/fuzz.exe
+	dune exec --no-build bin/fuzz.exe -- --optimum --rounds 40 --vars 8 \
+	  --seed 3
 
 # Serve-mode smoke: scripted JSON-lines sessions against `step serve` —
 # warm-cache hits across clients, admission rejection, metrics

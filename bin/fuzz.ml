@@ -15,10 +15,17 @@
    that satisfy every input clause. Some rounds force a learned-clause
    database reduction mid-solve so deletion lines are exercised.
 
+   With [--optimum] each round draws a random cone (support up to
+   [--vars]) and runs STEP-QD, QB and QDB on all three gates, with and
+   without an MG bootstrap on a shared scaffold as the engine does. The
+   optimum k and the "indecomposable" verdicts must match an exhaustive
+   enumeration of every partition (Step_core.Exhaustive).
+
    Exit code 0 when every round agrees; 1 with a reproducer seed printed
    otherwise. Usage:
 
-     dune exec bin/fuzz.exe -- [--rounds N] [--seed S] [--vars V] [--proofs]
+     dune exec bin/fuzz.exe -- [--rounds N] [--seed S] [--vars V]
+       [--proofs | --arena | --optimum]
 *)
 
 module Aig = Step_aig.Aig
@@ -29,6 +36,8 @@ module Check = Step_core.Check
 module Mg = Step_core.Mg
 module Ljh = Step_core.Ljh
 module Qbf_model = Step_core.Qbf_model
+module Copies = Step_core.Copies
+module Exhaustive = Step_core.Exhaustive
 module Extract = Step_core.Extract
 module Verify = Step_core.Verify
 module Solver = Step_sat.Solver
@@ -163,6 +172,104 @@ let round_check round st =
       [ ("MG", mg); ("LJH", lj); ("QD", qd.Qbf_model.partition) ]
   end
 
+(* --optimum mode: the QBF optimum search against exhaustive enumeration.
+   One enumeration per gate serves all three targets. *)
+
+let optimum_targets =
+  [ ("QD", Qbf_model.Disjointness); ("QB", Qbf_model.Balancedness);
+    ("QDB", Qbf_model.Combined) ]
+
+(* A random cone over exactly [n] inputs; half the time planted as
+   g(XA, XC) op h(XB, XC) for a random split and gate, so decomposable
+   verdicts are as common as indecomposable ones. *)
+let optimum_problem st n =
+  let m = Aig.create () in
+  let inputs = List.init n (fun _ -> Aig.fresh_input m) in
+  (* every given leaf used once, plus a few repeats *)
+  let tree leaves =
+    let leaves =
+      leaves
+      @ List.filter_map
+          (fun l -> if Random.State.int st 3 = 0 then Some l else None)
+          leaves
+    in
+    let leaf v = if Random.State.bool st then v else Aig.not_ v in
+    match List.map leaf leaves with
+    | [] -> Aig.f
+    | first :: rest ->
+        List.fold_left
+          (fun acc l ->
+            match Random.State.int st 3 with
+            | 0 -> Aig.and_ m acc l
+            | 1 -> Aig.or_ m acc l
+            | _ -> Aig.xor_ m acc l)
+          first rest
+  in
+  let f =
+    if Random.State.bool st then tree inputs
+    else begin
+      let block = List.map (fun v -> (Random.State.int st 3, v)) inputs in
+      let side k =
+        List.filter_map (fun (b, v) -> if b = k then Some v else None) block
+      in
+      let g = tree (side 0 @ side 2) and h = tree (side 1 @ side 2) in
+      match gate_of st with
+      | Gate.Or_gate -> Aig.or_ m g h
+      | Gate.And_gate -> Aig.and_ m g h
+      | Gate.Xor_gate -> Aig.xor_ m g h
+    end
+  in
+  Problem.of_edge m f
+
+let optimum_round round st =
+  let p = optimum_problem st (2 + Random.State.int st (!n_vars - 1)) in
+  if List.length p.Problem.support >= 2 then
+    List.iter
+      (fun g ->
+        let all = Exhaustive.all_decomposable p g in
+        List.iter
+          (fun (label, target) ->
+            let k = Qbf_model.target_k target in
+            let expected =
+              List.fold_left
+                (fun acc part ->
+                  match acc with
+                  | Some best when best <= k part -> acc
+                  | _ -> Some (k part))
+                None all
+            in
+            let check how (o : Qbf_model.outcome) =
+              let what =
+                Printf.sprintf "%s %s (%s)" label (Gate.to_string g) how
+              in
+              match (o.Qbf_model.partition, expected) with
+              | _ when not o.Qbf_model.optimal ->
+                  fail round (what ^ ": no optimality proof")
+              | None, None -> ()
+              | None, Some e ->
+                  fail round
+                    (Printf.sprintf "%s: claimed indecomposable, optimum is %d"
+                       what e)
+              | Some q, None ->
+                  fail round
+                    (Printf.sprintf "%s: returned %s, but nothing decomposes"
+                       what (Partition.to_string q))
+              | Some q, Some e ->
+                  if k q <> e then
+                    fail round
+                      (Printf.sprintf "%s: optimum %d, enumeration says %d"
+                         what (k q) e)
+                  else if Check.decomposable p g q <> Some true then
+                    fail round (what ^ ": returned an invalid partition")
+            in
+            check "plain" (Qbf_model.optimize p g target);
+            let copies = Copies.create p g in
+            let bootstrap = (Mg.find ~copies p g).Mg.partition in
+            check "MG bootstrap"
+              (Qbf_model.optimize ~copies ?bootstrap p g target))
+          optimum_targets)
+      Gate.all
+
 (* --proofs mode: fuzz the proof-logging solver against the independent
    certificate checker. Clauses are plain DIMACS ints end to end. *)
 
@@ -203,7 +310,7 @@ let proof_round round st =
     let live = Lrat.input_cnf solver in
     if
       Diag.has_errors
-        (Cert.check_model ~item:"fuzz-sat" ~cnf:live ~model ())
+        (Cert.check_model ~item:"fuzz-sat" ~cnf:(Cert.pack_cnf live) ~model ())
     then fail round "SAT model fails the clause check"
   end
   else begin
@@ -218,14 +325,14 @@ let proof_round round st =
     if
       Diag.has_errors
         (Cert.check_drat ~item:"fuzz-drat" ~n_vars:(Solver.n_vars solver)
-           ~cnf:live ~proof:drat_text ())
+           ~cnf:(Cert.pack_cnf live) ~proof:drat_text ())
     then fail round "textual DRAT rejected by the certificate checker";
     (* LRAT export through the hint-directed checker *)
     let e = Lrat.export solver in
     if
       Diag.has_errors
         (Cert.check_lrat ~item:"fuzz-lrat" ~n_vars:e.Lrat.n_vars
-           ~cnf:e.Lrat.cnf ~proof:e.Lrat.proof ())
+           ~cnf:(Cert.pack_cnf e.Lrat.cnf) ~proof:e.Lrat.proof ())
     then fail round "LRAT proof rejected by the certificate checker";
     (* and a corrupted proof must NOT be accepted *)
     if String.length e.Lrat.proof > 4 then begin
@@ -234,7 +341,7 @@ let proof_round round st =
         not
           (Diag.has_errors
              (Cert.check_lrat ~item:"fuzz-corrupt" ~n_vars:e.Lrat.n_vars
-                ~cnf:e.Lrat.cnf ~proof:bad ()))
+                ~cnf:(Cert.pack_cnf e.Lrat.cnf) ~proof:bad ()))
       then fail round "corrupted LRAT proof accepted"
     end
   end
@@ -330,18 +437,18 @@ let arena_round round st =
     if
       Diag.has_errors
         (Cert.check_drat ~item:"arena-drat" ~n_vars:(Solver.n_vars s3)
-           ~cnf:live ~proof:drat_text ())
+           ~cnf:(Cert.pack_cnf live) ~proof:drat_text ())
     then fail round "DRAT rejected after arena compaction";
     let e = Lrat.export s3 in
     if
       Diag.has_errors
         (Cert.check_lrat ~item:"arena-lrat" ~n_vars:e.Lrat.n_vars
-           ~cnf:e.Lrat.cnf ~proof:e.Lrat.proof ())
+           ~cnf:(Cert.pack_cnf e.Lrat.cnf) ~proof:e.Lrat.proof ())
     then fail round "LRAT rejected after arena compaction"
   end
 
 let () =
-  let arena = ref false in
+  let arena = ref false and optimum = ref false in
   let rec parse = function
     | [] -> ()
     | "--rounds" :: v :: rest ->
@@ -359,6 +466,9 @@ let () =
     | "--arena" :: rest ->
         arena := true;
         parse rest
+    | "--optimum" :: rest ->
+        optimum := true;
+        parse rest
     | other :: _ ->
         Printf.eprintf "unknown argument %S\n" other;
         exit 2
@@ -367,10 +477,14 @@ let () =
   for round = 1 to !rounds do
     let st = Random.State.make [| !seed; round |] in
     if !arena then arena_round round st
+    else if !optimum then optimum_round round st
     else if !proofs then proof_round round st
     else round_check round st
   done;
   Printf.printf "fuzz%s: %d rounds, %d failures\n"
-    (if !arena then " (arena)" else if !proofs then " (proofs)" else "")
+    (if !arena then " (arena)"
+     else if !optimum then " (optimum)"
+     else if !proofs then " (proofs)"
+     else "")
     !rounds !failures;
   exit (if !failures = 0 then 0 else 1)

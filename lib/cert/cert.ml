@@ -1,7 +1,8 @@
 (* Decomposition certificates and their independent checker.
 
    Everything here deliberately shares no code with the CDCL engine it
-   audits: clauses are plain DIMACS int lists, unit propagation is a
+   audits: clauses are plain DIMACS ints (an obligation's CNF packed into
+   one 0-terminated int array, 8 bytes a literal), unit propagation is a
    naive fixpoint over a private clause store, and proofs are parsed
    from their textual LRAT/DRAT form. Findings are reported as Step_lint
    diagnostics under the PRF rule family:
@@ -38,9 +39,50 @@ type answer =
 type obligation = {
   label : string;
   n_vars : int;
-  cnf : int list list;
+  cnf : int array;
   answer : answer;
 }
+
+(* ---------- packed CNF ---------- *)
+
+let pack_cnf clauses =
+  let len = List.fold_left (fun acc c -> acc + List.length c + 1) 0 clauses in
+  let a = Array.make len 0 in
+  let i = ref 0 in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun l ->
+          a.(!i) <- l;
+          incr i)
+        c;
+      incr i)
+    clauses;
+  a
+
+(* [f start stop] per clause [cnf.(start) .. cnf.(stop - 1)]; literals
+   after the last 0 still form a clause, so a truncated array can only
+   make a model check stricter, never drop a clause. *)
+let iter_clauses f cnf =
+  let start = ref 0 in
+  Array.iteri
+    (fun i l ->
+      if l = 0 then begin
+        f !start i;
+        start := i + 1
+      end)
+    cnf;
+  if !start < Array.length cnf then f !start (Array.length cnf)
+
+let clause_list cnf start stop =
+  Array.to_list (Array.sub cnf start (stop - start))
+
+let unpack_cnf cnf =
+  let acc = ref [] in
+  iter_clauses
+    (fun start stop -> acc := clause_list cnf start stop :: !acc)
+    cnf;
+  List.rev !acc
 
 type t = {
   po : string;
@@ -73,6 +115,33 @@ module Store = struct
   let add t id clause =
     List.iter (fun l -> t.n_vars <- max t.n_vars (abs l)) clause;
     Hashtbl.replace t.tbl id (norm clause)
+
+  (* the input clause [cnf.(start) .. cnf.(stop - 1)], sorted and deduped
+     straight from the packed array *)
+  let add_packed t id cnf start stop =
+    let c = Array.sub cnf start (stop - start) in
+    Array.sort Int.compare c;
+    let k = ref 0 in
+    Array.iteri
+      (fun i l ->
+        t.n_vars <- max t.n_vars (abs l);
+        if i = 0 || l <> c.(!k - 1) then begin
+          c.(!k) <- l;
+          incr k
+        end)
+      c;
+    Hashtbl.replace t.tbl id
+      (if !k = Array.length c then c else Array.sub c 0 !k)
+
+  (* input clauses numbered 1..m in order; returns m *)
+  let add_cnf t cnf =
+    let next = ref 0 in
+    iter_clauses
+      (fun start stop ->
+        incr next;
+        add_packed t !next cnf start stop)
+      cnf;
+    !next
 
   let remove t id = Hashtbl.remove t.tbl id
 
@@ -202,13 +271,7 @@ let check_lrat ?file ~item ~n_vars ~cnf ~proof () =
   let outcome = { diags = []; refuted = false } in
   let store = Store.create () in
   store.Store.n_vars <- n_vars;
-  let next = ref 0 in
-  List.iter
-    (fun clause ->
-      incr next;
-      Store.add store !next clause)
-    cnf;
-  let last_id = ref !next in
+  let last_id = ref (Store.add_cnf store cnf) in
   let e ?line code msg = err ?file ?line ~item outcome code msg in
   (try
      List.iter
@@ -317,12 +380,7 @@ let check_drat ?file ~item ~n_vars ~cnf ~proof () =
   let outcome = { diags = []; refuted = false } in
   let store = Store.create () in
   store.Store.n_vars <- n_vars;
-  let next = ref 0 in
-  List.iter
-    (fun clause ->
-      incr next;
-      Store.add store !next clause)
-    cnf;
+  let next = ref (Store.add_cnf store cnf) in
   let e ?line code msg = err ?file ?line ~item outcome code msg in
   let rec split_lits acc = function
     | [ `Int 0 ] -> Some (List.rev acc)
@@ -398,15 +456,21 @@ let check_model ?file ~item ~cnf ~model () =
     model;
   if !contradictory then e "PRF007" "model assigns a variable both ways"
   else begin
-    let bad = ref 0 in
-    List.iteri
-      (fun i clause ->
-        if not (List.exists (fun l -> Hashtbl.mem tbl l) clause) then begin
+    let bad = ref 0 and i = ref 0 in
+    iter_clauses
+      (fun start stop ->
+        incr i;
+        let sat = ref false in
+        for k = start to stop - 1 do
+          if Hashtbl.mem tbl cnf.(k) then sat := true
+        done;
+        if not !sat then begin
           incr bad;
           if !bad <= 3 then
             e "PRF007"
-              (Printf.sprintf "model does not satisfy clause %d [%s]" (i + 1)
-                 (String.concat " " (List.map string_of_int clause)))
+              (Printf.sprintf "model does not satisfy clause %d [%s]" !i
+                 (String.concat " "
+                    (List.map string_of_int (clause_list cnf start stop))))
         end)
       cnf;
     if !bad > 3 then
@@ -471,7 +535,7 @@ let obligation_to_json ob =
         Json.List
           (List.map
              (fun c -> Json.List (List.map (fun l -> Json.Int l) c))
-             ob.cnf) );
+             (unpack_cnf ob.cnf)) );
       ("answer", answer_to_json ob.answer);
     ]
 
@@ -536,7 +600,15 @@ let of_json j =
             | Some n -> n
             | None -> fail "obligation missing n_vars"
           in
-          let cnf = List.map ints (Json.to_list (Json.member "cnf" oj)) in
+          let cnf =
+            pack_cnf
+              (List.map
+                 (fun c ->
+                   let c = ints c in
+                   if List.mem 0 c then fail "literal 0 inside a clause";
+                   c)
+                 (Json.to_list (Json.member "cnf" oj)))
+          in
           let aj = Json.member "answer" oj in
           let answer =
             match Json.to_string_opt (Json.member "type" aj) with

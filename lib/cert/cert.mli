@@ -4,7 +4,7 @@
     packaging everything needed to re-validate a pipeline answer without
     trusting the solvers that produced it: the gate and variable
     partition claimed, plus a list of {e obligations} — self-contained
-    CNFs (plain DIMACS ints) with either an UNSAT proof (textual LRAT or
+    CNFs (plain DIMACS ints, packed) with either an UNSAT proof (textual LRAT or
     DRAT) or a SAT model. The checker shares no code with the CDCL
     engine: it parses the proof text and replays it with a naive unit
     propagation over a private clause store, using LRAT antecedent hints
@@ -29,7 +29,9 @@ type answer =
 type obligation = {
   label : string;  (** e.g. ["prop1"], ["witness"], ["equivalence"]. *)
   n_vars : int;
-  cnf : int list list;  (** DIMACS clauses, self-contained. *)
+  cnf : int array;
+      (** DIMACS clauses, self-contained, packed: each clause's literals
+          followed by a 0 (see {!pack_cnf}). *)
   answer : answer;
 }
 
@@ -42,6 +44,13 @@ type t = {
           indecomposable answers. *)
   obligations : obligation list;
 }
+
+val pack_cnf : int list list -> int array
+(** [[[1; -2]; [2]]] packs to [[|1; -2; 0; 2; 0|]]. *)
+
+val unpack_cnf : int array -> int list list
+(** Inverse of {!pack_cnf}. Literals after the last 0 form one more
+    clause. *)
 
 val proof_bytes : t -> int
 (** Total size of embedded proof texts. *)
@@ -57,18 +66,18 @@ val check_lrat :
   ?file:string ->
   item:string ->
   n_vars:int ->
-  cnf:int list list ->
+  cnf:int array ->
   proof:string ->
   unit ->
   Step_lint.Diag.t list
-(** Checks a textual LRAT refutation of [cnf] (clauses pre-numbered
-    1..m in list order). Empty iff the proof is a valid refutation. *)
+(** Checks a textual LRAT refutation of the packed [cnf] (clauses
+    pre-numbered 1..m in order). Empty iff the proof is a valid refutation. *)
 
 val check_drat :
   ?file:string ->
   item:string ->
   n_vars:int ->
-  cnf:int list list ->
+  cnf:int array ->
   proof:string ->
   unit ->
   Step_lint.Diag.t list
@@ -77,7 +86,7 @@ val check_drat :
 val check_model :
   ?file:string ->
   item:string ->
-  cnf:int list list ->
+  cnf:int array ->
   model:int list ->
   unit ->
   Step_lint.Diag.t list

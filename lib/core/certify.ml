@@ -59,7 +59,7 @@ let prop1_obligation p gate part =
     {
       Cert.label = "prop1";
       n_vars = e.Lrat.n_vars;
-      cnf = e.Lrat.cnf;
+      cnf = Cert.pack_cnf e.Lrat.cnf;
       answer = Cert.Unsat { format = Cert.Lrat; proof = e.Lrat.proof };
     }
   end
@@ -93,7 +93,7 @@ let witness_obligation p gate =
         {
           Cert.label = "witness";
           n_vars = Solver.n_vars solver;
-          cnf = Lrat.input_cnf solver;
+          cnf = Cert.pack_cnf (Lrat.input_cnf solver);
           answer = Cert.Sat (dimacs_model solver);
         }
   end
@@ -123,7 +123,7 @@ let equivalence_obligation (p : Problem.t) g ~fa ~fb =
         {
           Cert.label = "equivalence";
           n_vars = e.Lrat.n_vars;
-          cnf = e.Lrat.cnf;
+          cnf = Cert.pack_cnf e.Lrat.cnf;
           answer = Cert.Unsat { format = Cert.Lrat; proof = e.Lrat.proof };
         }
     end

@@ -10,7 +10,6 @@ type t = {
   orig_lit : (int, Lit.t) Hashtbl.t; (* input idx -> SAT lit of x_i *)
   copy1_lit : (int, Lit.t) Hashtbl.t; (* -> SAT lit of x'_i *)
   copy2_lit : (int, Lit.t) Hashtbl.t; (* -> SAT lit of x''_i *)
-  copy3_lit : (int, Lit.t) Hashtbl.t; (* XOR only: x'''_i *)
   sel_alpha : (int, Lit.t) Hashtbl.t;
   sel_beta : (int, Lit.t) Hashtbl.t;
 }
@@ -109,7 +108,6 @@ let create ?(proof = false) (p : Problem.t) gate_ =
     orig_lit;
     copy1_lit;
     copy2_lit;
-    copy3_lit;
     sel_alpha;
     sel_beta;
   }
@@ -148,25 +146,12 @@ let solve_assuming c assumptions =
 
 let check c p = solve_assuming c (assumptions c p)
 
-let diff_sets c =
+let model_points c =
   let s = solver c in
-  let differs tbl i =
-    Solver.model_value s (Hashtbl.find c.orig_lit i)
-    <> Solver.model_value s (Hashtbl.find tbl i)
+  let read tbl =
+    Array.of_list
+      (List.map
+         (fun i -> Solver.model_value s (Hashtbl.find tbl i))
+         c.problem.Problem.support)
   in
-  let differs3 tbl i =
-    Solver.model_value s (Hashtbl.find c.copy3_lit i)
-    <> Solver.model_value s (Hashtbl.find tbl i)
-  in
-  let support = c.problem.Problem.support in
-  match c.gate with
-  | Gate.Or_gate | Gate.And_gate ->
-      ( List.filter (differs c.copy1_lit) support,
-        List.filter (differs c.copy2_lit) support )
-  | Gate.Xor_gate ->
-      ( List.filter
-          (fun i -> differs c.copy1_lit i || differs3 c.copy2_lit i)
-          support,
-        List.filter
-          (fun i -> differs c.copy2_lit i || differs3 c.copy1_lit i)
-          support )
+  (read c.orig_lit, read c.copy1_lit, read c.copy2_lit)

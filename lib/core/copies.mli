@@ -59,14 +59,14 @@ val assumptions : t -> Partition.t -> Step_sat.Lit.t list
 
 val check : t -> Partition.t -> Step_sat.Solver.result
 (** [Unsat] = decomposable; [Sat] = not decomposable (a counterexample is
-    then available via {!diff_sets}); [Unknown] = budget exhausted. *)
+    then available via {!model_points}); [Unknown] = budget exhausted. *)
 
 val solve_assuming : t -> Step_sat.Lit.t list -> Step_sat.Solver.result
 (** Raw access for MUS/LJH-style manipulation of selector sets. *)
 
-val diff_sets : t -> int list * int list
-(** After a [Sat] answer: [(d1, d2)] where [d1] collects the inputs whose
-    [sᵢ]-equalities are violated by the model and [d2] those whose
-    [tᵢ]-equalities are violated. The CEGAR refinement clause is
-    [∨_{i ∈ d1} ¬αᵢ ∨ ∨_{i ∈ d2} ¬βᵢ]; the two sets never overlap for a
-    counterexample obtained under a partition's assumptions. *)
+val model_points : t -> bool array * bool array * bool array
+(** After a [Sat] answer: the model's points [(x, x', x'')] over the
+    support positions (the order of [Problem.support]). Under a
+    partition's assumptions [x'] differs from [x] only on XA and [x'']
+    only on XB, and for XOR the fourth copy is [x ⊕ x' ⊕ x''], so the
+    three points are the whole counterexample (see {!Screen.load}). *)

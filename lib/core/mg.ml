@@ -128,13 +128,20 @@ let find ?copies ?seed_limit ?(seed_order = Spread) ?time_budget
     let c =
       match copies with
       | Some c ->
-          assert (Copies.problem c == p && Copies.gate c = g);
+          (* as in Qbf_model.optimize: an assert would vanish under
+             -noassert and let a mismatched scaffold check the wrong
+             formula *)
+          if Copies.problem c != p then
+            invalid_arg "Mg.find: copies built for a different problem";
+          if Copies.gate c <> g then
+            invalid_arg
+              (Printf.sprintf "Mg.find: copies built for gate %s, not %s"
+                 (Gate.to_string (Copies.gate c))
+                 (Gate.to_string g));
           c
       | None -> Copies.create p g
     in
     let solver = Copies.solver c in
-    let calls0 = Solver.n_conflicts solver in
-    ignore calls0;
     let deadline =
       match time_budget with Some b -> t0 +. b | None -> infinity
     in

@@ -42,25 +42,6 @@ let canonical p =
   if List.length p.xa >= List.length p.xb then p
   else { xa = p.xb; xb = p.xa; xc = p.xc }
 
-let of_alpha_beta ~support ~alpha ~beta =
-  let xa = ref [] and xb = ref [] and xc = ref [] in
-  let frees = ref [] in
-  List.iter
-    (fun i ->
-      match (alpha i, beta i) with
-      | true, false -> xa := i :: !xa
-      | false, true -> xb := i :: !xb
-      | false, false -> xc := i :: !xc
-      | true, true -> frees := i :: !frees)
-    support;
-  (* free variables go to the smaller side *)
-  List.iter
-    (fun i ->
-      if List.length !xa <= List.length !xb then xa := i :: !xa
-      else xb := i :: !xb)
-    !frees;
-  make ~xa:!xa ~xb:!xb ~xc:!xc
-
 let lint ?name ~support p =
   Step_lint.Lint.check_partition ?name ~support ~xa:p.xa ~xb:p.xb ~xc:p.xc ()
 

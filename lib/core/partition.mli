@@ -40,13 +40,6 @@ val canonical : t -> t
 (** Swaps [XA]/[XB] if needed so that [|XA| ≥ |XB|] (the paper's symmetry
     normalization). *)
 
-val of_alpha_beta :
-  support:int list -> alpha:(int -> bool) -> beta:(int -> bool) -> t
-(** Reads a partition off the control variables of the QBF models:
-    [(α,β) = (1,0) → XA], [(0,1) → XB], [(0,0) → XC]. Variables with
-    [(1,1)] (free in both copies) are assigned greedily to the smaller of
-    [XA]/[XB]. *)
-
 val lint : ?name:string -> support:int list -> t -> Step_lint.Diag.t list
 (** Checks the partition against [support]: XA/XB/XC pairwise disjoint
     (PAR001), exactly covering the support (PAR002), and normalized to

@@ -7,6 +7,10 @@ module Metrics = Step_obs.Metrics
 
 let m_refinements = Metrics.counter "qbf.refinements"
 
+let m_screened = Metrics.counter "qbf.screened"
+
+let m_shrunk_lits = Metrics.counter "qbf.shrunk_lits"
+
 let m_queries = Metrics.counter "qbf.queries"
 
 let m_optimize = Metrics.counter "qbf.optimize_calls"
@@ -51,7 +55,6 @@ type abstraction = {
   alpha : Lit.t array; (* per support position *)
   beta : Lit.t array;
   shared : Lit.t array; (* c_i <-> ~alpha_i /\ ~beta_i *)
-  pos_of : (int, int) Hashtbl.t; (* input idx -> support position *)
   mutable cnt_shared : Cardinality.counter option;
   mutable cnt_a : Cardinality.counter option;
   mutable cnt_b : Cardinality.counter option;
@@ -68,8 +71,6 @@ let make_abstraction (p : Problem.t) ~symmetry_breaking target =
   let alpha = Array.init n (fun _ -> fresh ()) in
   let beta = Array.init n (fun _ -> fresh ()) in
   let shared = Array.init n (fun _ -> fresh ()) in
-  let pos_of = Hashtbl.create 16 in
-  Array.iteri (fun j i -> Hashtbl.replace pos_of i j) support;
   for j = 0 to n - 1 do
     (* exclude (1,1): each variable sits in exactly one of XA/XB/XC *)
     ignore
@@ -92,7 +93,6 @@ let make_abstraction (p : Problem.t) ~symmetry_breaking target =
       alpha;
       beta;
       shared;
-      pos_of;
       cnt_shared = None;
       cnt_a = None;
       cnt_b = None;
@@ -227,12 +227,43 @@ let arm_budget ~deadline solver =
       true
     end
 
-let query abs copies target k ~deadline ~refinement_cap ~refinements
-    ~qbf_queries =
+(* The candidate's block per support position: 0 XA, 1 XB, 2 XC. The
+   abstraction excludes (1,1), so alpha and beta never both hold. *)
+let read_side abs side =
+  for j = 0 to Array.length side - 1 do
+    side.(j) <-
+      (if Solver.model_value abs.solver abs.alpha.(j) then 0
+       else if Solver.model_value abs.solver abs.beta.(j) then 1
+       else 2)
+  done
+
+let partition_of_side abs side =
+  let block b =
+    List.filteri (fun j _ -> side.(j) = b) (Array.to_list abs.support)
+  in
+  Partition.make ~xa:(block 0) ~xb:(block 1) ~xc:(block 2)
+
+let query abs copies screen side target k ~deadline ~refinement_cap
+    ~refinements ~qbf_queries =
   incr qbf_queries;
   Metrics.inc m_queries;
   let t_query = Clock.now () in
   let assumptions = bound_assumptions abs target k in
+  (* the single refinement path, for simulated and SAT counterexamples
+     alike: shrink the screen's current tuple, then exclude every
+     candidate that admits it — each input where x' differs must be in
+     XA, each input where x'' differs must be in XB *)
+  let refine () =
+    Metrics.add m_shrunk_lits (Screen.shrink screen);
+    let clause = ref [] in
+    Screen.iter_diff screen
+      ~xa:(fun j -> clause := Lit.negate abs.alpha.(j) :: !clause)
+      ~xb:(fun j -> clause := Lit.negate abs.beta.(j) :: !clause);
+    assert (!clause <> []);
+    ignore (Solver.add_clause abs.solver !clause);
+    incr refinements;
+    Metrics.inc m_refinements
+  in
   let rec loop () =
     if Clock.now () > deadline || !refinements >= refinement_cap then
       Q_unknown
@@ -245,35 +276,31 @@ let query abs copies target k ~deadline ~refinement_cap ~refinements
       | Solver.Unknown -> Q_unknown
       | Solver.Unsat -> Q_invalid
       | Solver.Sat ->
-          let alpha_val j = Solver.model_value abs.solver abs.alpha.(j) in
-          let beta_val j = Solver.model_value abs.solver abs.beta.(j) in
-          let partition =
-            Partition.of_alpha_beta
-              ~support:(Array.to_list abs.support)
-              ~alpha:(fun i -> alpha_val (Hashtbl.find abs.pos_of i))
-              ~beta:(fun i -> beta_val (Hashtbl.find abs.pos_of i))
-          in
-          (* re-check between abstraction and verification: the candidate
-             extraction is free, the verification solve is not *)
-          if not (arm_budget ~deadline (Copies.solver copies)) then Q_unknown
+          read_side abs side;
+          if Screen.refute screen side then begin
+            Metrics.inc m_screened;
+            refine ();
+            loop ()
+          end
+          (* re-check between abstraction and verification: the screen
+             is cheap, the verification solve is not *)
+          else if not (arm_budget ~deadline (Copies.solver copies)) then
+            Q_unknown
           else
-          (match Obs.span "sat.verify" (fun () -> Copies.check copies partition) with
-          | Solver.Unsat -> Q_valid partition
-          | Solver.Unknown -> Q_unknown
-          | Solver.Sat ->
-              (* refinement clause over the differing inputs: every input
-                 whose s-equalities broke must be in XA, every input whose
-                 t-equalities broke must be in XB — exclude all candidates
-                 compatible with this counterexample *)
-              let d1, d2 = Copies.diff_sets copies in
-              let lit_a i = Lit.negate abs.alpha.(Hashtbl.find abs.pos_of i) in
-              let lit_b i = Lit.negate abs.beta.(Hashtbl.find abs.pos_of i) in
-              let clause = List.map lit_a d1 @ List.map lit_b d2 in
-              assert (clause <> []);
-              ignore (Solver.add_clause abs.solver clause);
-              incr refinements;
-              Metrics.inc m_refinements;
-              loop ())
+            let partition = partition_of_side abs side in
+            match
+              Obs.span "sat.verify" (fun () -> Copies.check copies partition)
+            with
+            | Solver.Unsat -> Q_valid partition
+            | Solver.Unknown -> Q_unknown
+            | Solver.Sat ->
+                let x, x1, x2 = Copies.model_points copies in
+                if not (Screen.load screen ~x ~x1 ~x2) then
+                  failwith
+                    "Qbf_model.query: SAT counterexample does not violate \
+                     the gate condition under simulation";
+                refine ();
+                loop ()
   in
   let answer =
     Obs.span ~attrs:[ ("k", Step_obs.Json.Int k) ] "qbf.query" loop
@@ -343,14 +370,16 @@ let optimize ?copies ?(symmetry_breaking = true) ?strategy ?bootstrap
       match time_budget with Some b -> t0 +. b | None -> infinity
     in
     let abs = make_abstraction p ~symmetry_breaking target in
+    let screen = Screen.create p g in
+    let side = Array.make n 0 in
     let k_max =
       match target with
       | Weighted { wd; wb } -> (wd + wb) * (n - 2)
       | Disjointness | Balancedness | Combined -> n - 2
     in
     let ask k =
-      query abs copies target k ~deadline ~refinement_cap:max_refinements
-        ~refinements ~qbf_queries
+      query abs copies screen side target k ~deadline
+        ~refinement_cap:max_refinements ~refinements ~qbf_queries
     in
     (* best-so-far; queries with k < best are the only ones issued *)
     let best = ref bootstrap in

@@ -13,14 +13,15 @@
       constraints [fT] — totalizer counters whose bound [k] is selected
       per query by assumption literals, so the optimum search re-solves
       the same CNF;
-    - {e verification} of a candidate [(α,β)] is one incremental SAT call
-      on the shared {!Copies} scaffold;
-    - a counterexample yields the single refinement clause
-      [∨_{i ∈ D1} ¬αᵢ ∨ ∨_{i ∈ D2} ¬βᵢ ∨ ∨_{i ∈ D3} cᵢ] where [D1/D2/D3]
-      are the inputs on which the counterexample's copies differ and
-      [cᵢ ⇔ ¬αᵢ ∧ ¬βᵢ] is the shared-variable indicator. Refinements are
-      valid for every bound [k], so they accumulate across the whole
-      optimum search.
+    - a candidate is first screened by simulation ({!Screen}); only
+      when no violating point tuple turns up is it {e verified} by one
+      incremental SAT call on the shared {!Copies} scaffold, and it is
+      accepted only on [Unsat];
+    - a counterexample, simulated or from SAT, is shrunk and then yields
+      the single refinement clause [∨_{i ∈ D1} ¬αᵢ ∨ ∨_{i ∈ D2} ¬βᵢ],
+      where [D1]/[D2] are the inputs on which the copies [x']/[x'']
+      differ from [x]. Refinements are valid for every bound [k], so
+      they accumulate across the whole optimum search.
 
     The target integer [k] instantiates the paper's constraints:
     (5) [|XC| ≤ k] for disjointness, (6) [0 ≤ |XA| − |XB| ≤ k] for

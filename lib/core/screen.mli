@@ -1,0 +1,75 @@
+(** Refuting CEGAR candidates by simulation, and shrinking
+    counterexamples.
+
+    Checking a candidate partition of {!Qbf_model} costs one SAT call on
+    the {!Copies} scaffold, and almost every candidate fails that check.
+    A screen refutes most of them without SAT: it simulates f's cone on
+    63 point tuples per machine word and looks for a tuple that violates
+    the gate condition under the candidate. The tuples come from a bank of
+    earlier counterexamples, projected onto the candidate, then from
+    seeded random words.
+
+    A tuple is three points over the support positions (the order of
+    [Problem.support]): the base point [x], the copy [x'] that differs
+    from [x] only on XA, and the copy [x''] that differs only on XB. For
+    XOR the fourth point is [x''' = x ⊕ x' ⊕ x''], i.e. [x'] on XA, [x'']
+    on XB and [x] on XC, as the {!Copies} selectors force it. A tuple
+    {e violates} when
+
+    - OR: [f(x) ∧ ¬f(x') ∧ ¬f(x'')],
+    - AND: [¬f(x) ∧ f(x') ∧ f(x'')],
+    - XOR: [f(x) ⊕ f(x') ⊕ f(x'') ⊕ f(x''')].
+
+    A violating tuple refutes every partition whose XA contains the inputs
+    where [x'] differs from [x] and whose XB contains those where [x'']
+    does — the CEGAR refinement clause. {!shrink} makes that clause as
+    short as it can before it is added. *)
+
+(** {2 Compiled cone simulator} *)
+
+type sim
+(** f's cone flattened into slot arrays, with a preallocated value
+    buffer: {!run} allocates nothing. *)
+
+val compile : Step_aig.Aig.t -> Step_aig.Aig.lit -> inputs:int array -> sim
+(** [compile aig f ~inputs] reads input [inputs.(j)] from word [j].
+    @raise Invalid_argument if the cone reads an input not in [inputs]. *)
+
+val run : sim -> int array -> int
+(** [run s words] evaluates the edge on the 63 points whose bit [l] of
+    [words.(j)] gives input [j] of point [l]; bit [l] of the result is
+    the value on point [l]. *)
+
+(** {2 Screen} *)
+
+type t
+(** Per-problem state: the compiled cone, the counterexample bank, the
+    random generator and the current tuple. *)
+
+val create : Problem.t -> Gate.t -> t
+(** The generator is seeded from the gate and the support size only, so
+    answers do not depend on the global [Random] state or on scheduling. *)
+
+val refute : t -> int array -> bool
+(** [refute t side] screens the candidate partition [side] ([side.(j)] is
+    0 for XA, 1 for XB, 2 for XC, per support position). True when a
+    violating tuple was found; it becomes the current tuple. *)
+
+val load : t -> x:bool array -> x1:bool array -> x2:bool array -> bool
+(** Makes [(x, x', x'')] the current tuple (e.g. the points of a SAT
+    counterexample, see {!Copies.model_points}) and tells whether it
+    violates the gate condition.
+    @raise Invalid_argument if the lengths do not match the support or
+    both copies differ from [x] on the same input. *)
+
+val shrink : t -> int
+(** Greedily reverts differing inputs of the current (violating) tuple
+    while it still violates, testing 63 prefixes per simulation, then
+    adds the result to the bank. Returns the number of inputs reverted. *)
+
+val iter_diff : t -> xa:(int -> unit) -> xb:(int -> unit) -> unit
+(** Support positions where the current tuple's [x'] (passed to [xa]) or
+    [x''] (passed to [xb]) differs from [x]. *)
+
+val tuple : t -> bool array * bool array * bool array
+(** A copy of the current tuple [(x, x', x'')]. *)

@@ -346,9 +346,11 @@ let decompose_auto_on ?cache ?certify ~per_po_budget ~min_support
         | Some (_, br) -> if score r < score br then Some (gate, r) else acc)
       None candidates
   in
+  (* the row reports the time of every gate tried, not just the winner's *)
+  let cpu = List.fold_left (fun acc (_, r) -> acc +. r.cpu) 0.0 candidates in
   match best with
-  | Some (gate, r) when r.partition <> None -> (Some gate, r)
-  | Some (_, r) -> (None, r)
+  | Some (gate, r) when r.partition <> None -> (Some gate, { r with cpu })
+  | Some (_, r) -> (None, { r with cpu })
   | None -> assert false
 
 type t = { circuit : Circuit.t; config : Config.t }

@@ -131,7 +131,8 @@ val run_auto : t -> (Step_core.Gate.t option * po_result) array
 (** Like {!run} but tries all three gates per output (sharing the
     per-output budget, carrying any unspent slack forward) and keeps the
     best partition — lowest disjointness, ties broken by balancedness.
-    The gate is [None] for outputs where nothing decomposed. *)
+    The gate is [None] for outputs where nothing decomposed. A row's
+    [cpu] is the sum over the three gates tried. *)
 
 val decompose_po : t -> int -> po_result
 (** One output, same per-job isolation as {!run}, no total-budget

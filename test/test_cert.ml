@@ -20,7 +20,7 @@ let has_code code diags = List.exists (fun d -> d.Diag.code = code) diags
 let check_bool = Alcotest.(check bool)
 
 (* (x1) (-x1 x2) (-x2): unsat chain used by most checker tests *)
-let chain_cnf = [ [ 1 ]; [ -1; 2 ]; [ -2 ] ]
+let chain_cnf = Cert.pack_cnf [ [ 1 ]; [ -1; 2 ]; [ -2 ] ]
 
 let chain_lrat = "4 2 0 1 2 0\n5 0 4 3 0\n"
 
@@ -50,7 +50,7 @@ let test_lrat_missing_empty_clause () =
 let test_lrat_bad_hints () =
   (* clause 4 = (x2) with hints that do not propagate to a conflict *)
   let d =
-    Cert.check_lrat ~item:"t" ~n_vars:2 ~cnf:[ [ 1; 2 ] ]
+    Cert.check_lrat ~item:"t" ~n_vars:2 ~cnf:(Cert.pack_cnf [ [ 1; 2 ] ])
       ~proof:"2 2 0 1 0\n" ()
   in
   check_bool "rejected" true (Diag.has_errors d);
@@ -107,7 +107,8 @@ let test_drat_accepts () =
 let test_drat_non_rup () =
   (* (x2) is not RUP w.r.t. the satisfiable (x1 x2) *)
   let d =
-    Cert.check_drat ~item:"t" ~n_vars:2 ~cnf:[ [ 1; 2 ] ] ~proof:"2 0\n0\n"
+    Cert.check_drat ~item:"t" ~n_vars:2 ~cnf:(Cert.pack_cnf [ [ 1; 2 ] ])
+      ~proof:"2 0\n0\n"
       ()
   in
   check_bool "rejected" true (Diag.has_errors d);
@@ -126,7 +127,7 @@ let test_drat_deletion_line () =
   check_bool "deletion respected" false
     (Diag.has_errors
        (Cert.check_drat ~item:"t" ~n_vars:2
-          ~cnf:[ [ 1 ]; [ -1; 2 ]; [ -2 ]; [ 1; 2 ] ]
+          ~cnf:(Cert.pack_cnf [ [ 1 ]; [ -1; 2 ]; [ -2 ]; [ 1; 2 ] ])
           ~proof:"d 1 2 0\n2 0\n0\n" ()))
 
 (* ---------- model checking ---------- *)
@@ -134,12 +135,13 @@ let test_drat_deletion_line () =
 let test_model_ok () =
   check_bool "satisfying model accepted" false
     (Diag.has_errors
-       (Cert.check_model ~item:"t" ~cnf:[ [ 1; 2 ]; [ -1; 2 ] ]
+       (Cert.check_model ~item:"t" ~cnf:(Cert.pack_cnf [ [ 1; 2 ]; [ -1; 2 ] ])
           ~model:[ -1; 2 ] ()))
 
 let test_model_falsified_clause () =
   let d =
-    Cert.check_model ~item:"t" ~cnf:[ [ 1; 2 ]; [ -1; 2 ] ] ~model:[ 1; -2 ]
+    Cert.check_model ~item:"t" ~cnf:(Cert.pack_cnf [ [ 1; 2 ]; [ -1; 2 ] ])
+      ~model:[ 1; -2 ]
       ()
   in
   check_bool "rejected" true (Diag.has_errors d);
@@ -147,7 +149,8 @@ let test_model_falsified_clause () =
 
 let test_model_contradictory () =
   let d =
-    Cert.check_model ~item:"t" ~cnf:[ [ 1 ] ] ~model:[ 1; -1 ] ()
+    Cert.check_model ~item:"t" ~cnf:(Cert.pack_cnf [ [ 1 ] ]) ~model:[ 1; -1 ]
+      ()
   in
   check_bool "rejected" true (Diag.has_errors d);
   check_bool "PRF007" true (has_code "PRF007" d)
@@ -182,7 +185,8 @@ let test_lrat_export_roundtrip () =
       let e = Lrat.export s in
       if
         Diag.has_errors
-          (Cert.check_lrat ~item:"rt" ~n_vars:e.Lrat.n_vars ~cnf:e.Lrat.cnf
+          (Cert.check_lrat ~item:"rt" ~n_vars:e.Lrat.n_vars
+             ~cnf:(Cert.pack_cnf e.Lrat.cnf)
              ~proof:e.Lrat.proof ())
       then Alcotest.failf "round %d: exported LRAT rejected" round
     end
@@ -208,7 +212,7 @@ let sample_cert =
         {
           Cert.label = "witness";
           n_vars = 2;
-          cnf = [ [ 1; 2 ] ];
+          cnf = Cert.pack_cnf [ [ 1; 2 ] ];
           answer = Cert.Sat [ 1; -2 ];
         };
       ];
@@ -232,12 +236,44 @@ let test_save_load () =
       | Error e -> Alcotest.failf "load failed: %s" e
       | Ok c -> check_bool "save/load equal" true (c = sample_cert))
 
+let test_packed_cnf () =
+  let clauses = [ [ 1; -2 ]; []; [ 3 ] ] in
+  check_bool "layout" true (Cert.pack_cnf clauses = [| 1; -2; 0; 0; 3; 0 |]);
+  check_bool "unpack inverts pack" true
+    (Cert.unpack_cnf (Cert.pack_cnf clauses) = clauses);
+  check_bool "unterminated tail is a clause" true
+    (Cert.unpack_cnf [| 1; 0; 2 |] = [ [ 1 ]; [ 2 ] ]);
+  (* the JSON form keeps nested DIMACS clauses, so certificate files and
+     cache entries written before packing still load *)
+  let json = Step_obs.Json.to_string (Cert.to_json sample_cert) in
+  let nested = {|"cnf":[[1],[-1,2],[-2]]|} in
+  let rec contains i =
+    i + String.length nested <= String.length json
+    && (String.sub json i (String.length nested) = nested || contains (i + 1))
+  in
+  check_bool "nested cnf in JSON" true (contains 0)
+
 let test_of_json_rejects_garbage () =
   (match Cert.of_string "{\"po\": 3}" with
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ());
-  match Cert.of_string "not json" with
+  (match Cert.of_string "not json" with
   | Ok _ -> Alcotest.fail "non-JSON accepted"
+  | Error _ -> ());
+  (* a 0 inside a clause would split that clause once packed *)
+  let json = Step_obs.Json.to_string (Cert.to_json sample_cert) in
+  let sub = "[-1,2]" in
+  let rec find i =
+    if String.sub json i (String.length sub) = sub then i else find (i + 1)
+  in
+  let i = find 0 in
+  let bad =
+    String.sub json 0 i ^ "[-1,0,2]"
+    ^ String.sub json (i + String.length sub)
+        (String.length json - i - String.length sub)
+  in
+  match Cert.of_string bad with
+  | Ok _ -> Alcotest.fail "literal 0 inside a clause accepted"
   | Error _ -> ()
 
 (* ---------- Certify: end-to-end certificates ---------- *)
@@ -374,6 +410,7 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_json_roundtrip;
           Alcotest.test_case "save/load" `Quick test_save_load;
+          Alcotest.test_case "packed cnf" `Quick test_packed_cnf;
           Alcotest.test_case "rejects garbage" `Quick
             test_of_json_rejects_garbage;
         ] );

@@ -14,6 +14,7 @@ module Mg = Step_core.Mg
 module Ljh = Step_core.Ljh
 module Qbf_model = Step_core.Qbf_model
 module Extract = Step_core.Extract
+module Screen = Step_core.Screen
 module Verify = Step_core.Verify
 module Pipeline = Step_engine.Pipeline
 
@@ -299,6 +300,19 @@ let test_qbf_copies_mismatch_rejected () =
       in
       Alcotest.(check bool) "names both gates" true
         (has_sub "OR" msg && has_sub "AND" msg)
+  | _ -> Alcotest.fail "expected Invalid_argument on gate mismatch"
+
+let test_mg_copies_mismatch_rejected () =
+  (* the same guard as Qbf_model.optimize: Invalid_argument, not an
+     assert that -noassert would remove *)
+  let p1, _ = planted_problem Gate.Or_gate 71 in
+  let p2, _ = planted_problem Gate.Or_gate 73 in
+  let copies = Copies.create p1 Gate.Or_gate in
+  (match Mg.find ~copies p2 Gate.Or_gate with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Invalid_argument on problem mismatch");
+  match Mg.find ~copies p1 Gate.Xor_gate with
+  | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument on gate mismatch"
 
 let test_qbf_bootstrap_never_worse () =
@@ -669,6 +683,110 @@ let prop_recursive_rebuild_equivalent =
       let rebuilt = R.rebuild p.Problem.aig tree in
       Verify.equivalent p Gate.Or_gate ~fa:rebuilt ~fb:Aig.f)
 
+(* ---------- simulation screen ---------- *)
+
+let prop_sim_matches_eval =
+  QCheck2.Test.make ~count:200 ~name:"compiled simulator = Aig.eval per lane"
+    ~print:(fun (e, _) -> pp_expr e)
+    QCheck2.Gen.(pair (gen_expr 6) (int_range 0 1_000_000))
+    (fun (e, seed) ->
+      let m = Aig.create () in
+      let inputs = Array.init 6 (fun _ -> Aig.fresh_input m) in
+      let f = build_aig m inputs e in
+      let sim = Screen.compile m f ~inputs:(Array.init 6 Fun.id) in
+      let st = Random.State.make [| seed |] in
+      let words =
+        Array.init 6 (fun _ ->
+            (Random.State.bits st lsl 33)
+            lor (Random.State.bits st lsl 3)
+            lor Random.State.int st 8)
+      in
+      let out = Screen.run sim words in
+      List.for_all
+        (fun lane ->
+          let env i = (words.(i) lsr lane) land 1 = 1 in
+          Aig.eval m env f = ((out lsr lane) land 1 = 1))
+        (List.init 63 Fun.id))
+
+(* the gate condition at a tuple, by plain AIG evaluation *)
+let tuple_violates (p : Problem.t) g (x, x1, x2) =
+  let pos = Array.make (Aig.n_inputs p.Problem.aig) 0 in
+  List.iteri (fun j i -> pos.(i) <- j) p.Problem.support;
+  let f pt = Aig.eval p.Problem.aig (fun i -> pt.(pos.(i))) p.Problem.f in
+  let x3 = Array.init (Array.length x) (fun j -> x.(j) <> x1.(j) <> x2.(j)) in
+  match g with
+  | Gate.Or_gate -> f x && (not (f x1)) && not (f x2)
+  | Gate.And_gate -> (not (f x)) && f x1 && f x2
+  | Gate.Xor_gate -> f x <> f x1 <> f x2 <> f x3
+
+(* x' may differ from x only where [allowed_a], x'' only where
+   [allowed_b] *)
+let tuple_within (x, x1, x2) ~allowed_a ~allowed_b =
+  let ok = ref true in
+  Array.iteri
+    (fun j xj ->
+      if x1.(j) <> xj && not (allowed_a j) then ok := false;
+      if x2.(j) <> xj && not (allowed_b j) then ok := false)
+    x;
+  !ok
+
+let prop_screen_clauses_backed =
+  QCheck2.Test.make ~count:250
+    ~name:"screen and shrink clauses are backed by violating tuples"
+    ~print:(function
+      | None -> "trivial support"
+      | Some (e, g, part) ->
+          Printf.sprintf "%s %s %s" (pp_expr e) (Gate.to_string g)
+            (Partition.to_string part))
+    gen_problem_partition_gate (function
+      | None -> true
+      | Some (e, g, part) ->
+          let p = problem_of_expr n_prop_vars e in
+          let support = Array.of_list p.Problem.support in
+          let side =
+            Array.map
+              (fun i ->
+                if List.mem i part.Partition.xa then 0
+                else if List.mem i part.Partition.xb then 1
+                else 2)
+              support
+          in
+          let screen = Screen.create p g in
+          (* a found or loaded tuple must violate, respect the candidate,
+             and still violate after shrinking with only inputs reverted *)
+          let shrunk_ok () =
+            let t0 = Screen.tuple screen in
+            let x0, a0, b0 = t0 in
+            let within_candidate =
+              tuple_within t0
+                ~allowed_a:(fun j -> side.(j) = 0)
+                ~allowed_b:(fun j -> side.(j) = 1)
+            in
+            ignore (Screen.shrink screen);
+            let t1 = Screen.tuple screen in
+            let base, _, _ = t1 in
+            tuple_violates p g t0 && within_candidate
+            && tuple_violates p g t1 && base = x0
+            && tuple_within t1
+                 ~allowed_a:(fun j -> a0.(j) <> x0.(j))
+                 ~allowed_b:(fun j -> b0.(j) <> x0.(j))
+          in
+          let screened =
+            (not (Screen.refute screen side)) || shrunk_ok ()
+          in
+          let copies = Copies.create p g in
+          let from_sat =
+            match Copies.check copies part with
+            | Step_sat.Solver.Sat ->
+                let x, x1, x2 = Copies.model_points copies in
+                Screen.load screen ~x ~x1 ~x2 && shrunk_ok ()
+            | Step_sat.Solver.Unsat ->
+                (* a decomposable partition: the screen must not refute it *)
+                not (Screen.refute screen side)
+            | Step_sat.Solver.Unknown -> false
+          in
+          screened && from_sat)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -704,6 +822,8 @@ let () =
           Alcotest.test_case "strategies agree" `Quick test_strategies_agree;
           Alcotest.test_case "copies mismatch rejected" `Quick
             test_qbf_copies_mismatch_rejected;
+          Alcotest.test_case "mg copies mismatch rejected" `Quick
+            test_mg_copies_mismatch_rejected;
           Alcotest.test_case "bootstrap never worse" `Quick
             test_qbf_bootstrap_never_worse;
         ] );
@@ -736,6 +856,8 @@ let () =
           prop_extract_verifies;
           prop_mg_partitions_valid;
           prop_qbf_optimal_vs_exhaustive;
+          prop_sim_matches_eval;
+          prop_screen_clauses_backed;
           prop_ashenhurst_matches_semantic;
           prop_gate_full_verified;
           prop_recursive_rebuild_equivalent;

@@ -181,6 +181,37 @@ let test_auto_parallel_matches_sequential () =
   Alcotest.(check bool) "parity gate is XOR" true (g_par = Some Gate.Xor_gate);
   Alcotest.(check bool) "parity decomposed" true (r_par.Engine.partition <> None)
 
+(* An auto row's cpu covers all three gates: it matches the summed
+   durations of the output's three pipeline.po spans (each gate's cpu is
+   measured inside its span), not the winning gate's alone. *)
+let test_auto_cpu_sums_gates () =
+  let durs = ref [] in
+  let config =
+    Config.default
+    |> Config.with_trace
+         (Some
+            (Step_obs.Obs.callback_sink (fun r ->
+                 if r.Step_obs.Obs.r_name = "pipeline.po" then
+                   durs := r.Step_obs.Obs.r_dur :: !durs)))
+  in
+  let eng = Engine.create ~config (toy_circuit ()) in
+  for i = 0 to Circuit.n_outputs (Engine.circuit eng) - 1 do
+    durs := [];
+    let _, r =
+      Step_obs.Obs.with_sink
+        (Option.get (Engine.config eng).Config.trace)
+        (fun () -> Engine.decompose_po_auto eng i)
+    in
+    Alcotest.(check int) (Printf.sprintf "po %d: three gates" i) 3
+      (List.length !durs);
+    let total = List.fold_left ( +. ) 0.0 !durs in
+    Alcotest.(check bool)
+      (Printf.sprintf "po %d: cpu %g within the spans' %g" i r.Engine.cpu
+         total)
+      true
+      (r.Engine.cpu <= total && r.Engine.cpu >= (0.9 *. total) -. 1e-4)
+  done
+
 let test_session_does_not_pollute () =
   let c = toy_circuit () in
   let before = Aig.n_nodes c.Circuit.aig in
@@ -420,6 +451,8 @@ let () =
             test_parallel_matches_sequential;
           Alcotest.test_case "auto parallel = sequential" `Quick
             test_auto_parallel_matches_sequential;
+          Alcotest.test_case "auto cpu sums the gates" `Quick
+            test_auto_cpu_sums_gates;
           Alcotest.test_case "session circuit untouched" `Quick
             test_session_does_not_pollute;
           Alcotest.test_case "total budget cancels" `Quick
