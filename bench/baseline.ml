@@ -10,7 +10,7 @@
 module Circuit = Step_aig.Circuit
 module Gate = Step_core.Gate
 module Generators = Step_circuits.Generators
-module Pipeline = Step_engine.Pipeline
+module Method = Step_core.Method
 module Config = Step_engine.Config
 module Engine = Step_engine.Engine
 module Clock = Step_obs.Clock
@@ -34,7 +34,7 @@ let suite () =
     (Generators.parity 5, Gate.Xor_gate);
   ]
 
-let methods = [ Pipeline.Mg; Pipeline.Qd ]
+let methods = [ Method.Mg; Method.Qd ]
 
 let per_po_budget = 0.5
 
@@ -48,7 +48,7 @@ type row = {
 
 let row_id circuit gate method_ =
   Printf.sprintf "%s/%s/%s" circuit.Circuit.name
-    (Pipeline.method_name method_)
+    (Method.to_string method_)
     (Gate.to_string gate)
 
 (* [handicap] repeats the engine run inside the timed region — an honest
@@ -75,16 +75,16 @@ let run_suite ?(handicap = 1) () =
           let r = Option.get !result in
           let n_failed =
             Array.fold_left
-              (fun acc (po : Pipeline.po_result) ->
-                if po.Pipeline.failure <> None && not po.Pipeline.degraded then
+              (fun acc (po : Engine.po_result) ->
+                if po.Engine.failure <> None && not po.Engine.degraded then
                   acc + 1
                 else acc)
-              0 r.Pipeline.per_po
+              0 r.Engine.per_po
           in
           {
             id = row_id circuit gate method_;
-            n_po = Array.length r.Pipeline.per_po;
-            n_decomposed = r.Pipeline.n_decomposed;
+            n_po = Array.length r.Engine.per_po;
+            n_decomposed = r.Engine.n_decomposed;
             n_failed;
             wall_s;
           })

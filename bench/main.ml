@@ -15,7 +15,7 @@
      dune exec bench/main.exe -- --bechamel   # Bechamel micro-suite
 *)
 
-module Pipeline = Step_engine.Pipeline
+module Method = Step_core.Method
 module Gate = Step_core.Gate
 
 let usage () =
@@ -158,21 +158,21 @@ let () =
     let method_run m () =
       (* fresh run (bypasses the cache) to measure actual work *)
       ignore
-        (Pipeline.run ~per_po_budget:quick.Runs.per_po_budget (circuit ())
+        (Runs.fresh ~per_po_budget:quick.Runs.per_po_budget (circuit ())
            Gate.Or_gate m)
     in
     let tests =
       [
         Test.make ~name:"table1-quality-runs (QD slice)"
-          (Staged.stage (method_run Pipeline.Qd));
+          (Staged.stage (method_run Method.Qd));
         Test.make ~name:"table2-aggregate (QB slice)"
-          (Staged.stage (method_run Pipeline.Qb));
+          (Staged.stage (method_run Method.Qb));
         Test.make ~name:"table3-performance (MG slice)"
-          (Staged.stage (method_run Pipeline.Mg));
+          (Staged.stage (method_run Method.Mg));
         Test.make ~name:"table4-solved (QDB slice)"
-          (Staged.stage (method_run Pipeline.Qdb));
+          (Staged.stage (method_run Method.Qdb));
         Test.make ~name:"figure1-scatter (LJH slice)"
-          (Staged.stage (method_run Pipeline.Ljh));
+          (Staged.stage (method_run Method.Ljh));
       ]
     in
     let instances = Toolkit.Instance.[ monotonic_clock ] in

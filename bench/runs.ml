@@ -5,7 +5,9 @@
 module Circuit = Step_aig.Circuit
 module Gate = Step_core.Gate
 module Partition = Step_core.Partition
-module Pipeline = Step_engine.Pipeline
+module Engine = Step_engine.Engine
+module Config = Step_engine.Config
+module Method = Step_core.Method
 
 type config = {
   per_po_budget : float;
@@ -32,13 +34,13 @@ let default_config =
   }
 
 let all_methods =
-  [ Pipeline.Ljh; Pipeline.Mg; Pipeline.Qd; Pipeline.Qb; Pipeline.Qdb ]
+  [ Method.Ljh; Method.Mg; Method.Qd; Method.Qb; Method.Qdb ]
 
-let qbf_methods = [ Pipeline.Qd; Pipeline.Qb; Pipeline.Qdb ]
+let qbf_methods = [ Method.Qd; Method.Qb; Method.Qdb ]
 
-type key = { circuit : string; gate : Gate.t; method_ : Pipeline.method_ }
+type key = { circuit : string; gate : Gate.t; method_ : Method.t }
 
-let cache : (key, Pipeline.circuit_result) Hashtbl.t = Hashtbl.create 64
+let cache : (key, Engine.circuit_result) Hashtbl.t = Hashtbl.create 64
 
 (* The engine-level decomposition cache (canonical cone memoization) is
    distinct from the result cache above: one instance shared by every run
@@ -98,8 +100,8 @@ let run config circuit gate method_ =
   | None ->
       let engine_config =
         {
-          Step_engine.Config.default with
-          Step_engine.Config.gate;
+          Config.default with
+          Config.gate;
           method_;
           per_po_budget = config.per_po_budget;
           jobs = config.jobs;
@@ -107,12 +109,15 @@ let run config circuit gate method_ =
           certify = config.certify;
         }
       in
-      let r =
-        Step_engine.Engine.run
-          (Step_engine.Engine.create ~config:engine_config circuit)
-      in
+      let r = Engine.run (Engine.create ~config:engine_config circuit) in
       Hashtbl.replace cache key r;
       r
+
+(* A fresh run outside the result cache: sequential, no decomposition
+   cache — the budget sweep's tighter rows and the Bechamel slices. *)
+let fresh ~per_po_budget circuit gate method_ =
+  let config = { Config.default with Config.gate; method_; per_po_budget } in
+  Engine.run (Engine.create ~config circuit)
 
 (* Machine-readable snapshot of every cached run so far, one file per
    artifact: bench_out/run_<artifact>.json *)
@@ -120,14 +125,14 @@ let dump_json config ~dir ~artifact =
   let module J = Step_obs.Json in
   let results =
     Hashtbl.fold (fun _ r acc -> r :: acc) cache []
-    |> List.sort (fun (a : Pipeline.circuit_result) b ->
+    |> List.sort (fun (a : Engine.circuit_result) b ->
            compare
-             ( a.Pipeline.circuit_name,
-               Pipeline.method_name a.Pipeline.method_used,
-               Gate.to_string a.Pipeline.gate_used )
-             ( b.Pipeline.circuit_name,
-               Pipeline.method_name b.Pipeline.method_used,
-               Gate.to_string b.Pipeline.gate_used ))
+             ( a.Engine.circuit_name,
+               Method.to_string a.Engine.method_used,
+               Gate.to_string a.Engine.gate_used )
+             ( b.Engine.circuit_name,
+               Method.to_string b.Engine.method_used,
+               Gate.to_string b.Engine.gate_used ))
   in
   let cache_hits, cache_misses, cache_entries =
     match !deco_cache with
@@ -190,20 +195,20 @@ let dump_json config ~dir ~artifact =
 
 (* per-PO metric comparison between a QBF method and a baseline: counts
    (better, equal, comparable) over POs decomposed by both *)
-let compare_metric (metric : Partition.t -> float) (challenger : Pipeline.circuit_result)
-    (baseline : Pipeline.circuit_result) =
+let compare_metric (metric : Partition.t -> float) (challenger : Engine.circuit_result)
+    (baseline : Engine.circuit_result) =
   let better = ref 0 and equal = ref 0 and total = ref 0 in
   Array.iteri
     (fun i cr ->
-      let br = baseline.Pipeline.per_po.(i) in
-      match (cr.Pipeline.partition, br.Pipeline.partition) with
+      let br = baseline.Engine.per_po.(i) in
+      match (cr.Engine.partition, br.Engine.partition) with
       | Some cp, Some bp ->
           incr total;
           let mc = metric cp and mb = metric bp in
           if mc < mb -. 1e-9 then incr better
           else if Float.abs (mc -. mb) <= 1e-9 then incr equal
       | _, _ -> ())
-    challenger.Pipeline.per_po;
+    challenger.Engine.per_po;
   (!better, !equal, !total)
 
 let pct a b = if b = 0 then 0.0 else 100.0 *. float_of_int a /. float_of_int b

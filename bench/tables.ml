@@ -5,7 +5,8 @@
 module Circuit = Step_aig.Circuit
 module Gate = Step_core.Gate
 module Partition = Step_core.Partition
-module Pipeline = Step_engine.Pipeline
+module Engine = Step_engine.Engine
+module Method = Step_core.Method
 module Problem = Step_core.Problem
 module Copies = Step_core.Copies
 module Mg = Step_core.Mg
@@ -33,11 +34,11 @@ let table1 config =
       let n_in = stats.Runs.n_in in
       let inm = stats.Runs.inm in
       let n_out = stats.Runs.n_out in
-      let ljh = Runs.run config circuit gate Pipeline.Ljh in
-      let mg = Runs.run config circuit gate Pipeline.Mg in
-      let qd = Runs.run config circuit gate Pipeline.Qd in
-      let qb = Runs.run config circuit gate Pipeline.Qb in
-      let qdb = Runs.run config circuit gate Pipeline.Qdb in
+      let ljh = Runs.run config circuit gate Method.Ljh in
+      let mg = Runs.run config circuit gate Method.Mg in
+      let qd = Runs.run config circuit gate Method.Qd in
+      let qb = Runs.run config circuit gate Method.Qb in
+      let qdb = Runs.run config circuit gate Method.Qdb in
       let cell metric challenger baseline =
         let b, e, t = Runs.compare_metric metric challenger baseline in
         Printf.sprintf "%5.1f/%5.1f" (Runs.pct b t) (Runs.pct e t)
@@ -70,18 +71,18 @@ let aggregate config gate challenger_m baseline_m metric =
 let table2 config =
   Printf.printf "%s\nTABLE II: aggregate quality comparison, all models\n" hr;
   let row label gate baseline =
-    let qd = aggregate config gate Pipeline.Qd baseline Runs.metric_disjointness in
-    let qb = aggregate config gate Pipeline.Qb baseline Runs.metric_balancedness in
-    let qdb = aggregate config gate Pipeline.Qdb baseline Runs.metric_sum in
+    let qd = aggregate config gate Method.Qd baseline Runs.metric_disjointness in
+    let qb = aggregate config gate Method.Qb baseline Runs.metric_balancedness in
+    let qdb = aggregate config gate Method.Qdb baseline Runs.metric_sum in
     Printf.printf
       "%-16s QD better/equal: %5.1f%%/%5.1f%%   QB: %5.1f%%/%5.1f%%   QDB: \
        %5.1f%%/%5.1f%%\n"
       label (fst qd) (snd qd) (fst qb) (snd qb) (fst qdb) (snd qdb)
   in
-  row "OR  vs LJH" Gate.Or_gate Pipeline.Ljh;
-  row "OR  vs STEP-MG" Gate.Or_gate Pipeline.Mg;
-  row "AND vs STEP-MG" Gate.And_gate Pipeline.Mg;
-  row "XOR vs STEP-MG" Gate.Xor_gate Pipeline.Mg
+  row "OR  vs LJH" Gate.Or_gate Method.Ljh;
+  row "OR  vs STEP-MG" Gate.Or_gate Method.Mg;
+  row "AND vs STEP-MG" Gate.And_gate Method.Mg;
+  row "XOR vs STEP-MG" Gate.Xor_gate Method.Mg
 
 (* ---------- Table III ---------- *)
 
@@ -94,12 +95,12 @@ let table3 config =
     (fun circuit ->
       let cell m =
         let r = Runs.run config circuit gate m in
-        Printf.sprintf "%4d %8.2fs" r.Pipeline.n_decomposed
-          r.Pipeline.total_cpu
+        Printf.sprintf "%4d %8.2fs" r.Engine.n_decomposed
+          r.Engine.total_cpu
       in
       Printf.printf "%-10s | %s | %s | %s | %s | %s\n" circuit.Circuit.name
-        (cell Pipeline.Ljh) (cell Pipeline.Mg) (cell Pipeline.Qd)
-        (cell Pipeline.Qb) (cell Pipeline.Qdb))
+        (cell Method.Ljh) (cell Method.Mg) (cell Method.Qd)
+        (cell Method.Qb) (cell Method.Qdb))
     (Runs.circuits config)
 
 (* ---------- Table IV ---------- *)
@@ -124,7 +125,7 @@ let table4 config =
         let r =
           if budget = config.Runs.per_po_budget then
             Runs.run config circuit gate m
-          else Pipeline.run ~per_po_budget:budget circuit gate m
+          else Runs.fresh ~per_po_budget:budget circuit gate m
         in
         Array.iter
           (fun po ->
@@ -132,10 +133,10 @@ let table4 config =
             (* solved = settled within budget: proven-optimal partition or
                definitive non-decomposability *)
             if
-              po.Pipeline.proven_optimal
-              || (po.Pipeline.partition = None && not po.Pipeline.timed_out)
+              po.Engine.proven_optimal
+              || (po.Engine.partition = None && not po.Engine.timed_out)
             then incr solved)
-          r.Pipeline.per_po)
+          r.Engine.per_po)
       (Runs.circuits config);
     (!total, Runs.pct !solved !total)
   in
@@ -143,9 +144,9 @@ let table4 config =
     "STEP-QDB";
   List.iter
     (fun budget ->
-      let t, qd = solved_pct budget Pipeline.Qd in
-      let _, qb = solved_pct budget Pipeline.Qb in
-      let _, qdb = solved_pct budget Pipeline.Qdb in
+      let t, qd = solved_pct budget Method.Qd in
+      let _, qb = solved_pct budget Method.Qb in
+      let _, qdb = solved_pct budget Method.Qdb in
       Printf.printf "%9.3fs %9.2f%% %9.2f%% %9.2f%%   (#Out=%d)\n" budget qd qb
         qdb t)
     budgets
@@ -171,14 +172,14 @@ let figure1 config =
     List.map
       (fun c ->
         let r = Runs.run fig_config c gate m in
-        (c.Circuit.name, Float.max 1e-4 r.Pipeline.total_cpu))
+        (c.Circuit.name, Float.max 1e-4 r.Engine.total_cpu))
       suite
   in
-  let ljh = times Pipeline.Ljh in
-  let mg = times Pipeline.Mg in
-  let qd = times Pipeline.Qd in
-  let qb = times Pipeline.Qb in
-  let qdb = times Pipeline.Qdb in
+  let ljh = times Method.Ljh in
+  let mg = times Method.Mg in
+  let qd = times Method.Qd in
+  let qb = times Method.Qb in
+  let qdb = times Method.Qdb in
   let plot (xl, xs) (yl, ys) =
     let pts = List.map2 (fun (_, x) (_, y) -> (x, y)) xs ys in
     print_string
@@ -209,19 +210,19 @@ let sample_problems config gate limit =
       match circuits with
       | [] -> List.rev acc
       | c :: rest ->
-          let mg = Runs.run config c gate Pipeline.Mg in
+          let mg = Runs.run config c gate Method.Mg in
           let found = ref acc and count = ref n in
           Array.iter
             (fun po ->
-              if !count < limit && po.Pipeline.partition <> None then begin
+              if !count < limit && po.Engine.partition <> None then begin
                 let p =
                   Problem.of_edge c.Circuit.aig
-                    (Circuit.find_output c po.Pipeline.po_name)
+                    (Circuit.find_output c po.Engine.po_name)
                 in
-                found := (p, Option.get po.Pipeline.partition) :: !found;
+                found := (p, Option.get po.Engine.partition) :: !found;
                 incr count
               end)
-            mg.Pipeline.per_po;
+            mg.Engine.per_po;
           collect rest !found !count
   in
   collect (Runs.circuits config) [] 0

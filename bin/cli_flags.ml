@@ -47,6 +47,10 @@ let load_circuit path_or_name =
              "%s: not a file and not a known benchmark name (try `step suite`)"
              path_or_name)
 
+(* An output index outside the circuit is an input error too. *)
+let check_po c i =
+  try Circuit.check_output_index c i with Invalid_argument msg -> input_error msg
+
 let circuit_arg =
   let doc =
     "Input circuit: a .blif or .aag file, or a named benchmark from the \

@@ -15,7 +15,6 @@ module Gate = Step_core.Gate
 module Partition = Step_core.Partition
 module Problem = Step_core.Problem
 module Method = Step_core.Method
-module Pipeline = Step_engine.Pipeline
 module Engine = Step_engine.Engine
 module Config = Step_engine.Config
 module Extract = Step_core.Extract
@@ -105,15 +104,15 @@ let recursive_flag =
   in
   Arg.(value & flag & info [ "recursive"; "r" ] ~doc)
 
-let print_po_result (r : Pipeline.po_result) =
+let print_po_result (r : Engine.po_result) =
   let status =
     match Engine.po_status r with
     | "indecomposable" -> "not-decomposable"
     | s -> s
   in
-  Printf.printf "%-16s n=%-3d %-16s %6.3fs" r.Pipeline.po_name
-    r.Pipeline.support_size status r.Pipeline.cpu;
-  (match r.Pipeline.partition with
+  Printf.printf "%-16s n=%-3d %-16s %6.3fs" r.Engine.po_name
+    r.Engine.support_size status r.Engine.cpu;
+  (match r.Engine.partition with
   | None -> ()
   | Some part ->
       Printf.printf "  |XA|=%d |XB|=%d |XC|=%d eD=%.3f eB=%.3f"
@@ -122,10 +121,10 @@ let print_po_result (r : Pipeline.po_result) =
         (List.length part.Partition.xc)
         (Partition.disjointness part)
         (Partition.balancedness part));
-  if r.Pipeline.degraded then
-    Printf.printf "  via %s" (Pipeline.method_name r.Pipeline.method_used);
-  (match r.Pipeline.failure with
-  | Some f when not r.Pipeline.degraded -> Printf.printf "  %s" f.Pipeline.error
+  if r.Engine.degraded then
+    Printf.printf "  via %s" (Method.to_string r.Engine.method_used);
+  (match r.Engine.failure with
+  | Some f when not r.Engine.degraded -> Printf.printf "  %s" f.Engine.error
   | _ -> ());
   print_newline ()
 
@@ -198,13 +197,17 @@ let decompose_cmd =
       (* validate budgets/jobs up front so every path reports bad flags *)
       let base_config = mk_config Config.default.Config.gate in
       let c = load_circuit path in
+      Option.iter (check_po c) po;
       if check_artifacts then note_diags (Engine.lint_circuit c);
       if recursive then begin
         let module R = Step_core.Recursive in
         let config =
           { R.default_config with R.method_; per_step_budget = budget }
         in
-        for i = 0 to Circuit.n_outputs c - 1 do
+        let first, last =
+          match po with Some i -> (i, i) | None -> (0, Circuit.n_outputs c - 1)
+        in
+        for i = first to last do
           let p = Problem.of_output c i in
           if Problem.n_vars p >= 2 then begin
             let tree = R.decompose ~config p in
@@ -227,9 +230,11 @@ let decompose_cmd =
             | Some g -> Printf.printf "[%s] " (Gate.to_string g)
             | None -> Printf.printf "[-]   ");
             print_po_result r;
-            note_diags r.Pipeline.diags;
-            note_cert r.Pipeline.po_name r.Pipeline.certificate)
-          (Engine.run_auto eng);
+            note_diags r.Engine.diags;
+            note_cert r.Engine.po_name r.Engine.certificate)
+          (match po with
+          | Some i -> [| Engine.decompose_po_auto eng i |]
+          | None -> Engine.run_auto eng);
         finish_cache ();
         raise Exit
       end;
@@ -244,14 +249,14 @@ let decompose_cmd =
             | other -> failwith (Printf.sprintf "unknown engine %S" other))
           extract
       in
-      let handle_po (r : Pipeline.po_result) =
+      let handle_po (r : Engine.po_result) =
         print_po_result r;
-        note_diags r.Pipeline.diags;
-        match (r.Pipeline.partition, engine) with
+        note_diags r.Engine.diags;
+        match (r.Engine.partition, engine) with
         | Some part, Some engine ->
             let p =
               Problem.of_edge c.Circuit.aig
-                (Circuit.find_output c r.Pipeline.po_name)
+                (Circuit.find_output c r.Engine.po_name)
             in
             let e = Extract.run ~engine p gate part in
             Printf.printf "  fA cone=%d fB cone=%d"
@@ -265,7 +270,7 @@ let decompose_cmd =
             (* extraction happened: extend the certificate with the
                proof-carrying fA/fB equivalence miter before accounting *)
             let cert_with_equiv =
-              match r.Pipeline.certificate with
+              match r.Engine.certificate with
               | Some ct -> (
                   match
                     Certify.equivalence_obligation p gate ~fa:e.Extract.fa
@@ -275,22 +280,22 @@ let decompose_cmd =
                   | None -> Some ct)
               | None -> None
             in
-            note_cert r.Pipeline.po_name cert_with_equiv
-        | _, _ -> note_cert r.Pipeline.po_name r.Pipeline.certificate
+            note_cert r.Engine.po_name cert_with_equiv
+        | _, _ -> note_cert r.Engine.po_name r.Engine.certificate
       in
       (match po with
       | Some i -> handle_po (Engine.decompose_po eng i)
       | None ->
           let r = Engine.run eng in
           (* circuit-level diags were already printed by the upfront lint *)
-          Array.iter handle_po r.Pipeline.per_po;
+          Array.iter handle_po r.Engine.per_po;
           Printf.printf "== %s %s %s: #Dec=%d/%d CPU=%.2fs\n"
-            r.Pipeline.circuit_name
-            (Pipeline.method_name r.Pipeline.method_used)
-            (Gate.to_string r.Pipeline.gate_used)
-            r.Pipeline.n_decomposed
-            (Array.length r.Pipeline.per_po)
-            r.Pipeline.total_cpu);
+            r.Engine.circuit_name
+            (Method.to_string r.Engine.method_used)
+            (Gate.to_string r.Engine.gate_used)
+            r.Engine.n_decomposed
+            (Array.length r.Engine.per_po)
+            r.Engine.total_cpu);
       finish_cache ()
     in
     let prof = if profile then Some (Profile.collector ()) else None in
@@ -741,6 +746,7 @@ let export_qbf_cmd =
   let run path po k target out check =
     match
       let c = load_circuit path in
+      check_po c po;
       let p = Problem.of_edge c.Circuit.aig (Circuit.output c po) in
       let target =
         match String.lowercase_ascii target with
@@ -860,7 +866,7 @@ let lint_cmd =
   let lint_one path =
     if Filename.check_suffix path ".aig" then
       match Step_aig.Aig_bin.parse_file path with
-      | c -> List.map (Diag.with_file path) (Pipeline.lint_circuit c)
+      | c -> List.map (Diag.with_file path) (Engine.lint_circuit c)
       | exception Failure msg -> [ Diag.error ~file:path ~code:"IO001" msg ]
       | exception Sys_error msg -> [ Diag.error ~file:path ~code:"IO001" msg ]
     else Lint.lint_file path

@@ -9,7 +9,7 @@
 module Aig = Step_aig.Aig
 module Gate = Step_core.Gate
 module Problem = Step_core.Problem
-module Pipeline = Step_engine.Pipeline
+module Method = Step_core.Method
 module Recursive = Step_core.Recursive
 module Verify = Step_core.Verify
 
@@ -45,9 +45,9 @@ let () =
         label s.Recursive.gates s.Recursive.leaves s.Recursive.depth
         s.Recursive.max_leaf_support s.Recursive.total_leaf_support cpu ok)
     [
-      ("MG", Pipeline.Mg);
-      ("QD", Pipeline.Qd);
-      ("QB", Pipeline.Qb);
+      ("MG", Method.Mg);
+      ("QD", Method.Qd);
+      ("QB", Method.Qb);
     ];
 
   (* show one tree *)

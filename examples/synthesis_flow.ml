@@ -12,7 +12,8 @@ module Blif = Step_aig.Blif
 module Gate = Step_core.Gate
 module Partition = Step_core.Partition
 module Problem = Step_core.Problem
-module Pipeline = Step_engine.Pipeline
+module Engine = Step_engine.Engine
+module Method = Step_core.Method
 module Extract = Step_core.Extract
 module Verify = Step_core.Verify
 
@@ -22,25 +23,30 @@ let () =
   Printf.printf "input circuit: %s\n" (Circuit.stats circuit);
 
   let decompose method_ =
-    let r = Pipeline.run ~per_po_budget:5.0 circuit Gate.Or_gate method_ in
+    let config =
+      Step_engine.Config.(
+        default |> with_gate Gate.Or_gate |> with_method method_
+        |> with_per_po_budget 5.0)
+    in
+    let r = Engine.run (Engine.create ~config circuit) in
     Printf.printf "\n== %s: decomposed %d/%d outputs in %.2fs\n"
-      (Pipeline.method_name method_)
-      r.Pipeline.n_decomposed
-      (Array.length r.Pipeline.per_po)
-      r.Pipeline.total_cpu;
+      (Method.to_string method_)
+      r.Engine.n_decomposed
+      (Array.length r.Engine.per_po)
+      r.Engine.total_cpu;
     r
   in
-  let mg = decompose Pipeline.Mg in
-  let qd = decompose Pipeline.Qd in
+  let mg = decompose Method.Mg in
+  let qd = decompose Method.Qd in
 
   (* compare the shared-variable counts (the area/power proxy the paper
      optimizes) on outputs both methods decomposed *)
   Array.iteri
     (fun i mg_po ->
-      let qd_po = qd.Pipeline.per_po.(i) in
-      match (mg_po.Pipeline.partition, qd_po.Pipeline.partition) with
+      let qd_po = qd.Engine.per_po.(i) in
+      match (mg_po.Engine.partition, qd_po.Engine.partition) with
       | Some mp, Some qp ->
-          Printf.printf "%-8s |XC| mg=%d qd=%d%s\n" mg_po.Pipeline.po_name
+          Printf.printf "%-8s |XC| mg=%d qd=%d%s\n" mg_po.Engine.po_name
             (List.length mp.Partition.xc)
             (List.length qp.Partition.xc)
             (if
@@ -48,17 +54,17 @@ let () =
              then "  <- improved"
              else "")
       | _, _ -> ())
-    mg.Pipeline.per_po;
+    mg.Engine.per_po;
 
   (* rebuild each decomposed output as an OR of its extracted halves and
      emit the result as BLIF *)
   let rebuilt =
-    Array.to_list qd.Pipeline.per_po
-    |> List.filter_map (fun (po : Pipeline.po_result) ->
-           match po.Pipeline.partition with
+    Array.to_list qd.Engine.per_po
+    |> List.filter_map (fun (po : Engine.po_result) ->
+           match po.Engine.partition with
            | None -> None
            | Some part ->
-               let f = Circuit.find_output circuit po.Pipeline.po_name in
+               let f = Circuit.find_output circuit po.Engine.po_name in
                let p = Problem.of_edge circuit.Circuit.aig f in
                let e = Extract.run p Gate.Or_gate part in
                assert (
@@ -66,8 +72,8 @@ let () =
                    ~fb:e.Extract.fb);
                Some
                  [
-                   (po.Pipeline.po_name ^ "$a", e.Extract.fa);
-                   (po.Pipeline.po_name ^ "$b", e.Extract.fb);
+                   (po.Engine.po_name ^ "$a", e.Extract.fa);
+                   (po.Engine.po_name ^ "$b", e.Extract.fb);
                  ])
     |> List.concat
   in

@@ -15,6 +15,12 @@ let output c i = snd c.outputs.(i)
 
 let output_name c i = fst c.outputs.(i)
 
+let check_output_index c i =
+  if i < 0 || i >= n_outputs c then
+    invalid_arg
+      (Printf.sprintf "po %d out of range (circuit has %d outputs)" i
+         (n_outputs c))
+
 let find_output c name =
   let rec go i =
     if i >= Array.length c.outputs then raise Not_found

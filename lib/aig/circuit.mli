@@ -20,6 +20,11 @@ val output : t -> int -> Aig.lit
 
 val output_name : t -> int -> string
 
+val check_output_index : t -> int -> unit
+(** @raise Invalid_argument ["po I out of range (circuit has N outputs)"]
+    unless [0 <= i < n_outputs c]: the one wording for a bad output
+    index, shared by the engine, the CLI and the server. *)
+
 val find_output : t -> string -> Aig.lit
 (** @raise Not_found if no output has that name. *)
 

@@ -7,7 +7,6 @@ module Certify = Step_core.Certify
 module Config = Step_engine.Config
 module Retry = Step_engine.Retry
 module Engine = Step_engine.Engine
-module Pipeline = Step_engine.Pipeline
 module Report = Step_engine.Report
 
 let schema_version = 1
@@ -440,9 +439,9 @@ type po_record = {
   counters : (string * int) list;
 }
 
-let po_record_of_result (r : Pipeline.po_result) =
+let po_record_of_result (r : Engine.po_result) =
   let xa, xb, xc, ed, eb =
-    match r.Pipeline.partition with
+    match r.Engine.partition with
     | None -> (0, 0, 0, nan, nan)
     | Some p ->
         ( List.length p.Partition.xa,
@@ -452,22 +451,22 @@ let po_record_of_result (r : Pipeline.po_result) =
           Partition.balancedness p )
   in
   {
-    po = r.Pipeline.po_name;
-    support = r.Pipeline.support_size;
-    decomposed = r.Pipeline.partition <> None;
-    optimal = r.Pipeline.proven_optimal;
-    timed_out = r.Pipeline.timed_out;
+    po = r.Engine.po_name;
+    support = r.Engine.support_size;
+    decomposed = r.Engine.partition <> None;
+    optimal = r.Engine.proven_optimal;
+    timed_out = r.Engine.timed_out;
     status = Engine.po_status r;
-    method_name = Method.to_string r.Pipeline.method_used;
-    attempts = r.Pipeline.attempts;
+    method_name = Method.to_string r.Engine.method_used;
+    attempts = r.Engine.attempts;
     xa;
     xb;
     xc;
     ed;
     eb;
-    cpu_s = r.Pipeline.cpu;
+    cpu_s = r.Engine.cpu;
     cache =
-      Option.map (fun hit -> if hit then "hit" else "miss") r.Pipeline.cache_hit;
+      Option.map (fun hit -> if hit then "hit" else "miss") r.Engine.cache_hit;
     cert =
       Option.map
         (fun c ->
@@ -476,18 +475,18 @@ let po_record_of_result (r : Pipeline.po_result) =
             proof_bytes = c.Certify.proof_bytes;
             cert_s = c.Certify.gen_s +. c.Certify.check_s;
           })
-        r.Pipeline.certificate;
-    degraded = r.Pipeline.degraded;
+        r.Engine.certificate;
+    degraded = r.Engine.degraded;
     failure =
       Option.map
-        (fun (f : Pipeline.po_failure) ->
+        (fun (f : Engine.po_failure) ->
           {
-            fail_error = f.Pipeline.error;
-            fail_attempts = f.Pipeline.attempts;
-            fail_transient = f.Pipeline.transient;
+            fail_error = f.Engine.error;
+            fail_attempts = f.Engine.attempts;
+            fail_transient = f.Engine.transient;
           })
-        r.Pipeline.failure;
-    counters = r.Pipeline.counters;
+        r.Engine.failure;
+    counters = r.Engine.counters;
   }
 
 let counters_json cs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) cs)
@@ -676,17 +675,17 @@ type run_summary = {
   counters : (string * int) list;
 }
 
-let summary_of_result (r : Pipeline.circuit_result) =
+let summary_of_result (r : Engine.circuit_result) =
   let a = Report.aggregate_of r in
   let cache_hits, cache_misses = Report.cache_counts r in
   let cert_checked, cert_failed = Report.cert_counts r in
   let cert_proof_bytes, cert_s = Report.cert_totals r in
   {
-    circuit = r.Pipeline.circuit_name;
-    s_method = Method.to_string r.Pipeline.method_used;
-    gate = Gate.to_string r.Pipeline.gate_used;
-    n_outputs = Array.length r.Pipeline.per_po;
-    n_decomposed = r.Pipeline.n_decomposed;
+    circuit = r.Engine.circuit_name;
+    s_method = Method.to_string r.Engine.method_used;
+    gate = Gate.to_string r.Engine.gate_used;
+    n_outputs = Array.length r.Engine.per_po;
+    n_decomposed = r.Engine.n_decomposed;
     n_failed = a.Report.n_failed;
     n_degraded = a.Report.n_degraded;
     cache_hits;
@@ -695,7 +694,7 @@ let summary_of_result (r : Pipeline.circuit_result) =
     cert_failed;
     cert_proof_bytes;
     cert_s;
-    total_cpu_s = r.Pipeline.total_cpu;
+    total_cpu_s = r.Engine.total_cpu;
     counters = Report.counters_of r;
   }
 
@@ -786,7 +785,7 @@ let summary_of_json j =
       counters;
     }
 
-let run_to_json (r : Pipeline.circuit_result) =
+let run_to_json (r : Engine.circuit_result) =
   Json.Obj
     (("schema_version", Json.Int schema_version)
     :: summary_fields (summary_of_result r)
@@ -796,7 +795,7 @@ let run_to_json (r : Pipeline.circuit_result) =
             (Array.to_list
                (Array.map
                   (fun po -> po_to_json (po_record_of_result po))
-                  r.Pipeline.per_po)) );
+                  r.Engine.per_po)) );
       ])
 
 (* ---------- responses ---------- *)

@@ -167,7 +167,7 @@ type po_record = {
   counters : (string * int) list;
 }
 
-val po_record_of_result : Step_engine.Pipeline.po_result -> po_record
+val po_record_of_result : Step_engine.Engine.po_result -> po_record
 
 val po_to_json : po_record -> Step_obs.Json.t
 
@@ -193,7 +193,7 @@ type run_summary = {
   counters : (string * int) list;
 }
 
-val summary_of_result : Step_engine.Pipeline.circuit_result -> run_summary
+val summary_of_result : Step_engine.Engine.circuit_result -> run_summary
 
 val summary_fields : run_summary -> (string * Step_obs.Json.t) list
 (** The summary as ordered JSON fields (zero-valued optional groups are
@@ -202,7 +202,7 @@ val summary_fields : run_summary -> (string * Step_obs.Json.t) list
 
 val summary_of_json : Step_obs.Json.t -> (run_summary, Step_lint.Diag.t) result
 
-val run_to_json : Step_engine.Pipeline.circuit_result -> Step_obs.Json.t
+val run_to_json : Step_engine.Engine.circuit_result -> Step_obs.Json.t
 (** The whole-run document: [schema_version], the summary fields, and a
     [per_po] array of {!po_to_json} records. This is what
     [step report -f json] prints and what [bench_out/run_*.json] embeds

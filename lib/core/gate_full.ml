@@ -39,23 +39,10 @@ let apply m g a b =
   | Nand -> Aig.not_ (Aig.and_ m a b)
   | Xnor -> Aig.iff_ m a b
 
-let find_partition ?(method_ = Method.Qd) ?time_budget p gate =
-  match method_ with
-  | Method.Ljh -> (Ljh.find ?time_budget p gate).Ljh.partition
-  | Method.Mg -> (Mg.find ?time_budget p gate).Mg.partition
-  | Method.Qd | Method.Qb | Method.Qdb ->
-      let target =
-        match method_ with
-        | Method.Qd -> Qbf_model.Disjointness
-        | Method.Qb -> Qbf_model.Balancedness
-        | Method.Qdb | Method.Ljh | Method.Mg -> Qbf_model.Combined
-      in
-      (Qbf_model.optimize ?time_budget p gate target).Qbf_model.partition
-
-let decompose ?method_ ?time_budget (p : Problem.t) g =
+let decompose ?(method_ = Method.Qd) ?time_budget (p : Problem.t) g =
   let gate, complement = base g in
   let p' = if complement then Problem.negate p else p in
-  match find_partition ?method_ ?time_budget p' gate with
+  match Method.find_partition ?time_budget method_ p' gate with
   | None -> None
   | Some part ->
       let e = Extract.run p' gate part in

@@ -24,3 +24,17 @@ let of_string s =
   | None -> failwith (Printf.sprintf "Method.of_string: %S" s)
 
 let pp fmt m = Format.pp_print_string fmt (to_string m)
+
+let qbf_target = function
+  | Qd -> Qbf_model.Disjointness
+  | Qb -> Qbf_model.Balancedness
+  | Qdb -> Qbf_model.Combined
+  | (Ljh | Mg) as m -> invalid_arg ("Method.qbf_target: " ^ to_string m)
+
+let find_partition ?time_budget m p gate =
+  match m with
+  | Ljh -> (Ljh.find ?time_budget p gate).Ljh.partition
+  | Mg -> (Mg.find ?time_budget p gate).Mg.partition
+  | Qd | Qb | Qdb ->
+      (Qbf_model.optimize ?time_budget p gate (qbf_target m))
+        .Qbf_model.partition

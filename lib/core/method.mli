@@ -1,6 +1,6 @@
 (** The partitioning methods of the paper's comparison, as a first-class
     enumeration shared by every layer (core heuristics, engine, CLI,
-    bench).
+    bench), plus the one place that maps a method onto its solver.
 
     Naming is one scheme everywhere: {!to_string} prints the display
     names used in reports and the paper's tables ([LJH], [STEP-MG],
@@ -29,3 +29,16 @@ val of_string : string -> t
 (** @raise Failure on unknown names; see {!of_string_opt}. *)
 
 val pp : Format.formatter -> t -> unit
+
+val qbf_target : t -> Qbf_model.target
+(** The optimum a QBF method searches for: [Qd] → disjointness, [Qb] →
+    balancedness, [Qdb] → combined cost.
+
+    @raise Invalid_argument for the heuristics [Ljh] and [Mg], which
+    have no QBF model. *)
+
+val find_partition :
+  ?time_budget:float -> t -> Problem.t -> Gate.t -> Partition.t option
+(** One partition search with the method's own solver, cold: [Ljh.find],
+    [Mg.find] or [Qbf_model.optimize] on {!qbf_target}, with no
+    STEP-MG bootstrap. [None] when not decomposable within budget. *)

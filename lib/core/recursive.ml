@@ -29,28 +29,15 @@ let default_config =
     max_depth = 32;
   }
 
-let find_partition config p gate =
-  match config.method_ with
-  | Method.Ljh ->
-      (Ljh.find ~time_budget:config.per_step_budget p gate).Ljh.partition
-  | Method.Mg ->
-      (Mg.find ~time_budget:config.per_step_budget p gate).Mg.partition
-  | Method.Qd | Method.Qb | Method.Qdb ->
-      let target =
-        match config.method_ with
-        | Method.Qd -> Qbf_model.Disjointness
-        | Method.Qb -> Qbf_model.Balancedness
-        | Method.Qdb | Method.Ljh | Method.Mg -> Qbf_model.Combined
-      in
-      (Qbf_model.optimize ~time_budget:config.per_step_budget p gate target)
-        .Qbf_model.partition
-
 (* one decomposition step: first gate that decomposes non-trivially *)
 let step config (p : Problem.t) =
   let rec try_gates = function
     | [] -> None
     | gate :: rest -> begin
-        match find_partition config p gate with
+        match
+          Method.find_partition ~time_budget:config.per_step_budget
+            config.method_ p gate
+        with
         | Some part when not (Partition.is_trivial part) -> begin
             match Extract.run p gate part with
             | e -> Some (gate, part, e.Extract.fa, e.Extract.fb)

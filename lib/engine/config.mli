@@ -1,5 +1,5 @@
-(** Engine run configuration — the record that replaces [Pipeline]'s
-    optional-argument sprawl.
+(** Engine run configuration: everything a decomposition session depends
+    on, in one validated record.
 
     Build one with record update syntax or the [with_*] builders
     (pipeline-friendly argument order):

@@ -16,12 +16,6 @@ module Mg = Step_core.Mg
 module Qbf_model = Step_core.Qbf_model
 module Certify = Step_core.Certify
 
-let method_to_string = Method.to_string
-
-let method_of_string = Method.of_string
-
-let method_of_string_opt = Method.of_string_opt
-
 (* supervision telemetry, merged across runs and worker domains *)
 let m_retries = Metrics.counter "engine.retries"
 
@@ -96,12 +90,6 @@ let lint_circuit (c : Circuit.t) =
   in
   Step_lint.Lint.check_aig ~name:c.Circuit.name view
 
-let qbf_target = function
-  | Method.Qd -> Qbf_model.Disjointness
-  | Method.Qb -> Qbf_model.Balancedness
-  | Method.Qdb -> Qbf_model.Combined
-  | Method.Ljh | Method.Mg -> invalid_arg "qbf_target"
-
 (* Method dispatch on one problem: (partition, proven_optimal, timed_out,
    counters). Shared by the direct path and the cache-miss path, which
    solves the canonically rebuilt cone instead of the original one. *)
@@ -147,7 +135,7 @@ let solve_kernel ~per_po_budget p gate method_ =
             (* MG found nothing: let the QBF model decide feasibility *)
             let o =
               Qbf_model.optimize ~copies ~time_budget:remaining p gate
-                (qbf_target method_)
+                (Method.qbf_target method_)
             in
             ( o.Qbf_model.partition,
               o.Qbf_model.optimal,
@@ -156,7 +144,7 @@ let solve_kernel ~per_po_budget p gate method_ =
         | Some bootstrap ->
             let o =
               Qbf_model.optimize ~copies ~bootstrap ~time_budget:remaining p
-                gate (qbf_target method_)
+                gate (Method.qbf_target method_)
             in
             (o.Qbf_model.partition, o.Qbf_model.optimal, false, qbf_counters o)
       end
@@ -170,12 +158,31 @@ let cache_key ~gate ~method_ ~budget ~min_support cone =
   Printf.sprintf "v1|%s|%s|%h|%d|%s" (Gate.to_string gate)
     (Method.to_string method_) budget min_support cone.Cone.key
 
-(* The single-output kernel. Works in place on [circuit]'s manager: the
-   QBF methods add copy inputs and scratch nodes to it (the session API
-   hands every job a private compacted copy instead). [cache] is the
-   cache paired with the configured per-PO budget for the key. *)
-let decompose_on ?cache ?(certify = false) ~per_po_budget ~min_support
-    ~check_artifacts circuit i gate method_ =
+let timeout_stub ~method_ name =
+  {
+    po_name = name;
+    support_size = 0;
+    partition = None;
+    proven_optimal = false;
+    timed_out = true;
+    cache_hit = None;
+    cpu = 0.0;
+    counters = [];
+    diags = [];
+    method_used = method_;
+    degraded = false;
+    attempts = 1;
+    failure = None;
+    certificate = None;
+  }
+
+(* The single-output kernel: output [i] of [circuit] under the job's
+   config, with [budget] the per-PO budget already clamped by what is
+   left of the total budget. [circuit] is the job's private compacted
+   copy — the QBF methods add copy inputs and scratch nodes to its
+   manager. Cache keys use the configured [cfg.per_po_budget], never the
+   clamped [budget]. *)
+let decompose_kernel (cfg : Config.t) ~budget circuit i gate method_ =
   let name = Circuit.output_name circuit i in
   Obs.span
     ~attrs:
@@ -191,69 +198,60 @@ let decompose_on ?cache ?(certify = false) ~per_po_budget ~min_support
   let n = Problem.n_vars p in
   let finish ?cache_hit ?certificate ?(counters = []) partition proven_optimal
       timed_out =
-    let status =
-      match partition with
-      | Some _ when proven_optimal -> "optimal"
-      | Some _ -> "decomposed"
-      | None -> if timed_out then "timeout" else "indecomposable"
-    in
-    Obs.add_attr "n" (Json.Int n);
-    Obs.add_attr "status" (Json.String status);
-    (match cache_hit with
-    | Some hit ->
-        Obs.add_attr "cache" (Json.String (if hit then "hit" else "miss"))
-    | None -> ());
-    (match partition with
-    | Some part ->
-        let part = Partition.canonical part in
-        Obs.add_attr "xc" (Json.Int (List.length part.Partition.xc))
-    | None -> ());
     let partition = Option.map Partition.canonical partition in
     let diags =
-      if not check_artifacts then []
-      else
-        match partition with
-        | Some part -> Partition.lint ~name ~support:p.Problem.support part
-        | None -> []
+      match partition with
+      | Some part when cfg.check_artifacts ->
+          Partition.lint ~name ~support:p.Problem.support part
+      | _ -> []
     in
-    Metrics.observe h_po (Clock.elapsed_since t0);
-    {
-      po_name = name;
-      support_size = n;
-      partition;
-      proven_optimal;
-      timed_out;
+    let cpu = Clock.elapsed_since t0 in
+    Metrics.observe h_po cpu;
+    let row =
+      {
+        (timeout_stub ~method_ name) with
+        support_size = n;
+        partition;
+        proven_optimal;
+        timed_out;
+        cache_hit;
+        cpu;
+        counters;
+        diags;
+        certificate;
+      }
+    in
+    Obs.add_attr "n" (Json.Int n);
+    Obs.add_attr "status" (Json.String (po_status row));
+    Option.iter
+      (fun hit ->
+        Obs.add_attr "cache" (Json.String (if hit then "hit" else "miss")))
       cache_hit;
-      cpu = Clock.elapsed_since t0;
-      counters;
-      diags;
-      method_used = method_;
-      degraded = false;
-      attempts = 1;
-      failure = None;
-      certificate;
-    }
+    Option.iter
+      (fun part -> Obs.add_attr "xc" (Json.Int (List.length part.Partition.xc)))
+      partition;
+    row
   in
   (* Certificates re-solve the answer with proof logging on, so they are
      only built when asked for, and never for timeouts (a timeout is not
      a claim — there is nothing to certify). *)
   let mk_cert problem partition timed_out =
-    if certify && not timed_out then
+    if cfg.certify && not timed_out then
       Obs.span "cert.generate" (fun () ->
           Certify.for_po ~po:name ~method_name:(Method.to_string method_)
             problem gate partition)
     else None
   in
-  if n < max 2 min_support then finish None true false
+  if n < max 2 cfg.min_support then finish None true false
   else begin
-    match cache with
+    match cfg.cache with
     | None ->
         let partition, optimal, timed_out, counters =
-          solve_kernel ~per_po_budget p gate method_
+          solve_kernel ~per_po_budget:budget p gate method_
         in
         let certificate = mk_cert p partition timed_out in
         finish ?certificate ~counters partition optimal timed_out
-    | Some (cache, configured_budget) ->
+    | Some cache ->
         (* Canonicalize the cone; on a miss solve the canonical rebuild,
            not the original, so the stored entry is a pure function of
            the key (two isomorphic cones would otherwise race to publish
@@ -264,7 +262,8 @@ let decompose_on ?cache ?(certify = false) ~per_po_budget ~min_support
               Cone.extract circuit.Circuit.aig (Circuit.output circuit i))
         in
         let key =
-          cache_key ~gate ~method_ ~budget:configured_budget ~min_support cone
+          cache_key ~gate ~method_ ~budget:cfg.per_po_budget
+            ~min_support:cfg.min_support cone
         in
         (* the canonical rebuild serves both the miss solve and any
            certificate work; built at most once per call *)
@@ -275,7 +274,7 @@ let decompose_on ?cache ?(certify = false) ~per_po_budget ~min_support
         in
         let compute () =
           let cp = Lazy.force canonical_problem in
-          let budget = Float.max 0.0 (per_po_budget -. Clock.elapsed_since t0) in
+          let budget = Float.max 0.0 (budget -. Clock.elapsed_since t0) in
           let partition, proven_optimal, timed_out, counters =
             solve_kernel ~per_po_budget:budget cp gate method_
           in
@@ -294,7 +293,7 @@ let decompose_on ?cache ?(certify = false) ~per_po_budget ~min_support
             compute
         in
         let certificate =
-          if not certify || entry.Cache.timed_out then None
+          if not cfg.certify || entry.Cache.timed_out then None
           else
             match entry.Cache.cert with
             | Some c -> Some (Obs.span "cert.check" (fun () -> Certify.of_cert c))
@@ -323,19 +322,15 @@ let score (r : po_result) =
    slice is an even share of the budget *still unspent*, so a gate that
    finishes early (tiny support, fast UNSAT) hands its slack to the
    remaining gates instead of wasting it. *)
-let decompose_auto_on ?cache ?certify ~per_po_budget ~min_support
-    ~check_artifacts circuit i method_ =
+let decompose_auto_kernel cfg ~budget circuit i method_ =
   let _, rev_candidates =
     List.fold_left
       (fun (remaining, acc) gate ->
         let gates_left = List.length Gate.all - List.length acc in
         let slice = remaining /. float_of_int gates_left in
-        let r =
-          decompose_on ?cache ?certify ~per_po_budget:slice ~min_support
-            ~check_artifacts circuit i gate method_
-        in
+        let r = decompose_kernel cfg ~budget:slice circuit i gate method_ in
         (Float.max 0.0 (remaining -. r.cpu), (gate, r) :: acc))
-      (per_po_budget, []) Gate.all
+      (budget, []) Gate.all
   in
   let candidates = List.rev rev_candidates in
   let best =
@@ -364,40 +359,13 @@ let circuit t = t.circuit
 
 let config t = t.config
 
-let timeout_stub ~method_ name =
-  {
-    po_name = name;
-    support_size = 0;
-    partition = None;
-    proven_optimal = false;
-    timed_out = true;
-    cache_hit = None;
-    cpu = 0.0;
-    counters = [];
-    diags = [];
-    method_used = method_;
-    degraded = false;
-    attempts = 1;
-    failure = None;
-    certificate = None;
-  }
-
 let failed_stub ~method_ ~attempts ~elapsed name failure =
   {
-    po_name = name;
-    support_size = 0;
-    partition = None;
-    proven_optimal = false;
+    (timeout_stub ~method_ name) with
     timed_out = false;
-    cache_hit = None;
     cpu = elapsed;
-    counters = [];
-    diags = [];
-    method_used = method_;
-    degraded = false;
     attempts;
     failure = Some failure;
-    certificate = None;
   }
 
 let po_failure_of (f : Retry.failure) =
@@ -409,41 +377,21 @@ let po_failure_of (f : Retry.failure) =
     transient = f.Retry.classification = Retry.Transient;
   }
 
-(* Each job gets a private compacted copy of the session circuit: solver
-   work pollutes the copy's manager, never the session's, so every job —
-   on any domain, in any order — sees the same input. That is what makes
-   results independent of [jobs]. *)
-let job_circuit eng = Circuit.compact eng.circuit
-
-(* The configured (unclamped) per-PO budget rides along with the cache so
-   keys stay independent of how much total budget happened to be left. *)
-let job_cache cfg =
-  Option.map
-    (fun c -> (c, cfg.Config.per_po_budget))
-    cfg.Config.cache
-
-let run_method_job eng ~deadline method_ i =
+(* Runs [kernel] for output [i] as one job: on a private compacted copy
+   of the session circuit, so solver work pollutes the copy's manager,
+   never the session's, and every job — on any domain, in any order —
+   sees the same input (that is what makes results independent of
+   [jobs]); with the per-PO budget clamped by what is left before
+   [deadline]. Past the deadline the job is a timeout stub. *)
+let method_job eng ~deadline ~stub kernel method_ i =
   let cfg = eng.config in
   let remaining = deadline -. Clock.now () in
   if remaining <= 0.0 then
-    timeout_stub ~method_ (Circuit.output_name eng.circuit i)
+    stub (timeout_stub ~method_ (Circuit.output_name eng.circuit i))
   else
-    decompose_on ?cache:(job_cache cfg) ~certify:cfg.Config.certify
-      ~per_po_budget:(Float.min cfg.Config.per_po_budget remaining)
-      ~min_support:cfg.Config.min_support
-      ~check_artifacts:cfg.Config.check_artifacts (job_circuit eng) i
-      cfg.Config.gate method_
-
-let run_auto_method_job eng ~deadline method_ i =
-  let cfg = eng.config in
-  let remaining = deadline -. Clock.now () in
-  if remaining <= 0.0 then
-    (None, timeout_stub ~method_ (Circuit.output_name eng.circuit i))
-  else
-    decompose_auto_on ?cache:(job_cache cfg) ~certify:cfg.Config.certify
-      ~per_po_budget:(Float.min cfg.Config.per_po_budget remaining)
-      ~min_support:cfg.Config.min_support
-      ~check_artifacts:cfg.Config.check_artifacts (job_circuit eng) i method_
+    kernel cfg
+      ~budget:(Float.min cfg.Config.per_po_budget remaining)
+      (Circuit.compact eng.circuit) i method_
 
 (* A result a degradation rung may stand on: either a partition was
    found or the method reached a real verdict (indecomposable). A
@@ -534,22 +482,32 @@ let supervise_job eng ~no_aux ~job i =
               ~elapsed:(Clock.elapsed_since t0) name (po_failure_of f) ))
 
 let run_job eng ~deadline i =
+  let kernel cfg ~budget circuit i method_ =
+    ((), decompose_kernel cfg ~budget circuit i cfg.Config.gate method_)
+  in
   snd
     (supervise_job eng ~no_aux:()
-       ~job:(fun m i -> ((), run_method_job eng ~deadline m i))
+       ~job:(method_job eng ~deadline ~stub:(fun r -> ((), r)) kernel)
        i)
 
 let run_auto_job eng ~deadline i =
-  supervise_job eng ~no_aux:None ~job:(run_auto_method_job eng ~deadline) i
+  supervise_job eng ~no_aux:None
+    ~job:
+      (method_job eng ~deadline ~stub:(fun r -> (None, r)) decompose_auto_kernel)
+    i
 
-let decompose_po eng i = run_job eng ~deadline:infinity i
+let decompose_po eng i =
+  Circuit.check_output_index eng.circuit i;
+  run_job eng ~deadline:infinity i
 
-let decompose_po_auto eng i = run_auto_job eng ~deadline:infinity i
+let decompose_po_auto eng i =
+  Circuit.check_output_index eng.circuit i;
+  run_auto_job eng ~deadline:infinity i
 
 (* Install the config's sinks around [body], then fan the per-output jobs
    over the pool. The span wraps the whole run; with [jobs = 1] the jobs
    execute inline in the calling domain, so their "pipeline.po" spans nest
-   under "pipeline.run" exactly as the sequential pipeline's did. Worker
+   under the run's root span ("pipeline.run" / "pipeline.auto"). Worker
    domains have their own span stacks, so under [jobs > 1] the per-output
    spans are delivered as roots (still serialized through the sink). *)
 let with_run_obs eng span_name body =
@@ -577,21 +535,24 @@ let with_run_obs eng span_name body =
   | Some deliver -> deliver (Metrics.render ()));
   result
 
+(* One [job] per output, over the pool, under the total-budget deadline
+   counted from [t0]. *)
+let map_outputs eng ~t0 job =
+  let cfg = eng.config in
+  Pool.map_result ~fatal:Retry.fatal ~jobs:cfg.Config.jobs
+    (Circuit.n_outputs eng.circuit)
+    (job eng ~deadline:(t0 +. cfg.Config.total_budget))
+  |> Array.map (function
+       | Ok r -> r
+       (* supervision converts non-fatal failures into rows; anything
+          still escaping is a harness bug and must surface *)
+       | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+
 let run eng =
   let cfg = eng.config in
   with_run_obs eng "pipeline.run" @@ fun () ->
   let t0 = Clock.now () in
-  let deadline = t0 +. cfg.Config.total_budget in
-  let per_po =
-    Pool.map_result ~fatal:Retry.fatal ~jobs:cfg.Config.jobs
-      (Circuit.n_outputs eng.circuit)
-      (run_job eng ~deadline)
-    |> Array.map (function
-         | Ok r -> r
-         (* supervision converts non-fatal failures into rows; anything
-            still escaping is a harness bug and must surface *)
-         | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-  in
+  let per_po = map_outputs eng ~t0 run_job in
   let count p = Array.fold_left (fun acc r -> if p r then acc + 1 else acc) 0 per_po in
   let n_decomposed = count (fun r -> r.partition <> None) in
   Obs.add_attr "n_decomposed" (Json.Int n_decomposed);
@@ -609,18 +570,8 @@ let run eng =
   }
 
 let run_auto eng =
-  let cfg = eng.config in
   with_run_obs eng "pipeline.auto" @@ fun () ->
-  let t0 = Clock.now () in
-  let deadline = t0 +. cfg.Config.total_budget in
-  let results =
-    Pool.map_result ~fatal:Retry.fatal ~jobs:cfg.Config.jobs
-      (Circuit.n_outputs eng.circuit)
-      (run_auto_job eng ~deadline)
-    |> Array.map (function
-         | Ok r -> r
-         | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-  in
+  let results = map_outputs eng ~t0:(Clock.now ()) run_auto_job in
   let n_decomposed =
     Array.fold_left
       (fun acc (_, r) -> if r.partition <> None then acc + 1 else acc)

@@ -6,8 +6,7 @@
     queue; each job solves on a private compacted copy of the circuit
     (solver scaffolding never touches the session circuit), so the
     result array is deterministic and identically ordered for any
-    [jobs] value. The sequential [Pipeline] module is a thin shim over
-    this API.
+    [jobs] value.
 
     {[
       let eng =
@@ -18,19 +17,6 @@
       let result = Engine.run eng in
       Printf.printf "#Dec = %d\n" result.n_decomposed
     ]} *)
-
-(** {1 Methods}
-
-    The canonical method type lives in {!Step_core.Method}; these
-    re-exports keep CLI round-trips total: for every method [m],
-    [method_of_string (method_to_string m) = m]. *)
-
-val method_to_string : Step_core.Method.t -> string
-
-val method_of_string : string -> Step_core.Method.t
-(** @raise Failure on unknown names; see {!Step_core.Method.of_string}. *)
-
-val method_of_string_opt : string -> Step_core.Method.t option
 
 (** {1 Results} *)
 
@@ -136,44 +122,15 @@ val run_auto : t -> (Step_core.Gate.t option * po_result) array
 
 val decompose_po : t -> int -> po_result
 (** One output, same per-job isolation as {!run}, no total-budget
-    deadline. *)
+    deadline.
+
+    @raise Invalid_argument ["po I out of range (circuit has N outputs)"]
+    for an index outside the circuit ({!Step_aig.Circuit.check_output_index}). *)
 
 val decompose_po_auto : t -> int -> Step_core.Gate.t option * po_result
-(** One output, all three gates; see {!run_auto}. *)
+(** One output, all three gates; see {!run_auto}.
 
-(** {1 Low-level kernels}
-
-    In-place entry points used by the [Pipeline] compatibility shims;
-    they solve directly on the given circuit, whose manager accumulates
-    solver scaffolding (copy inputs, scratch nodes). Prefer the session
-    API, which isolates jobs on compacted copies. *)
-
-val decompose_on :
-  ?cache:Step_cache.Cache.t * float ->
-  ?certify:bool ->
-  per_po_budget:float ->
-  min_support:int ->
-  check_artifacts:bool ->
-  Step_aig.Circuit.t ->
-  int ->
-  Step_core.Gate.t ->
-  Step_core.Method.t ->
-  po_result
-(** [?cache] is the cache paired with the {e configured} per-PO budget
-    (the cache-key component — [per_po_budget] itself may have been
-    clamped by the remaining total budget and must not leak into keys).
-    [?certify] (default [false]) populates [certificate]. *)
-
-val decompose_auto_on :
-  ?cache:Step_cache.Cache.t * float ->
-  ?certify:bool ->
-  per_po_budget:float ->
-  min_support:int ->
-  check_artifacts:bool ->
-  Step_aig.Circuit.t ->
-  int ->
-  Step_core.Method.t ->
-  Step_core.Gate.t option * po_result
+    @raise Invalid_argument as {!decompose_po}. *)
 
 val lint_circuit : Step_aig.Circuit.t -> Step_lint.Diag.t list
 (** Lints a circuit's AIG manager (rules AIG001–AIG004) through

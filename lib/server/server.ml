@@ -164,13 +164,10 @@ let run_decompose t ~emit ~id circuit po cfg =
     Fun.protect
       ~finally:(fun () -> release t jobs)
       (fun () ->
-        match po with
-        | Some i when i < 0 || i >= Circuit.n_outputs circuit ->
-            reject t ~emit ~id
-              (Diag.error ~code:Api.code_config
-                 (Printf.sprintf "po %d out of range (circuit has %d outputs)" i
-                    (Circuit.n_outputs circuit)))
-        | _ ->
+        match Option.iter (Circuit.check_output_index circuit) po with
+        | exception Invalid_argument msg ->
+            reject t ~emit ~id (Diag.error ~code:Api.code_config msg)
+        | () ->
             let session = Engine.create ~config:cfg circuit in
             let result =
               match po with

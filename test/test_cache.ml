@@ -10,7 +10,7 @@ module Gate = Step_core.Gate
 module Partition = Step_core.Partition
 module Config = Step_engine.Config
 module Engine = Step_engine.Engine
-module Pipeline = Step_engine.Pipeline
+module Method = Step_core.Method
 module Generators = Step_circuits.Generators
 module Diag = Step_lint.Diag
 
@@ -101,7 +101,7 @@ let decoder_config ?cache ?(jobs = 1) ?(certify = false) () =
       {
         Config.default with
         Config.gate = Gate.And_gate;
-        method_ = Pipeline.Qd;
+        method_ = Method.Qd;
         jobs;
         cache;
         certify;
@@ -135,11 +135,11 @@ let test_engine_cached_matches_uncached () =
   let circuit = Generators.decoder 3 in
   Array.iteri
     (fun i po ->
-      let po1 = cached1.Pipeline.per_po.(i) in
+      let po1 = cached1.Engine.per_po.(i) in
       Alcotest.(check bool)
         (Printf.sprintf "po=%d schedule-independent" i)
         true
-        (essence po1 = essence cached4.Pipeline.per_po.(i));
+        (essence po1 = essence cached4.Engine.per_po.(i));
       Alcotest.(check bool)
         (Printf.sprintf "po=%d hit/miss flag present" i)
         true (po1.Engine.cache_hit <> None);
@@ -165,7 +165,7 @@ let test_engine_cached_matches_uncached () =
             (Partition.disjointness_k pp)
             (Partition.disjointness_k cp)
       | _ -> ())
-    plain.Pipeline.per_po
+    plain.Engine.per_po
 
 let with_temp_dir f =
   let dir = Filename.temp_file "step-cache" "" in
@@ -195,8 +195,8 @@ let test_disk_cold_then_warm () =
           Alcotest.(check bool)
             (Printf.sprintf "po=%d identical" i)
             true
-            (essence po = essence warm.Pipeline.per_po.(i)))
-        cold.Pipeline.per_po)
+            (essence po = essence warm.Engine.per_po.(i)))
+        cold.Engine.per_po)
 
 let has_code code diags = List.exists (fun d -> d.Diag.code = code) diags
 
@@ -234,7 +234,7 @@ let test_disk_tampered_cert_rejected () =
       Alcotest.(check bool) "run produced certificates" true
         (Array.for_all
            (fun po -> po.Engine.certificate <> None)
-           r0.Pipeline.per_po);
+           r0.Engine.per_po);
       let file = Filename.concat dir (Sys.readdir dir).(0) in
       (* swap XA and XB in the stored partition; the embedded certificate
          still speaks for the original one *)

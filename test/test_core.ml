@@ -16,7 +16,8 @@ module Qbf_model = Step_core.Qbf_model
 module Extract = Step_core.Extract
 module Screen = Step_core.Screen
 module Verify = Step_core.Verify
-module Pipeline = Step_engine.Pipeline
+module Engine = Step_engine.Engine
+module Method = Step_core.Method
 
 (* ---------- generators ---------- *)
 
@@ -338,7 +339,7 @@ let test_gate_full_all_gates () =
       let base_gate, complement = Step_core.Gate_full.base gf in
       let p0, _ = planted_problem base_gate 61 in
       let target = if complement then Problem.negate p0 else p0 in
-      match Step_core.Gate_full.decompose ~method_:Pipeline.Mg target gf with
+      match Step_core.Gate_full.decompose ~method_:Method.Mg target gf with
       | None ->
           Alcotest.fail
             (Step_core.Gate_full.to_string gf ^ ": no decomposition")
@@ -551,20 +552,24 @@ let test_pipeline_small_circuit () =
   let c = Circuit.make ~name:"toy" m [ ("dec", dec); ("par", par) ] in
   List.iter
     (fun method_ ->
-      let r = Pipeline.run c Gate.Or_gate method_ in
+      let config =
+        Step_engine.Config.(
+          default |> with_gate Gate.Or_gate |> with_method method_)
+      in
+      let r = Engine.run (Engine.create ~config c) in
       Alcotest.(check int)
-        (Pipeline.method_name method_ ^ " #Dec")
-        1 r.Pipeline.n_decomposed;
+        (Method.to_string method_ ^ " #Dec")
+        1 r.Engine.n_decomposed;
       Array.iter
         (fun po ->
-          match po.Pipeline.partition with
+          match po.Engine.partition with
           | Some part ->
-              let p = Problem.of_edge m (Circuit.find_output c po.Pipeline.po_name) in
+              let p = Problem.of_edge m (Circuit.find_output c po.Engine.po_name) in
               Alcotest.(check (option bool)) "valid" (Some true)
                 (Check.decomposable p Gate.Or_gate part)
           | None -> ())
-        r.Pipeline.per_po)
-    [ Pipeline.Ljh; Pipeline.Mg; Pipeline.Qd; Pipeline.Qb; Pipeline.Qdb ]
+        r.Engine.per_po)
+    [ Method.Ljh; Method.Mg; Method.Qd; Method.Qb; Method.Qdb ]
 
 (* ---------- property tests ---------- *)
 
@@ -657,7 +662,7 @@ let prop_gate_full_verified =
       if List.length p.Problem.support < 2 then true
       else begin
         let gf = List.nth Step_core.Gate_full.all gate_idx in
-        match Step_core.Gate_full.decompose ~method_:Pipeline.Mg p gf with
+        match Step_core.Gate_full.decompose ~method_:Method.Mg p gf with
         | None -> true
         | Some (_, fa, fb) ->
             let aig = p.Problem.aig in
@@ -677,11 +682,78 @@ let prop_recursive_rebuild_equivalent =
       let p = problem_of_expr 6 e in
       let module R = Step_core.Recursive in
       let config =
-        { R.default_config with R.stop_support = 2; method_ = Pipeline.Mg }
+        { R.default_config with R.stop_support = 2; method_ = Method.Mg }
       in
       let tree = R.decompose ~config p in
       let rebuilt = R.rebuild p.Problem.aig tree in
       Verify.equivalent p Gate.Or_gate ~fa:rebuilt ~fb:Aig.f)
+
+(* ---------- method dispatch ---------- *)
+
+(* Gate_full and Recursive reach the solvers through the one dispatcher,
+   Method.find_partition: QB and QDB must deliver their own target's
+   optimum there, as checked against exhaustive search. *)
+let dispatch_objective = function
+  | Method.Qb -> Partition.balancedness_k
+  | Method.Qdb -> fun part -> Partition.combined_k (Partition.canonical part)
+  | m -> invalid_arg ("dispatch_objective: " ^ Method.to_string m)
+
+(* seeded random cones over at most 6 inputs: planted and unstructured *)
+let dispatch_cones gate =
+  List.concat_map
+    (fun seed ->
+      let rand = Random.State.make [| seed |] in
+      [
+        fst (planted_problem gate seed);
+        problem_of_expr 6 (QCheck2.Gen.generate1 ~rand (gen_expr 6));
+      ])
+    [ 5; 11; 37 ]
+  |> List.filter (fun p -> Problem.n_vars p >= 2)
+
+let check_dispatch ~consumer find =
+  List.iter
+    (fun (gf, gate) ->
+      List.iter
+        (fun method_ ->
+          List.iteri
+            (fun k p ->
+              let label =
+                Printf.sprintf "%s %s %s cone %d" consumer
+                  (Method.to_string method_) (Gate.to_string gate) k
+              in
+              let objective = dispatch_objective method_ in
+              match (find method_ p gf gate, Exhaustive.best ~objective p gate) with
+              | Some part, Some best ->
+                  Alcotest.(check int) label (objective best) (objective part)
+              | None, None -> ()
+              | Some _, None -> Alcotest.fail (label ^ ": exhaustive found none")
+              | None, Some _ -> Alcotest.fail (label ^ ": optimum missed"))
+            (dispatch_cones gate))
+        [ Method.Qb; Method.Qdb ])
+    Step_core.Gate_full.
+      [ (Or, Gate.Or_gate); (And, Gate.And_gate); (Xor, Gate.Xor_gate) ]
+
+let test_dispatch_gate_full () =
+  check_dispatch ~consumer:"Gate_full" (fun method_ p gf _ ->
+      Step_core.Gate_full.decompose ~method_ p gf
+      |> Option.map (fun (part, _, _) -> part))
+
+let test_dispatch_recursive_step () =
+  let module R = Step_core.Recursive in
+  check_dispatch ~consumer:"Recursive" (fun method_ p _ gate ->
+      (* one step: the root split, its operands left as leaves *)
+      let config =
+        {
+          R.default_config with
+          R.method_;
+          gates = [ gate ];
+          stop_support = 1;
+          max_depth = 1;
+        }
+      in
+      match R.decompose ~config p with
+      | R.Node (_, part, _, _) -> Some part
+      | R.Leaf _ -> None)
 
 (* ---------- simulation screen ---------- *)
 
@@ -849,6 +921,13 @@ let () =
             test_ashenhurst_planted;
           Alcotest.test_case "ashenhurst counterexample" `Quick
             test_ashenhurst_counterexample;
+        ] );
+      ( "dispatch",
+        [
+          Alcotest.test_case "gate_full qb/qdb = exhaustive" `Quick
+            test_dispatch_gate_full;
+          Alcotest.test_case "recursive step qb/qdb = exhaustive" `Quick
+            test_dispatch_recursive_step;
         ] );
       qsuite "properties"
         [

@@ -97,20 +97,20 @@ let test_method_roundtrip () =
   List.iter
     (fun m ->
       Alcotest.(check bool)
-        (Engine.method_to_string m ^ " round-trips")
+        (Method.to_string m ^ " round-trips")
         true
-        (Engine.method_of_string (Engine.method_to_string m) = m);
+        (Method.of_string (Method.to_string m) = m);
       (* the CLI-printed names parse too, case-insensitively *)
       Alcotest.(check bool)
-        (Engine.method_to_string m ^ " lowercase parses")
+        (Method.to_string m ^ " lowercase parses")
         true
-        (Engine.method_of_string
-           (String.lowercase_ascii (Engine.method_to_string m))
+        (Method.of_string
+           (String.lowercase_ascii (Method.to_string m))
         = m))
     Method.all;
   Alcotest.(check bool)
     "garbage rejected" true
-    (Engine.method_of_string_opt "qdx" = None)
+    (Method.of_string_opt "qdx" = None)
 
 let test_gate_roundtrip () =
   List.iter

@@ -1,4 +1,4 @@
-(* Tests for the whole-circuit pipeline, automatic gate selection, the
+(* Tests for whole-circuit Engine sessions, automatic gate selection, the
    Report module, and the full gate family — the integration layer. *)
 
 module Aig = Step_aig.Aig
@@ -6,7 +6,9 @@ module Circuit = Step_aig.Circuit
 module Gate = Step_core.Gate
 module Partition = Step_core.Partition
 module Problem = Step_core.Problem
-module Pipeline = Step_engine.Pipeline
+module Engine = Step_engine.Engine
+module Method = Step_core.Method
+module Config = Step_engine.Config
 module Report = Step_engine.Report
 module Check = Step_core.Check
 module Suite = Step_circuits.Suite
@@ -26,21 +28,28 @@ let toy_circuit () =
     [ ("ord", or_dec); ("andd", and_dec); ("xord", xor_dec); ("par", parity) ]
 
 let methods =
-  [ Pipeline.Ljh; Pipeline.Mg; Pipeline.Qd; Pipeline.Qb; Pipeline.Qdb ]
+  [ Method.Ljh; Method.Mg; Method.Qd; Method.Qb; Method.Qdb ]
+
+let session ?(config = Config.default) c gate m =
+  Engine.create
+    ~config:(config |> Config.with_gate gate |> Config.with_method m)
+    c
+
+let run ?config c gate m = Engine.run (session ?config c gate m)
 
 let test_run_counts () =
   let c = toy_circuit () in
   List.iter
     (fun m ->
-      let r = Pipeline.run c Gate.Or_gate m in
+      let r = run c Gate.Or_gate m in
       Alcotest.(check int)
-        (Pipeline.method_name m ^ " total POs")
+        (Method.to_string m ^ " total POs")
         4
-        (Array.length r.Pipeline.per_po);
+        (Array.length r.Engine.per_po);
       Alcotest.(check bool)
-        (Pipeline.method_name m ^ " #Dec sane")
+        (Method.to_string m ^ " #Dec sane")
         true
-        (r.Pipeline.n_decomposed >= 1 && r.Pipeline.n_decomposed <= 4))
+        (r.Engine.n_decomposed >= 1 && r.Engine.n_decomposed <= 4))
     methods
 
 let test_all_partitions_valid () =
@@ -49,74 +58,73 @@ let test_all_partitions_valid () =
     (fun gate ->
       List.iter
         (fun m ->
-          let r = Pipeline.run c gate m in
+          let r = run c gate m in
           Array.iter
-            (fun (po : Pipeline.po_result) ->
-              match po.Pipeline.partition with
+            (fun (po : Engine.po_result) ->
+              match po.Engine.partition with
               | None -> ()
               | Some part ->
                   let p =
                     Problem.of_edge c.Circuit.aig
-                      (Circuit.find_output c po.Pipeline.po_name)
+                      (Circuit.find_output c po.Engine.po_name)
                   in
                   Alcotest.(check bool)
                     (Printf.sprintf "%s/%s/%s nontrivial"
-                       (Gate.to_string gate) (Pipeline.method_name m)
-                       po.Pipeline.po_name)
+                       (Gate.to_string gate) (Method.to_string m)
+                       po.Engine.po_name)
                     false (Partition.is_trivial part);
                   Alcotest.(check (option bool))
                     (Printf.sprintf "%s/%s/%s valid" (Gate.to_string gate)
-                       (Pipeline.method_name m) po.Pipeline.po_name)
+                       (Method.to_string m) po.Engine.po_name)
                     (Some true)
                     (Check.decomposable p gate part))
-            r.Pipeline.per_po)
+            r.Engine.per_po)
         methods)
     Gate.all
 
 let test_qbf_not_worse_than_mg () =
   let c = Suite.by_name "mm9b" in
-  let mg = Pipeline.run c Gate.Or_gate Pipeline.Mg in
-  let qd = Pipeline.run c Gate.Or_gate Pipeline.Qd in
+  let mg = run c Gate.Or_gate Method.Mg in
+  let qd = run c Gate.Or_gate Method.Qd in
   Array.iteri
-    (fun i (mg_po : Pipeline.po_result) ->
-      let qd_po = qd.Pipeline.per_po.(i) in
-      match (mg_po.Pipeline.partition, qd_po.Pipeline.partition) with
+    (fun i (mg_po : Engine.po_result) ->
+      let qd_po = qd.Engine.per_po.(i) in
+      match (mg_po.Engine.partition, qd_po.Engine.partition) with
       | Some mp, Some qp ->
           Alcotest.(check bool) "disjointness no worse" true
             (Partition.disjointness qp <= Partition.disjointness mp +. 1e-9)
       | None, Some _ | None, None -> ()
       | Some _, None -> Alcotest.fail "QD lost a decomposition MG found")
-    mg.Pipeline.per_po
+    mg.Engine.per_po
 
 let test_auto_gate () =
   let c = toy_circuit () in
   (* parity must come out as XOR; the OR-planted output as OR *)
-  let g_par, r_par =
-    Pipeline.decompose_output_auto c 3 Pipeline.Qd
-  in
-  Alcotest.(check bool) "parity decomposed" true (r_par.Pipeline.partition <> None);
+  let eng = session c Gate.Or_gate Method.Qd in
+  let g_par, r_par = Engine.decompose_po_auto eng 3 in
+  Alcotest.(check bool) "parity decomposed" true (r_par.Engine.partition <> None);
   (match g_par with
   | Some Gate.Xor_gate -> ()
   | Some g -> Alcotest.fail ("parity chose " ^ Gate.to_string g)
   | None -> Alcotest.fail "parity not decomposed");
-  let g_or, r_or = Pipeline.decompose_output_auto c 0 Pipeline.Qd in
-  Alcotest.(check bool) "or-cone decomposed" true (r_or.Pipeline.partition <> None);
+  let g_or, r_or = Engine.decompose_po_auto eng 0 in
+  Alcotest.(check bool) "or-cone decomposed" true (r_or.Engine.partition <> None);
   match g_or with
   | Some _ -> ()
   | None -> Alcotest.fail "or cone not decomposed"
 
 let test_report_aggregate () =
   let c = toy_circuit () in
-  let r = Pipeline.run c Gate.Or_gate Pipeline.Qd in
+  let r = run c Gate.Or_gate Method.Qd in
   let a = Report.aggregate_of r in
   Alcotest.(check int) "outputs" 4 a.Report.n_outputs;
-  Alcotest.(check int) "decomposed" r.Pipeline.n_decomposed a.Report.n_decomposed;
+  Alcotest.(check int) "decomposed" r.Engine.n_decomposed a.Report.n_decomposed;
   Alcotest.(check bool) "mean eD defined" true
     (not (Float.is_nan a.Report.mean_disjointness))
 
 let test_report_csv_shape () =
   let c = toy_circuit () in
-  let r = Pipeline.run c Gate.Or_gate Pipeline.Mg in
+  let r = run c Gate.Or_gate Method.Mg in
   let csv = Report.to_csv r in
   let lines =
     String.split_on_char '\n' csv |> List.filter (fun l -> l <> "")
@@ -132,7 +140,7 @@ let test_report_csv_shape () =
 
 let test_report_markdown_and_text () =
   let c = toy_circuit () in
-  let r = Pipeline.run c Gate.Or_gate Pipeline.Qb in
+  let r = run c Gate.Or_gate Method.Qb in
   let md = Report.to_markdown r in
   Alcotest.(check bool) "has table header" true
     (String.length md > 0
@@ -143,8 +151,8 @@ let test_report_markdown_and_text () =
 
 let test_compare_table () =
   let c = toy_circuit () in
-  let baseline = Pipeline.run c Gate.Or_gate Pipeline.Ljh in
-  let challenger = Pipeline.run c Gate.Or_gate Pipeline.Qd in
+  let baseline = run c Gate.Or_gate Method.Ljh in
+  let challenger = run c Gate.Or_gate Method.Qd in
   let t =
     Report.compare_table ~baseline ~challenger
       ~metric:Partition.disjointness
@@ -153,15 +161,16 @@ let test_compare_table () =
 
 let test_total_budget_timeout () =
   let c = Suite.by_name "C7552" in
-  let r = Pipeline.run ~total_budget:0.0 c Gate.Or_gate Pipeline.Qd in
+  let r = run ~config:(Config.with_total_budget 0.0 Config.default)
+      c Gate.Or_gate Method.Qd in
   (* everything after the first PO must be reported as timed out *)
   let timed_out =
     Array.fold_left
-      (fun acc po -> if po.Pipeline.timed_out then acc + 1 else acc)
-      0 r.Pipeline.per_po
+      (fun acc po -> if po.Engine.timed_out then acc + 1 else acc)
+      0 r.Engine.per_po
   in
   Alcotest.(check bool) "timeouts reported" true
-    (timed_out >= Array.length r.Pipeline.per_po - 1)
+    (timed_out >= Array.length r.Engine.per_po - 1)
 
 (* ---------- network synthesis & support reduction ---------- *)
 
