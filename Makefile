@@ -1,7 +1,7 @@
 # Convenience targets; dune is the real build system.
 
 .PHONY: all check test smoke psmoke cachesmoke faultsmoke profsmoke \
-  benchsmoke certsmoke certfuzz arenasmoke optsmoke servesmoke bench lint \
+  certsmoke certfuzz arenasmoke optsmoke servesmoke bench lint \
   clean
 
 all:
@@ -17,7 +17,6 @@ check:
 	$(MAKE) cachesmoke
 	$(MAKE) faultsmoke
 	$(MAKE) profsmoke
-	$(MAKE) benchsmoke
 	$(MAKE) certsmoke
 	$(MAKE) certfuzz
 	$(MAKE) arenasmoke
@@ -118,24 +117,6 @@ profsmoke:
 	  profsmoke.jsonl profsmoke.jsonl | grep -q '^0 significant deltas'
 	rm -f profsmoke.blif profsmoke.jsonl
 
-# Bench regression gate: a fresh snapshot must pass a clean re-run and
-# reject an artificially slowed (--handicap) run; the committed
-# BENCH_*.json must stay loadable and quality-identical (wall-clock is
-# machine-dependent, so only the fresh snapshot gates on it).
-benchsmoke:
-	dune build bench/main.exe
-	dune exec --no-build bench/main.exe -- --planted \
-	  --snapshot benchsmoke_base.json > /dev/null
-	dune exec --no-build bench/main.exe -- --planted \
-	  --baseline benchsmoke_base.json
-	! dune exec --no-build bench/main.exe -- --planted \
-	  --baseline benchsmoke_base.json --handicap 25
-	dune exec --no-build bench/main.exe -- --planted \
-	  --baseline BENCH_7.json --quality-only
-	dune exec --no-build bench/main.exe -- --planted \
-	  --baseline BENCH_10.json --quality-only
-	rm -f benchsmoke_base.json
-
 # Certification smoke: a certified parallel run must check all its own
 # certificates, the saved certificate files must re-check through the
 # independent `step certify` gate, and a deliberately corrupted proof
@@ -198,5 +179,5 @@ clean:
 	  cachesmoke_dir cachesmoke.blif cachesmoke_cold.txt cachesmoke_warm.txt \
 	  cachesmoke_cold.body cachesmoke_warm.body faultsmoke.blif \
 	  faultsmoke_a.csv faultsmoke_b.csv profsmoke.blif profsmoke.jsonl \
-	  benchsmoke_base.json certsmoke_dir certsmoke.blif certsmoke_out.txt \
+	  certsmoke_dir certsmoke.blif certsmoke_out.txt \
 	  servesmoke.*

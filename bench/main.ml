@@ -22,9 +22,7 @@ let usage () =
   prerr_endline
     "usage: main.exe [--quick] [--budget SECONDS] [--scale S] [--jobs N] \
      [--cache] [--cache-dir DIR] [--certify] \
-     [--table 1|2|3|4|fig|a1|a2|a3|a4|a5|a6|a7] [--bechamel]\n\
-    \       main.exe --planted [--snapshot FILE] [--baseline FILE] \
-     [--tolerance F] [--quality-only] [--handicap N]";
+     [--table 1|2|3|4|fig|a1|a2|a3|a4|a5|a6|a7] [--bechamel]";
   exit 2
 
 type selection =
@@ -35,34 +33,8 @@ let () =
   let config = ref Runs.default_config in
   let selection = ref All in
   let bechamel = ref false in
-  let planted = ref false in
-  let snapshot = ref None in
-  let baseline = ref None in
-  let tolerance = ref 0.5 in
-  let quality_only = ref false in
-  let handicap = ref 1 in
   let rec parse = function
     | [] -> ()
-    | "--planted" :: rest ->
-        planted := true;
-        parse rest
-    | "--snapshot" :: v :: rest ->
-        planted := true;
-        snapshot := Some v;
-        parse rest
-    | "--baseline" :: v :: rest ->
-        planted := true;
-        baseline := Some v;
-        parse rest
-    | "--tolerance" :: v :: rest ->
-        tolerance := float_of_string v;
-        parse rest
-    | "--quality-only" :: rest ->
-        quality_only := true;
-        parse rest
-    | "--handicap" :: v :: rest ->
-        handicap := int_of_string v;
-        parse rest
     | "--quick" :: rest ->
         config := { !config with Runs.quick = true };
         parse rest
@@ -95,35 +67,6 @@ let () =
         usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  (* Planted-suite baseline mode: deterministic snapshot / regression
-     gate, independent of the paper-table artifacts. *)
-  if !planted then begin
-    (match !snapshot with
-    | Some path -> Baseline.save path (Baseline.run_suite ())
-    | None -> ());
-    (match !baseline with
-    | Some path ->
-        let code =
-          try
-            Baseline.check ~baseline_path:path ~tolerance:!tolerance
-              ~quality_only:!quality_only ~handicap:!handicap
-          with Failure msg | Sys_error msg ->
-            prerr_endline ("bench: " ^ msg);
-            2
-        in
-        exit code
-    | None -> ());
-    if !snapshot = None && !baseline = None then begin
-      (* bare --planted: print the suite rows *)
-      List.iter
-        (fun r ->
-          Printf.printf "%-28s dec=%d/%d failed=%d wall=%.3fs\n" r.Baseline.id
-            r.Baseline.n_decomposed r.Baseline.n_po r.Baseline.n_failed
-            r.Baseline.wall_s)
-        (Baseline.run_suite ())
-    end;
-    exit 0
-  end;
   let config = !config in
   let artifacts =
     [

@@ -378,22 +378,11 @@ let trace_cmd =
     in
     Arg.(value & flag & info [ "diff" ] ~doc)
   in
-  let flame_flag =
-    let doc =
-      "Emit folded stacks (flamegraph.pl / speedscope input) instead of \
-       the summary table."
-    in
-    Arg.(value & flag & info [ "flame" ] ~doc)
-  in
-  let hot_flag =
-    let doc = "Rank call paths by self time instead of the summary table." in
-    Arg.(value & flag & info [ "hot" ] ~doc)
-  in
   let threshold_arg =
     let doc = "Relative self-time change marking a diff row significant." in
     Arg.(value & opt float 0.10 & info [ "threshold" ] ~docv:"FRACTION" ~doc)
   in
-  let run file file2 diff flame hot threshold =
+  let run file file2 diff threshold =
     try
       match file2 with
       | Some f2 ->
@@ -402,16 +391,11 @@ let trace_cmd =
           let text, _ = Trace_summary.diff ~threshold base cur in
           print_string text;
           `Ok ()
+      | None when diff ->
+          `Error (true, "trace --diff needs two trace files: BASELINE CURRENT")
       | None ->
-          if diff then
-            `Error (true, "trace --diff needs two trace files: BASELINE CURRENT")
-          else begin
-            if flame then print_string (Profile.to_folded (Profile.of_file file))
-            else if hot then
-              print_string (Profile.render_hot (Profile.of_file file))
-            else print_string (Trace_summary.render (Trace_summary.of_file file));
-            `Ok ()
-          end
+          print_string (Trace_summary.render (Trace_summary.of_file file));
+          `Ok ()
     with
     | Failure msg -> `Error (false, msg)
     | Sys_error msg -> `Error (false, msg)
@@ -422,8 +406,7 @@ let trace_cmd =
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
       ret
-        (const run $ file_arg $ file2_arg $ diff_flag $ flame_flag $ hot_flag
-       $ threshold_arg))
+        (const run $ file_arg $ file2_arg $ diff_flag $ threshold_arg))
 
 (* ---------- profile ---------- *)
 

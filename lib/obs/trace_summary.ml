@@ -9,141 +9,67 @@ type row = {
 type t = {
   rows : row list;
   wall_s : float;
-  n_records : int;
+  n_spans : int;
   contexts : (string * string * float) list;
 }
-
-type span = {
-  s_id : int;
-  s_parent : int option;
-  s_name : string;
-  s_dur : float;
-  s_self : float;
-  s_root : bool;
-}
-
-let span_of_line line =
-  let j = Json.of_string line in
-  match Json.(to_string_opt (member "type" j)) with
-  | Some "span" ->
-      let get_f k =
-        match Json.(to_float_opt (member k j)) with Some f -> f | None -> 0.0
-      in
-      let id =
-        match Json.(to_int_opt (member "id" j)) with Some i -> i | None -> 0
-      in
-      let name =
-        match Json.(to_string_opt (member "name" j)) with
-        | Some n -> n
-        | None -> "?"
-      in
-      let parent = Json.(to_int_opt (member "parent" j)) in
-      Some
-        {
-          s_id = id;
-          s_parent = parent;
-          s_name = name;
-          s_dur = get_f "dur_s";
-          s_self = get_f "self_s";
-          s_root = parent = None;
-        }
-  | _ -> None
 
 let engine_prefixes = [ "qbf."; "cegar."; "mg."; "ljh."; "pipeline." ]
 
 let is_engine name =
   List.exists (fun p -> String.starts_with ~prefix:p name) engine_prefixes
 
-let of_file path =
-  let ic =
-    try open_in path
-    with Sys_error msg -> failwith ("Trace_summary.of_file: " ^ msg)
+(* One walk over the call-path trie: same-name nodes fold into one row,
+   and each sat.* node's total lands on the nearest engine name above it
+   on its path ("(root)" when there is none — including orphans, which
+   the profile grafts in as roots). *)
+let of_profile (p : Profile.t) =
+  let tbl : (string, row) Hashtbl.t = Hashtbl.create 32 in
+  let ctx_tbl : (string * string, float) Hashtbl.t = Hashtbl.create 16 in
+  let add tbl key v f =
+    Hashtbl.replace tbl key
+      (match Hashtbl.find_opt tbl key with Some old -> f old | None -> v)
   in
-  let spans = ref [] in
-  let n_records = ref 0 in
-  (try
-     let lineno = ref 0 in
-     while true do
-       let line = input_line ic in
-       incr lineno;
-       if String.trim line <> "" then begin
-         incr n_records;
-         match span_of_line line with
-         | Some s -> spans := s :: !spans
-         | None -> ()
-         | exception Failure msg ->
-             close_in ic;
-             failwith (Printf.sprintf "%s:%d: %s" path !lineno msg)
-       end
-     done
-   with End_of_file -> close_in ic);
-  let spans = List.rev !spans in
-  (* per-name aggregation *)
-  let tbl : (string, row ref) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun s ->
-      match Hashtbl.find_opt tbl s.s_name with
-      | Some r ->
-          r :=
-            {
-              !r with
-              count = !r.count + 1;
-              total_s = !r.total_s +. s.s_dur;
-              self_s = !r.self_s +. s.s_self;
-              max_s = Float.max !r.max_s s.s_dur;
-            }
-      | None ->
-          Hashtbl.replace tbl s.s_name
-            (ref
-               {
-                 name = s.s_name;
-                 count = 1;
-                 total_s = s.s_dur;
-                 self_s = s.s_self;
-                 max_s = s.s_dur;
-               }))
-    spans;
+  let rec walk anc (n : Profile.node) =
+    let name = n.Profile.pn_name in
+    let r =
+      {
+        name;
+        count = n.Profile.pn_count;
+        total_s = n.Profile.pn_total_s;
+        self_s = n.Profile.pn_self_s;
+        max_s = n.Profile.pn_max_s;
+      }
+    in
+    add tbl name r (fun o ->
+        {
+          o with
+          count = o.count + r.count;
+          total_s = o.total_s +. r.total_s;
+          self_s = o.self_s +. r.self_s;
+          max_s = Float.max o.max_s r.max_s;
+        });
+    if String.starts_with ~prefix:"sat." name then
+      add ctx_tbl (anc, name) r.total_s (fun o -> o +. r.total_s);
+    let anc = if is_engine name then name else anc in
+    Hashtbl.iter (fun _ c -> walk anc c) n.Profile.pn_children
+  in
+  List.iter (walk "(root)") p.Profile.roots;
   let rows =
-    Hashtbl.fold (fun _ r acc -> !r :: acc) tbl []
+    Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
     |> List.sort (fun a b -> compare b.self_s a.self_s)
   in
-  let wall_s =
-    List.fold_left
-      (fun acc s -> if s.s_root then acc +. s.s_dur else acc)
-      0.0 spans
-  in
-  (* sat.* spans attributed to their nearest engine ancestor *)
-  let by_id = Hashtbl.create 256 in
-  List.iter (fun s -> Hashtbl.replace by_id s.s_id s) spans;
-  let rec engine_ancestor s =
-    match s.s_parent with
-    | None -> "(root)"
-    | Some pid -> begin
-        match Hashtbl.find_opt by_id pid with
-        | None -> "(unknown)"
-        | Some p -> if is_engine p.s_name then p.s_name else engine_ancestor p
-      end
-  in
-  let ctx_tbl : (string * string, float ref) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      if String.starts_with ~prefix:"sat." s.s_name then begin
-        let key = (engine_ancestor s, s.s_name) in
-        match Hashtbl.find_opt ctx_tbl key with
-        | Some r -> r := !r +. s.s_dur
-        | None -> Hashtbl.replace ctx_tbl key (ref s.s_dur)
-      end)
-    spans;
   let contexts =
-    Hashtbl.fold (fun (a, n) r acc -> (a, n, !r) :: acc) ctx_tbl []
+    Hashtbl.fold (fun (a, n) s acc -> (a, n, s) :: acc) ctx_tbl []
     |> List.sort (fun (a1, n1, _) (a2, n2, _) -> compare (a1, n1) (a2, n2))
   in
-  { rows; wall_s; n_records = !n_records; contexts }
+  { rows; wall_s = p.Profile.wall_s; n_spans = p.Profile.n_spans; contexts }
+
+let of_file path = of_profile (Profile.of_file path)
 
 let render t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
-    (Printf.sprintf "trace: %d records, %.3fs wall (root spans)\n" t.n_records
+    (Printf.sprintf "trace: %d spans, %.3fs wall (root spans)\n" t.n_spans
        t.wall_s);
   if t.rows <> [] then begin
     let w =

@@ -1,5 +1,7 @@
-(** Offline analysis of JSONL trace files written by {!Obs.jsonl_sink}:
-    the engine behind [step trace FILE.jsonl]. *)
+(** Per-name view of a {!Profile.t}: the engine behind
+    [step trace FILE.jsonl]. Same-name call paths fold into one row, so
+    wall time, span counts and orphan handling are exactly the
+    profile's. *)
 
 type row = {
   name : string;
@@ -11,17 +13,22 @@ type row = {
 
 type t = {
   rows : row list;  (** Per span name, self-time descending. *)
-  wall_s : float;  (** Sum of root-span durations. *)
-  n_records : int;
+  wall_s : float;
+      (** Sum of root-span durations, orphans included ({!Profile.t}). *)
+  n_spans : int;
   contexts : (string * string * float) list;
       (** [(ancestor, name, total_s)] for leaf-level [sat.*] spans grouped
           by their nearest engine ancestor ([qbf.*], [cegar.*], [mg.*],
-          [ljh.*], [pipeline.*]) — answers "verification SAT vs
-          abstraction SAT, per engine". *)
+          [ljh.*], [pipeline.*]) on their call path, or ["(root)"] when
+          there is none — answers "verification SAT vs abstraction SAT,
+          per engine". *)
 }
 
+val of_profile : Profile.t -> t
+
 val of_file : string -> t
-(** @raise Failure on unreadable files or malformed lines. *)
+(** [of_profile (Profile.of_file path)].
+    @raise Failure on unreadable files or malformed lines. *)
 
 val render : t -> string
 (** Aligned-text breakdown. *)

@@ -12,6 +12,7 @@ module Engine = Step_engine.Engine
 module Pool = Step_engine.Pool
 module Retry = Step_engine.Retry
 module Fault = Step_fault.Fault
+module Generators = Step_circuits.Generators
 
 (* same profile as test_pipeline's toy circuit: one OR-, one AND-, one
    XOR-decomposable output plus a parity function *)
@@ -394,6 +395,50 @@ let test_span_stack_balanced_after_failure () =
     (fun () -> Step_obs.Obs.span "after.failure" (fun () -> ()));
   Alcotest.(check int) "root depth" 0 !depth
 
+(* ---------- quality ---------- *)
+
+(* Seeded planted cones and small structured blocks under MG and QD: the
+   decomposed-output counts are deterministic, so they must reproduce
+   exactly, with no failed output. *)
+let test_planted_suite_quality () =
+  let planted ~seed ~na ~nb ~nc g =
+    (Generators.planted_cone ~seed ~na ~nb ~nc g).Generators.circuit
+  in
+  List.iter
+    (fun (circuit, gate, n_po, n_decomposed) ->
+      List.iter
+        (fun method_ ->
+          let config =
+            Config.default |> Config.with_gate gate
+            |> Config.with_method method_
+            |> Config.with_per_po_budget 0.5
+          in
+          let r = Engine.run (Engine.create ~config circuit) in
+          let id =
+            Printf.sprintf "%s/%s/%s" circuit.Circuit.name
+              (Method.to_string method_) (Gate.to_string gate)
+          in
+          Alcotest.(check int) (id ^ " n_po") n_po
+            (Array.length r.Engine.per_po);
+          Alcotest.(check int)
+            (id ^ " n_decomposed") n_decomposed r.Engine.n_decomposed;
+          Array.iter
+            (fun (po : Engine.po_result) ->
+              Alcotest.(check bool)
+                (id ^ " " ^ po.Engine.po_name ^ " not failed")
+                false
+                (po.Engine.failure <> None && not po.Engine.degraded))
+            r.Engine.per_po)
+        [ Method.Mg; Method.Qd ])
+    [
+      (planted ~seed:1 ~na:3 ~nb:3 ~nc:3 Gate.Or_gate, Gate.Or_gate, 1, 1);
+      (planted ~seed:2 ~na:4 ~nb:4 ~nc:1 Gate.And_gate, Gate.And_gate, 1, 1);
+      (planted ~seed:3 ~na:3 ~nb:3 ~nc:2 Gate.Xor_gate, Gate.Xor_gate, 1, 1);
+      (Generators.ripple_adder 3, Gate.Xor_gate, 4, 3);
+      (Generators.decoder 3, Gate.And_gate, 8, 8);
+      (Generators.parity 5, Gate.Xor_gate, 1, 1);
+    ]
+
 (* ---------- sinks ---------- *)
 
 let test_run_sinks () =
@@ -457,6 +502,10 @@ let () =
             test_session_does_not_pollute;
           Alcotest.test_case "total budget cancels" `Quick
             test_total_budget_cancellation;
+        ] );
+      ( "quality",
+        [
+          Alcotest.test_case "planted suite" `Quick test_planted_suite_quality;
         ] );
       ("sinks", [ Alcotest.test_case "trace + stats" `Quick test_run_sinks ]);
     ]

@@ -436,7 +436,7 @@ let test_trace_file_roundtrip () =
           t := !t +. 1.0));
   Alcotest.(check bool) "sink restored" false (Obs.tracing ());
   let summary = Trace_summary.of_file path in
-  Alcotest.(check int) "records" 4 summary.Trace_summary.n_records;
+  Alcotest.(check int) "spans" 4 summary.Trace_summary.n_spans;
   Alcotest.(check feq) "wall is root dur" 2.0 summary.Trace_summary.wall_s;
   let row name =
     List.find (fun r -> r.Trace_summary.name = name) summary.Trace_summary.rows
@@ -460,6 +460,51 @@ let test_trace_file_roundtrip () =
   Alcotest.(check bool)
     "renders" true
     (String.length (Trace_summary.render summary) > 0)
+
+(* A truncated trace: the second sat.verify's parent never reached the
+   sink, and an event line sits among the spans. [step trace] reads the
+   trace through the profile, so it grafts the orphan in as a root exactly
+   as [step profile] does: its time counts toward wall, its SAT time has
+   no engine ancestor, and no span's self time is lost. *)
+let test_trace_orphan () =
+  let path = Filename.temp_file "step_obs_orphan" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out path in
+  List.iter
+    (fun (kind, id, parent, name, dur, self) ->
+      Printf.fprintf oc
+        "{\"type\":%S,\"id\":%d,%s\"name\":%S,\"dur_s\":%g,\"self_s\":%g}\n"
+        kind id
+        (match parent with
+        | Some p -> Printf.sprintf "\"parent\":%d," p
+        | None -> "")
+        name dur self)
+    [
+      ("span", 3, Some 2, "sat.verify", 0.75, 0.75);
+      ("event", 4, Some 2, "cegar.refine", 0.0, 0.0);
+      ("span", 2, Some 1, "qbf.query", 1.0, 0.25);
+      ("span", 1, None, "pipeline.run", 1.5, 0.5);
+      ("span", 7, Some 99, "sat.verify", 0.5, 0.5);
+    ];
+  close_out oc;
+  let p = Profile.of_file path in
+  let s = Trace_summary.of_profile p in
+  Alcotest.(check int) "orphan seen" 1 p.Profile.n_orphans;
+  Alcotest.(check int) "events are not spans" 4 s.Trace_summary.n_spans;
+  Alcotest.(check feq) "wall follows the profile" p.Profile.wall_s
+    s.Trace_summary.wall_s;
+  Alcotest.(check feq) "orphan counts toward wall" 2.0 s.Trace_summary.wall_s;
+  Alcotest.(check feq)
+    "rows sum to attributed" p.Profile.attributed_s
+    (List.fold_left
+       (fun acc r -> acc +. r.Trace_summary.self_s)
+       0.0 s.Trace_summary.rows);
+  Alcotest.(check (list (triple string string feq)))
+    "orphan SAT time has no engine ancestor"
+    [ ("(root)", "sat.verify", 0.5); ("qbf.query", "sat.verify", 0.75) ]
+    s.Trace_summary.contexts;
+  Alcotest.(check feq) "of_file is the same view" s.Trace_summary.wall_s
+    (Trace_summary.of_file path).Trace_summary.wall_s
 
 (* ---------- profiles ---------- *)
 
@@ -770,6 +815,7 @@ let () =
         [
           Alcotest.test_case "file roundtrip" `Quick test_trace_file_roundtrip;
           Alcotest.test_case "diff" `Quick test_trace_diff;
+          Alcotest.test_case "orphaned span" `Quick test_trace_orphan;
         ] );
       ( "profile",
         [
