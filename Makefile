@@ -144,9 +144,8 @@ certfuzz:
 
 # Arena differential smoke: each round solves the same random CNF with
 # inprocessing off (reference), with a forced inprocessing pass + arena
-# compaction, Simp-preprocessed with model reconstruction, and in proof
-# mode with a forced DB reduction + compaction whose LRAT/DRAT
-# certificates must still check.
+# compaction, and in proof mode with a forced DB reduction + compaction
+# whose LRAT/DRAT certificates must still check.
 arenasmoke:
 	dune build bin/fuzz.exe
 	dune exec --no-build bin/fuzz.exe -- --arena --rounds 120 --vars 12 \

@@ -114,7 +114,7 @@ let run config circuit gate method_ =
       r
 
 (* A fresh run outside the result cache: sequential, no decomposition
-   cache — the budget sweep's tighter rows and the Bechamel slices. *)
+   cache — the budget sweep's tighter rows. *)
 let fresh ~per_po_budget circuit gate method_ =
   let config = { Config.default with Config.gate; method_; per_po_budget } in
   Engine.run (Engine.create ~config circuit)

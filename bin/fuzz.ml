@@ -347,15 +347,11 @@ let proof_round round st =
   end
 
 (* --arena mode: differential fuzzing of the arena-based solver paths.
-   Every round solves the same random CNF four ways — inprocessing off
-   (reference), inprocessing + forced compaction, Simp-preprocessed with
-   model reconstruction, and proof-logging with a forced DB reduction and
-   compaction — and demands identical verdicts, satisfying models, clean
-   invariant audits, and LRAT/DRAT certificates that still check after
-   the arena has moved every clause. *)
-
-module Simp = Step_sat.Simp
-module Dimacs = Step_sat.Dimacs
+   Every round solves the same random CNF three ways — inprocessing off
+   (reference), inprocessing + forced compaction, and proof-logging with a
+   forced DB reduction and compaction — and demands identical verdicts,
+   satisfying models, clean invariant audits, and LRAT/DRAT certificates
+   that still check after the arena has moved every clause. *)
 
 let eval_dimacs cnf value =
   List.for_all
@@ -400,28 +396,6 @@ let arena_round round st =
          r0);
   if r1 then check_model "inprocessed" s1;
   check_audit "inprocessed post-solve" s1;
-  (* Simp preprocessing + model reconstruction *)
-  let dcnf =
-    {
-      Dimacs.num_vars = n;
-      clauses = List.map (List.map Lit.of_dimacs) cnf;
-    }
-  in
-  let simp = Simp.eliminate ~growth:2 dcnf in
-  let s2 = Solver.create () in
-  Solver.ensure_var s2 (n - 1);
-  List.iter
-    (fun c -> ignore (Solver.add_clause s2 c))
-    simp.Simp.cnf.Dimacs.clauses;
-  let r2 = Solver.solve s2 in
-  if r2 <> r0 then
-    fail round
-      (Printf.sprintf "simp verdict %b disagrees with reference %b" r2 r0);
-  if r2 then begin
-    let full = Simp.reconstruct simp (fun v -> Solver.var_value s2 v) in
-    if not (eval_dimacs cnf (fun v -> full (v - 1))) then
-      fail round "reconstructed simp model does not satisfy the input CNF"
-  end;
   (* proof mode: certificates must survive reduction + compaction *)
   let s3 = mk ~proof:true () in
   let r3 = Solver.solve s3 in

@@ -27,7 +27,6 @@ module Profile = Step_obs.Profile
 module Trace_summary = Step_obs.Trace_summary
 module Json = Step_obs.Json
 module Diag = Step_lint.Diag
-module Lint = Step_lint.Lint
 module Cache = Step_cache.Cache
 module Fault = Step_fault.Fault
 module Retry = Step_engine.Retry
@@ -741,7 +740,7 @@ let export_qbf_cmd =
       let text = Step_core.Qbf_export.or_model ?k ~target p in
       if check then begin
         let name = if out = "-" then "<export>" else out in
-        let diags = Step_core.Qbf_export.lint ~name text in
+        let _, diags = Step_qbf.Qdimacs.parse_string_diags ~file:name text in
         List.iter (fun d -> prerr_endline (Diag.to_text d)) diags;
         if Diag.has_errors diags then failwith "exported QDIMACS has lint errors"
       end;
@@ -844,15 +843,42 @@ let lint_cmd =
     let doc = "Treat warnings as errors for the exit code." in
     Arg.(value & flag & info [ "strict" ] ~doc)
   in
-  (* Binary AIGER has no textual scanner: parse it and lint the in-memory
-     AIG instead. Everything else goes through the lint dispatcher. *)
+  (* Each text format is linted by its own reader; binary AIGER is parsed
+     and its in-memory AIG linted. *)
   let lint_one path =
-    if Filename.check_suffix path ".aig" then
-      match Step_aig.Aig_bin.parse_file path with
-      | c -> List.map (Diag.with_file path) (Engine.lint_circuit c)
-      | exception Failure msg -> [ Diag.error ~file:path ~code:"IO001" msg ]
-      | exception Sys_error msg -> [ Diag.error ~file:path ~code:"IO001" msg ]
-    else Lint.lint_file path
+    let io msg = [ Diag.error ~file:path ~code:"IO001" msg ] in
+    let scan qdimacs text =
+      (Step_sat.Dimacs.scan ~file:path ~qdimacs text).Step_sat.Dimacs.diags
+    in
+    let readers =
+      [
+        ([ ".cnf"; ".dimacs" ], scan false);
+        ([ ".qdimacs"; ".qdm" ], scan true);
+        ([ ".blif" ], Blif.check ~file:path);
+        ([ ".aag" ], Aag.check ~file:path);
+        ([ ".drat" ], Cert.lint ~file:path Cert.Drat);
+        ([ ".lrat" ], Cert.lint ~file:path Cert.Lrat);
+      ]
+    in
+    match
+      List.find_opt
+        (fun (exts, _) -> List.exists (Filename.check_suffix path) exts)
+        readers
+    with
+    | Some (_, check) -> begin
+        match In_channel.with_open_bin path In_channel.input_all with
+        | text -> check text
+        | exception Sys_error msg -> io ("cannot read file: " ^ msg)
+      end
+    | None when Filename.check_suffix path ".aig" -> begin
+        match Step_aig.Aig_bin.parse_file path with
+        | c -> List.map (Diag.with_file path) (Engine.lint_circuit c)
+        | exception (Failure msg | Sys_error msg) -> io msg
+      end
+    | None ->
+        io
+          "unrecognized artifact kind (expected \
+           .cnf/.dimacs/.qdimacs/.blif/.aag/.drat/.lrat)"
   in
   let run files json strict =
     let results = List.map (fun f -> (f, lint_one f)) files in

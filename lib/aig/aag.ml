@@ -1,104 +1,222 @@
+module Diag = Step_lint.Diag
+
 let words s =
   String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
 
-let parse_string text =
+(* One pass reads the circuit and collects every AAG finding. [reject]
+   keeps the first defect the strict reader refuses; after it the pass
+   only lints. The linter's [defined] table (first definition line) and
+   the reader's [map] (current edge) differ on purpose: the reader lets a
+   later definition win and sees an AND's own lhs only after its fanins. *)
+let read_body ?file ~add ~reject ~m ~ni ~nl ~no ~na body =
+  let err ~line ?item code msg = add (Diag.error ?file ~line ?item ~code msg) in
+  let aig = Aig.create () in
+  let defined = Hashtbl.create 64 in (* var -> first definition line *)
+  let map = Hashtbl.create 64 in (* var -> edge *)
+  Hashtbl.replace map 0 Aig.f;
+  let exceeds line lit =
+    err ~line ~item:(string_of_int lit) "AAG003"
+      (Printf.sprintf "literal %d exceeds header bound M=%d" lit m)
+  in
+  let out_of_range lit = lit < 0 || lit / 2 > m in
+  let define line lit what =
+    if lit land 1 = 1 || lit <= 0 then
+      err ~line ~item:(string_of_int lit) "AAG001"
+        (Printf.sprintf "%s literal must be a positive even literal" what)
+    else if out_of_range lit then exceeds line lit
+    else begin
+      match Hashtbl.find_opt defined (lit / 2) with
+      | Some first ->
+          err ~line ~item:(string_of_int lit) "AAG002"
+            (Printf.sprintf "variable %d multiply defined (first defined at line %d)"
+               (lit / 2) first)
+      | None -> Hashtbl.replace defined (lit / 2) line
+    end
+  in
+  (* the reader keeps a definition unless it is out of range *)
+  let store lit edge =
+    if out_of_range lit then reject "Aag: literal out of range"
+    else Hashtbl.replace map (lit / 2) (edge ())
+  in
+  let edge_of lit =
+    if out_of_range lit then (reject "Aag: literal out of range"; Aig.f)
+    else
+      match Hashtbl.find_opt map (lit / 2) with
+      | None -> reject "Aag: forward reference"; Aig.f
+      | Some e -> if lit land 1 = 1 then Aig.not_ e else e
+  in
+  let int_at line tok k =
+    match int_of_string_opt tok with
+    | Some v -> k v
+    | None ->
+        err ~line ~item:tok "AAG001" "bad token (expected an integer)";
+        reject "int_of_string"
+  in
+  (* references resolved once every definition is read *)
+  let deferred = ref [] in
+  let defer line lit =
+    if out_of_range lit then exceeds line lit
+    else deferred := (line, lit) :: !deferred
+  in
+  let single k what f =
+    let line, text = body.(k) in
+    match words text with
+    | [ tok ] -> int_at line tok (f line)
+    | _ ->
+        err ~line "AAG001" (Printf.sprintf "malformed %s line" what);
+        reject "int_of_string"
+  in
+  for k = 0 to ni - 1 do
+    single k "input" (fun line lit ->
+        define line lit "input";
+        if lit land 1 = 1 || lit = 0 then reject "Aag: bad input literal"
+        else store lit (fun () -> Aig.fresh_input aig))
+  done;
+  let latch_next = Array.make nl 0 in
+  for k = 0 to nl - 1 do
+    let line, text = body.(ni + k) in
+    match words text with
+    | q :: d :: _ ->
+        int_at line q (fun q ->
+            define line q "latch";
+            if q land 1 = 1 || q = 0 then reject "Aag: bad latch literal"
+            else store q (fun () -> Aig.fresh_input aig));
+        int_at line d (fun d ->
+            defer line d;
+            latch_next.(k) <- d)
+    | _ ->
+        err ~line "AAG001" "malformed latch line";
+        reject "Aag: malformed latch line"
+  done;
+  let out_lits = Array.make no 0 in
+  for k = 0 to no - 1 do
+    single (ni + nl + k) "output" (fun line lit ->
+        defer line lit;
+        out_lits.(k) <- lit)
+  done;
+  (* the format puts each AND after its fanins, so one in-order pass
+     resolves every reference *)
+  for k = 0 to na - 1 do
+    let line, text = body.(ni + nl + no + k) in
+    match words text with
+    | [ lhs; r0; r1 ] ->
+        int_at line lhs (fun lhs ->
+            define line lhs "AND";
+            if lhs land 1 = 1 then reject "Aag: complemented AND lhs");
+        let fanin tok =
+          int_at line tok (fun v ->
+              if out_of_range v then exceeds line v
+              else if v / 2 > 0 && not (Hashtbl.mem defined (v / 2)) then
+                err ~line ~item:(string_of_int v) "AAG003"
+                  (Printf.sprintf
+                     "AND fanin %d references an undefined (or forward) variable"
+                     v))
+        in
+        fanin r0;
+        fanin r1;
+        (match List.map int_of_string_opt [ lhs; r0; r1 ] with
+        | [ Some lhs; Some r0; Some r1 ] when lhs land 1 = 0 ->
+            let e1 = edge_of r1 in
+            let e0 = edge_of r0 in
+            store lhs (fun () -> Aig.and_ aig e0 e1)
+        | _ -> ())
+    | _ ->
+        err ~line "AAG001" "malformed AND line";
+        reject "Aag: malformed and line"
+  done;
+  (* the symbol table is the reader's alone *)
+  let sym_in = Hashtbl.create 16 and sym_out = Hashtbl.create 16 in
+  for k = ni + nl + no + na to Array.length body - 1 do
+    let s = snd body.(k) in
+    match (s.[0], String.index_opt s ' ') with
+    | ('i' | 'l' | 'o'), Some sp -> begin
+        match int_of_string_opt (String.sub s 1 (sp - 1)) with
+        | None -> reject "int_of_string"
+        | Some idx ->
+            let name = String.sub s (sp + 1) (String.length s - sp - 1) in
+            if s.[0] = 'o' then Hashtbl.replace sym_out idx name
+            else if s.[0] = 'i' then Hashtbl.replace sym_in idx name
+            else Hashtbl.replace sym_in (ni + idx) name
+      end
+    | _ -> ()
+  done;
+  List.iter
+    (fun (line, lit) ->
+      if lit / 2 > 0 && not (Hashtbl.mem defined (lit / 2)) then
+        err ~line ~item:(string_of_int lit) "AAG003"
+          (Printf.sprintf "literal %d references an undefined variable" lit))
+    (List.rev !deferred);
+  let latches =
+    List.init nl (fun k -> (Printf.sprintf "l%d$in" k, edge_of latch_next.(k)))
+  in
+  let name_out k =
+    Option.value (Hashtbl.find_opt sym_out k) ~default:("o" ^ string_of_int k)
+  in
+  let outputs = List.init no (fun k -> (name_out k, edge_of out_lits.(k))) in
+  fun () ->
+    Hashtbl.iter (fun idx name -> Aig.set_input_name aig idx name) sym_in;
+    Circuit.make ~name:"aag" aig (outputs @ latches)
+
+let read ?file text =
+  let diags = ref [] in
+  let add d = diags := d :: !diags in
+  let err ?line code msg = add (Diag.error ?file ?line ~code msg) in
+  let fatal = ref None in
+  let reject msg = if !fatal = None then fatal := Some msg in
   let lines =
     String.split_on_char '\n' text
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
+    |> List.mapi (fun i l -> (i + 1, String.trim l))
+    |> List.filter (fun (_, l) -> l <> "")
   in
-  match lines with
-  | [] -> failwith "Aag: empty file"
-  | header :: rest -> begin
-      match words header with
-      | [ "aag"; m; i; l; o; a ] ->
-          let m = int_of_string m
-          and ni = int_of_string i
-          and nl = int_of_string l
-          and no = int_of_string o
-          and na = int_of_string a in
-          let rest = Array.of_list rest in
-          if Array.length rest < ni + nl + no + na then
-            failwith "Aag: truncated file";
-          let aig = Aig.create () in
-          (* aiger lit -> aig edge mapping by variable *)
-          let map = Array.make (m + 1) (-1) in
-          map.(0) <- Aig.f;
-          let edge_of lit =
-            let v = lit / 2 in
-            if v > m then failwith "Aag: literal out of range";
-            if map.(v) < 0 then failwith "Aag: forward reference";
-            if lit land 1 = 1 then Aig.not_ map.(v) else map.(v)
-          in
-          let line k = rest.(k) in
-          (* inputs *)
-          for k = 0 to ni - 1 do
-            let lit = int_of_string (line k) in
-            if lit land 1 = 1 || lit = 0 then failwith "Aag: bad input literal";
-            map.(lit / 2) <- Aig.fresh_input aig
-          done;
-          (* latch outputs become fresh inputs; remember next-state lits *)
-          let latch_next = Array.make nl 0 in
-          for k = 0 to nl - 1 do
-            match words (line (ni + k)) with
-            | q :: d :: _ ->
-                let q = int_of_string q and d = int_of_string d in
-                if q land 1 = 1 || q = 0 then failwith "Aag: bad latch literal";
-                map.(q / 2) <- Aig.fresh_input aig;
-                latch_next.(k) <- d
-            | _ -> failwith "Aag: malformed latch line"
-          done;
-          let out_lits =
-            Array.init no (fun k -> int_of_string (line (ni + nl + k)))
-          in
-          (* and gates: the format guarantees lhs > rhs, so a single
-             in-order pass resolves all references *)
-          for k = 0 to na - 1 do
-            match words (line (ni + nl + no + k)) with
-            | [ lhs; r0; r1 ] ->
-                let lhs = int_of_string lhs in
-                if lhs land 1 = 1 then failwith "Aag: complemented AND lhs";
-                let g = Aig.and_ aig (edge_of (int_of_string r0))
-                    (edge_of (int_of_string r1)) in
-                map.(lhs / 2) <- g
-            | _ -> failwith "Aag: malformed and line"
-          done;
-          (* symbol table *)
-          let sym_in = Hashtbl.create 16 and sym_out = Hashtbl.create 16 in
-          for k = ni + nl + no + na to Array.length rest - 1 do
-            let s = line k in
-            if String.length s >= 2 then begin
-              match s.[0] with
-              | 'i' | 'l' | 'o' -> begin
-                  match String.index_opt s ' ' with
-                  | Some sp ->
-                      let idx = int_of_string (String.sub s 1 (sp - 1)) in
-                      let name =
-                        String.sub s (sp + 1) (String.length s - sp - 1)
-                      in
-                      if s.[0] = 'o' then Hashtbl.replace sym_out idx name
-                      else if s.[0] = 'i' then Hashtbl.replace sym_in idx name
-                      else Hashtbl.replace sym_in (ni + idx) name
-                  | None -> ()
+  let build =
+    match lines with
+    | [] ->
+        err "AAG001" "empty AIGER file";
+        reject "Aag: empty file";
+        None
+    | (line, header) :: body -> begin
+        let bad msg why =
+          err ~line "AAG001" msg;
+          reject why;
+          None
+        in
+        match words header with
+        | [ "aag"; m; i; l; o; a ] -> begin
+            match List.map int_of_string_opt [ m; i; l; o; a ] with
+            | [ Some m; Some ni; Some nl; Some no; Some na ] ->
+                let body = Array.of_list body in
+                if List.exists (fun n -> n < 0) [ m; ni; nl; no; na ] then
+                  bad "malformed header (negative counts)" "Aag: bad header"
+                else begin
+                  if m < ni + nl + na then
+                    err ~line "AAG001"
+                      (Printf.sprintf "header M=%d is smaller than I+L+A=%d" m
+                         (ni + nl + na));
+                  if Array.length body < ni + nl + no + na then
+                    bad
+                      (Printf.sprintf
+                         "truncated file: %d definition lines expected, %d present"
+                         (ni + nl + no + na) (Array.length body))
+                      "Aag: truncated file"
+                  else
+                    Some (read_body ?file ~add ~reject ~m ~ni ~nl ~no ~na body)
                 end
-              | 'c' -> ()
-              | _ -> ()
-            end
-          done;
-          Hashtbl.iter (fun idx name -> Aig.set_input_name aig idx name) sym_in;
-          let name_out k =
-            match Hashtbl.find_opt sym_out k with
-            | Some n -> n
-            | None -> "o" ^ string_of_int k
-          in
-          let outputs =
-            List.init no (fun k -> (name_out k, edge_of out_lits.(k)))
-            @ List.init nl (fun k ->
-                  (Printf.sprintf "l%d$in" k, edge_of latch_next.(k)))
-          in
-          Circuit.make ~name:"aag" aig outputs
-      | _ -> failwith "Aag: bad header"
-    end
+            | _ -> bad "malformed header (non-integer counts)" "int_of_string"
+          end
+        | _ ->
+            bad "malformed header (expected 'aag M I L O A')" "Aag: bad header"
+      end
+  in
+  ( (match (!fatal, build) with
+    | None, Some build -> Ok (build ())
+    | Some msg, _ -> Error msg
+    | None, None -> assert false (* every [None] above rejects *)),
+    Diag.sort_by_line (List.rev !diags) )
+
+let check ?file text = snd (read ?file text)
+
+let parse_string text =
+  match fst (read text) with Ok c -> c | Error msg -> failwith msg
 
 let parse_file path =
   let ic = open_in path in

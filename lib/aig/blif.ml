@@ -1,6 +1,9 @@
-(* Parsing goes in two passes: first collect .names tables and latches,
-   then elaborate signals into AIG edges on demand (memoized, with an
-   in-progress mark to catch combinational cycles). *)
+module Diag = Step_lint.Diag
+
+(* Parsing goes in two passes: first collect .names tables and latches
+   (reporting the BLF findings on the way), then elaborate signals into
+   AIG edges on demand (memoized, with an in-progress mark to catch
+   combinational cycles). *)
 
 type gate = { gate_inputs : string list; cover : (string * char) list }
 
@@ -12,12 +15,14 @@ type statements = {
   mutable latches : (string * string) list; (* (data input, output) *)
 }
 
-let tokenize_lines text =
-  (* splits into logical lines, handling continuations and comments *)
-  let raw = String.split_on_char '\n' text in
-  let rec glue acc pending = function
-    | [] -> List.rev (if pending = "" then acc else pending :: acc)
+(* Logical lines: '#' comments stripped, '\' continuations glued; each
+   keeps the number of its first physical line. *)
+let logical_lines text =
+  let rec glue acc pending first lineno = function
+    | [] ->
+        List.rev (if pending = "" then acc else (first, pending) :: acc)
     | line :: rest ->
+        let first = if pending = "" then lineno else first in
         let line =
           match String.index_opt line '#' with
           | Some i -> String.sub line 0 i
@@ -25,21 +30,25 @@ let tokenize_lines text =
         in
         let line = String.trim line in
         if String.length line > 0 && line.[String.length line - 1] = '\\' then
-          glue acc (pending ^ String.sub line 0 (String.length line - 1) ^ " ") rest
+          glue acc
+            (pending ^ String.sub line 0 (String.length line - 1) ^ " ")
+            first (lineno + 1) rest
         else begin
-          let full = pending ^ line in
-          if String.trim full = "" then glue acc "" rest
-          else glue (String.trim full :: acc) "" rest
+          let full = String.trim (pending ^ line) in
+          let acc = if full = "" then acc else (first, full) :: acc in
+          glue acc "" first (lineno + 1) rest
         end
   in
-  glue [] "" raw
+  glue [] "" 1 1 (String.split_on_char '\n' text)
 
 let words s =
   String.split_on_char ' ' s
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun w -> w <> "")
 
-let collect lines =
+(* The first pass: gathers the statements and, on the way, every BLF
+   finding; [fatal] keeps the first defect the reader rejects. *)
+let collect ?file text =
   let st =
     {
       model = "blif";
@@ -49,6 +58,32 @@ let collect lines =
       latches = [];
     }
   in
+  let diags = ref [] in
+  let add d = diags := d :: !diags in
+  let fatal = ref None in
+  let reject msg = if !fatal = None then fatal := Some ("Blif: " ^ msg) in
+  let drivers = Hashtbl.create 64 in (* signal -> first driver line *)
+  let decls = Hashtbl.create 64 in (* (directive, name) -> line *)
+  let uses = ref [] in (* (signal, line), reversed *)
+  let drive line name =
+    match Hashtbl.find_opt drivers name with
+    | Some first ->
+        add
+          (Diag.error ?file ~line ~item:name ~code:"BLF002"
+             (Printf.sprintf "signal %s is multiply driven (first driver at line %d)"
+                name first))
+    | None -> Hashtbl.replace drivers name line
+  in
+  let declare line kind name =
+    match Hashtbl.find_opt decls (kind, name) with
+    | Some first ->
+        add
+          (Diag.warning ?file ~line ~item:name ~code:"BLF003"
+             (Printf.sprintf "%s declares %s again (first declared at line %d)"
+                kind name first))
+    | None -> Hashtbl.replace decls (kind, name) line
+  in
+  let use line name = uses := (name, line) :: !uses in
   let current = ref None in
   let flush () =
     match !current with
@@ -57,54 +92,78 @@ let collect lines =
         Hashtbl.replace st.gates out { gate_inputs; cover = List.rev cover };
         current := None
   in
-  let handle line =
-    match words line with
+  let cover_row pattern value =
+    match !current with
+    | Some (out, ins, cover) ->
+        if pattern = "" && ins <> [] then
+          reject "pattern missing for non-constant cover";
+        if value <> "1" && value <> "0" then
+          reject "cover output must be 0 or 1";
+        current := Some (out, ins, (pattern, value.[0]) :: cover)
+    | None -> assert false
+  in
+  let handle (line, text) =
+    match words text with
     | [] -> ()
-    | w :: args when String.length w > 0 && w.[0] = '.' -> begin
+    | w :: args when w.[0] = '.' -> begin
         flush ();
         match (w, args) with
         | ".model", name :: _ -> st.model <- name
-        | ".model", [] -> ()
-        | ".inputs", names -> st.pis <- List.rev_append names st.pis
-        | ".outputs", names -> st.pos_ <- List.rev_append names st.pos_
-        | ".names", [] -> failwith "Blif: .names without signals"
+        | ".inputs", names ->
+            List.iter
+              (fun n ->
+                declare line ".inputs" n;
+                drive line n)
+              names;
+            st.pis <- List.rev_append names st.pis
+        | ".outputs", names ->
+            List.iter
+              (fun n ->
+                declare line ".outputs" n;
+                use line n)
+              names;
+            st.pos_ <- List.rev_append names st.pos_
+        | ".names", [] ->
+            add
+              (Diag.error ?file ~line ~code:"BLF001" ".names without signals");
+            reject ".names without signals"
         | ".names", signals -> begin
             match List.rev signals with
-            | out :: rins -> current := Some (out, List.rev rins, [])
+            | out :: rins ->
+                let ins = List.rev rins in
+                drive line out;
+                List.iter (use line) ins;
+                current := Some (out, ins, [])
             | [] -> assert false
           end
         | ".latch", input :: output :: _ ->
+            use line input;
+            drive line output;
             st.latches <- (input, output) :: st.latches
-        | ".latch", _ -> failwith "Blif: malformed .latch"
-        | ".end", _ -> ()
+        | ".latch", _ -> reject "malformed .latch"
         | (".exdc" | ".wire_load_slope" | ".gate" | ".mlatch"), _ ->
-            failwith (Printf.sprintf "Blif: unsupported construct %s" w)
-        | _, _ -> () (* ignore unknown dot-directives *)
+            reject (Printf.sprintf "unsupported construct %s" w)
+        | _, _ -> () (* .end, .model without a name, unknown directives *)
       end
-    | [ pattern; value ] when !current <> None -> begin
-        match !current with
-        | Some (out, ins, cover) ->
-            if value <> "1" && value <> "0" then
-              failwith "Blif: cover output must be 0 or 1";
-            current := Some (out, ins, (pattern, value.[0]) :: cover)
-        | None -> assert false
-      end
-    | [ value ] when !current <> None -> begin
-        (* constant gate: cover line with no input pattern *)
-        match !current with
-        | Some (out, ins, cover) ->
-            if ins <> [] then
-              failwith "Blif: pattern missing for non-constant cover";
-            if value <> "1" && value <> "0" then
-              failwith "Blif: cover output must be 0 or 1";
-            current := Some (out, ins, ("", value.[0]) :: cover)
-        | None -> assert false
-      end
-    | w :: _ -> failwith (Printf.sprintf "Blif: unexpected token %S" w)
+    | [ pattern; value ] when !current <> None -> cover_row pattern value
+    | [ value ] when !current <> None -> cover_row "" value
+    | w :: _ -> reject (Printf.sprintf "unexpected token %S" w)
   in
-  List.iter handle lines;
+  List.iter handle (logical_lines text);
   flush ();
-  st
+  let reported = Hashtbl.create 16 in
+  List.iter
+    (fun (name, line) ->
+      if not (Hashtbl.mem drivers name || Hashtbl.mem reported name) then begin
+        Hashtbl.replace reported name ();
+        add
+          (Diag.error ?file ~line ~item:name ~code:"BLF001"
+             (Printf.sprintf
+                "signal %s is used but never driven (no .names/.latch/.inputs)"
+                name))
+      end)
+    (List.rev !uses);
+  (st, Diag.sort_by_line (List.rev !diags), !fatal)
 
 let elaborate st =
   let aig = Aig.create () in
@@ -167,7 +226,14 @@ let elaborate st =
   in
   Circuit.make ~name:st.model aig outputs
 
-let parse_string text = elaborate (collect (tokenize_lines text))
+let check ?file text =
+  let _, diags, _ = collect ?file text in
+  diags
+
+let parse_string text =
+  match collect text with
+  | st, _, None -> elaborate st
+  | _, _, Some msg -> failwith msg
 
 let parse_file path =
   let ic = open_in path in

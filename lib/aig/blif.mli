@@ -13,6 +13,12 @@ val parse_string : string -> Circuit.t
 
 val parse_file : string -> Circuit.t
 
+val check : ?file:string -> string -> Step_lint.Diag.t list
+(** The findings of the reader's first pass, in line order: undriven
+    signals (BLF001), multiply-driven signals (BLF002), duplicate
+    [.inputs]/[.outputs] declarations (BLF003). [file] seeds the
+    diagnostic locations. *)
+
 val to_string : Circuit.t -> string
 (** Writes the circuit as structural BLIF (two-input AND covers plus
     inverters at complemented outputs). *)

@@ -1,8 +1,9 @@
 (* Decomposition certificates and their independent checker.
 
    Everything here deliberately shares no code with the CDCL engine it
-   audits: clauses are plain DIMACS ints (an obligation's CNF packed into
-   one 0-terminated int array, 8 bytes a literal), unit propagation is a
+   audits beyond the DIMACS-family tokenizer of Step_sat.Dimacs: clauses
+   are plain DIMACS ints (an obligation's CNF packed into one
+   0-terminated int array, 8 bytes a literal), unit propagation is a
    naive fixpoint over a private clause store, and proofs are parsed
    from their textual LRAT/DRAT form. Findings are reported as Step_lint
    diagnostics under the PRF rule family:
@@ -237,28 +238,97 @@ let negated_assignment ~n_vars clause =
 
 (* ---------- proof parsing ---------- *)
 
-(* Tokenizes one proof line into ints, treating a lone [d] as the marker
-   token [`D]. *)
+(* Tokenizes one proof line with the DIMACS-family tokenizer, treating a
+   lone [d] as the marker token [`D]. *)
 let tokenize line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter_map (fun tok ->
-         let tok =
-           if tok <> "" && tok.[String.length tok - 1] = '\r' then
-             String.sub tok 0 (String.length tok - 1)
-           else tok
-         in
-         if tok = "" then None
-         else if tok = "d" then Some `D
+  Step_sat.Dimacs.tokens line
+  |> List.map (fun tok ->
+         if tok = "d" then `D
          else
            match int_of_string_opt tok with
-           | Some n -> Some (`Int n)
-           | None -> Some (`Bad tok))
+           | Some n -> `Int n
+           | None -> `Bad tok)
 
 let lines_of proof =
   String.split_on_char '\n' proof
   |> List.mapi (fun i l -> (i + 1, l))
   |> List.filter (fun (_, l) -> String.trim l <> "")
+
+(* ---------- format-level lint ---------- *)
+
+let lint ?file format proof =
+  let diags = ref [] in
+  let err ?line ?item code msg =
+    diags := Diag.error ?file ?line ?item ~code msg :: !diags
+  in
+  let text = function `Int n -> string_of_int n | `D -> "d" | `Bad tok -> tok in
+  (* Scans a line that [zeros] 0 tokens terminate; returns the number of
+     literals before the first 0, or [None] after a finding. *)
+  let terminated ~line ~zeros ~unterminated ?(ok = fun _ -> true) toks =
+    let rec go n_lits seen = function
+      | [] ->
+          if seen < zeros then begin
+            err ~line "PRF002" unterminated;
+            None
+          end
+          else Some n_lits
+      | (`Bad _ | `D) as tok :: _ ->
+          err ~line ~item:(text tok) "PRF001" "bad token (expected an integer)";
+          None
+      | `Int _ :: _ when seen >= zeros ->
+          err ~line "PRF001" "tokens after the terminating 0";
+          None
+      | `Int 0 :: rest -> go n_lits (seen + 1) rest
+      | `Int n :: rest ->
+          if ok n then go (if seen = 0 then n_lits + 1 else n_lits) seen rest
+          else None
+    in
+    go 0 0 toks
+  in
+  let saw_line = ref false and saw_empty = ref false and last_id = ref 0 in
+  let refutes = function Some 0 -> saw_empty := true | Some _ | None -> () in
+  List.iter
+    (fun (line, l) ->
+      match tokenize l with
+      | [] | `Bad "c" :: _ -> ()
+      | toks -> (
+          saw_line := true;
+          match (format, toks) with
+          | Drat, toks ->
+              let toks = match toks with `D :: rest -> rest | _ -> toks in
+              refutes
+                (terminated ~line ~zeros:1
+                   ~unterminated:"clause line not 0-terminated" toks)
+          | Lrat, `Int _ :: `D :: ids ->
+              let ok n =
+                if n < 0 then
+                  err ~line ~item:(string_of_int n) "PRF001"
+                    "negative clause id in deletion";
+                n >= 0
+              in
+              ignore
+                (terminated ~line ~zeros:1 ~ok
+                   ~unterminated:"deletion line not 0-terminated" ids)
+          | Lrat, `Int id :: rest ->
+              if id <= !last_id then
+                err ~line ~item:(string_of_int id) "PRF003"
+                  (Printf.sprintf "clause id %d not above previous id %d" id
+                     !last_id)
+              else last_id := id;
+              refutes
+                (terminated ~line ~zeros:2
+                   ~unterminated:
+                     "addition line needs two 0 terminators (lits, hints)"
+                   rest)
+          | Lrat, tok :: _ ->
+              err ~line ~item:(text tok) "PRF001"
+                "line must start with a clause id"
+          | Lrat, [] -> ()))
+    (lines_of proof);
+  if not !saw_line then err "PRF002" "empty proof"
+  else if not !saw_empty then
+    err "PRF005" "proof has no empty-clause line (does not refute)";
+  Diag.sort_by_line (List.rev !diags)
 
 (* ---------- UNSAT proof checking ---------- *)
 

@@ -6,7 +6,8 @@
     partition claimed, plus a list of {e obligations} — self-contained
     CNFs (plain DIMACS ints, packed) with either an UNSAT proof (textual LRAT or
     DRAT) or a SAT model. The checker shares no code with the CDCL
-    engine: it parses the proof text and replays it with a naive unit
+    engine beyond the DIMACS-family tokenizer ([Step_sat.Dimacs.tokens]):
+    it parses the proof text and replays it with a naive unit
     propagation over a private clause store, using LRAT antecedent hints
     for linear-time checking with a full RUP fallback, and evaluates SAT
     models clause by clause.
@@ -82,6 +83,16 @@ val check_drat :
   unit ->
   Step_lint.Diag.t list
 (** Same for textual DRAT (RUP additions with [d] deletion lines). *)
+
+val lint : ?file:string -> format -> string -> Step_lint.Diag.t list
+(** Format-level lint of a textual proof trace, through the same line
+    parser as the checkers but without the CNF: non-integer tokens,
+    tokens after the terminating 0, an LRAT line without a leading id or
+    a negative deletion id (PRF001); a line missing its 0 terminator(s)
+    or an empty proof (PRF002); non-increasing LRAT addition ids
+    (PRF003); no empty-clause line (PRF005). Unlike the checkers it does
+    not stop at the first finding. Lines whose first token is [c] are
+    comments. *)
 
 val check_model :
   ?file:string ->

@@ -147,8 +147,6 @@ let or_model ?k ?(target = Qbf_model.Disjointness) (p : Problem.t) =
   done;
   Buffer.contents buf
 
-let lint ?name text = Step_lint.Lint.check_qdimacs ?file:name text
-
 let parse_answer ~expected_decomposable = function
   | Step_qbf.Qdimacs.False -> Some (expected_decomposable = true)
   | Step_qbf.Qdimacs.True -> Some (expected_decomposable = false)

@@ -29,10 +29,6 @@ val or_model :
     @raise Invalid_argument if the support has fewer than 2 variables or
     the target is [Weighted] (not supported in the export). *)
 
-val lint : ?name:string -> string -> Step_lint.Diag.t list
-(** Runs exported QDIMACS text through {!Step_lint.Lint.check_qdimacs}
-    (used by [step export-qbf --check]); [name] labels the locations. *)
-
 val parse_answer : expected_decomposable:bool -> Step_qbf.Qdimacs.answer -> bool option
 (** Interprets a QBF solver's verdict on an exported instance:
     [False] means decomposable within the bound, [True] means not;

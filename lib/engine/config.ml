@@ -11,8 +11,6 @@ type t = {
   jobs : int;
   retry : Retry.policy;
   fallback : Method.t list;
-  trace : Step_obs.Obs.sink option;
-  stats : (string -> unit) option;
   cache : Step_cache.Cache.t option;
   certify : bool;
 }
@@ -28,8 +26,6 @@ let default =
     jobs = 1;
     retry = Retry.default;
     fallback = [];
-    trace = None;
-    stats = None;
     cache = None;
     certify = false;
   }
@@ -97,10 +93,6 @@ let with_jobs jobs c = { c with jobs }
 let with_retry retry c = { c with retry }
 
 let with_fallback fallback c = { c with fallback }
-
-let with_trace trace c = { c with trace }
-
-let with_stats stats c = { c with stats }
 
 let with_cache cache c = { c with cache }
 

@@ -43,13 +43,6 @@ type t = {
           partition), the output is re-run with these methods in order
           and the first usable result is kept, marked [degraded].
           Default []. Parse CLI specs with {!fallback_of_string}. *)
-  trace : Step_obs.Obs.sink option;
-      (** When set, installed for the duration of the run (and restored
-          afterwards); span records from all worker domains are delivered
-          to it, serialized. *)
-  stats : (string -> unit) option;
-      (** When set, receives the rendered process-wide telemetry
-          ({!Step_obs.Metrics.render}) after the run. *)
   cache : Step_cache.Cache.t option;
       (** Decomposition cache consulted before solving each output cone
           (default [None] = every cone is solved). One cache may be
@@ -94,10 +87,6 @@ val with_jobs : int -> t -> t
 val with_retry : Retry.policy -> t -> t
 
 val with_fallback : Step_core.Method.t list -> t -> t
-
-val with_trace : Step_obs.Obs.sink option -> t -> t
-
-val with_stats : (string -> unit) option -> t -> t
 
 val with_cache : Step_cache.Cache.t option -> t -> t
 

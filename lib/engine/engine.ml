@@ -504,36 +504,24 @@ let decompose_po_auto eng i =
   Circuit.check_output_index eng.circuit i;
   run_auto_job eng ~deadline:infinity i
 
-(* Install the config's sinks around [body], then fan the per-output jobs
-   over the pool. The span wraps the whole run; with [jobs = 1] the jobs
+(* Wrap [body] (which fans the per-output jobs over the pool) in the run's
+   span. The span wraps the whole run; with [jobs = 1] the jobs
    execute inline in the calling domain, so their "pipeline.po" spans nest
    under the run's root span ("pipeline.run" / "pipeline.auto"). Worker
    domains have their own span stacks, so under [jobs > 1] the per-output
    spans are delivered as roots (still serialized through the sink). *)
 let with_run_obs eng span_name body =
   let cfg = eng.config in
-  let traced () =
-    let go () =
-      Obs.span
-        ~attrs:
-          [
-            ("circuit", Json.String eng.circuit.Circuit.name);
-            ("method", Json.String (Method.to_string cfg.Config.method_));
-            ("gate", Json.String (Gate.to_string cfg.Config.gate));
-            ("n_outputs", Json.Int (Circuit.n_outputs eng.circuit));
-            ("jobs", Json.Int cfg.Config.jobs);
-          ]
-        span_name body
-    in
-    match cfg.Config.trace with
-    | None -> go ()
-    | Some sink -> Obs.with_sink sink go
-  in
-  let result = traced () in
-  (match cfg.Config.stats with
-  | None -> ()
-  | Some deliver -> deliver (Metrics.render ()));
-  result
+  Obs.span
+    ~attrs:
+      [
+        ("circuit", Json.String eng.circuit.Circuit.name);
+        ("method", Json.String (Method.to_string cfg.Config.method_));
+        ("gate", Json.String (Gate.to_string cfg.Config.gate));
+        ("n_outputs", Json.Int (Circuit.n_outputs eng.circuit));
+        ("jobs", Json.Int cfg.Config.jobs);
+      ]
+    span_name body
 
 (* One [job] per output, over the pool, under the total-budget deadline
    counted from [t0]. *)

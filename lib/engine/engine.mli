@@ -109,9 +109,9 @@ val run : t -> circuit_result
     fanned over [config.jobs] domains ({!Pool.map}); output [i] of the
     result is always output [i] of the circuit. When [total_budget]
     expires, jobs not yet started are cancelled cooperatively and
-    reported as timed out ([cpu = 0.], [support_size = 0]). Installs
-    [config.trace] for the duration of the run and delivers rendered
-    telemetry to [config.stats] afterwards, when set. *)
+    reported as timed out ([cpu = 0.], [support_size = 0]). Spans go to
+    the installed {!Step_obs.Obs} sink; wrap the call in
+    {!Step_obs.Obs.with_sink} to collect them. *)
 
 val run_auto : t -> (Step_core.Gate.t option * po_result) array
 (** Like {!run} but tries all three gates per output (sharing the

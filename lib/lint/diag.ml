@@ -27,6 +27,10 @@ let info ?file ?line ?item ~code message =
 
 let with_file file d = { d with location = { d.location with file = Some file } }
 
+let sort_by_line ds =
+  let line d = Option.value d.location.line ~default:max_int in
+  List.stable_sort (fun a b -> compare (line a) (line b)) ds
+
 let severity_to_string = function
   | Error -> "error"
   | Warning -> "warning"

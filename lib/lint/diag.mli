@@ -41,6 +41,10 @@ val with_file : string -> t -> t
 (** Overrides the file of the location (used by dispatchers that lint
     in-memory text on behalf of a path). *)
 
+val sort_by_line : t list -> t list
+(** Stable sort by source line; findings without a line go last. The
+    format readers emit in scan order and return this order. *)
+
 val severity_to_string : severity -> string
 (** ["error"] / ["warning"] / ["info"]. *)
 

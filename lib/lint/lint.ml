@@ -1,417 +1,3 @@
-(* Tolerant, line-tracking scanners. The strict parsers elsewhere in the
-   repository stop at the first defect (or worse, silently normalize it
-   away — strashing de-duplicates AIG nodes, the DIMACS reader auto-closes
-   a trailing clause); the linter's job is to see the artifact as written
-   and report every finding. *)
-
-let split_lines text = String.split_on_char '\n' text
-
-(* DIMACS-family token split: space, tab and carriage return are all
-   separators (mirrors the tokenization contract of Dimacs/Qdimacs). *)
-let tokens line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.concat_map (String.split_on_char '\r')
-  |> List.filter (fun t -> t <> "")
-
-let by_line (d : Diag.t) =
-  match d.Diag.location.Diag.line with Some l -> l | None -> max_int
-
-let finalize diags =
-  List.stable_sort (fun a b -> compare (by_line a) (by_line b)) (List.rev diags)
-
-(* ---------- DIMACS / QDIMACS ---------- *)
-
-let scan_cnf ?file ~qdimacs text =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let err ?line ?item code msg = add (Diag.error ?file ?line ?item ~code msg) in
-  let warn ?line ?item code msg =
-    add (Diag.warning ?file ?line ?item ~code msg)
-  in
-  let header = ref None in
-  let n_clauses = ref 0 in
-  let cur = ref [] in
-  let cur_line = ref 0 in
-  let matrix_started = ref false in
-  let seen_clauses = Hashtbl.create 64 in
-  let quantified = Hashtbl.create 64 in
-  let first_use = Hashtbl.create 64 in
-  let last_quant = ref ' ' in
-  let close_clause line =
-    let lits = List.rev !cur in
-    cur := [];
-    incr n_clauses;
-    let seen_lit = Hashtbl.create 8 in
-    let taut = ref false in
-    List.iter
-      (fun l ->
-        if Hashtbl.mem seen_lit l then
-          warn ~line ~item:(string_of_int l) "CNF003"
-            "duplicate literal in clause"
-        else begin
-          Hashtbl.replace seen_lit l ();
-          if Hashtbl.mem seen_lit (-l) then taut := true
-        end)
-      lits;
-    if !taut then
-      warn ~line "CNF004" "tautological clause (contains a literal and its negation)";
-    let key =
-      String.concat " " (List.map string_of_int (List.sort_uniq compare lits))
-    in
-    match Hashtbl.find_opt seen_clauses key with
-    | Some first ->
-        warn ~line "CNF005"
-          (Printf.sprintf "duplicate of the clause at line %d" first)
-    | None -> Hashtbl.replace seen_clauses key line
-  in
-  let handle_literal line tok =
-    match int_of_string_opt tok with
-    | None -> err ~line ~item:tok "CNF007" "bad token (expected an integer)"
-    | Some 0 -> close_clause (if !cur = [] then line else !cur_line)
-    | Some n ->
-        matrix_started := true;
-        if !cur = [] then cur_line := line;
-        let v = abs n in
-        if not (Hashtbl.mem first_use v) then Hashtbl.replace first_use v line;
-        (match !header with
-        | Some (nv, _, _) when v > nv ->
-            err ~line ~item:(string_of_int n) "CNF001"
-              (Printf.sprintf "literal references variable %d beyond header bound %d"
-                 v nv)
-        | Some _ | None -> ());
-        cur := n :: !cur
-  in
-  let handle_prefix line quant rest =
-    if !matrix_started then
-      err ~line "QDM005" "quantifier line after the first clause";
-    if !last_quant = quant then
-      warn ~line "QDM004"
-        (Printf.sprintf "adjacent '%c' quantifier blocks (mergeable)" quant);
-    last_quant := quant;
-    let count = ref 0 in
-    let closed = ref false in
-    List.iter
-      (fun tok ->
-        match int_of_string_opt tok with
-        | None -> err ~line ~item:tok "CNF007" "bad token in quantifier line"
-        | Some 0 -> closed := true
-        | Some v when v < 0 ->
-            err ~line ~item:tok "CNF007" "negative variable in quantifier line"
-        | Some v ->
-            incr count;
-            (match Hashtbl.find_opt quantified v with
-            | Some first ->
-                err ~line ~item:(string_of_int v) "QDM002"
-                  (Printf.sprintf "variable %d already quantified at line %d" v
-                     first)
-            | None -> Hashtbl.replace quantified v line))
-      rest;
-    ignore !closed;
-    if !count = 0 then warn ~line "QDM003" "empty quantifier block"
-  in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      match tokens line with
-      | [] -> ()
-      | "c" :: _ -> ()
-      | tok :: _ when String.length tok > 0 && tok.[0] = 'c' -> ()
-      | "p" :: rest -> begin
-          (if !header <> None then
-             err ~line:lineno "CNF007" "duplicate 'p cnf' header");
-          match rest with
-          | [ "cnf"; nv; nc ] -> begin
-              match (int_of_string_opt nv, int_of_string_opt nc) with
-              | Some nv, Some nc ->
-                  if !header = None then header := Some (nv, nc, lineno)
-              | _ -> err ~line:lineno "CNF007" "malformed 'p cnf' header"
-            end
-          | _ -> err ~line:lineno "CNF007" "malformed 'p cnf' header"
-        end
-      | "e" :: rest when qdimacs -> handle_prefix lineno 'e' rest
-      | "a" :: rest when qdimacs -> handle_prefix lineno 'a' rest
-      | toks -> List.iter (handle_literal lineno) toks)
-    (split_lines text);
-  if !cur <> [] then begin
-    warn ~line:!cur_line "CNF006"
-      "unterminated trailing clause (no final 0); parsers auto-close it";
-    close_clause !cur_line
-  end;
-  (match !header with
-  | Some (_, nc, hline) when nc <> !n_clauses ->
-      err ~line:hline "CNF002"
-        (Printf.sprintf "header declares %d clauses but %d were found" nc
-           !n_clauses)
-  | Some _ | None -> ());
-  if qdimacs then begin
-    let free =
-      Hashtbl.fold
-        (fun v line acc ->
-          if Hashtbl.mem quantified v then acc else (v, line) :: acc)
-        first_use []
-      |> List.sort compare
-    in
-    List.iter
-      (fun (v, line) ->
-        err ~line ~item:(string_of_int v) "QDM001"
-          (Printf.sprintf "free variable %d (not bound by any quantifier block)"
-             v))
-      free
-  end;
-  finalize !diags
-
-let check_dimacs ?file text = scan_cnf ?file ~qdimacs:false text
-
-let check_qdimacs ?file text = scan_cnf ?file ~qdimacs:true text
-
-(* ---------- BLIF ---------- *)
-
-(* Logical lines: '#' comments stripped, '\' continuations glued; each
-   logical line keeps the number of its first physical line. *)
-let blif_logical_lines text =
-  let out = ref [] in
-  let pending = ref "" in
-  let pending_line = ref 0 in
-  List.iteri
-    (fun i raw ->
-      let lineno = i + 1 in
-      let line =
-        match String.index_opt raw '#' with
-        | Some j -> String.sub raw 0 j
-        | None -> raw
-      in
-      let line = String.trim line in
-      if !pending = "" then pending_line := lineno;
-      if String.length line > 0 && line.[String.length line - 1] = '\\' then
-        pending := !pending ^ String.sub line 0 (String.length line - 1) ^ " "
-      else begin
-        let full = String.trim (!pending ^ line) in
-        pending := "";
-        if full <> "" then out := (!pending_line, full) :: !out
-      end)
-    (split_lines text);
-  if String.trim !pending <> "" then
-    out := (!pending_line, String.trim !pending) :: !out;
-  List.rev !out
-
-let check_blif ?file text =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let drivers = Hashtbl.create 64 in (* signal -> first driver line *)
-  let decls = Hashtbl.create 64 in (* (.inputs/.outputs, name) -> line *)
-  let uses = ref [] in (* (signal, line), reversed *)
-  let drive lineno name =
-    match Hashtbl.find_opt drivers name with
-    | Some first ->
-        add
-          (Diag.error ?file ~line:lineno ~item:name ~code:"BLF002"
-             (Printf.sprintf "signal %s is multiply driven (first driver at line %d)"
-                name first))
-    | None -> Hashtbl.replace drivers name lineno
-  in
-  let declare lineno kind name =
-    match Hashtbl.find_opt decls (kind, name) with
-    | Some first ->
-        add
-          (Diag.warning ?file ~line:lineno ~item:name ~code:"BLF003"
-             (Printf.sprintf "%s declares %s again (first declared at line %d)"
-                kind name first))
-    | None -> Hashtbl.replace decls (kind, name) lineno
-  in
-  let in_names = ref false in
-  List.iter
-    (fun (lineno, line) ->
-      match tokens line with
-      | [] -> ()
-      | w :: args when String.length w > 0 && w.[0] = '.' -> begin
-          in_names := false;
-          match (w, args) with
-          | ".inputs", names ->
-              List.iter
-                (fun n ->
-                  declare lineno ".inputs" n;
-                  drive lineno n)
-                names
-          | ".outputs", names ->
-              List.iter
-                (fun n ->
-                  declare lineno ".outputs" n;
-                  uses := (n, lineno) :: !uses)
-                names
-          | ".names", [] ->
-              add
-                (Diag.error ?file ~line:lineno ~code:"BLF001"
-                   ".names without signals")
-          | ".names", signals -> begin
-              in_names := true;
-              match List.rev signals with
-              | out :: rins ->
-                  drive lineno out;
-                  List.iter (fun n -> uses := (n, lineno) :: !uses) (List.rev rins)
-              | [] -> assert false
-            end
-          | ".latch", input :: output :: _ ->
-              uses := (input, lineno) :: !uses;
-              drive lineno output
-          | _, _ -> ()
-        end
-      | _ when !in_names -> () (* cover rows *)
-      | _ -> ())
-    (blif_logical_lines text);
-  let reported = Hashtbl.create 16 in
-  List.iter
-    (fun (name, lineno) ->
-      if (not (Hashtbl.mem drivers name)) && not (Hashtbl.mem reported name)
-      then begin
-        Hashtbl.replace reported name ();
-        add
-          (Diag.error ?file ~line:lineno ~item:name ~code:"BLF001"
-             (Printf.sprintf
-                "signal %s is used but never driven (no .names/.latch/.inputs)"
-                name))
-      end)
-    (List.rev !uses);
-  finalize !diags
-
-(* ---------- ASCII AIGER ---------- *)
-
-let check_aag ?file text =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let err lineno ?item code msg =
-    add (Diag.error ?file ~line:lineno ?item ~code msg)
-  in
-  let lines =
-    List.mapi (fun i l -> (i + 1, String.trim l)) (split_lines text)
-    |> List.filter (fun (_, l) -> l <> "")
-  in
-  match lines with
-  | [] -> [ Diag.error ?file ~code:"AAG001" "empty AIGER file" ]
-  | (hline, header) :: body -> begin
-      match tokens header with
-      | [ "aag"; m; i; l; o; a ] -> begin
-          match
-            ( int_of_string_opt m,
-              int_of_string_opt i,
-              int_of_string_opt l,
-              int_of_string_opt o,
-              int_of_string_opt a )
-          with
-          | Some m, Some ni, Some nl, Some no, Some na ->
-              if m < ni + nl + na then
-                err hline "AAG001"
-                  (Printf.sprintf
-                     "header M=%d is smaller than I+L+A=%d" m (ni + nl + na));
-              let body = Array.of_list body in
-              if Array.length body < ni + nl + no + na then begin
-                err hline "AAG001"
-                  (Printf.sprintf
-                     "truncated file: %d definition lines expected, %d present"
-                     (ni + nl + no + na) (Array.length body));
-                finalize !diags
-              end
-              else begin
-                let defined = Hashtbl.create 64 in (* var -> line *)
-                let define lineno lit what =
-                  if lit land 1 = 1 || lit = 0 then
-                    err lineno ~item:(string_of_int lit) "AAG001"
-                      (Printf.sprintf
-                         "%s literal must be a positive even literal" what)
-                  else if lit / 2 > m then
-                    err lineno ~item:(string_of_int lit) "AAG003"
-                      (Printf.sprintf "literal %d exceeds header bound M=%d" lit
-                         m)
-                  else begin
-                    match Hashtbl.find_opt defined (lit / 2) with
-                    | Some first ->
-                        err lineno ~item:(string_of_int lit) "AAG002"
-                          (Printf.sprintf
-                             "variable %d multiply defined (first defined at line %d)"
-                             (lit / 2) first)
-                    | None -> Hashtbl.replace defined (lit / 2) lineno
-                  end
-                in
-                let range_ok lineno lit =
-                  if lit < 0 || lit / 2 > m then begin
-                    err lineno ~item:(string_of_int lit) "AAG003"
-                      (Printf.sprintf "literal %d exceeds header bound M=%d" lit
-                         m);
-                    false
-                  end
-                  else true
-                in
-                let int_at lineno tok k =
-                  match int_of_string_opt tok with
-                  | Some v -> k v
-                  | None ->
-                      err lineno ~item:tok "AAG001"
-                        "bad token (expected an integer)"
-                in
-                (* deferred references: resolved against the full table *)
-                let deferred = ref [] in
-                let defer lineno lit = deferred := (lineno, lit) :: !deferred in
-                for k = 0 to ni - 1 do
-                  let lineno, line = body.(k) in
-                  match tokens line with
-                  | [ tok ] -> int_at lineno tok (fun v -> define lineno v "input")
-                  | _ -> err lineno "AAG001" "malformed input line"
-                done;
-                for k = 0 to nl - 1 do
-                  let lineno, line = body.(ni + k) in
-                  match tokens line with
-                  | q :: d :: _ ->
-                      int_at lineno q (fun v -> define lineno v "latch");
-                      int_at lineno d (fun v ->
-                          if range_ok lineno v then defer lineno v)
-                  | _ -> err lineno "AAG001" "malformed latch line"
-                done;
-                for k = 0 to no - 1 do
-                  let lineno, line = body.(ni + nl + k) in
-                  match tokens line with
-                  | [ tok ] ->
-                      int_at lineno tok (fun v ->
-                          if range_ok lineno v then defer lineno v)
-                  | _ -> err lineno "AAG001" "malformed output line"
-                done;
-                for k = 0 to na - 1 do
-                  let lineno, line = body.(ni + nl + no + k) in
-                  match tokens line with
-                  | [ lhs; r0; r1 ] ->
-                      int_at lineno lhs (fun v -> define lineno v "AND");
-                      List.iter
-                        (fun tok ->
-                          int_at lineno tok (fun v ->
-                              if
-                                range_ok lineno v
-                                && v / 2 > 0
-                                && not (Hashtbl.mem defined (v / 2))
-                              then
-                                err lineno ~item:(string_of_int v) "AAG003"
-                                  (Printf.sprintf
-                                     "AND fanin %d references an undefined (or forward) variable"
-                                     v)))
-                        [ r0; r1 ]
-                  | _ -> err lineno "AAG001" "malformed AND line"
-                done;
-                List.iter
-                  (fun (lineno, lit) ->
-                    if lit / 2 > 0 && not (Hashtbl.mem defined (lit / 2)) then
-                      err lineno ~item:(string_of_int lit) "AAG003"
-                        (Printf.sprintf "literal %d references an undefined variable"
-                           lit))
-                  (List.rev !deferred);
-                finalize !diags
-              end
-          | _ ->
-              err hline "AAG001" "malformed header (non-integer counts)";
-              finalize !diags
-        end
-      | _ ->
-          err hline "AAG001" "malformed header (expected 'aag M I L O A')";
-          finalize !diags
-    end
-
 (* ---------- AIG manager view ---------- *)
 
 type aig_node = Const | Input of int | And of int * int
@@ -555,186 +141,3 @@ let check_partition ?name ~support ~xa ~xb ~xc () =
             "symmetry-breaking violation: |XA|=%d < |XB|=%d (canonical form wants |XA| >= |XB|)"
             la lb));
   List.rev !diags
-
-(* ---------- DRAT / LRAT proof files ---------- *)
-
-(* Format-level scanners for textual proof traces: tokens, terminators
-   and id discipline. Semantic validity (is each clause actually RUP?)
-   needs the original CNF and lives in Step_cert; these checkers share
-   the PRF code family with it. *)
-
-let check_drat ?file text =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let err ?line ?item code msg = add (Diag.error ?file ?line ?item ~code msg) in
-  let saw_empty = ref false in
-  let saw_line = ref false in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      match tokens line with
-      | [] -> ()
-      | "c" :: _ -> ()
-      | toks ->
-          saw_line := true;
-          let toks = match toks with "d" :: rest -> rest | _ -> toks in
-          let rec scan n_lits closed = function
-            | [] ->
-                if not closed then
-                  err ~line:lineno "PRF002" "clause line not 0-terminated"
-                else if n_lits = 0 then saw_empty := true
-            | tok :: rest -> begin
-                match int_of_string_opt tok with
-                | None ->
-                    err ~line:lineno ~item:tok "PRF001"
-                      "bad token (expected an integer)"
-                | Some 0 ->
-                    if closed then
-                      err ~line:lineno "PRF001"
-                        "tokens after the terminating 0"
-                    else scan n_lits true rest
-                | Some _ ->
-                    if closed then
-                      err ~line:lineno "PRF001"
-                        "tokens after the terminating 0"
-                    else scan (n_lits + 1) closed rest
-              end
-          in
-          scan 0 false toks)
-    (split_lines text);
-  if not !saw_line then err "PRF002" "empty proof"
-  else if not !saw_empty then
-    err "PRF005" "proof has no empty-clause line (does not refute)";
-  finalize !diags
-
-let check_lrat ?file text =
-  let diags = ref [] in
-  let add d = diags := d :: !diags in
-  let err ?line ?item code msg = add (Diag.error ?file ?line ?item ~code msg) in
-  let saw_empty = ref false in
-  let saw_line = ref false in
-  let last_id = ref 0 in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      match tokens line with
-      | [] -> ()
-      | "c" :: _ -> ()
-      | id_tok :: rest -> begin
-          saw_line := true;
-          match int_of_string_opt id_tok with
-          | None ->
-              err ~line:lineno ~item:id_tok "PRF001"
-                "line must start with a clause id"
-          | Some id -> begin
-              match rest with
-              | "d" :: del ->
-                  (* deletion: ids until a final 0 *)
-                  let rec scan closed = function
-                    | [] ->
-                        if not closed then
-                          err ~line:lineno "PRF002"
-                            "deletion line not 0-terminated"
-                    | tok :: rest -> begin
-                        match int_of_string_opt tok with
-                        | None ->
-                            err ~line:lineno ~item:tok "PRF001"
-                              "bad token (expected an integer)"
-                        | Some 0 ->
-                            if closed then
-                              err ~line:lineno "PRF001"
-                                "tokens after the terminating 0"
-                            else scan true rest
-                        | Some n ->
-                            if closed then
-                              err ~line:lineno "PRF001"
-                                "tokens after the terminating 0"
-                            else if n < 0 then
-                              err ~line:lineno ~item:tok "PRF001"
-                                "negative clause id in deletion"
-                            else scan closed rest
-                      end
-                  in
-                  scan false del
-              | _ ->
-                  (* addition: id lits 0 hints 0 *)
-                  if id <= !last_id then
-                    err ~line:lineno ~item:id_tok "PRF003"
-                      (Printf.sprintf "clause id %d not above previous id %d" id
-                         !last_id)
-                  else last_id := id;
-                  let rec scan n_lits zeros = function
-                    | [] ->
-                        if zeros < 2 then
-                          err ~line:lineno "PRF002"
-                            "addition line needs two 0 terminators (lits, hints)"
-                        else if n_lits = 0 then saw_empty := true
-                    | tok :: rest -> begin
-                        match int_of_string_opt tok with
-                        | None ->
-                            err ~line:lineno ~item:tok "PRF001"
-                              "bad token (expected an integer)"
-                        | Some 0 ->
-                            if zeros >= 2 then
-                              err ~line:lineno "PRF001"
-                                "tokens after the terminating 0"
-                            else scan n_lits (zeros + 1) rest
-                        | Some _ ->
-                            if zeros >= 2 then
-                              err ~line:lineno "PRF001"
-                                "tokens after the terminating 0"
-                            else if zeros = 0 then scan (n_lits + 1) zeros rest
-                            else scan n_lits zeros rest
-                      end
-                  in
-                  scan 0 0 rest
-            end
-        end)
-    (split_lines text);
-  if not !saw_line then err "PRF002" "empty proof"
-  else if not !saw_empty then
-    err "PRF005" "proof has no empty-clause line (does not refute)";
-  finalize !diags
-
-(* ---------- file dispatch ---------- *)
-
-type kind = Cnf | Qdimacs | Blif | Aag | Drat | Lrat
-
-let kind_of_path path =
-  let has s = Filename.check_suffix path s in
-  if has ".cnf" || has ".dimacs" then Some Cnf
-  else if has ".qdimacs" || has ".qdm" then Some Qdimacs
-  else if has ".blif" then Some Blif
-  else if has ".aag" then Some Aag
-  else if has ".drat" then Some Drat
-  else if has ".lrat" then Some Lrat
-  else None
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let lint_file ?kind path =
-  match (match kind with Some k -> Some k | None -> kind_of_path path) with
-  | None ->
-      [
-        Diag.error ~file:path ~code:"IO001"
-          "unrecognized artifact kind (expected \
-           .cnf/.dimacs/.qdimacs/.blif/.aag/.drat/.lrat)";
-      ]
-  | Some k -> begin
-      match read_file path with
-      | exception Sys_error msg ->
-          [ Diag.error ~file:path ~code:"IO001" ("cannot read file: " ^ msg) ]
-      | text -> begin
-          match k with
-          | Cnf -> check_dimacs ~file:path text
-          | Qdimacs -> check_qdimacs ~file:path text
-          | Blif -> check_blif ~file:path text
-          | Aag -> check_aag ~file:path text
-          | Drat -> check_drat ~file:path text
-          | Lrat -> check_lrat ~file:path text
-        end
-    end

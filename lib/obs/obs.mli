@@ -70,8 +70,8 @@ val event : ?attrs:attr list -> string -> unit
 
 val with_sink : sink -> (unit -> 'a) -> 'a
 (** [with_sink s f]: install [s], run [f], then restore the previous sink
-    — also on exceptions. The engine uses this to scope a per-run trace
-    sink from [Config.trace]. *)
+    — also on exceptions. Callers of the engine use this to scope a
+    per-run trace sink. *)
 
 val with_trace_file : string -> (unit -> 'a) -> 'a
 (** [with_trace_file path f]: open [path], install a {!jsonl_sink}, run

@@ -2,9 +2,7 @@ module Aig = Step_aig.Aig
 module Solver = Step_sat.Solver
 module SLit = Step_sat.Lit
 
-type quantifier = Exists | Forall
-
-module Diag = Step_lint.Diag
+type quantifier = Step_sat.Dimacs.quantifier = Exists | Forall
 
 type t = {
   num_vars : int;
@@ -12,104 +10,23 @@ type t = {
   clauses : int list list;
 }
 
-(* Space, tab and carriage return all separate tokens, as in Dimacs. *)
-let tokens line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.concat_map (String.split_on_char '\r')
-  |> List.filter (fun s -> s <> "")
-
 let parse_string_diags ?file text =
-  let diags = ref [] in
-  let prefix = ref [] in
-  let clauses = ref [] in
-  let n_clauses = ref 0 in
-  let cur = ref [] in
-  let cur_line = ref 0 in
-  let max_var = ref 0 in
-  let header = ref None in
-  (* (header_vars, header_clauses, line) *)
-  let note v = max_var := max !max_var (abs v) in
-  let handle_clause_token lineno tok =
-    match int_of_string_opt tok with
-    | None -> failwith (Printf.sprintf "Qdimacs: bad token %S" tok)
-    | Some 0 ->
-        clauses := List.rev !cur :: !clauses;
-        incr n_clauses;
-        cur := []
-    | Some v ->
-        if !cur = [] then cur_line := lineno;
-        note v;
-        cur := v :: !cur
-  in
-  let handle_prefix q toks =
-    let vars =
-      List.filter_map
-        (fun tok ->
-          match int_of_string_opt tok with
-          | Some 0 -> None
-          | Some v when v > 0 ->
-              note v;
-              Some (v - 1)
-          | Some _ | None -> failwith "Qdimacs: bad quantifier line")
-        toks
-    in
-    prefix := (q, vars) :: !prefix
-  in
-  let handle_line lineno line =
-    let line = String.trim line in
-    if line = "" || line.[0] = 'c' then ()
-    else if line.[0] = 'p' then begin
-      match tokens line with
-      | [ "p"; "cnf"; nv; nc ] ->
-          header :=
-            Some
-              ( (try int_of_string nv with Failure _ -> 0),
-                int_of_string_opt nc,
-                lineno )
-      | _ -> failwith "Qdimacs: malformed p line"
-    end
-    else begin
-      match tokens line with
-      | "e" :: rest -> handle_prefix Exists rest
-      | "a" :: rest -> handle_prefix Forall rest
-      | toks -> List.iter (handle_clause_token lineno) toks
-    end
-  in
-  List.iteri (fun i l -> handle_line (i + 1) l) (String.split_on_char '\n' text);
-  if !cur <> [] then begin
-    diags :=
-      Diag.warning ?file ~line:!cur_line ~code:"CNF006"
-        "unterminated trailing clause (no final 0); auto-closed"
-      :: !diags;
-    clauses := List.rev !cur :: !clauses;
-    incr n_clauses
-  end;
-  (match !header with
-  | Some (_, Some nc, line) when nc <> !n_clauses ->
-      diags :=
-        Diag.warning ?file ~line ~code:"CNF002"
-          (Printf.sprintf "header declares %d clauses but %d were parsed" nc
-             !n_clauses)
-        :: !diags
-  | Some _ | None -> ());
-  let header_vars = match !header with Some (nv, _, _) -> nv | None -> 0 in
-  ( {
-      num_vars = max header_vars !max_var;
-      prefix = List.rev !prefix;
-      clauses = List.rev !clauses;
-    },
-    List.rev !diags )
+  let s = Step_sat.Dimacs.scan ?file ~qdimacs:true text in
+  match s.fatal with
+  | Some msg -> failwith ("Qdimacs: " ^ msg)
+  | None ->
+      ( {
+          num_vars = s.n_vars;
+          prefix = List.map (fun (q, vars) -> (q, List.map pred vars)) s.prefix;
+          clauses = s.matrix;
+        },
+        s.diags )
 
 let parse_string text = fst (parse_string_diags text)
 
 let parse_file_diags path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      parse_string_diags ~file:path
-        (really_input_string ic (in_channel_length ic)))
+  In_channel.with_open_bin path In_channel.input_all
+  |> parse_string_diags ~file:path
 
 let parse_file path = fst (parse_file_diags path)
 

@@ -5,7 +5,7 @@
     variables are bound existentially at the outermost level, as the
     QDIMACS standard prescribes. *)
 
-type quantifier = Exists | Forall
+type quantifier = Step_sat.Dimacs.quantifier = Exists | Forall
 
 type t = {
   num_vars : int;
@@ -14,13 +14,12 @@ type t = {
 }
 
 val parse_string : string -> t
-(** @raise Failure on malformed input. Spaces, tabs and carriage returns
-    all separate tokens. *)
+(** Maps {!Step_sat.Dimacs.scan} (with [~qdimacs:true]) onto {!t}.
+    @raise Failure when the scan reports a [fatal] defect. *)
 
 val parse_string_diags : ?file:string -> string -> t * Step_lint.Diag.t list
-(** Like {!parse_string}, but also returns the recoverable defects the
-    parser papered over (auto-closed trailing clause CNF006, header
-    clause-count mismatch CNF002). *)
+(** Like {!parse_string}, but also returns the scan's CNF and QDM
+    findings. *)
 
 val parse_file : string -> t
 

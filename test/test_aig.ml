@@ -566,6 +566,82 @@ let prop_aag_roundtrip =
              Aig.eval m env edge = Aig.eval c2.Circuit.aig env f2)
            all_masks)
 
+(* ---------- lint rules ({i docs/LINT.md}): one seeded defect per rule,
+   each caught with the expected code, plus clean artifacts staying clean *)
+
+let codes diags = List.map (fun d -> d.Step_lint.Diag.code) diags
+
+let check_has code diags =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s reported (got %s)" code
+       (String.concat "," (codes diags)))
+    true
+    (List.mem code (codes diags))
+
+let check_clean what diags =
+  Alcotest.(check int)
+    (Printf.sprintf "%s clean (got %s)" what (String.concat "," (codes diags)))
+    0 (List.length diags)
+
+(* ---------- BLIF ---------- *)
+
+let blif_ok =
+  ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n"
+
+let test_blif_clean () = check_clean "blif" (Blif.check blif_ok)
+
+let test_blf001_undriven () =
+  let d =
+    Blif.check ".model m\n.inputs a\n.outputs y\n.names a b y\n11 1\n.end\n"
+  in
+  check_has "BLF001" d
+
+let test_blf002_multiply_driven () =
+  let d =
+    Blif.check
+      ".model m\n.inputs a b\n.outputs y\n.names a y\n1 1\n.names b y\n1 1\n.end\n"
+  in
+  check_has "BLF002" d
+
+let test_blf003_duplicate_decl () =
+  let d =
+    Blif.check
+      ".model m\n.inputs a a\n.outputs y\n.names a y\n1 1\n.end\n"
+  in
+  check_has "BLF003" d
+
+let test_blif_continuation () =
+  (* '\' line continuation must not hide drivers *)
+  let d =
+    Blif.check
+      ".model m\n.inputs a \\\nb\n.outputs y\n.names a b y\n11 1\n.end\n"
+  in
+  check_clean "blif continuation" d
+
+(* ---------- ASCII AIGER ---------- *)
+
+let aag_ok = "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n"
+
+let test_aag_clean () = check_clean "aag" (Aag.check aag_ok)
+
+let test_aag001_bad_header () =
+  check_has "AAG001" (Aag.check "aag x y\n")
+
+let test_aag001_truncated () =
+  check_has "AAG001" (Aag.check "aag 3 2 0 1 1\n2\n4\n")
+
+let test_aag002_multiply_defined () =
+  let d = Aag.check "aag 2 2 0 1 0\n2\n2\n2\n" in
+  check_has "AAG002" d
+
+let test_aag003_undefined_ref () =
+  let d = Aag.check "aag 2 1 0 1 0\n2\n4\n" in
+  check_has "AAG003" d
+
+let test_aag003_out_of_range () =
+  let d = Aag.check "aag 1 1 0 1 0\n2\n8\n" in
+  check_has "AAG003" d
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -592,6 +668,28 @@ let () =
           Alcotest.test_case "binary aiger roundtrip" `Quick
             test_aig_bin_roundtrip;
           Alcotest.test_case "circuit compact" `Quick test_circuit_compact;
+        ] );
+      ( "blif",
+        [
+          Alcotest.test_case "clean" `Quick test_blif_clean;
+          Alcotest.test_case "BLF001 undriven" `Quick test_blf001_undriven;
+          Alcotest.test_case "BLF002 multiply driven" `Quick
+            test_blf002_multiply_driven;
+          Alcotest.test_case "BLF003 duplicate decl" `Quick
+            test_blf003_duplicate_decl;
+          Alcotest.test_case "continuation lines" `Quick test_blif_continuation;
+        ] );
+      ( "aag",
+        [
+          Alcotest.test_case "clean" `Quick test_aag_clean;
+          Alcotest.test_case "AAG001 bad header" `Quick test_aag001_bad_header;
+          Alcotest.test_case "AAG001 truncated" `Quick test_aag001_truncated;
+          Alcotest.test_case "AAG002 multiply defined" `Quick
+            test_aag002_multiply_defined;
+          Alcotest.test_case "AAG003 undefined ref" `Quick
+            test_aag003_undefined_ref;
+          Alcotest.test_case "AAG003 out of range" `Quick
+            test_aag003_out_of_range;
         ] );
       ( "truth",
         [

@@ -187,21 +187,16 @@ let test_auto_parallel_matches_sequential () =
    measured inside its span), not the winning gate's alone. *)
 let test_auto_cpu_sums_gates () =
   let durs = ref [] in
-  let config =
-    Config.default
-    |> Config.with_trace
-         (Some
-            (Step_obs.Obs.callback_sink (fun r ->
-                 if r.Step_obs.Obs.r_name = "pipeline.po" then
-                   durs := r.Step_obs.Obs.r_dur :: !durs)))
+  let sink =
+    Step_obs.Obs.callback_sink (fun r ->
+        if r.Step_obs.Obs.r_name = "pipeline.po" then
+          durs := r.Step_obs.Obs.r_dur :: !durs)
   in
-  let eng = Engine.create ~config (toy_circuit ()) in
+  let eng = Engine.create (toy_circuit ()) in
   for i = 0 to Circuit.n_outputs (Engine.circuit eng) - 1 do
     durs := [];
     let _, r =
-      Step_obs.Obs.with_sink
-        (Option.get (Engine.config eng).Config.trace)
-        (fun () -> Engine.decompose_po_auto eng i)
+      Step_obs.Obs.with_sink sink (fun () -> Engine.decompose_po_auto eng i)
     in
     Alcotest.(check int) (Printf.sprintf "po %d: three gates" i) 3
       (List.length !durs);
@@ -384,11 +379,9 @@ let test_span_stack_balanced_after_failure () =
   let mu = Mutex.create () in
   let sink r = Mutex.protect mu (fun () -> records := r :: !records) in
   (with_faults "solver.solve@po:0" @@ fun () ->
-   let config =
-     Config.default |> Config.with_jobs 4
-     |> Config.with_trace (Some (Step_obs.Obs.callback_sink sink))
-   in
-   ignore (Engine.run (Engine.create ~config (toy_circuit ()))));
+   let config = Config.default |> Config.with_jobs 4 in
+   Step_obs.Obs.with_sink (Step_obs.Obs.callback_sink sink) (fun () ->
+       ignore (Engine.run (Engine.create ~config (toy_circuit ())))));
   let depth = ref (-1) in
   Step_obs.Obs.with_sink
     (Step_obs.Obs.callback_sink (fun r -> depth := r.Step_obs.Obs.r_depth))
@@ -445,20 +438,14 @@ let test_run_sinks () =
   let records = ref [] in
   let mu = Mutex.create () in
   let sink r = Mutex.protect mu (fun () -> records := r :: !records) in
-  let stats = ref "" in
-  let config =
-    Config.default
-    |> Config.with_jobs 4
-    |> Config.with_trace (Some (Step_obs.Obs.callback_sink sink))
-    |> Config.with_stats (Some (fun s -> stats := s))
-  in
-  ignore (Engine.run (Engine.create ~config (toy_circuit ())));
+  let config = Config.default |> Config.with_jobs 4 in
+  Step_obs.Obs.with_sink (Step_obs.Obs.callback_sink sink) (fun () ->
+      ignore (Engine.run (Engine.create ~config (toy_circuit ()))));
   let names = List.map (fun r -> r.Step_obs.Obs.r_name) !records in
   Alcotest.(check int) "one run span" 1
     (List.length (List.filter (( = ) "pipeline.run") names));
   Alcotest.(check int) "one po span per output" 4
-    (List.length (List.filter (( = ) "pipeline.po") names));
-  Alcotest.(check bool) "stats delivered" true (!stats <> "")
+    (List.length (List.filter (( = ) "pipeline.po") names))
 
 let () =
   Alcotest.run "step_engine"

@@ -1,5 +1,8 @@
-(* Tests for the artifact linter: one seeded defect per rule, each caught
-   with the expected code, plus clean artifacts staying clean. *)
+(* Tests for the in-memory checks (AIG views, partitions) and the
+   diagnostics type: one seeded defect per rule, each caught with the
+   expected code, plus clean artifacts staying clean. The text formats'
+   rules are tested beside their readers (test_sat, test_qbf_mus,
+   test_aig). *)
 
 module Diag = Step_lint.Diag
 module Lint = Step_lint.Lint
@@ -18,127 +21,6 @@ let check_clean what diags =
   Alcotest.(check int)
     (Printf.sprintf "%s clean (got %s)" what (String.concat "," (codes diags)))
     0 (List.length diags)
-
-let line_of code diags =
-  match List.find_opt (fun d -> d.Diag.code = code) diags with
-  | Some d -> d.Diag.location.Diag.line
-  | None -> None
-
-(* ---------- DIMACS ---------- *)
-
-let test_cnf_clean () =
-  check_clean "cnf" (Lint.check_dimacs "c ok\np cnf 2 2\n1 2 0\n-1 -2 0\n")
-
-let test_cnf001_var_beyond_header () =
-  let d = Lint.check_dimacs "p cnf 2 1\n3 0\n" in
-  check_has "CNF001" d
-
-let test_cnf002_clause_count () =
-  let d = Lint.check_dimacs "p cnf 2 3\n1 0\n2 0\n" in
-  check_has "CNF002" d;
-  Alcotest.(check (option int)) "at header line" (Some 1) (line_of "CNF002" d)
-
-let test_cnf003_duplicate_literal () =
-  check_has "CNF003" (Lint.check_dimacs "p cnf 2 1\n1 1 2 0\n")
-
-let test_cnf004_tautology () =
-  check_has "CNF004" (Lint.check_dimacs "p cnf 1 1\n1 -1 0\n")
-
-let test_cnf005_duplicate_clause () =
-  let d = Lint.check_dimacs "p cnf 2 2\n1 2 0\n2 1 0\n" in
-  check_has "CNF005" d
-
-let test_cnf006_unterminated () =
-  let d = Lint.check_dimacs "p cnf 2 1\n1 2\n" in
-  check_has "CNF006" d
-
-let test_cnf007_bad_token () =
-  check_has "CNF007" (Lint.check_dimacs "p cnf 1 1\n1 x 0\n")
-
-let test_cnf_tabs_crlf () =
-  check_clean "tabs/crlf cnf"
-    (Lint.check_dimacs "p cnf 2 2\r\n1\t2 0\r\n-1\t-2 0\r\n")
-
-(* ---------- QDIMACS ---------- *)
-
-let qdm_ok = "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n"
-
-let test_qdm_clean () = check_clean "qdimacs" (Lint.check_qdimacs qdm_ok)
-
-let test_qdm001_free_var () =
-  let d = Lint.check_qdimacs "p cnf 2 1\ne 1 0\n1 2 0\n" in
-  check_has "QDM001" d
-
-let test_qdm002_quantified_twice () =
-  check_has "QDM002" (Lint.check_qdimacs "p cnf 2 1\na 1 0\ne 1 2 0\n1 2 0\n")
-
-let test_qdm003_empty_block () =
-  check_has "QDM003" (Lint.check_qdimacs "p cnf 1 1\ne 0\na 1 0\n1 0\n")
-
-let test_qdm004_adjacent_blocks () =
-  check_has "QDM004" (Lint.check_qdimacs "p cnf 2 1\ne 1 0\ne 2 0\n1 2 0\n")
-
-let test_qdm005_quant_after_matrix () =
-  check_has "QDM005" (Lint.check_qdimacs "p cnf 2 1\ne 1 0\n1 0\na 2 0\n")
-
-(* ---------- BLIF ---------- *)
-
-let blif_ok =
-  ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n"
-
-let test_blif_clean () = check_clean "blif" (Lint.check_blif blif_ok)
-
-let test_blf001_undriven () =
-  let d =
-    Lint.check_blif ".model m\n.inputs a\n.outputs y\n.names a b y\n11 1\n.end\n"
-  in
-  check_has "BLF001" d
-
-let test_blf002_multiply_driven () =
-  let d =
-    Lint.check_blif
-      ".model m\n.inputs a b\n.outputs y\n.names a y\n1 1\n.names b y\n1 1\n.end\n"
-  in
-  check_has "BLF002" d
-
-let test_blf003_duplicate_decl () =
-  let d =
-    Lint.check_blif
-      ".model m\n.inputs a a\n.outputs y\n.names a y\n1 1\n.end\n"
-  in
-  check_has "BLF003" d
-
-let test_blif_continuation () =
-  (* '\' line continuation must not hide drivers *)
-  let d =
-    Lint.check_blif
-      ".model m\n.inputs a \\\nb\n.outputs y\n.names a b y\n11 1\n.end\n"
-  in
-  check_clean "blif continuation" d
-
-(* ---------- ASCII AIGER ---------- *)
-
-let aag_ok = "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n"
-
-let test_aag_clean () = check_clean "aag" (Lint.check_aag aag_ok)
-
-let test_aag001_bad_header () =
-  check_has "AAG001" (Lint.check_aag "aag x y\n")
-
-let test_aag001_truncated () =
-  check_has "AAG001" (Lint.check_aag "aag 3 2 0 1 1\n2\n4\n")
-
-let test_aag002_multiply_defined () =
-  let d = Lint.check_aag "aag 2 2 0 1 0\n2\n2\n2\n" in
-  check_has "AAG002" d
-
-let test_aag003_undefined_ref () =
-  let d = Lint.check_aag "aag 2 1 0 1 0\n2\n4\n" in
-  check_has "AAG003" d
-
-let test_aag003_out_of_range () =
-  let d = Lint.check_aag "aag 1 1 0 1 0\n2\n8\n" in
-  check_has "AAG003" d
 
 (* ---------- AIG manager views ---------- *)
 
@@ -216,14 +98,6 @@ let test_par003_symmetry () =
   check_has "PAR003"
     (Lint.check_partition ~support:[ 0; 1; 2 ] ~xa:[ 0 ] ~xb:[ 1; 2 ] ~xc:[] ())
 
-(* ---------- file dispatch ---------- *)
-
-let test_io001_missing_file () =
-  check_has "IO001" (Lint.lint_file "/nonexistent/zzz.cnf")
-
-let test_io001_unknown_kind () =
-  check_has "IO001" (Lint.lint_file "/nonexistent/zzz.xyz")
-
 (* ---------- diagnostics rendering ---------- *)
 
 let test_render_text () =
@@ -258,44 +132,6 @@ let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "step_lint"
     [
-      ( "cnf",
-        [
-          tc "clean" test_cnf_clean;
-          tc "CNF001 var beyond header" test_cnf001_var_beyond_header;
-          tc "CNF002 clause count" test_cnf002_clause_count;
-          tc "CNF003 duplicate literal" test_cnf003_duplicate_literal;
-          tc "CNF004 tautology" test_cnf004_tautology;
-          tc "CNF005 duplicate clause" test_cnf005_duplicate_clause;
-          tc "CNF006 unterminated" test_cnf006_unterminated;
-          tc "CNF007 bad token" test_cnf007_bad_token;
-          tc "tabs and CRLF" test_cnf_tabs_crlf;
-        ] );
-      ( "qdimacs",
-        [
-          tc "clean" test_qdm_clean;
-          tc "QDM001 free variable" test_qdm001_free_var;
-          tc "QDM002 quantified twice" test_qdm002_quantified_twice;
-          tc "QDM003 empty block" test_qdm003_empty_block;
-          tc "QDM004 adjacent blocks" test_qdm004_adjacent_blocks;
-          tc "QDM005 quantifier after matrix" test_qdm005_quant_after_matrix;
-        ] );
-      ( "blif",
-        [
-          tc "clean" test_blif_clean;
-          tc "BLF001 undriven" test_blf001_undriven;
-          tc "BLF002 multiply driven" test_blf002_multiply_driven;
-          tc "BLF003 duplicate decl" test_blf003_duplicate_decl;
-          tc "continuation lines" test_blif_continuation;
-        ] );
-      ( "aag",
-        [
-          tc "clean" test_aag_clean;
-          tc "AAG001 bad header" test_aag001_bad_header;
-          tc "AAG001 truncated" test_aag001_truncated;
-          tc "AAG002 multiply defined" test_aag002_multiply_defined;
-          tc "AAG003 undefined ref" test_aag003_undefined_ref;
-          tc "AAG003 out of range" test_aag003_out_of_range;
-        ] );
       ( "aig",
         [
           tc "clean" test_aig_clean;
@@ -312,11 +148,6 @@ let () =
           tc "PAR002 uncovered" test_par002_uncovered;
           tc "PAR002 outside support" test_par002_outside_support;
           tc "PAR003 symmetry" test_par003_symmetry;
-        ] );
-      ( "dispatch",
-        [
-          tc "IO001 missing file" test_io001_missing_file;
-          tc "IO001 unknown kind" test_io001_unknown_kind;
         ] );
       ( "diag",
         [

@@ -415,6 +415,48 @@ let prop_mus_minimal =
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
+(* ---------- lint rules ({i docs/LINT.md}): one seeded defect per rule,
+   each caught with the expected code, plus clean artifacts staying clean *)
+
+let codes diags = List.map (fun d -> d.Step_lint.Diag.code) diags
+
+let check_has code diags =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s reported (got %s)" code
+       (String.concat "," (codes diags)))
+    true
+    (List.mem code (codes diags))
+
+let check_clean what diags =
+  Alcotest.(check int)
+    (Printf.sprintf "%s clean (got %s)" what (String.concat "," (codes diags)))
+    0 (List.length diags)
+
+let check_qdimacs text =
+  (Step_sat.Dimacs.scan ~qdimacs:true text).Step_sat.Dimacs.diags
+
+(* ---------- QDIMACS ---------- *)
+
+let qdm_ok = "p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n"
+
+let test_qdm_clean () = check_clean "qdimacs" (check_qdimacs qdm_ok)
+
+let test_qdm001_free_var () =
+  let d = check_qdimacs "p cnf 2 1\ne 1 0\n1 2 0\n" in
+  check_has "QDM001" d
+
+let test_qdm002_quantified_twice () =
+  check_has "QDM002" (check_qdimacs "p cnf 2 1\na 1 0\ne 1 2 0\n1 2 0\n")
+
+let test_qdm003_empty_block () =
+  check_has "QDM003" (check_qdimacs "p cnf 1 1\ne 0\na 1 0\n1 0\n")
+
+let test_qdm004_adjacent_blocks () =
+  check_has "QDM004" (check_qdimacs "p cnf 2 1\ne 1 0\ne 2 0\n1 2 0\n")
+
+let test_qdm005_quant_after_matrix () =
+  check_has "QDM005" (check_qdimacs "p cnf 2 1\ne 1 0\n1 0\na 2 0\n")
+
 let () =
   Alcotest.run "step_qbf_mus"
     [
@@ -437,6 +479,15 @@ let () =
           Alcotest.test_case "budget" `Quick test_qdimacs_budget;
           Alcotest.test_case "three blocks rejected" `Quick
             test_qdimacs_three_blocks_rejected;
+          Alcotest.test_case "clean" `Quick test_qdm_clean;
+          Alcotest.test_case "QDM001 free variable" `Quick test_qdm001_free_var;
+          Alcotest.test_case "QDM002 quantified twice" `Quick
+            test_qdm002_quantified_twice;
+          Alcotest.test_case "QDM003 empty block" `Quick test_qdm003_empty_block;
+          Alcotest.test_case "QDM004 adjacent blocks" `Quick
+            test_qdm004_adjacent_blocks;
+          Alcotest.test_case "QDM005 quantifier after matrix" `Quick
+            test_qdm005_quant_after_matrix;
         ] );
       ( "mus",
         [

@@ -225,6 +225,65 @@ let test_dimacs_parse_diags () =
   let _, diags = Dimacs.parse_string_diags "p cnf 1 1\n1 0\n" in
   Alcotest.(check int) "clean" 0 (List.length diags)
 
+(* ---------- lint rules ({i docs/LINT.md}): one seeded defect per rule,
+   each caught with the expected code, plus clean artifacts staying clean *)
+
+let codes diags = List.map (fun d -> d.Step_lint.Diag.code) diags
+
+let check_has code diags =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s reported (got %s)" code
+       (String.concat "," (codes diags)))
+    true
+    (List.mem code (codes diags))
+
+let check_clean what diags =
+  Alcotest.(check int)
+    (Printf.sprintf "%s clean (got %s)" what (String.concat "," (codes diags)))
+    0 (List.length diags)
+
+let line_of code diags =
+  match List.find_opt (fun d -> d.Step_lint.Diag.code = code) diags with
+  | Some d -> d.Step_lint.Diag.location.Step_lint.Diag.line
+  | None -> None
+
+let check_dimacs text = (Dimacs.scan ~qdimacs:false text).Dimacs.diags
+
+(* ---------- DIMACS ---------- *)
+
+let test_cnf_clean () =
+  check_clean "cnf" (check_dimacs "c ok\np cnf 2 2\n1 2 0\n-1 -2 0\n")
+
+let test_cnf001_var_beyond_header () =
+  let d = check_dimacs "p cnf 2 1\n3 0\n" in
+  check_has "CNF001" d
+
+let test_cnf002_clause_count () =
+  let d = check_dimacs "p cnf 2 3\n1 0\n2 0\n" in
+  check_has "CNF002" d;
+  Alcotest.(check (option int)) "at header line" (Some 1) (line_of "CNF002" d)
+
+let test_cnf003_duplicate_literal () =
+  check_has "CNF003" (check_dimacs "p cnf 2 1\n1 1 2 0\n")
+
+let test_cnf004_tautology () =
+  check_has "CNF004" (check_dimacs "p cnf 1 1\n1 -1 0\n")
+
+let test_cnf005_duplicate_clause () =
+  let d = check_dimacs "p cnf 2 2\n1 2 0\n2 1 0\n" in
+  check_has "CNF005" d
+
+let test_cnf006_unterminated () =
+  let d = check_dimacs "p cnf 2 1\n1 2\n" in
+  check_has "CNF006" d
+
+let test_cnf007_bad_token () =
+  check_has "CNF007" (check_dimacs "p cnf 1 1\n1 x 0\n")
+
+let test_cnf_tabs_crlf () =
+  check_clean "tabs/crlf cnf"
+    (check_dimacs "p cnf 2 2\r\n1\t2 0\r\n-1\t-2 0\r\n")
+
 let test_sanitizer_solve () =
   (* a sanitized solve must reach the same verdicts and keep all audited
      invariants intact (audit raises via sanitize_checkpoint on violation) *)
@@ -276,86 +335,6 @@ let test_large_random_sat () =
     ignore (Solver.add_clause s c)
   done;
   Alcotest.(check bool) "sat" true (Solver.solve s)
-
-(* ---------- preprocessing ---------- *)
-
-module Simp = Step_sat.Simp
-
-let test_simp_pure_literal () =
-  (* v occurs only positively: eliminated with zero resolvents *)
-  let cnf =
-    { Dimacs.num_vars = 3;
-      clauses = [ [ pos 0; pos 1 ]; [ pos 0; neg 2 ]; [ pos 1; pos 2 ] ] }
-  in
-  let r = Simp.eliminate cnf in
-  Alcotest.(check bool) "fewer clauses" true
-    (List.length r.Simp.cnf.Dimacs.clauses < 3);
-  Alcotest.(check bool) "var 0 eliminated" true
-    (List.mem_assoc 0 r.Simp.eliminated)
-
-let test_simp_preserves_unsat () =
-  let cnf =
-    { Dimacs.num_vars = 2;
-      clauses =
-        [ [ pos 0; pos 1 ]; [ pos 0; neg 1 ]; [ neg 0; pos 1 ]; [ neg 0; neg 1 ] ] }
-  in
-  let r = Simp.eliminate ~growth:4 cnf in
-  let s = Solver.create () in
-  List.iter (fun c -> ignore (Solver.add_clause s c)) r.Simp.cnf.Dimacs.clauses;
-  Alcotest.(check bool) "still unsat" false (Solver.solve s)
-
-let prop_simp_equisatisfiable =
-  QCheck2.Test.make ~count:300 ~name:"elimination preserves satisfiability"
-    ~print:print_cnf gen_cnf (fun (n, clauses) ->
-      let cnf = { Dimacs.num_vars = n; clauses } in
-      let r = Simp.eliminate ~growth:2 cnf in
-      let solve cs =
-        let s = Solver.create () in
-        List.iter (fun c -> ignore (Solver.add_clause s c)) cs;
-        if Solver.solve s then Some (fun v -> Solver.var_value s v) else None
-      in
-      match (solve clauses, solve r.Simp.cnf.Dimacs.clauses) with
-      | None, None -> true
-      | Some _, Some model ->
-          (* the reconstructed model must satisfy the original formula *)
-          let full = Simp.reconstruct r model in
-          List.for_all
-            (List.exists (fun l -> full (Lit.var l) = Lit.is_pos l))
-            clauses
-      | Some _, None | None, Some _ -> false)
-
-(* Regression: a variable holding a unit clause of its own must never be
-   eliminated, even when it is the cheapest candidate (a pure-ish literal
-   with a single occurrence). The unit is a fact; resolving it away used
-   to silently drop it from the simplified formula. *)
-let test_simp_unit_guard () =
-  let cnf =
-    {
-      Dimacs.num_vars = 3;
-      clauses =
-        [
-          [ pos 0 ];
-          (* satisfiable filler making the other vars strictly more
-             expensive to eliminate than the zero-cost unit var *)
-          [ pos 1; pos 2 ];
-          [ neg 1; pos 2 ];
-          [ pos 1; neg 2 ];
-        ];
-    }
-  in
-  let r = Simp.eliminate cnf in
-  Alcotest.(check bool) "var 0 not eliminated" false
-    (List.mem_assoc 0 r.Simp.eliminated);
-  Alcotest.(check bool) "unit survives" true
-    (List.mem [ pos 0 ] r.Simp.cnf.Dimacs.clauses);
-  let s = Solver.create () in
-  List.iter (fun c -> ignore (Solver.add_clause s c)) r.Simp.cnf.Dimacs.clauses;
-  Alcotest.(check bool) "still sat" true (Solver.solve s);
-  let full = Simp.reconstruct r (fun v -> Solver.var_value s v) in
-  Alcotest.(check bool) "reconstructed model satisfies original" true
-    (List.for_all
-       (List.exists (fun l -> full (Lit.var l) = Lit.is_pos l))
-       cnf.Dimacs.clauses)
 
 (* ---------- epoch scratch maps ---------- *)
 
@@ -618,6 +597,21 @@ let () =
           Alcotest.test_case "large planted instance" `Quick
             test_large_random_sat;
         ] );
+      ( "cnf",
+        [
+          Alcotest.test_case "clean" `Quick test_cnf_clean;
+          Alcotest.test_case "CNF001 var beyond header" `Quick
+            test_cnf001_var_beyond_header;
+          Alcotest.test_case "CNF002 clause count" `Quick test_cnf002_clause_count;
+          Alcotest.test_case "CNF003 duplicate literal" `Quick
+            test_cnf003_duplicate_literal;
+          Alcotest.test_case "CNF004 tautology" `Quick test_cnf004_tautology;
+          Alcotest.test_case "CNF005 duplicate clause" `Quick
+            test_cnf005_duplicate_clause;
+          Alcotest.test_case "CNF006 unterminated" `Quick test_cnf006_unterminated;
+          Alcotest.test_case "CNF007 bad token" `Quick test_cnf007_bad_token;
+          Alcotest.test_case "tabs and CRLF" `Quick test_cnf_tabs_crlf;
+        ] );
       ( "dimacs",
         [
           Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip;
@@ -645,12 +639,6 @@ let () =
           Alcotest.test_case "projection" `Quick test_enum_projection;
           Alcotest.test_case "limit" `Quick test_enum_limit;
         ] );
-      ( "simp",
-        [
-          Alcotest.test_case "pure literal" `Quick test_simp_pure_literal;
-          Alcotest.test_case "preserves unsat" `Quick test_simp_preserves_unsat;
-          Alcotest.test_case "unit guard" `Quick test_simp_unit_guard;
-        ] );
       ( "epoch",
         [ Alcotest.test_case "basic" `Quick test_epoch_basic ] );
       ( "inprocess",
@@ -672,6 +660,5 @@ let () =
           prop_model_complete;
           prop_drat_certificates_check;
           prop_enum_matches_brute_force;
-          prop_simp_equisatisfiable;
         ];
     ]
