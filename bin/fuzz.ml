@@ -314,13 +314,8 @@ let proof_round round st =
     then fail round "SAT model fails the clause check"
   end
   else begin
-    (* DRAT trace through the RUP checker *)
-    let trace = Drat.export solver in
-    let live = Lrat.input_cnf solver in
-    let lits = List.map (List.map Lit.of_dimacs) live in
-    if not (Drat.check ~cnf:lits ~trace) then
-      fail round "DRAT trace rejected by the RUP checker";
     (* textual DRAT through the independent checker *)
+    let live = Lrat.input_cnf solver in
     let drat_text = Drat.export_string solver in
     if
       Diag.has_errors

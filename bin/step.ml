@@ -666,14 +666,22 @@ let sat_cmd =
     else begin
       print_endline "s UNSATISFIABLE";
       if drat then begin
-        let trace = Step_sat.Drat.export solver in
-        let ok =
-          Step_sat.Drat.check ~cnf:cnf.Step_sat.Dimacs.clauses ~trace
+        let proof = Step_sat.Drat.export_string solver in
+        let diags =
+          Cert.check_drat ~item:file
+            ~n_vars:(Step_sat.Solver.n_vars solver)
+            ~cnf:
+              (Cert.pack_cnf
+                 (List.map
+                    (List.map Step_sat.Lit.to_dimacs)
+                    cnf.Step_sat.Dimacs.clauses))
+            ~proof ()
         in
+        List.iter (fun d -> prerr_endline (Diag.to_text d)) diags;
         Printf.printf "c DRAT certificate: %d clauses, self-check %s\n"
-          (List.length trace)
-          (if ok then "PASSED" else "FAILED");
-        print_string (Step_sat.Drat.export_string solver)
+          (List.length (String.split_on_char '\n' proof) - 1)
+          (if Diag.has_errors diags then "FAILED" else "PASSED");
+        print_string proof
       end
     end;
     `Ok ()

@@ -11,44 +11,3 @@ let of_output circuit i =
 let n_vars p = List.length p.support
 
 let negate p = { p with f = Aig.not_ p.f }
-
-(* x is semantically relevant iff f|x=0 ⊕ f|x=1 is satisfiable *)
-let depends ?time_budget p v =
-  let aig = p.aig in
-  let diff =
-    Aig.xor_ aig (Aig.cofactor aig v false p.f) (Aig.cofactor aig v true p.f)
-  in
-  if diff = Aig.f then Some false
-  else if diff = Aig.t_ then Some true
-  else begin
-    let enc = Step_cnf.Tseitin.create aig in
-    let solver = Step_cnf.Tseitin.solver enc in
-    ignore
-      (Step_sat.Solver.add_clause solver [ Step_cnf.Tseitin.lit_of enc diff ]);
-    (match time_budget with
-    | Some b -> Step_sat.Solver.set_time_budget solver b
-    | None -> ());
-    match Step_sat.Solver.solve_limited solver with
-    | Step_sat.Solver.Sat -> Some true
-    | Step_sat.Solver.Unsat -> Some false
-    | Step_sat.Solver.Unknown -> None
-  end
-
-let semantic_support ?time_budget p =
-  List.filter
-    (fun v ->
-      match depends ?time_budget p v with
-      | Some d -> d
-      | None -> true (* keep conservatively on budget expiry *))
-    p.support
-
-let reduce ?time_budget p =
-  let semantic = semantic_support ?time_budget p in
-  let keep = Hashtbl.create (2 * List.length semantic + 1) in
-  List.iter (fun v -> Hashtbl.replace keep v ()) semantic;
-  let vacuous = List.filter (fun v -> not (Hashtbl.mem keep v)) p.support in
-  (* cofactor vacuous variables away so the structural support matches *)
-  let f =
-    List.fold_left (fun f v -> Aig.cofactor p.aig v false f) p.f vacuous
-  in
-  { p with f; support = semantic }

@@ -21,15 +21,3 @@ val n_vars : t -> int
 val negate : t -> t
 (** Same support, complemented function (used for AND decomposition via
     the OR dual). *)
-
-val semantic_support : ?time_budget:float -> t -> int list
-(** Inputs the function {e semantically} depends on: the structural
-    support minus variables [x] with [f|x=0 ≡ f|x=1] (each checked by one
-    SAT call). Functionally vacuous variables are common after circuit
-    transformations, and every spurious variable degrades the partition
-    metrics' denominator, so reducing first gives strictly better
-    disjointness/balancedness ratios. On budget expiry the variable is
-    conservatively kept. *)
-
-val reduce : ?time_budget:float -> t -> t
-(** The same function viewed over its semantic support. *)

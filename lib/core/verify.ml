@@ -28,38 +28,5 @@ let equivalent (p : Problem.t) g ~fa ~fb =
     not (Solver.solve (Tseitin.solver enc))
   end
 
-let simulate_ok ?(rounds = 16) (p : Problem.t) g ~fa ~fb =
-  let aig = p.Problem.aig in
-  let miter = Aig.xor_ aig p.Problem.f (gate_edge aig g fa fb) in
-  let st = Random.State.make [| 0x5eed; rounds |] in
-  let ok = ref true in
-  for _ = 1 to rounds do
-    let patterns =
-      Array.init (Aig.n_inputs aig) (fun _ -> Random.State.int64 st Int64.max_int)
-    in
-    if Aig.sim64 aig (fun i -> patterns.(i)) miter <> 0L then ok := false
-  done;
-  !ok
-
 let decomposition p g part ~fa ~fb =
   supports_ok p part ~fa ~fb && equivalent p g ~fa ~fb
-
-let certified_equivalent (p : Problem.t) g ~fa ~fb =
-  let aig = p.Problem.aig in
-  let miter = Aig.xor_ aig p.Problem.f (gate_edge aig g fa fb) in
-  if miter = Aig.f then true
-  else begin
-    let solver = Step_sat.Solver.create ~proof:true () in
-    let enc = Tseitin.create ~solver aig in
-    let clauses = ref [] in
-    Tseitin.set_sink enc
-      (Some
-         (fun id ->
-           clauses :=
-             Array.to_list (Step_sat.Solver.clause_lits solver id) :: !clauses));
-    Tseitin.add_clause enc [ Tseitin.lit_of enc miter ];
-    (not (Solver.solve solver))
-    &&
-    let trace = Step_sat.Drat.export solver in
-    Step_sat.Drat.check ~cnf:!clauses ~trace
-  end

@@ -1,9 +1,8 @@
 (** Validation of computed decompositions.
 
     Every decomposition the library emits can be checked end-to-end:
-    support containment of [fA]/[fB] in their partition blocks, SAT-based
-    equivalence of [f] with [fA <OP> fB] (a miter refutation), and a
-    cheap random-simulation prefilter. *)
+    support containment of [fA]/[fB] in their partition blocks and
+    SAT-based equivalence of [f] with [fA <OP> fB] (a miter refutation). *)
 
 val supports_ok :
   Problem.t -> Partition.t -> fa:Step_aig.Aig.lit -> fb:Step_aig.Aig.lit -> bool
@@ -14,16 +13,6 @@ val equivalent :
   Problem.t -> Gate.t -> fa:Step_aig.Aig.lit -> fb:Step_aig.Aig.lit -> bool
 (** SAT check that [f ⊕ (fA <OP> fB)] is unsatisfiable. *)
 
-val simulate_ok :
-  ?rounds:int ->
-  Problem.t ->
-  Gate.t ->
-  fa:Step_aig.Aig.lit ->
-  fb:Step_aig.Aig.lit ->
-  bool
-(** 64-wide random simulation; a [false] answer is a definite mismatch,
-    [true] is only probabilistic. Used as a fast prefilter in tests. *)
-
 val decomposition :
   Problem.t ->
   Gate.t ->
@@ -32,10 +21,3 @@ val decomposition :
   fb:Step_aig.Aig.lit ->
   bool
 (** Conjunction of {!supports_ok} and {!equivalent}. *)
-
-val certified_equivalent :
-  Problem.t -> Gate.t -> fa:Step_aig.Aig.lit -> fb:Step_aig.Aig.lit -> bool
-(** Like {!equivalent}, but the miter refutation is run with proof logging
-    and the resulting DRAT certificate is re-checked by the independent
-    RUP checker ({!Step_sat.Drat}) — so a [true] answer does not depend on
-    trusting the CDCL engine. Slower; meant for audits and tests. *)

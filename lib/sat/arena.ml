@@ -103,12 +103,6 @@ let remove_lit a r i =
 
 let lits a r = Array.sub a.bank (r + header_words) (size a r)
 
-let mem_lit a r l =
-  let base = r + header_words in
-  let n = size a r in
-  let rec go i = i < n && (a.bank.(base + i) = l || go (i + 1)) in
-  go 0
-
 (* Compact the blocks listed in [live] (refs in ascending order) to the
    bottom of the bank, rewriting [live] in place with each block's new
    ref. Blocks move only downwards, so the in-place blit is safe. *)

@@ -72,8 +72,6 @@ val remove_lit : t -> int -> int -> unit
 val lits : t -> int -> int array
 (** Fresh copy of the block's literals. *)
 
-val mem_lit : t -> int -> int -> bool
-
 val gc : t -> Step_util.Veci.t -> unit
 (** [gc a live] compacts the blocks whose refs are listed (ascending) in
     [live] to the bottom of the bank and rewrites [live] in place with

@@ -1,8 +1,6 @@
 exception No_proof of string
 
-type line = Add of Lit.t list | Delete of Lit.t list
-
-let export solver =
+let export_string solver =
   if not (Solver.proof_logging solver) then
     raise (No_proof "proof logging is off (create the solver with ~proof:true)");
   if not (Solver.has_refutation solver) then
@@ -11,7 +9,12 @@ let export solver =
          "no refutation recorded (last answer was not an assumption-free \
           Unsat)");
   let steps, _empty = Solver.proof_of_unsat solver in
-  let lines = ref [] in
+  let buf = Buffer.create 1024 in
+  let line prefix lits =
+    Buffer.add_string buf prefix;
+    Array.iter (fun l -> Buffer.add_string buf (Lit.to_string l ^ " ")) lits;
+    Buffer.add_string buf "0\n"
+  in
   (* Deletions are logged as (clause id, chain position): the clause was
      dropped after the first [position] learnt chains existed, so its [d]
      line must appear just before the chain at that index. *)
@@ -21,8 +24,7 @@ let export solver =
     while !continue do
       match !dels with
       | (id, pos) :: rest when pos <= upto ->
-          lines :=
-            Delete (Array.to_list (Solver.clause_lits solver id)) :: !lines;
+          line "d " (Solver.clause_lits solver id);
           dels := rest
       | _ -> continue := false
     done
@@ -30,125 +32,8 @@ let export solver =
   Array.iteri
     (fun i (id, _step) ->
       flush_dels i;
-      lines := Add (Array.to_list (Solver.clause_lits solver id)) :: !lines)
+      line "" (Solver.clause_lits solver id))
     steps;
   flush_dels max_int;
-  lines := Add [] :: !lines;
-  List.rev !lines
-
-let export_string solver =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun line ->
-      let clause =
-        match line with
-        | Add c -> c
-        | Delete c ->
-            Buffer.add_string buf "d ";
-            c
-      in
-      List.iter (fun l -> Buffer.add_string buf (Lit.to_string l ^ " ")) clause;
-      Buffer.add_string buf "0\n")
-    (export solver);
+  line "" [||];
   Buffer.contents buf
-
-(* Minimal standalone unit propagation: clauses as literal arrays, naive
-   fixpoint scans. Quadratic, which is fine for certificate checking of
-   the problem sizes in this repository; crucially it shares nothing with
-   the CDCL engine it is auditing. *)
-module Propagator = struct
-  type t = {
-    mutable clauses : int array list;
-    mutable n_vars : int;
-  }
-
-  let create () = { clauses = []; n_vars = 0 }
-
-  let norm clause =
-    (* dedupe literals so unit detection is not fooled by repetitions *)
-    Array.of_list (List.sort_uniq compare (Array.to_list clause))
-
-  let add p clause =
-    let clause = norm clause in
-    Array.iter (fun l -> p.n_vars <- max p.n_vars (Lit.var l + 1)) clause;
-    p.clauses <- clause :: p.clauses
-
-  (* Removes the first structural match. A missing clause is ignored:
-     skipping a deletion only leaves extra derived/original clauses in the
-     store, which cannot make an invalid RUP trace pass. *)
-  let remove p clause =
-    let clause = norm clause in
-    let rec go = function
-      | [] -> []
-      | c :: rest -> if c = clause then rest else c :: go rest
-    in
-    p.clauses <- go p.clauses
-
-  (* propagates from the given assumptions; true iff a conflict arises *)
-  let refutes p assumptions =
-    (* assignment: 0 unknown, 1 true, 2 false *)
-    let value = Array.make (max 1 p.n_vars) 0 in
-    let assign l =
-      let v = Lit.var l in
-      let want = if Lit.is_pos l then 1 else 2 in
-      if value.(v) = 0 then begin
-        value.(v) <- want;
-        true
-      end
-      else value.(v) = want
-    in
-    let lit_value l =
-      let v = value.(Lit.var l) in
-      if v = 0 then 0 else if Lit.is_pos l then v else 3 - v
-    in
-    if not (List.for_all assign assumptions) then true
-    else begin
-      let conflict = ref false in
-      let changed = ref true in
-      while !changed && not !conflict do
-        changed := false;
-        List.iter
-          (fun clause ->
-            if not !conflict then begin
-              let unassigned = ref [] and satisfied = ref false in
-              Array.iter
-                (fun l ->
-                  match lit_value l with
-                  | 1 -> satisfied := true
-                  | 0 -> unassigned := l :: !unassigned
-                  | _ -> ())
-                clause;
-              if not !satisfied then begin
-                match !unassigned with
-                | [] -> conflict := true
-                | [ l ] ->
-                    if assign l then changed := true else conflict := true
-                | _ :: _ :: _ -> ()
-              end
-            end)
-          p.clauses
-      done;
-      !conflict
-    end
-end
-
-let check ~cnf ~trace =
-  if not (List.exists (function Add [] -> true | _ -> false) trace) then false
-  else begin
-    let p = Propagator.create () in
-    List.iter (fun c -> Propagator.add p (Array.of_list c)) cnf;
-    let rec go = function
-      | [] -> true
-      | Delete clause :: rest ->
-          Propagator.remove p (Array.of_list clause);
-          go rest
-      | Add clause :: rest ->
-          let negated = List.map Lit.negate clause in
-          if Propagator.refutes p negated then begin
-            Propagator.add p (Array.of_list clause);
-            go rest
-          end
-          else false
-    in
-    go trace
-  end

@@ -1,41 +1,22 @@
-(** DRAT proof export (with deletion lines) and RUP trace checking.
+(** DRAT proof export (with deletion lines).
 
     A proof-logging {!Solver} that answered [Unsat] (without assumptions)
     can emit its learned clauses in derivation order, interleaved with the
     [d] (deletion) lines produced by the learned-clause database
     reduction, ending with the empty clause — a replayable DRAT
-    certificate. The {!check} function independently validates such a
-    trace against the original CNF by reverse unit propagation (RUP):
-    every added clause, when negated and propagated together with the
-    clauses accumulated so far, must yield a conflict; deletion lines
-    drop their clause from the store before checking continues. This
-    gives an end-to-end check of the solver's UNSAT answers that shares
-    no code with the CDCL engine. *)
+    certificate. The independent checker for it is
+    [Step_cert.Cert.check_drat], which shares no code with the CDCL
+    engine. *)
 
 exception No_proof of string
 (** Raised by the exporters when the solver has no exportable refutation:
     proof logging is off, or the last answer was not an assumption-free
     [Unsat]. *)
 
-type line =
-  | Add of Lit.t list  (** A derived (RUP) clause; [Add []] refutes. *)
-  | Delete of Lit.t list  (** A clause dropped by DB reduction. *)
-
-val export : Solver.t -> line list
-(** The learned-clause trace in derivation order with deletion lines
-    spliced at the positions where [reduce_db] dropped each clause, final
-    empty clause included. Replayable: no [Add] ever depends on a clause
-    already deleted (reasons are locked and hence never reduced).
-    @raise No_proof if the solver has no recorded refutation. *)
-
 val export_string : Solver.t -> string
-(** Same trace in textual DRAT format: one clause per line of
-    [0]-terminated DIMACS literals, deletions prefixed with [d].
+(** The learned-clause trace in derivation order, one clause per line of
+    [0]-terminated DIMACS literals, with [d]-prefixed deletion lines
+    spliced at the positions where [reduce_db] dropped each clause, and
+    the final empty clause. Replayable: no addition ever depends on a
+    clause already deleted (reasons are locked and hence never reduced).
     @raise No_proof if the solver has no recorded refutation. *)
-
-val check : cnf:Lit.t list list -> trace:line list -> bool
-(** [check ~cnf ~trace] is [true] iff every added trace clause is RUP
-    with respect to [cnf] plus the preceding additions (minus preceding
-    deletions), and the trace derives the empty clause. Deleting a clause
-    that is not in the store is ignored (it can only make the check
-    stricter, never laxer). *)

@@ -71,8 +71,6 @@ let remove_max t =
 
 let increased t k = if in_heap t k then sift_up t t.pos.(k)
 
-let decreased t k = if in_heap t k then sift_down t t.pos.(k)
-
 let rebuild t keys =
   Veci.iter (fun k -> t.pos.(k) <- -1) t.heap;
   Veci.clear t.heap;

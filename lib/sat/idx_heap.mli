@@ -3,7 +3,7 @@
     Keys are variable indices; the ordering is supplied as a closure so the
     heap can follow the solver's mutable activity scores. Supports O(log n)
     insert, removal of the maximum, and re-heapification of a single key
-    after its score increased ([decrease] after it decreased). *)
+    after its score increased. *)
 
 type t
 
@@ -25,9 +25,6 @@ val remove_max : t -> int
 
 val increased : t -> int -> unit
 (** Restore heap order after the key's score grew. No-op if absent. *)
-
-val decreased : t -> int -> unit
-(** Restore heap order after the key's score shrank. No-op if absent. *)
 
 val rebuild : t -> int list -> unit
 (** Replace the heap contents with the given keys. *)

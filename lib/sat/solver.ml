@@ -1099,8 +1099,6 @@ let inprocess_pass s =
 
 let set_inprocessing s b = s.inprocessing <- b
 
-let inprocessing_enabled s = s.inprocessing && not s.proof_mode
-
 let inprocess s =
   if decision_level s <> 0 then
     invalid_arg "Solver.inprocess: only at decision level 0";

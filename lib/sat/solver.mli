@@ -141,8 +141,6 @@ val set_inprocessing : t -> bool -> unit
     resolution) that run between restarts. On by default; never runs in
     proof mode regardless of this flag. *)
 
-val inprocessing_enabled : t -> bool
-
 val inprocess : t -> unit
 (** Runs one inprocessing pass immediately (then compacts the arena if
     enough space is buried). Intended for tests and fuzzers.

@@ -289,40 +289,6 @@ let test_aag_roundtrip () =
     Alcotest.(check bool) "h" (Aig.eval m env h) (Aig.eval c2.Circuit.aig env h2)
   done
 
-(* ---------- cuts ---------- *)
-
-module Cuts = Step_aig.Cuts
-
-let test_cuts_basic () =
-  let m = Aig.create () in
-  let a = Aig.fresh_input m and b = Aig.fresh_input m in
-  let c0 = Aig.fresh_input m in
-  let g = Aig.and_ m (Aig.and_ m a b) c0 in
-  let cuts = Cuts.enumerate m ~k:3 g in
-  (* the trivial cut and the full-leaf cut must both appear *)
-  Alcotest.(check bool) "trivial cut" true
-    (List.mem [ Aig.node_of g ] cuts);
-  let leaf_cut =
-    List.sort compare
-      [ Aig.node_of a; Aig.node_of b; Aig.node_of c0 ]
-  in
-  Alcotest.(check bool) "leaf cut" true (List.mem leaf_cut cuts);
-  List.iter
-    (fun cut ->
-      Alcotest.(check bool) "is a cut" true (Cuts.is_cut m g cut);
-      Alcotest.(check bool) "k-bounded" true (List.length cut <= 3))
-    cuts
-
-let prop_cuts_are_cuts =
-  QCheck2.Test.make ~count:150 ~name:"every enumerated cut separates"
-    ~print:pp_expr (gen_expr n_test_vars) (fun e ->
-      let m, edge = with_expr_aig e in
-      let cuts = Cuts.enumerate m ~k:4 edge in
-      cuts <> []
-      && List.for_all
-           (fun cut -> Cuts.is_cut m edge cut && List.length cut <= 4)
-           cuts)
-
 (* ---------- rewriting ---------- *)
 
 module Rewrite = Step_aig.Rewrite
@@ -697,7 +663,6 @@ let () =
           Alcotest.test_case "cofactor/depends" `Quick
             test_truth_cofactor_depends;
         ] );
-      ("cuts", [ Alcotest.test_case "basic" `Quick test_cuts_basic ]);
       ( "rewrite",
         [
           Alcotest.test_case "simplify rules" `Quick test_simplify_rules;
@@ -718,6 +683,5 @@ let () =
           prop_rewrite_preserves_semantics;
           prop_simplify_never_grows;
           prop_aig_bin_matches_aag;
-          prop_cuts_are_cuts;
         ];
     ]

@@ -1,6 +1,7 @@
 (* Unit tests for the independent certificate checker (lib/cert) and the
    certificate builder (Step_core.Certify): hand-written LRAT/DRAT proofs
-   accepted and corrupted ones rejected with the right PRF code, model
+   accepted and corrupted ones rejected with the right PRF code, the
+   solver's DRAT export replayed by the checker, model
    evaluation, JSON round-trips, and end-to-end certificates for small
    decomposition answers. *)
 
@@ -192,6 +193,92 @@ let test_lrat_export_roundtrip () =
     end
   done;
   check_bool "some rounds were unsat" true (!unsat > 10)
+
+let drat_ok ~n_vars cnf proof =
+  not
+    (Diag.has_errors
+       (Cert.check_drat ~item:"drat" ~n_vars ~cnf:(Cert.pack_cnf cnf) ~proof
+          ()))
+
+let test_drat_pigeonhole () =
+  (* 3 pigeons, 2 holes: p_{i,h} = DIMACS var 2i + h + 1 *)
+  let v i h = (2 * i) + h + 1 in
+  let cnf =
+    List.init 3 (fun i -> [ v i 0; v i 1 ])
+    @ List.concat_map
+        (fun h ->
+          [
+            [ -v 0 h; -v 1 h ]; [ -v 0 h; -v 2 h ]; [ -v 1 h; -v 2 h ];
+          ])
+        [ 0; 1 ]
+  in
+  let s = solver_of_dimacs 6 cnf in
+  check_bool "unsat" false (Solver.solve s);
+  let proof = Step_sat.Drat.export_string s in
+  check_bool "certificate checks" true (drat_ok ~n_vars:6 cnf proof);
+  (* corrupted traces must be rejected: a non-RUP clause w.r.t. a
+     satisfiable formula, and a trace without the empty clause *)
+  check_bool "non-RUP clause rejected" false
+    (drat_ok ~n_vars:2 [ [ 1; 2 ] ] "1 0\n0\n");
+  let without_empty =
+    String.split_on_char '\n' proof
+    |> List.filter (fun l -> String.trim l <> "0")
+    |> String.concat "\n"
+  in
+  check_bool "missing empty clause rejected" false
+    (drat_ok ~n_vars:6 cnf without_empty)
+
+(* Forcing a learned-clause database reduction mid-solve makes the
+   exported trace carry deletion lines, which must still replay. *)
+let test_drat_deletions () =
+  let n = 6 in
+  (* php(n+1, n): n+1 pigeons, n holes — unsat, with enough conflicts to
+     accumulate a learnt DB worth reducing *)
+  let v i h = (i * n) + h + 1 in
+  let cnf =
+    List.init (n + 1) (fun i -> List.init n (fun h -> v i h))
+    @ List.concat
+        (List.init n (fun h ->
+             List.concat
+               (List.init (n + 1) (fun i ->
+                    List.init i (fun j -> [ -v i h; -v j h ])))))
+  in
+  let n_vars = n * (n + 1) in
+  let s = solver_of_dimacs n_vars cnf in
+  (* solve under an assumption first so learnts pile up without
+     finalizing the refutation, then force the reduction *)
+  ignore (Solver.solve ~assumptions:[ Lit.of_dimacs (v 0 0) ] s);
+  Solver.reduce_learnts s;
+  check_bool "unsat" false (Solver.solve s);
+  let proof = Step_sat.Drat.export_string s in
+  check_bool "trace has deletion lines" true
+    (List.exists
+       (String.starts_with ~prefix:"d ")
+       (String.split_on_char '\n' proof));
+  check_bool "trace with deletions checks" true (drat_ok ~n_vars cnf proof)
+
+let gen_cnf =
+  let open QCheck2.Gen in
+  let* n_vars = int_range 1 10 in
+  let* n_clauses = int_range 1 42 in
+  let gen_lit =
+    map2 (fun p v -> if p then v else -v) bool (int_range 1 n_vars)
+  in
+  let+ clauses =
+    list_size (pure n_clauses) (list_size (int_range 1 4) gen_lit)
+  in
+  (n_vars, clauses)
+
+let prop_drat_certificates_check =
+  QCheck2.Test.make ~count:250 ~name:"drat certificates always check"
+    ~print:(fun (n, cnf) ->
+      Printf.sprintf "vars=%d cnf=%s" n
+        (String.concat " ; "
+           (List.map (fun c -> String.concat " " (List.map string_of_int c)) cnf)))
+    gen_cnf
+    (fun (n, cnf) ->
+      let s = solver_of_dimacs n cnf in
+      Solver.solve s || drat_ok ~n_vars:n cnf (Step_sat.Drat.export_string s))
 
 (* ---------- certificate JSON round trip ---------- *)
 
@@ -393,6 +480,9 @@ let () =
           Alcotest.test_case "missing empty clause" `Quick
             test_drat_missing_empty_clause;
           Alcotest.test_case "deletion line" `Quick test_drat_deletion_line;
+          Alcotest.test_case "pigeonhole" `Quick test_drat_pigeonhole;
+          Alcotest.test_case "deletions after reduce" `Quick
+            test_drat_deletions;
         ] );
       ( "model",
         [
@@ -421,4 +511,6 @@ let () =
           Alcotest.test_case "refuted claim" `Quick test_certify_refuted;
           Alcotest.test_case "tampered proof" `Quick test_certify_tampered;
         ] );
+      ( "properties",
+        [ QCheck_alcotest.to_alcotest prop_drat_certificates_check ] );
     ]

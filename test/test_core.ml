@@ -16,6 +16,7 @@ module Qbf_model = Step_core.Qbf_model
 module Extract = Step_core.Extract
 module Screen = Step_core.Screen
 module Verify = Step_core.Verify
+module Certify = Step_core.Certify
 module Engine = Step_engine.Engine
 module Method = Step_core.Method
 
@@ -331,34 +332,6 @@ let test_qbf_bootstrap_never_worse () =
       Alcotest.(check bool) "no worse than bootstrap" true
         (k <= Partition.disjointness_k bootstrap)
 
-let test_gate_full_all_gates () =
-  (* for the negated gates, the target function is ¬(g <base> h), which is
-     exactly what a <gf> bi-decomposition must reconstruct *)
-  List.iter
-    (fun gf ->
-      let base_gate, complement = Step_core.Gate_full.base gf in
-      let p0, _ = planted_problem base_gate 61 in
-      let target = if complement then Problem.negate p0 else p0 in
-      match Step_core.Gate_full.decompose ~method_:Method.Mg target gf with
-      | None ->
-          Alcotest.fail
-            (Step_core.Gate_full.to_string gf ^ ": no decomposition")
-      | Some (part, fa, fb) ->
-          let aig = target.Problem.aig in
-          let rebuilt = Step_core.Gate_full.apply aig gf fa fb in
-          let miter = Aig.xor_ aig target.Problem.f rebuilt in
-          let enc = Step_cnf.Tseitin.create aig in
-          ignore
-            (Step_sat.Solver.add_clause
-               (Step_cnf.Tseitin.solver enc)
-               [ Step_cnf.Tseitin.lit_of enc miter ]);
-          Alcotest.(check bool)
-            (Step_core.Gate_full.to_string gf ^ " verified")
-            false
-            (Step_sat.Solver.solve (Step_cnf.Tseitin.solver enc));
-          ignore part)
-    Step_core.Gate_full.all
-
 let test_extract_engines_planted () =
   List.iter
     (fun gate ->
@@ -376,14 +349,22 @@ let test_extract_engines_planted () =
 let test_certified_equivalence () =
   let p, part = planted_problem Gate.Or_gate 67 in
   let e = Extract.run p Gate.Or_gate part in
-  Alcotest.(check bool) "certified" true
-    (Verify.certified_equivalent p Gate.Or_gate ~fa:e.Extract.fa
-       ~fb:e.Extract.fb);
-  (* wrong decomposition must fail (and not crash the certifier) *)
+  (match
+     Certify.equivalence_obligation p Gate.Or_gate ~fa:e.Extract.fa
+       ~fb:e.Extract.fb
+   with
+  | None -> Alcotest.fail "miter folded away: nothing was certified"
+  | Some ob ->
+      Alcotest.(check int) "independent checker accepts" 0
+        (List.length (Step_cert.Cert.check_obligation ~po:"f" ob)));
+  (* a wrong decomposition must be refuted, not certified *)
   let aig = p.Problem.aig in
-  Alcotest.(check bool) "wrong rejected" false
-    (Verify.certified_equivalent p Gate.Or_gate ~fa:(Aig.input aig 0)
-       ~fb:(Aig.input aig 2))
+  match
+    Certify.equivalence_obligation p Gate.Or_gate ~fa:(Aig.input aig 0)
+      ~fb:(Aig.input aig 2)
+  with
+  | exception Certify.Refuted _ -> ()
+  | _ -> Alcotest.fail "bogus fA/fB not refuted"
 
 let test_verify_rejects_wrong () =
   let p, part = planted_problem Gate.Or_gate 43 in
@@ -424,81 +405,6 @@ let test_recursive_decomposition () =
     | R.Node (g, _, a, b) -> g = Gate.Xor_gate && all_xor a && all_xor b
   in
   Alcotest.(check bool) "parity uses xor nodes" true (all_xor ptree)
-
-module Ashenhurst = Step_core.Ashenhurst
-
-let test_ashenhurst_planted () =
-  (* f = h(g(xb), xa): mux of xa0/xa1 selected by g = xb0 ^ xb1 *)
-  let m = Aig.create () in
-  let xa0 = Aig.fresh_input m and xa1 = Aig.fresh_input m in
-  let xb0 = Aig.fresh_input m and xb1 = Aig.fresh_input m in
-  let g = Aig.xor_ m xb0 xb1 in
-  let f = Aig.ite m g xa0 xa1 in
-  let p = Problem.of_edge m f in
-  let part = Partition.make ~xa:[ 0; 1 ] ~xb:[ 2; 3 ] ~xc:[] in
-  Alcotest.(check (option bool)) "planted decomposable" (Some true)
-    (Ashenhurst.decomposable p part);
-  Alcotest.(check bool) "semantic agrees" true
-    (Ashenhurst.decomposable_semantic p part)
-
-let test_ashenhurst_counterexample () =
-  (* a function with column multiplicity > 2: 2-bit adder-ish *)
-  let m = Aig.create () in
-  let xs = Array.init 4 (fun _ -> Aig.fresh_input m) in
-  (* f = majority-of-sum style: (a0+2a1) + (b0+2b1) >= 2 over columns *)
-  let s0 = Aig.xor_ m xs.(0) xs.(2) in
-  let c0 = Aig.and_ m xs.(0) xs.(2) in
-  let s1 = Aig.xor_ m (Aig.xor_ m xs.(1) xs.(3)) c0 in
-  let f = Aig.and_ m s0 (Aig.xor_ m s1 xs.(1)) in
-  let p = Problem.of_edge m f in
-  let part = Partition.make ~xa:[ 0; 1 ] ~xb:[ 2; 3 ] ~xc:[] in
-  Alcotest.(check bool) "sat and semantic agree" true
-    (Ashenhurst.decomposable p part
-    = Some (Ashenhurst.decomposable_semantic p part))
-
-let prop_ashenhurst_matches_semantic =
-  QCheck2.Test.make ~count:120 ~name:"ashenhurst SAT check matches truth table"
-    ~print:(fun (e, _) -> pp_expr e)
-    QCheck2.Gen.(pair (gen_expr 5) (int_range 0 100))
-    (fun (e, seed) ->
-      let p = problem_of_expr 5 e in
-      let support = p.Problem.support in
-      if List.length support < 3 then true
-      else begin
-        let st = Random.State.make [| seed |] in
-        let sorted =
-          List.map (fun v -> (Random.State.int st 3, v)) support
-        in
-        let pick k = List.filter_map (fun (s, v) -> if s = k then Some v else None) sorted in
-        let xa = ref (pick 0) and xb = ref (pick 1) and xc = ref (pick 2) in
-        (match (!xa, !xb) with
-        | [], _ -> begin
-            match !xc @ !xb with
-            | v :: rest ->
-                xa := [ v ];
-                let b = List.filter (fun u -> u <> v) !xb in
-                let c = List.filter (fun u -> u <> v) !xc in
-                xb := b;
-                xc := c;
-                ignore rest
-            | [] -> ()
-          end
-        | _, [] -> begin
-            match !xc @ !xa with
-            | v :: _ when List.length !xa > 1 || !xc <> [] ->
-                xb := [ v ];
-                xa := List.filter (fun u -> u <> v) !xa;
-                xc := List.filter (fun u -> u <> v) !xc
-            | _ -> ()
-          end
-        | _, _ -> ());
-        if !xa = [] || !xb = [] then true
-        else begin
-          let part = Partition.make ~xa:!xa ~xb:!xb ~xc:!xc in
-          Ashenhurst.decomposable p part
-          = Some (Ashenhurst.decomposable_semantic p part)
-        end
-      end)
 
 let test_qbf_export_roundtrip () =
   (* the exported negated model (9) must be FALSE exactly when a partition
@@ -653,29 +559,6 @@ let prop_qbf_optimal_vs_exhaustive =
         | Some _, None | None, Some _ -> false
       end)
 
-let prop_gate_full_verified =
-  QCheck2.Test.make ~count:60 ~name:"derived gates decompose verifiably"
-    ~print:(fun (e, _) -> pp_expr e)
-    QCheck2.Gen.(pair (gen_expr 5) (int_range 0 5))
-    (fun (e, gate_idx) ->
-      let p = problem_of_expr 5 e in
-      if List.length p.Problem.support < 2 then true
-      else begin
-        let gf = List.nth Step_core.Gate_full.all gate_idx in
-        match Step_core.Gate_full.decompose ~method_:Method.Mg p gf with
-        | None -> true
-        | Some (_, fa, fb) ->
-            let aig = p.Problem.aig in
-            let rebuilt = Step_core.Gate_full.apply aig gf fa fb in
-            let miter = Aig.xor_ aig p.Problem.f rebuilt in
-            let enc = Step_cnf.Tseitin.create aig in
-            ignore
-              (Step_sat.Solver.add_clause
-                 (Step_cnf.Tseitin.solver enc)
-                 [ Step_cnf.Tseitin.lit_of enc miter ]);
-            not (Step_sat.Solver.solve (Step_cnf.Tseitin.solver enc))
-      end)
-
 let prop_recursive_rebuild_equivalent =
   QCheck2.Test.make ~count:40 ~name:"recursive trees rebuild equivalently"
     ~print:pp_expr (gen_expr 6) (fun e ->
@@ -690,7 +573,7 @@ let prop_recursive_rebuild_equivalent =
 
 (* ---------- method dispatch ---------- *)
 
-(* Gate_full and Recursive reach the solvers through the one dispatcher,
+(* Recursive reaches the solvers through the one dispatcher,
    Method.find_partition: QB and QDB must deliver their own target's
    optimum there, as checked against exhaustive search. *)
 let dispatch_objective = function
@@ -712,7 +595,7 @@ let dispatch_cones gate =
 
 let check_dispatch ~consumer find =
   List.iter
-    (fun (gf, gate) ->
+    (fun gate ->
       List.iter
         (fun method_ ->
           List.iteri
@@ -722,7 +605,7 @@ let check_dispatch ~consumer find =
                   (Method.to_string method_) (Gate.to_string gate) k
               in
               let objective = dispatch_objective method_ in
-              match (find method_ p gf gate, Exhaustive.best ~objective p gate) with
+              match (find method_ p gate, Exhaustive.best ~objective p gate) with
               | Some part, Some best ->
                   Alcotest.(check int) label (objective best) (objective part)
               | None, None -> ()
@@ -730,17 +613,11 @@ let check_dispatch ~consumer find =
               | None, Some _ -> Alcotest.fail (label ^ ": optimum missed"))
             (dispatch_cones gate))
         [ Method.Qb; Method.Qdb ])
-    Step_core.Gate_full.
-      [ (Or, Gate.Or_gate); (And, Gate.And_gate); (Xor, Gate.Xor_gate) ]
-
-let test_dispatch_gate_full () =
-  check_dispatch ~consumer:"Gate_full" (fun method_ p gf _ ->
-      Step_core.Gate_full.decompose ~method_ p gf
-      |> Option.map (fun (part, _, _) -> part))
+    [ Gate.Or_gate; Gate.And_gate; Gate.Xor_gate ]
 
 let test_dispatch_recursive_step () =
   let module R = Step_core.Recursive in
-  check_dispatch ~consumer:"Recursive" (fun method_ p _ gate ->
+  check_dispatch ~consumer:"Recursive" (fun method_ p gate ->
       (* one step: the root split, its operands left as leaves *)
       let config =
         {
@@ -907,8 +784,6 @@ let () =
             test_verify_rejects_wrong;
           Alcotest.test_case "certified equivalence" `Quick
             test_certified_equivalence;
-          Alcotest.test_case "derived gate family" `Quick
-            test_gate_full_all_gates;
         ] );
       ( "pipeline",
         [
@@ -917,15 +792,9 @@ let () =
             test_recursive_decomposition;
           Alcotest.test_case "qbf export roundtrip" `Quick
             test_qbf_export_roundtrip;
-          Alcotest.test_case "ashenhurst planted" `Quick
-            test_ashenhurst_planted;
-          Alcotest.test_case "ashenhurst counterexample" `Quick
-            test_ashenhurst_counterexample;
         ] );
       ( "dispatch",
         [
-          Alcotest.test_case "gate_full qb/qdb = exhaustive" `Quick
-            test_dispatch_gate_full;
           Alcotest.test_case "recursive step qb/qdb = exhaustive" `Quick
             test_dispatch_recursive_step;
         ] );
@@ -937,8 +806,6 @@ let () =
           prop_qbf_optimal_vs_exhaustive;
           prop_sim_matches_eval;
           prop_screen_clauses_backed;
-          prop_ashenhurst_matches_semantic;
-          prop_gate_full_verified;
           prop_recursive_rebuild_equivalent;
         ];
     ]

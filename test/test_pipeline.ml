@@ -1,5 +1,5 @@
-(* Tests for whole-circuit Engine sessions, automatic gate selection, the
-   Report module, and the full gate family — the integration layer. *)
+(* Tests for whole-circuit Engine sessions, automatic gate selection and
+   the Report module — the integration layer. *)
 
 module Aig = Step_aig.Aig
 module Circuit = Step_aig.Circuit
@@ -172,60 +172,6 @@ let test_total_budget_timeout () =
   Alcotest.(check bool) "timeouts reported" true
     (timed_out >= Array.length r.Engine.per_po - 1)
 
-(* ---------- network synthesis & support reduction ---------- *)
-
-module Network = Step_core.Network
-module Recursive = Step_core.Recursive
-module Verify = Step_core.Verify
-
-let test_network_synthesize () =
-  let c = toy_circuit () in
-  let config =
-    { Recursive.default_config with Recursive.stop_support = 3 }
-  in
-  let r = Network.synthesize ~config c in
-  Alcotest.(check int) "entries" 4 (Array.length r.Network.entries);
-  Alcotest.(check bool) "some gates" true (r.Network.total_gates >= 3);
-  (* rebuilt outputs must be equivalent to the originals *)
-  let c2 = r.Network.circuit in
-  Alcotest.(check int) "same outputs" 4 (Circuit.n_outputs c2);
-  for i = 0 to 3 do
-    let name = Circuit.output_name c i in
-    let orig = Problem.of_edge c.Circuit.aig (Circuit.find_output c name) in
-    (* import the rebuilt output into the original manager for the miter *)
-    let imported =
-      Aig.import c.Circuit.aig ~src:c2.Circuit.aig
-        ~map_input:(fun j -> Aig.input c.Circuit.aig j)
-        (Circuit.find_output c2 name)
-    in
-    Alcotest.(check bool)
-      (name ^ " equivalent") true
-      (Verify.equivalent orig Gate.Or_gate ~fa:imported ~fb:Aig.f)
-  done
-
-let test_problem_reduce () =
-  let m = Aig.create () in
-  let x = Aig.fresh_input m and y = Aig.fresh_input m in
-  let z = Aig.fresh_input m in
-  (* f structurally mentions z but z cancels: f = (x&z) ^ (x&z) ^ (x|y) *)
-  let t = Aig.and_ m x z in
-  let f = Aig.xor_ m (Aig.xor_ m t t) (Aig.or_ m x y) in
-  (* strashing already kills this one; build a subtler vacuous support *)
-  let g = Aig.ite m z (Aig.or_ m x y) (Aig.or_ m y x) in
-  let p = Problem.of_edge m g in
-  ignore f;
-  Alcotest.(check (list int)) "structural support has z" [ 0; 1; 2 ]
-    p.Problem.support;
-  let reduced = Problem.reduce p in
-  Alcotest.(check (list int)) "semantic support drops z" [ 0; 1 ]
-    reduced.Problem.support;
-  (* reduced function equivalent to the original *)
-  for mask = 0 to 7 do
-    let env i = (mask lsr i) land 1 = 1 in
-    Alcotest.(check bool) "equiv" (Aig.eval m env g)
-      (Aig.eval m env reduced.Problem.f)
-  done
-
 let () =
   Alcotest.run "step_pipeline"
     [
@@ -247,10 +193,5 @@ let () =
           Alcotest.test_case "markdown/text" `Quick
             test_report_markdown_and_text;
           Alcotest.test_case "compare table" `Quick test_compare_table;
-        ] );
-      ( "network",
-        [
-          Alcotest.test_case "synthesize" `Quick test_network_synthesize;
-          Alcotest.test_case "support reduction" `Quick test_problem_reduce;
         ] );
     ]

@@ -424,106 +424,6 @@ let test_compact_preserves_ids () =
     ids;
   Alcotest.(check bool) "still sat" true (Solver.solve s)
 
-(* ---------- enumeration ---------- *)
-
-module Enum = Step_sat.Enum
-
-let test_enum_count () =
-  (* x0 ∨ x1 over 2 vars: 3 models *)
-  let s = solver_of [ [ pos 0; pos 1 ] ] in
-  Alcotest.(check int) "models" 3 (Enum.count s)
-
-let test_enum_projection () =
-  (* models of (x0 ∨ x1) ∧ (x2 free): projected on {x0,x1} -> 3 *)
-  let s = solver_of [ [ pos 0; pos 1 ] ] in
-  Solver.ensure_var s 2;
-  Alcotest.(check int) "projected" 3 (Enum.count ~project:[ 0; 1 ] s);
-  let s2 = solver_of [ [ pos 0; pos 1 ] ] in
-  Solver.ensure_var s2 2;
-  Alcotest.(check int) "unprojected" 6 (Enum.count s2)
-
-let test_enum_limit () =
-  let s = Solver.create () in
-  Solver.ensure_var s 3;
-  Alcotest.(check int) "limited" 5 (Enum.count ~limit:5 s)
-
-let prop_enum_matches_brute_force =
-  QCheck2.Test.make ~count:150 ~name:"model count matches brute force"
-    ~print:print_cnf gen_cnf (fun (n, clauses) ->
-      let expected =
-        List.length
-          (List.filter
-             (fun m -> List.for_all (eval_clause m) clauses)
-             (List.init (1 lsl n) Fun.id))
-      in
-      let s = solver_of clauses in
-      Solver.ensure_var s (n - 1);
-      Enum.count ~project:(List.init n Fun.id) s = expected)
-
-(* ---------- drat ---------- *)
-
-module Drat = Step_sat.Drat
-
-let test_drat_pigeonhole () =
-  let v i h = (2 * i) + h in
-  let cnf =
-    List.init 3 (fun i -> [ pos (v i 0); pos (v i 1) ])
-    @ List.concat_map
-        (fun h ->
-          [
-            [ neg (v 0 h); neg (v 1 h) ];
-            [ neg (v 0 h); neg (v 2 h) ];
-            [ neg (v 1 h); neg (v 2 h) ];
-          ])
-        [ 0; 1 ]
-  in
-  let s = solver_of ~proof:true cnf in
-  Alcotest.(check bool) "unsat" false (Solver.solve s);
-  let trace = Drat.export s in
-  Alcotest.(check bool) "certificate checks" true (Drat.check ~cnf ~trace);
-  (* corrupted traces must be rejected: a non-RUP clause w.r.t. a
-     satisfiable formula, and a trace without the empty clause *)
-  Alcotest.(check bool) "non-RUP clause rejected" false
-    (Drat.check ~cnf:[ [ pos 0; pos 1 ] ]
-       ~trace:[ Drat.Add [ pos 0 ]; Drat.Add [] ]);
-  Alcotest.(check bool) "missing empty clause rejected" false
-    (Drat.check ~cnf
-       ~trace:(List.filter (fun l -> l <> Drat.Add []) trace))
-
-(* Forcing a learned-clause database reduction mid-solve makes the
-   exported trace carry deletion lines, which must still replay. *)
-let test_drat_deletions () =
-  let n = 6 in
-  (* php(n+1, n): n+1 pigeons, n holes — unsat, with enough conflicts to
-     accumulate a learnt DB worth reducing *)
-  let v i h = (i * n) + h in
-  let cnf =
-    List.init (n + 1) (fun i -> List.init n (fun h -> pos (v i h)))
-    @ List.concat
-        (List.init n (fun h ->
-             List.concat
-               (List.init (n + 1) (fun i ->
-                    List.init i (fun j -> [ neg (v i h); neg (v j h) ])))))
-  in
-  let s = solver_of ~proof:true cnf in
-  (* solve under an assumption first so learnts pile up without
-     finalizing the refutation, then force the reduction *)
-  ignore (Solver.solve ~assumptions:[ pos (v 0 0) ] s);
-  Solver.reduce_learnts s;
-  Alcotest.(check bool) "unsat" false (Solver.solve s);
-  let trace = Drat.export s in
-  Alcotest.(check bool) "trace has deletion lines" true
-    (List.exists (function Drat.Delete _ -> true | Drat.Add _ -> false) trace);
-  Alcotest.(check bool) "trace with deletions checks" true
-    (Drat.check ~cnf ~trace)
-
-let prop_drat_certificates_check =
-  QCheck2.Test.make ~count:250 ~name:"drat certificates always check"
-    ~print:print_cnf gen_cnf (fun (_, clauses) ->
-      let s = solver_of ~proof:true clauses in
-      if Solver.solve s then true
-      else Drat.check ~cnf:clauses ~trace:(Drat.export s))
-
 (* ---------- property tests ---------- *)
 
 let prop_matches_brute_force =
@@ -627,18 +527,6 @@ let () =
           Alcotest.test_case "fresh audit clean" `Quick
             test_sanitizer_audit_fresh;
         ] );
-      ( "drat",
-        [
-          Alcotest.test_case "pigeonhole" `Quick test_drat_pigeonhole;
-          Alcotest.test_case "deletions after reduce" `Quick
-            test_drat_deletions;
-        ] );
-      ( "enum",
-        [
-          Alcotest.test_case "count" `Quick test_enum_count;
-          Alcotest.test_case "projection" `Quick test_enum_projection;
-          Alcotest.test_case "limit" `Quick test_enum_limit;
-        ] );
       ( "epoch",
         [ Alcotest.test_case "basic" `Quick test_epoch_basic ] );
       ( "inprocess",
@@ -658,7 +546,5 @@ let () =
           prop_proof_mode_agrees;
           prop_core_sufficient;
           prop_model_complete;
-          prop_drat_certificates_check;
-          prop_enum_matches_brute_force;
         ];
     ]
