@@ -120,20 +120,33 @@ profsmoke:
 # Certification smoke: a certified parallel run must check all its own
 # certificates, the saved certificate files must re-check through the
 # independent `step certify` gate, and a deliberately corrupted proof
-# must make that gate fail non-zero.
+# must make that gate fail non-zero. The directories saved by an
+# `--extract quantify` run (certificates extended with the fA/fB
+# equivalence obligation) and by a `-g auto` run must re-check too.
 certsmoke:
 	dune build bin/step.exe
-	rm -rf certsmoke_dir
+	rm -rf certsmoke_dir certsmoke_eq certsmoke_auto
 	dune exec --no-build bin/step.exe -- generate -k decoder -n 3 \
 	  -o certsmoke.blif
 	dune exec --no-build bin/step.exe -- decompose certsmoke.blif -g and \
 	  -m qd -j 4 --certify --cert-dir certsmoke_dir > certsmoke_out.txt
 	grep -E '^cert: checked=[1-9][0-9]* failed=0' certsmoke_out.txt
 	dune exec --no-build bin/step.exe -- certify certsmoke_dir
+	dune exec --no-build bin/step.exe -- decompose certsmoke.blif -g and \
+	  -m qd -j 4 --extract quantify --certify --cert-dir certsmoke_eq \
+	  > certsmoke_out.txt
+	grep -E '^cert: checked=[1-9][0-9]* failed=0' certsmoke_out.txt
+	grep -l '"equivalence"' certsmoke_eq/*.cert.json
+	dune exec --no-build bin/step.exe -- certify certsmoke_eq
+	dune exec --no-build bin/step.exe -- decompose certsmoke.blif -g auto \
+	  -m qd -j 4 --cert-dir certsmoke_auto > certsmoke_out.txt
+	grep -E '^cert: checked=[1-9][0-9]* failed=0' certsmoke_out.txt
+	dune exec --no-build bin/step.exe -- certify certsmoke_auto
 	f=$$(grep -l '"proof"' certsmoke_dir/*.cert.json | head -1) && \
 	  sed -i 's/\\n/ 99\\n/' $$f
 	! dune exec --no-build bin/step.exe -- certify certsmoke_dir
-	rm -rf certsmoke_dir certsmoke.blif certsmoke_out.txt
+	rm -rf certsmoke_dir certsmoke_eq certsmoke_auto certsmoke.blif \
+	  certsmoke_out.txt
 
 # Bounded proof fuzzing: random CNFs through the proof-logging solver,
 # every UNSAT answer re-checked by the independent LRAT/DRAT checker.
@@ -178,5 +191,6 @@ clean:
 	  cachesmoke_dir cachesmoke.blif cachesmoke_cold.txt cachesmoke_warm.txt \
 	  cachesmoke_cold.body cachesmoke_warm.body faultsmoke.blif \
 	  faultsmoke_a.csv faultsmoke_b.csv profsmoke.blif profsmoke.jsonl \
-	  certsmoke_dir certsmoke.blif certsmoke_out.txt \
+	  certsmoke_dir certsmoke_eq certsmoke_auto certsmoke.blif \
+	  certsmoke_out.txt \
 	  servesmoke.*

@@ -275,25 +275,6 @@ let cert_dir_arg =
   in
   Arg.(value & opt (some string) None & info [ "cert-dir" ] ~docv:"DIR" ~doc)
 
-let rec mkdir_p d =
-  if d = "" || d = "." || d = "/" || Sys.file_exists d then ()
-  else begin
-    mkdir_p (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-(* PO names come from BLIF/AIGER symbol tables: keep them filesystem-safe. *)
-let cert_file dir po_name =
-  let safe =
-    String.map
-      (fun ch ->
-        match ch with
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> ch
-        | _ -> '_')
-      po_name
-  in
-  Filename.concat dir (safe ^ ".cert.json")
-
 (* ---------- diagnostics ---------- *)
 
 let print_diags diags =

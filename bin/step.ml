@@ -142,23 +142,19 @@ let decompose_cmd =
     in
     let cache_opt = make_cache ~cache ~no_cache ~cache_dir in
     let certify_on = certify || cert_dir <> None in
-    Option.iter mkdir_p cert_dir;
     let cert_checked = ref 0 and cert_failed = ref 0 in
     let cert_bytes = ref 0 and cert_secs = ref 0.0 in
-    (* Every certificate arrives already self-checked by the engine; here
-       it is accounted, its findings surfaced (errors flip the exit code)
-       and, under --cert-dir, persisted for later [step certify]. *)
-    let note_cert po_name = function
+    (* Every certificate arrives already self-checked by the engine, which
+       also wrote it to --cert-dir; here its summary is accounted and its
+       findings surfaced (errors flip the exit code). *)
+    let note_cert = function
       | None -> ()
       | Some ct ->
           incr cert_checked;
           if not ct.Certify.ok then incr cert_failed;
           cert_bytes := !cert_bytes + ct.Certify.proof_bytes;
           cert_secs := !cert_secs +. ct.Certify.gen_s +. ct.Certify.check_s;
-          note_diags ct.Certify.diags;
-          Option.iter
-            (fun dir -> Cert.save (cert_file dir po_name) ct.Certify.cert)
-            cert_dir
+          note_diags ct.Certify.diags
     in
     let finish_cert () =
       if certify_on then
@@ -187,6 +183,7 @@ let decompose_cmd =
               jobs;
               cache = cache_opt;
               certify = certify_on;
+              cert_dir;
             }
         in
         match Config.validate config with
@@ -230,7 +227,7 @@ let decompose_cmd =
             | None -> Printf.printf "[-]   ");
             print_po_result r;
             note_diags r.Engine.diags;
-            note_cert r.Engine.po_name r.Engine.certificate)
+            note_cert r.Engine.certificate)
           (match po with
           | Some i -> [| Engine.decompose_po_auto eng i |]
           | None -> Engine.run_auto eng);
@@ -266,8 +263,10 @@ let decompose_cmd =
                 (Verify.decomposition p gate part ~fa:e.Extract.fa
                    ~fb:e.Extract.fb);
             print_newline ();
-            (* extraction happened: extend the certificate with the
-               proof-carrying fA/fB equivalence miter before accounting *)
+            (* extraction happened: check the proof-carrying fA/fB
+               equivalence miter on its own, fold it into the summary and
+               append it to the certificate the engine saved *)
+            let po = r.Engine.po_name in
             let cert_with_equiv =
               match r.Engine.certificate with
               | Some ct -> (
@@ -275,12 +274,25 @@ let decompose_cmd =
                     Certify.equivalence_obligation p gate ~fa:e.Extract.fa
                       ~fb:e.Extract.fb
                   with
-                  | Some ob -> Some (Certify.add_obligation ct ob)
+                  | Some ob ->
+                      Option.iter
+                        (fun dir ->
+                          let file = Cert.file ~dir po in
+                          match Cert.load file with
+                          | Ok c ->
+                              Cert.save file
+                                {
+                                  c with
+                                  Cert.obligations = c.Cert.obligations @ [ ob ];
+                                }
+                          | Error msg -> failwith (file ^ ": " ^ msg))
+                        cert_dir;
+                      Some (Certify.add_obligation ct ~po ob)
                   | None -> Some ct)
               | None -> None
             in
-            note_cert r.Engine.po_name cert_with_equiv
-        | _, _ -> note_cert r.Engine.po_name r.Engine.certificate
+            note_cert cert_with_equiv
+        | _, _ -> note_cert r.Engine.certificate
       in
       (match po with
       | Some i -> handle_po (Engine.decompose_po eng i)

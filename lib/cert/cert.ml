@@ -93,13 +93,11 @@ type t = {
   obligations : obligation list;
 }
 
+let obligation_proof_bytes ob =
+  match ob.answer with Unsat { proof; _ } -> String.length proof | Sat _ -> 0
+
 let proof_bytes c =
-  List.fold_left
-    (fun acc ob ->
-      match ob.answer with
-      | Unsat { proof; _ } -> acc + String.length proof
-      | Sat _ -> acc)
-    0 c.obligations
+  List.fold_left (fun acc ob -> acc + obligation_proof_bytes ob) 0 c.obligations
 
 (* ---------- private clause store + unit propagation ---------- *)
 
@@ -743,3 +741,15 @@ let load path =
   with
   | exception Sys_error msg -> Error msg
   | text -> of_string text
+
+(* PO names come from BLIF/AIGER symbol tables: keep them filesystem-safe. *)
+let file ~dir po =
+  let safe =
+    String.map
+      (fun ch ->
+        match ch with
+        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> ch
+        | _ -> '_')
+      po
+  in
+  Filename.concat dir (safe ^ ".cert.json")

@@ -53,6 +53,9 @@ val unpack_cnf : int array -> int list list
 (** Inverse of {!pack_cnf}. Literals after the last 0 form one more
     clause. *)
 
+val obligation_proof_bytes : obligation -> int
+(** Size of the obligation's proof text; 0 for a model. *)
+
 val proof_bytes : t -> int
 (** Total size of embedded proof texts. *)
 
@@ -113,3 +116,8 @@ val save : string -> t -> unit
 (** Atomic (temp file + rename) write of the JSON form. *)
 
 val load : string -> (t, string) result
+
+val file : dir:string -> string -> string
+(** [file ~dir po] is [dir/<po>.cert.json], the PO name made
+    filesystem-safe (characters outside [[A-Za-z0-9._-]] become [_]):
+    where [Config.cert_dir] puts the output's certificate. *)

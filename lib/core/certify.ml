@@ -26,7 +26,6 @@ module Metrics = Step_obs.Metrics
 let h_gen = Metrics.histogram "cert.gen_s"
 
 type t = {
-  cert : Cert.t;
   ok : bool;
   diags : Diag.t list;
   gen_s : float;
@@ -132,14 +131,11 @@ let equivalence_obligation (p : Problem.t) g ~fa ~fb =
 let partition_triple (pt : Partition.t) =
   (pt.Partition.xa, pt.Partition.xb, pt.Partition.xc)
 
-let finish ?file ~check t0 cert =
-  let gen_s = Clock.elapsed_since t0 in
-  Metrics.observe h_gen gen_s;
+let summary ?file ~check ~gen_s cert =
   let t1 = Clock.now () in
   let diags = if check then Cert.check ?file cert else [] in
   let check_s = if check then Clock.elapsed_since t1 else 0.0 in
   {
-    cert;
     ok = not (Diag.has_errors diags);
     diags;
     gen_s;
@@ -157,34 +153,31 @@ let for_po ?(check = true) ~po ~method_name (p : Problem.t) gate partition =
   in
   if obligations = [] then None
   else
-    Some
-      (finish ~check t0
-         {
-           Cert.po;
-           gate = Gate.to_string gate;
-           method_ = method_name;
-           partition = Option.map partition_triple partition;
-           obligations;
-         })
+    let cert =
+      {
+        Cert.po;
+        gate = Gate.to_string gate;
+        method_ = method_name;
+        partition = Option.map partition_triple partition;
+        obligations;
+      }
+    in
+    let gen_s = Clock.elapsed_since t0 in
+    Metrics.observe h_gen gen_s;
+    Some (cert, summary ~check ~gen_s cert)
 
-(* Re-run the checker on an existing certificate (e.g. appended
-   obligations), refreshing the bookkeeping fields. *)
-let recheck ?file t =
+(* Check a bare certificate (e.g. one rehydrated from a cache entry). *)
+let of_cert ?file cert = summary ?file ~check:true ~gen_s:0.0 cert
+
+(* The obligation is checked on its own; the certificate it extends was
+   checked when [t] was made. *)
+let add_obligation t ~po ob =
   let t1 = Clock.now () in
-  let diags = Cert.check ?file t.cert in
+  let diags = Cert.check_obligation ~po ob in
   {
-    t with
-    ok = not (Diag.has_errors diags);
-    diags;
-    check_s = Clock.elapsed_since t1;
-    proof_bytes = Cert.proof_bytes t.cert;
+    ok = t.ok && not (Diag.has_errors diags);
+    diags = t.diags @ diags;
+    gen_s = t.gen_s;
+    check_s = t.check_s +. Clock.elapsed_since t1;
+    proof_bytes = t.proof_bytes + Cert.obligation_proof_bytes ob;
   }
-
-(* Wrap a bare certificate (e.g. rehydrated from a cache entry) by
-   running the independent checker over it. *)
-let of_cert ?file cert =
-  recheck ?file
-    { cert; ok = false; diags = []; gen_s = 0.0; check_s = 0.0; proof_bytes = 0 }
-
-let add_obligation t ob =
-  recheck { t with cert = { t.cert with Cert.obligations = t.cert.Cert.obligations @ [ ob ] } }

@@ -26,13 +26,14 @@ exception Refuted of string
     problem. *)
 
 type t = {
-  cert : Step_cert.Cert.t;
   ok : bool;  (** The independent checker accepted every obligation. *)
   diags : Step_lint.Diag.t list;  (** Checker findings; empty when [ok]. *)
   gen_s : float;  (** Time spent re-solving with proofs + exporting. *)
   check_s : float;  (** Time spent in the independent checker. *)
   proof_bytes : int;
 }
+(** The checked summary of a certificate. It holds none of the
+    certificate's obligations, so a result can keep it at no cost. *)
 
 val for_po :
   ?check:bool ->
@@ -41,10 +42,10 @@ val for_po :
   Problem.t ->
   Gate.t ->
   Partition.t option ->
-  t option
-(** Certificate for one primary-output answer. [None] when there is
-    nothing to certify (trivial support and no partition). [check]
-    (default [true]) runs the independent checker.
+  (Step_cert.Cert.t * t) option
+(** Certificate for one primary-output answer, with its summary. [None]
+    when there is nothing to certify (trivial support and no partition).
+    [check] (default [true]) runs the independent checker.
     @raise Refuted when the re-solve contradicts the claim. *)
 
 val equivalence_obligation :
@@ -58,11 +59,10 @@ val equivalence_obligation :
     @raise Refuted when the miter is satisfiable. *)
 
 val of_cert : ?file:string -> Step_cert.Cert.t -> t
-(** Wraps a bare certificate (e.g. one rehydrated from a cache entry) by
-    running the independent checker over it; [gen_s] is 0. *)
+(** Checks a bare certificate (e.g. one rehydrated from a cache entry)
+    with the independent checker; [gen_s] is 0. *)
 
-val add_obligation : t -> Step_cert.Cert.obligation -> t
-(** Appends an obligation and re-runs the checker. *)
-
-val recheck : ?file:string -> t -> t
-(** Re-runs the independent checker, refreshing [ok]/[diags]. *)
+val add_obligation : t -> po:string -> Step_cert.Cert.obligation -> t
+(** [add_obligation t ~po ob] checks [ob] on its own and folds the
+    verdict, its proof size and the check time into [t]: the summary of
+    [t]'s certificate with [ob] appended. *)

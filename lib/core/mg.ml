@@ -9,6 +9,8 @@ let m_seeds = Metrics.counter "mg.seeds_tried"
 
 let m_sat_calls = Metrics.counter "mg.sat_calls"
 
+let m_screened = Metrics.counter "mg.screened"
+
 let m_found = Metrics.counter "mg.decomposed"
 
 type result = {
@@ -84,6 +86,11 @@ let signature_pairs (p : Problem.t) =
   go sigs;
   List.sort compare !scored |> List.map snd
 
+let seeds ?(seed_order = Spread) (p : Problem.t) =
+  match seed_order with
+  | Spread -> seed_pairs p.Problem.support
+  | Signature -> signature_pairs p
+
 let partition_of_selectors (p : Problem.t) ~u ~v ~mus ~alpha_sel ~beta_sel =
   let mus_set = Hashtbl.create (2 * List.length mus + 1) in
   List.iter (fun l -> Hashtbl.replace mus_set l ()) mus;
@@ -115,11 +122,15 @@ let find ?copies ?seed_limit ?(seed_order = Spread) ?time_budget
   let t0 = Clock.now () in
   let n = Problem.n_vars p in
   let finish partition seeds_tried sat_calls =
+    (* every seed tried either reached SAT or was refuted by the screen *)
+    let screened = seeds_tried - sat_calls in
     Metrics.add m_seeds seeds_tried;
     Metrics.add m_sat_calls sat_calls;
+    Metrics.add m_screened screened;
     if partition <> None then Metrics.inc m_found;
     Obs.add_attr "seeds_tried" (Step_obs.Json.Int seeds_tried);
     Obs.add_attr "sat_calls" (Step_obs.Json.Int sat_calls);
+    Obs.add_attr "screened" (Step_obs.Json.Int screened);
     Obs.add_attr "decomposed" (Step_obs.Json.Bool (partition <> None));
     { partition; seeds_tried; sat_calls; cpu = Clock.elapsed_since t0 }
   in
@@ -163,12 +174,29 @@ let find ?copies ?seed_limit ?(seed_order = Spread) ?time_budget
           a @ b)
         p.Problem.support
     in
+    (* A seed {u | v | rest} is screened by simulation first: a violating
+       tuple is a genuine counterexample, so a refuted seed would have
+       answered Sat and is skipped without changing the scan. *)
+    let screen = Screen.create p g in
+    let pos = Hashtbl.create (2 * n) in
+    List.iteri (fun j i -> Hashtbl.replace pos i j) p.Problem.support;
+    let side = Array.make n 2 in
+    let refuted u v =
+      let pu = Hashtbl.find pos u and pv = Hashtbl.find pos v in
+      side.(pu) <- 0;
+      side.(pv) <- 1;
+      let r = Screen.refute screen side in
+      side.(pu) <- 2;
+      side.(pv) <- 2;
+      r
+    in
     let rec scan pairs tried =
       if tried >= limit || Clock.now () > deadline then
         finish None tried !sat_calls
       else
         match pairs with
         | [] -> finish None tried !sat_calls
+        | (u, v) :: rest when refuted u v -> scan rest (tried + 1)
         | (u, v) :: rest -> begin
             incr sat_calls;
             match
@@ -196,10 +224,5 @@ let find ?copies ?seed_limit ?(seed_order = Spread) ?time_budget
                 finish (Some partition) (tried + 1) !sat_calls
           end
     in
-    let pairs =
-      match seed_order with
-      | Spread -> seed_pairs p.Problem.support
-      | Signature -> signature_pairs p
-    in
-    scan pairs 0
+    scan (seeds ~seed_order p) 0
   end

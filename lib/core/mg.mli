@@ -8,12 +8,21 @@
     inclusion-minimal shared set: selectors dropped from the MUS free
     their variable into [XA] / [XB], selectors kept settle it in [XC].
     Minimality of the MUS makes the resulting [XC] irredundant — good,
-    though not optimal, disjointness. *)
+    though not optimal, disjointness.
+
+    Most seeds fail, so each seed is screened by cone simulation
+    ({!Screen.refute} on the side array [u ↦ XA], [v ↦ XB], rest [↦ XC])
+    before its SAT call. A refuted seed has a genuine counterexample
+    tuple, so its SAT call would have answered [Sat]: it is skipped, and
+    the scan order, [seeds_tried] and the partition found are those of
+    the unscreened scan. *)
 
 type result = {
   partition : Partition.t option; (** [None] = not decomposable (or budget). *)
   seeds_tried : int;
   sat_calls : int;
+      (** Seeds that reached SAT; the other [seeds_tried - sat_calls]
+          were refuted by simulation. *)
   cpu : float; (** Seconds. *)
 }
 
@@ -27,6 +36,9 @@ type seed_order =
           that toggle the output on disjoint input regions are the most
           likely to sit in different blocks of a decomposition. Measured
           in ablation [a7]. *)
+
+val seeds : ?seed_order:seed_order -> Problem.t -> (int * int) list
+(** The seed pairs [(u, v)] in scan order (default [Spread]). *)
 
 val find :
   ?copies:Copies.t ->

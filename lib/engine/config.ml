@@ -13,6 +13,7 @@ type t = {
   fallback : Method.t list;
   cache : Step_cache.Cache.t option;
   certify : bool;
+  cert_dir : string option;
 }
 
 let default =
@@ -28,6 +29,7 @@ let default =
     fallback = [];
     cache = None;
     certify = false;
+    cert_dir = None;
   }
 
 (* "qdb>qb>mg": the degradation ladder, cheapest method last. A leading
@@ -62,6 +64,8 @@ let validate c =
     Error "total_budget must be non-negative"
   else if c.min_support < 0 then
     Error (Printf.sprintf "min_support must be >= 0 (got %d)" c.min_support)
+  else if c.cert_dir <> None && not c.certify then
+    Error "cert_dir needs certify"
   else
     match Retry.validate c.retry with
     | Error msg -> Error msg
@@ -97,3 +101,5 @@ let with_fallback fallback c = { c with fallback }
 let with_cache cache c = { c with cache }
 
 let with_certify certify c = { c with certify }
+
+let with_cert_dir cert_dir c = { c with cert_dir }

@@ -54,7 +54,14 @@ type t = {
           checker before reporting (default off — certification re-solves
           each answer with proof logging on, roughly doubling solve
           cost). Certificates ride along with cache entries and are
-          re-checked on every disk rehydration. *)
+          re-checked on every disk rehydration. A result keeps only the
+          checked summary; the certificate itself is written to
+          [cert_dir] or dropped. *)
+  cert_dir : string option;
+      (** Directory (created by [Engine.create]) where each output's
+          certificate is saved as [<po>.cert.json]
+          ({!Step_cert.Cert.file}) once its row is final, so [-g auto]
+          saves only the kept gate's. Needs [certify] (default [None]). *)
 }
 
 val default : t
@@ -62,8 +69,8 @@ val default : t
 val validate : t -> (t, string) result
 (** [Ok] with the config itself, or [Error msg] naming the offending
     field. Rejects [jobs < 1], NaN/negative budgets, negative
-    [min_support], invalid retry policies ({!Retry.validate}) and
-    ladders repeating a method. *)
+    [min_support], a [cert_dir] without [certify], invalid retry
+    policies ({!Retry.validate}) and ladders repeating a method. *)
 
 val fallback_of_string : string -> (Step_core.Method.t list, string) result
 (** Parse a CLI ladder spec: method names separated by ['>'], e.g.
@@ -91,3 +98,5 @@ val with_fallback : Step_core.Method.t list -> t -> t
 val with_cache : Step_cache.Cache.t option -> t -> t
 
 val with_certify : bool -> t -> t
+
+val with_cert_dir : string option -> t -> t

@@ -15,6 +15,7 @@ module Ljh = Step_core.Ljh
 module Mg = Step_core.Mg
 module Qbf_model = Step_core.Qbf_model
 module Certify = Step_core.Certify
+module Cert = Step_cert.Cert
 
 (* supervision telemetry, merged across runs and worker domains *)
 let m_retries = Metrics.counter "engine.retries"
@@ -181,7 +182,8 @@ let timeout_stub ~method_ name =
    left of the total budget. [circuit] is the job's private compacted
    copy — the QBF methods add copy inputs and scratch nodes to its
    manager. Cache keys use the configured [cfg.per_po_budget], never the
-   clamped [budget]. *)
+   clamped [budget]. Returns the row and the certificate body, which the
+   row does not keep (see [supervise_job]). *)
 let decompose_kernel (cfg : Config.t) ~budget circuit i gate method_ =
   let name = Circuit.output_name circuit i in
   Obs.span
@@ -234,7 +236,7 @@ let decompose_kernel (cfg : Config.t) ~budget circuit i gate method_ =
   in
   (* Certificates re-solve the answer with proof logging on, so they are
      only built when asked for, and never for timeouts (a timeout is not
-     a claim — there is nothing to certify). *)
+     a claim — there is nothing to certify). Body and checked summary. *)
   let mk_cert problem partition timed_out =
     if cfg.certify && not timed_out then
       Obs.span "cert.generate" (fun () ->
@@ -242,15 +244,17 @@ let decompose_kernel (cfg : Config.t) ~budget circuit i gate method_ =
             problem gate partition)
     else None
   in
-  if n < max 2 cfg.min_support then finish None true false
+  if n < max 2 cfg.min_support then (finish None true false, None)
   else begin
     match cfg.cache with
     | None ->
         let partition, optimal, timed_out, counters =
           solve_kernel ~per_po_budget:budget p gate method_
         in
-        let certificate = mk_cert p partition timed_out in
-        finish ?certificate ~counters partition optimal timed_out
+        let cert = mk_cert p partition timed_out in
+        ( finish ?certificate:(Option.map snd cert) ~counters partition optimal
+            timed_out,
+          Option.map fst cert )
     | Some cache ->
         (* Canonicalize the cone; on a miss solve the canonical rebuild,
            not the original, so the stored entry is a pure function of
@@ -281,22 +285,19 @@ let decompose_kernel (cfg : Config.t) ~budget circuit i gate method_ =
           (* certify on the canonical problem, so the stored certificate
              is — like the entry itself — a pure function of the key and
              speaks in canonical input indices *)
-          let cert =
-            Option.map
-              (fun c -> c.Certify.cert)
-              (mk_cert cp partition timed_out)
-          in
+          let cert = Option.map fst (mk_cert cp partition timed_out) in
           { Cache.partition; proven_optimal; timed_out; counters; cert }
         in
         let entry, hit =
           Cache.find_or_compute cache ~key ~n_inputs:(Cone.n_inputs cone)
             compute
         in
-        let certificate =
+        let cert =
           if not cfg.certify || entry.Cache.timed_out then None
           else
             match entry.Cache.cert with
-            | Some c -> Some (Obs.span "cert.check" (fun () -> Certify.of_cert c))
+            | Some c ->
+                Some (c, Obs.span "cert.check" (fun () -> Certify.of_cert c))
             | None ->
                 (* warm entry from an uncertified run: generate fresh *)
                 mk_cert
@@ -308,9 +309,11 @@ let decompose_kernel (cfg : Config.t) ~budget circuit i gate method_ =
           Partition.make ~xa:(mapv part.Partition.xa)
             ~xb:(mapv part.Partition.xb) ~xc:(mapv part.Partition.xc)
         in
-        finish ~cache_hit:hit ?certificate ~counters:entry.Cache.counters
-          (Option.map rehydrate entry.Cache.partition)
-          entry.Cache.proven_optimal entry.Cache.timed_out
+        ( finish ~cache_hit:hit ?certificate:(Option.map snd cert)
+            ~counters:entry.Cache.counters
+            (Option.map rehydrate entry.Cache.partition)
+            entry.Cache.proven_optimal entry.Cache.timed_out,
+          Option.map fst cert )
   end
 
 let score (r : po_result) =
@@ -328,31 +331,43 @@ let decompose_auto_kernel cfg ~budget circuit i method_ =
       (fun (remaining, acc) gate ->
         let gates_left = List.length Gate.all - List.length acc in
         let slice = remaining /. float_of_int gates_left in
-        let r = decompose_kernel cfg ~budget:slice circuit i gate method_ in
-        (Float.max 0.0 (remaining -. r.cpu), (gate, r) :: acc))
+        let r, body = decompose_kernel cfg ~budget:slice circuit i gate method_ in
+        (Float.max 0.0 (remaining -. r.cpu), (gate, r, body) :: acc))
       (budget, []) Gate.all
   in
   let candidates = List.rev rev_candidates in
   let best =
     List.fold_left
-      (fun acc (gate, r) ->
+      (fun acc ((_, r, _) as c) ->
         match acc with
-        | None -> Some (gate, r)
-        | Some (_, br) -> if score r < score br then Some (gate, r) else acc)
+        | None -> Some c
+        | Some (_, br, _) -> if score r < score br then Some c else acc)
       None candidates
   in
   (* the row reports the time of every gate tried, not just the winner's *)
-  let cpu = List.fold_left (fun acc (_, r) -> acc +. r.cpu) 0.0 candidates in
+  let cpu =
+    List.fold_left (fun acc (_, r, _) -> acc +. r.cpu) 0.0 candidates
+  in
   match best with
-  | Some (gate, r) when r.partition <> None -> (Some gate, { r with cpu })
-  | Some (_, r) -> (None, { r with cpu })
+  | Some (gate, r, body) when r.partition <> None ->
+      (Some gate, { r with cpu }, body)
+  | Some (_, r, body) -> (None, { r with cpu }, body)
   | None -> assert false
 
 type t = { circuit : Circuit.t; config : Config.t }
 
+let rec mkdir_p d =
+  if d = "" || d = "." || d = "/" || Sys.file_exists d then ()
+  else begin
+    mkdir_p (Filename.dirname d);
+    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 let create ?(config = Config.default) circuit =
   match Config.validate config with
-  | Ok config -> { circuit; config }
+  | Ok config ->
+      Option.iter mkdir_p config.Config.cert_dir;
+      { circuit; config }
   | Error msg -> invalid_arg ("Step_engine.Engine.create: " ^ msg)
 
 let circuit t = t.circuit
@@ -383,11 +398,11 @@ let po_failure_of (f : Retry.failure) =
    sees the same input (that is what makes results independent of
    [jobs]); with the per-PO budget clamped by what is left before
    [deadline]. Past the deadline the job is a timeout stub. *)
-let method_job eng ~deadline ~stub kernel method_ i =
+let method_job eng ~deadline ~no_aux kernel method_ i =
   let cfg = eng.config in
   let remaining = deadline -. Clock.now () in
   if remaining <= 0.0 then
-    stub (timeout_stub ~method_ (Circuit.output_name eng.circuit i))
+    (no_aux, timeout_stub ~method_ (Circuit.output_name eng.circuit i), None)
   else
     kernel cfg
       ~budget:(Float.min cfg.Config.per_po_budget remaining)
@@ -404,8 +419,8 @@ let po_scope i = "po:" ^ string_of_int i
    of every ladder rung — runs inside one Fault scope named after the
    output index, so injected-fault ordinals are deterministic at any
    [jobs]. [job method_ i] returns an auxiliary value (the chosen gate
-   for the auto path, unit otherwise) alongside the row; [no_aux] is
-   what a failed output reports for it.
+   for the auto path, unit otherwise), the row and its certificate body;
+   [no_aux] is what a failed output reports for the first.
 
    The flow: the configured method runs under the retry policy
    (transient failures back off and retry, deterministic ones do not);
@@ -413,7 +428,9 @@ let po_scope i = "po:" ^ string_of_int i
    the output with each cheaper method in turn, and the first usable
    result is kept, marked [degraded] and carrying the primary's failure
    record. A job only yields a [failed] row when the primary raised and
-   every rung was exhausted. *)
+   every rung was exhausted. Once the row is final, its certificate body
+   is written to [cert_dir], if set, and dropped: rows keep only the
+   checked summary. *)
 let supervise_job eng ~no_aux ~job i =
   let cfg = eng.config in
   let name = Circuit.output_name eng.circuit i in
@@ -438,16 +455,18 @@ let supervise_job eng ~no_aux ~job i =
           "engine.attempt"
         @@ fun () ->
         Fault.hit "pool.dispatch";
-        let aux, r = job method_ i in
+        let ((_, r, _) as res) = job method_ i in
         Obs.add_attr "status" (Json.String (po_status r));
-        (aux, r))
+        res)
   in
   let primary = attempt_method ~fallback:false cfg.Config.method_ in
   let primary_failure =
     match primary with Error f -> Some (po_failure_of f) | Ok _ -> None
   in
-  let restamp (aux, r) = (aux, { r with attempts = !total_attempts }) in
-  let degraded (aux, r) =
+  let restamp (aux, r, body) =
+    (aux, { r with attempts = !total_attempts }, body)
+  in
+  let degraded (aux, r, body) =
     Metrics.inc m_degraded;
     ( aux,
       {
@@ -455,45 +474,55 @@ let supervise_job eng ~no_aux ~job i =
         degraded = true;
         attempts = !total_attempts;
         failure = primary_failure;
-      } )
+      },
+      body )
   in
   let rec try_ladder ~on_exhausted = function
     | [] -> on_exhausted ()
     | m :: rest -> (
         match attempt_method ~fallback:true m with
-        | Ok ((_, r) as res) when usable r -> degraded res
+        | Ok ((_, r, _) as res) when usable r -> degraded res
         | Ok _ | Error _ -> try_ladder ~on_exhausted rest)
   in
   let ladder =
     List.filter (fun m -> m <> cfg.Config.method_) cfg.Config.fallback
   in
-  match primary with
-  | Ok ((_, r) as res) when usable r || ladder = [] -> restamp res
-  | Ok res ->
-      (* timed out with nothing: degrade if a rung delivers, else keep
-         the honest timeout row *)
-      try_ladder ~on_exhausted:(fun () -> restamp res) ladder
-  | Error f ->
-      try_ladder ladder ~on_exhausted:(fun () ->
-          Metrics.inc m_failures;
-          ( no_aux,
-            failed_stub ~method_:cfg.Config.method_
-              ~attempts:!total_attempts
-              ~elapsed:(Clock.elapsed_since t0) name (po_failure_of f) ))
+  let aux, r, body =
+    match primary with
+    | Ok ((_, r, _) as res) when usable r || ladder = [] -> restamp res
+    | Ok res ->
+        (* timed out with nothing: degrade if a rung delivers, else keep
+           the honest timeout row *)
+        try_ladder ~on_exhausted:(fun () -> restamp res) ladder
+    | Error f ->
+        try_ladder ladder ~on_exhausted:(fun () ->
+            Metrics.inc m_failures;
+            ( no_aux,
+              failed_stub ~method_:cfg.Config.method_
+                ~attempts:!total_attempts
+                ~elapsed:(Clock.elapsed_since t0) name (po_failure_of f),
+              None ))
+  in
+  (match (cfg.Config.cert_dir, body) with
+  | Some dir, Some cert -> Cert.save (Cert.file ~dir name) cert
+  | _ -> ());
+  (aux, r)
 
 let run_job eng ~deadline i =
   let kernel cfg ~budget circuit i method_ =
-    ((), decompose_kernel cfg ~budget circuit i cfg.Config.gate method_)
+    let r, body =
+      decompose_kernel cfg ~budget circuit i cfg.Config.gate method_
+    in
+    ((), r, body)
   in
   snd
     (supervise_job eng ~no_aux:()
-       ~job:(method_job eng ~deadline ~stub:(fun r -> ((), r)) kernel)
+       ~job:(method_job eng ~deadline ~no_aux:() kernel)
        i)
 
 let run_auto_job eng ~deadline i =
   supervise_job eng ~no_aux:None
-    ~job:
-      (method_job eng ~deadline ~stub:(fun r -> (None, r)) decompose_auto_kernel)
+    ~job:(method_job eng ~deadline ~no_aux:None decompose_auto_kernel)
     i
 
 let decompose_po eng i =

@@ -63,11 +63,13 @@ type po_result = {
           [failed] if no ladder rung recovered it, [degraded] otherwise
           (the record then describes the primary method's failure). *)
   certificate : Step_core.Certify.t option;
-      (** Proof-carrying certificate for this row's answer, already
-          re-validated by the independent checker ([ok] / [diags] record
-          the verdict). Only present under [Config.certify]; never
-          present for timeouts or failures. For cached cones the
-          certificate speaks in the cone's canonical input indices. *)
+      (** Checked summary of the proof-carrying certificate for this
+          row's answer ([ok] / [diags] record the independent checker's
+          verdict). The certificate itself is not kept: it is saved to
+          [Config.cert_dir] when that is set, and dropped. Only present
+          under [Config.certify]; never present for timeouts or
+          failures. For cached cones the certificate speaks in the cone's
+          canonical input indices. *)
 }
 
 val po_status : po_result -> string
@@ -95,8 +97,9 @@ type t
 
 val create : ?config:Config.t -> Step_aig.Circuit.t -> t
 (** [create ?config circuit] validates [config] (default
-    {!Config.default}) and opens a session on [circuit]. The session
-    never mutates [circuit].
+    {!Config.default}) and opens a session on [circuit], creating
+    [config.cert_dir] if it is set and missing. The session never
+    mutates [circuit].
 
     @raise Invalid_argument when {!Config.validate} rejects the config. *)
 

@@ -557,6 +557,13 @@ let add_clause_a s lits =
     else begin
       let lits = Veci.to_array out in
       match Array.length lits with
+      | 0 when s.proof_mode ->
+          (* the empty input clause is its own refutation *)
+          let id, _ = alloc_clause s lits 0 false in
+          s.n_problem <- s.n_problem + 1;
+          s.empty_chain <- Some { Proof.premises = [| id |]; pivots = [||] };
+          s.ok <- false;
+          id
       | 0 ->
           s.ok <- false;
           -1

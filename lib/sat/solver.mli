@@ -69,7 +69,9 @@ val add_clause : t -> Lit.t list -> int
 (** Adds a clause; returns its identifier, or [-1] when the clause was
     discarded (tautology, or already satisfied at level 0 in non-proof
     mode). Adding an empty (or all-false-at-level-0) clause makes the
-    solver permanently unsatisfiable. Variables are allocated on demand. *)
+    solver permanently unsatisfiable; in proof mode an empty clause is
+    kept and recorded as the refutation. Variables are allocated on
+    demand. *)
 
 val add_clause_a : t -> Lit.t array -> int
 (** Array variant of {!add_clause}; the array is not retained. *)

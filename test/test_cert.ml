@@ -257,6 +257,21 @@ let test_drat_deletions () =
        (String.split_on_char '\n' proof));
   check_bool "trace with deletions checks" true (drat_ok ~n_vars cnf proof)
 
+(* An empty input clause refutes the formula by itself: both exporters
+   must give the one-line proof of the empty clause, not raise. *)
+let test_empty_input_clause () =
+  let cnf = [ [ 1 ]; []; [ -1; 2 ] ] in
+  let s = solver_of_dimacs 2 cnf in
+  check_bool "unsat" false (Solver.solve s);
+  let proof = Step_sat.Drat.export_string s in
+  Alcotest.(check string) "drat is the empty clause" "0\n" proof;
+  check_bool "drat checks" true (drat_ok ~n_vars:2 cnf proof);
+  let e = Lrat.export s in
+  check_bool "lrat checks" false
+    (Diag.has_errors
+       (Cert.check_lrat ~item:"empty" ~n_vars:e.Lrat.n_vars
+          ~cnf:(Cert.pack_cnf e.Lrat.cnf) ~proof:e.Lrat.proof ()))
+
 let gen_cnf =
   let open QCheck2.Gen in
   let* n_vars = int_range 1 10 in
@@ -379,12 +394,10 @@ let test_certify_decomposed () =
     Certify.for_po ~po:"t" ~method_name:"test" p Gate.And_gate (Some part)
   with
   | None -> Alcotest.fail "expected a certificate"
-  | Some ct ->
+  | Some (cert, ct) ->
       check_bool "checker accepted" true ct.Certify.ok;
       check_bool "prop1 obligation" true
-        (List.exists
-           (fun o -> o.Cert.label = "prop1")
-           ct.Certify.cert.Cert.obligations);
+        (List.exists (fun o -> o.Cert.label = "prop1") cert.Cert.obligations);
       check_bool "proof bytes counted" true (ct.Certify.proof_bytes > 0)
 
 (* f = a XOR b is not AND-decomposable: the indecomposable answer gets a
@@ -395,12 +408,10 @@ let test_certify_witness () =
   let p = Problem.of_edge m (Aig.xor_ m a b) in
   match Certify.for_po ~po:"t" ~method_name:"test" p Gate.And_gate None with
   | None -> Alcotest.fail "expected a witness certificate"
-  | Some ct ->
+  | Some (cert, ct) ->
       check_bool "checker accepted" true ct.Certify.ok;
       check_bool "witness obligation" true
-        (List.exists
-           (fun o -> o.Cert.label = "witness")
-           ct.Certify.cert.Cert.obligations)
+        (List.exists (fun o -> o.Cert.label = "witness") cert.Cert.obligations)
 
 (* a Refuted claim (AND-decomposing XOR on a balanced split) raises *)
 let test_certify_refuted () =
@@ -431,28 +442,30 @@ let test_certify_tampered () =
     Certify.for_po ~po:"t" ~method_name:"test" p Gate.And_gate (Some part)
   with
   | None -> Alcotest.fail "expected a certificate"
-  | Some ct ->
+  | Some (cert, ct) ->
+      let cut o =
+        match o.Cert.answer with
+        | Cert.Unsat { format; proof } ->
+            let cut = String.length proof / 2 in
+            {
+              o with
+              Cert.answer = Cert.Unsat { format; proof = String.sub proof 0 cut };
+            }
+        | Cert.Sat _ -> o
+      in
       let tampered =
-        {
-          ct.Certify.cert with
-          Cert.obligations =
-            List.map
-              (fun o ->
-                match o.Cert.answer with
-                | Cert.Unsat { format; proof } ->
-                    let cut = String.length proof / 2 in
-                    {
-                      o with
-                      Cert.answer =
-                        Cert.Unsat
-                          { format; proof = String.sub proof 0 cut };
-                    }
-                | Cert.Sat _ -> o)
-              ct.Certify.cert.Cert.obligations;
-        }
+        { cert with Cert.obligations = List.map cut cert.Cert.obligations }
       in
       let rechecked = Certify.of_cert tampered in
-      check_bool "tampered rejected" false rechecked.Certify.ok
+      check_bool "tampered rejected" false rechecked.Certify.ok;
+      (* an appended obligation is checked on its own and folded in *)
+      let ob = List.hd cert.Cert.obligations in
+      let more = Certify.add_obligation ct ~po:"t" ob in
+      check_bool "valid obligation kept ok" true more.Certify.ok;
+      Alcotest.(check int) "proof bytes added"
+        (2 * ct.Certify.proof_bytes) more.Certify.proof_bytes;
+      check_bool "tampered obligation rejected" false
+        (Certify.add_obligation ct ~po:"t" (cut ob)).Certify.ok
 
 let () =
   Alcotest.run "step_cert"
@@ -483,6 +496,8 @@ let () =
           Alcotest.test_case "pigeonhole" `Quick test_drat_pigeonhole;
           Alcotest.test_case "deletions after reduce" `Quick
             test_drat_deletions;
+          Alcotest.test_case "empty input clause" `Quick
+            test_empty_input_clause;
         ] );
       ( "model",
         [

@@ -736,6 +736,101 @@ let prop_screen_clauses_backed =
           in
           screened && from_sat)
 
+(* ---------- screened MG seed scan ---------- *)
+
+(* Seeded planted cones (decomposable under their own gate, mostly not
+   under the others) and random-DAG outputs. *)
+let scan_cones () =
+  let module G = Step_circuits.Generators in
+  let planted =
+    List.concat_map
+      (fun gate ->
+        List.map
+          (fun seed ->
+            (G.planted_cone ~seed ~na:3 ~nb:3 ~nc:2 gate).G.circuit)
+          [ 3; 17 ])
+      Gate.all
+  in
+  let dags =
+    List.map
+      (fun seed -> G.random_dag ~seed ~n_inputs:9 ~n_gates:40 ~n_outputs:3)
+      [ 1; 2 ]
+  in
+  List.concat_map
+    (fun c -> List.init (Circuit.n_outputs c) (Problem.of_output c))
+    (planted @ dags)
+  |> List.filter (fun p -> Problem.n_vars p >= 2)
+
+(* The reference: the unscreened scan, one SAT call per seed in Mg's
+   order and under its default seed limit. Alongside it, the screen Mg
+   builds (seeded from the gate and support size alone, so this replay
+   sees the same words) is asked about each seed: a refuted seed must
+   answer Sat. Returns (seeds tried, seeds refuted, found). *)
+let reference_scan (p : Problem.t) g =
+  let n = Problem.n_vars p in
+  let limit = min (4 * n) (n * (n - 1) / 2) in
+  let c = Copies.create p g in
+  let screen = Screen.create p g in
+  let pos = Hashtbl.create n in
+  List.iteri (fun j i -> Hashtbl.replace pos i j) p.Problem.support;
+  let side = Array.make n 2 in
+  let refutes u v =
+    Array.fill side 0 n 2;
+    side.(Hashtbl.find pos u) <- 0;
+    side.(Hashtbl.find pos v) <- 1;
+    Screen.refute screen side
+  in
+  let assumptions u v =
+    List.concat_map
+      (fun i ->
+        (if i = u then [] else [ Copies.alpha_selector c i ])
+        @ if i = v then [] else [ Copies.beta_selector c i ])
+      p.Problem.support
+  in
+  let rec go tried refuted = function
+    | [] -> (tried, refuted, false)
+    | _ when tried >= limit -> (tried, refuted, false)
+    | (u, v) :: rest -> (
+        let r = refutes u v in
+        match
+          Step_sat.Solver.solve_limited ~assumptions:(assumptions u v)
+            (Copies.solver c)
+        with
+        | Step_sat.Solver.Sat ->
+            go (tried + 1) (if r then refuted + 1 else refuted) rest
+        | Step_sat.Solver.Unsat ->
+            if r then Alcotest.fail "the screen refuted a seed SAT answers Unsat";
+            (tried + 1, refuted, true)
+        | Step_sat.Solver.Unknown -> Alcotest.fail "reference scan: Unknown")
+  in
+  go 0 0 (Mg.seeds p)
+
+let test_mg_screened_scan () =
+  let indecomposable = ref 0 in
+  List.iter
+    (fun g ->
+      List.iteri
+        (fun k p ->
+          let label what =
+            Printf.sprintf "%s cone %d (n=%d): %s" (Gate.to_string g) k
+              (Problem.n_vars p) what
+          in
+          let tried, refuted, found = reference_scan p g in
+          let r = Mg.find p g in
+          Alcotest.(check int) (label "seeds_tried") tried r.Mg.seeds_tried;
+          Alcotest.(check bool) (label "found") found (r.Mg.partition <> None);
+          Alcotest.(check int) (label "sat_calls") (tried - refuted)
+            r.Mg.sat_calls;
+          if not found then begin
+            incr indecomposable;
+            if r.Mg.sat_calls >= r.Mg.seeds_tried then
+              Alcotest.fail (label "no seed screened")
+          end)
+        (scan_cones ()))
+    Gate.all;
+  Alcotest.(check bool) "some cones are indecomposable" true
+    (!indecomposable > 0)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -771,6 +866,8 @@ let () =
           Alcotest.test_case "strategies agree" `Quick test_strategies_agree;
           Alcotest.test_case "copies mismatch rejected" `Quick
             test_qbf_copies_mismatch_rejected;
+          Alcotest.test_case "mg screened scan = unscreened" `Quick
+            test_mg_screened_scan;
           Alcotest.test_case "mg copies mismatch rejected" `Quick
             test_mg_copies_mismatch_rejected;
           Alcotest.test_case "bootstrap never worse" `Quick

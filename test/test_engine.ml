@@ -83,6 +83,14 @@ let test_config_validation () =
   Alcotest.(check bool)
     "unbounded total budget allowed" true
     (ok (Config.default |> Config.with_total_budget infinity));
+  Alcotest.(check bool)
+    "cert_dir without certify rejected" false
+    (ok (Config.default |> Config.with_cert_dir (Some "certs")));
+  Alcotest.(check bool)
+    "cert_dir with certify allowed" true
+    (ok
+       (Config.default |> Config.with_certify true
+       |> Config.with_cert_dir (Some "certs")));
   (* Engine.create enforces validation *)
   match
     Engine.create
