@@ -19,7 +19,9 @@
    [--vars]) and runs STEP-QD, QB and QDB on all three gates, with and
    without an MG bootstrap on a shared scaffold as the engine does. The
    optimum k and the "indecomposable" verdicts must match an exhaustive
-   enumeration of every partition (Step_core.Exhaustive).
+   enumeration of every partition (Step_core.Exhaustive). Every pair the
+   screen's pairwise sweep reports (Step_core.Screen.pairs) must have a
+   witness point found by enumerating the cone's inputs.
 
    Exit code 0 when every round agrees; 1 with a reproducer seed printed
    otherwise. Usage:
@@ -38,6 +40,7 @@ module Ljh = Step_core.Ljh
 module Qbf_model = Step_core.Qbf_model
 module Copies = Step_core.Copies
 module Exhaustive = Step_core.Exhaustive
+module Screen = Step_core.Screen
 module Extract = Step_core.Extract
 module Verify = Step_core.Verify
 module Solver = Step_sat.Solver
@@ -221,11 +224,51 @@ let optimum_problem st n =
   in
   Problem.of_edge m f
 
+let pairs_checked = ref 0
+
+(* Every ordered pair (i, j) reported by the pairwise sweep must have a
+   point x, found by enumerating all of them, where the tuple
+   (x, x ⊕ e_i, x ⊕ e_j) violates the gate condition. *)
+let check_pairs round (p : Problem.t) g =
+  let support = Array.of_list p.Problem.support in
+  let n = Array.length support in
+  let pos = Array.make (Aig.n_inputs p.Problem.aig) 0 in
+  Array.iteri (fun k i -> pos.(i) <- k) support;
+  let f mask flip =
+    Aig.eval p.Problem.aig
+      (fun i -> (mask lxor flip) lsr pos.(i) land 1 = 1)
+      p.Problem.f
+  in
+  let violates mask i j =
+    let ei = 1 lsl i and ej = 1 lsl j in
+    let fx = f mask 0 and f1 = f mask ei and f2 = f mask ej in
+    match g with
+    | Gate.Or_gate -> fx && (not f1) && not f2
+    | Gate.And_gate -> (not fx) && f1 && f2
+    | Gate.Xor_gate -> fx <> f1 <> f2 <> f mask (ei lor ej)
+  in
+  let screen = Screen.create p g in
+  Screen.pairs screen (fun () ->
+      incr pairs_checked;
+      let xa = ref [] and xb = ref [] in
+      Screen.iter_diff screen
+        ~xa:(fun k -> xa := k :: !xa)
+        ~xb:(fun k -> xb := k :: !xb);
+      match (!xa, !xb) with
+      | [ i ], [ j ] when i <> j ->
+          let witness mask = violates mask i j in
+          if not (List.exists witness (List.init (1 lsl n) Fun.id)) then
+            fail round
+              (Printf.sprintf "%s: pair (%d, %d) has no witness"
+                 (Gate.to_string g) i j)
+      | _ -> fail round (Gate.to_string g ^ ": pair tuple is not two flips"))
+
 let optimum_round round st =
   let p = optimum_problem st (2 + Random.State.int st (!n_vars - 1)) in
   if List.length p.Problem.support >= 2 then
     List.iter
       (fun g ->
+        check_pairs round p g;
         let all = Exhaustive.all_decomposable p g in
         List.iter
           (fun (label, target) ->
@@ -450,10 +493,12 @@ let () =
     else if !proofs then proof_round round st
     else round_check round st
   done;
-  Printf.printf "fuzz%s: %d rounds, %d failures\n"
+  Printf.printf "fuzz%s: %d rounds, %d failures%s\n"
     (if !arena then " (arena)"
      else if !optimum then " (optimum)"
      else if !proofs then " (proofs)"
      else "")
-    !rounds !failures;
+    !rounds !failures
+    (if !optimum then Printf.sprintf ", %d pairs checked" !pairs_checked
+     else "");
   exit (if !failures = 0 then 0 else 1)

@@ -5,7 +5,14 @@ module Veci = Step_util.Veci
    store their input index in fanin1. AND nodes store their two fanin
    edges. Fanins always have smaller node ids, so ascending id order is a
    topological order; all traversals below exploit this instead of
-   recursion. *)
+   recursion.
+
+   The structural-hash table is open-addressed over a flat [int array] of
+   AND node ids (0 marks an empty slot: node 0 is the constant, never an
+   AND). A probe compares the candidate's [fanin0]/[fanin1] entries, so a
+   lookup allocates nothing. Every AND node is in the table, so its load
+   is [n_ands]; it starts at 16 slots and doubles once more than half of
+   them are used. *)
 
 type lit = int
 
@@ -15,7 +22,7 @@ type t = {
   fanin0 : Veci.t;
   fanin1 : Veci.t;
   inputs : Veci.t; (* input index -> node id *)
-  strash : (int * int, int) Hashtbl.t;
+  mutable strash : int array; (* power-of-two slots of AND node ids *)
   names : (int, string) Hashtbl.t; (* input index -> name *)
 }
 
@@ -39,7 +46,7 @@ let create () =
       fanin0 = Veci.create ();
       fanin1 = Veci.create ();
       inputs = Veci.create ();
-      strash = Hashtbl.create 1024;
+      strash = Array.make 16 0;
       names = Hashtbl.create 64;
     }
   in
@@ -95,22 +102,62 @@ let node_kind m id =
   else if is_input_node m id then `Input (Veci.get m.fanin1 id)
   else `And (Veci.get m.fanin0 id, Veci.get m.fanin1 id)
 
-let and_ m a b =
-  let a, b = if a <= b then (a, b) else (b, a) in
+(* ---------- structural hashing ---------- *)
+
+(* multiply-xorshift mix, so that the low bits taken by the mask depend
+   on every bit of both fanins *)
+let strash_hash a b =
+  let h = (a * 0x1E3779B97F4A7C15) lxor b in
+  let h = (h lxor (h lsr 31)) * 0x3F58476D1CE4E5B9 in
+  h lxor (h lsr 29)
+
+(* Slot of the AND node with fanins [(a, b)] in [table], or of the empty
+   slot where it would go. *)
+let strash_slot m table a b =
+  let mask = Array.length table - 1 in
+  let i = ref (strash_hash a b land mask) in
+  let id = ref (Array.unsafe_get table !i) in
+  while
+    !id <> 0
+    && (Veci.unsafe_get m.fanin0 !id <> a || Veci.unsafe_get m.fanin1 !id <> b)
+  do
+    i := (!i + 1) land mask;
+    id := Array.unsafe_get table !i
+  done;
+  !i
+
+let strash_grow m =
+  let table = Array.make (2 * Array.length m.strash) 0 in
+  Array.iter
+    (fun id ->
+      if id <> 0 then
+        let a = Veci.unsafe_get m.fanin0 id and b = Veci.unsafe_get m.fanin1 id in
+        table.(strash_slot m table a b) <- id)
+    m.strash;
+  m.strash <- table
+
+(* [and_] with fanins already ordered, [a <= b] *)
+let and_ordered m a b =
   if a = f then f
   else if a = t_ then b
   else if a = b then a
   else if a = not_ b then f
   else begin
-    match Hashtbl.find_opt m.strash (a, b) with
-    | Some id -> mk_edge id false
-    | None ->
-        let id = n_nodes m in
-        Veci.push m.fanin0 a;
-        Veci.push m.fanin1 b;
-        Hashtbl.replace m.strash (a, b) id;
-        mk_edge id false
+    let i = strash_slot m m.strash a b in
+    let id = m.strash.(i) in
+    if id <> 0 then mk_edge id false
+    else begin
+      let id = n_nodes m in
+      Veci.push m.fanin0 a;
+      Veci.push m.fanin1 b;
+      m.strash.(i) <- id;
+      (* every AND node is in the table *)
+      if 2 * n_ands m > Array.length m.strash then strash_grow m;
+      mk_edge id false
+    end
   end
+
+let and_ m a b = if a <= b then and_ordered m a b else and_ordered m b a
 
 let or_ m a b = not_ (and_ m (not_ a) (not_ b))
 

@@ -8,7 +8,14 @@
     AND nodes make up the rest. AND nodes are normalized (ordered fanins,
     constant folding) and structurally hashed, so edges are canonical up to
     structure. Fanins always precede a node in the id order, which makes
-    node-id order a topological order. *)
+    node-id order a topological order.
+
+    The structural-hash table is a flat open-addressing array of AND node
+    ids, probed by comparing the stored fanins: a lookup in {!and_}
+    allocates nothing, and a manager costs one word per slot (16 slots
+    to start, doubled at load 1/2) rather than a boxed key and bucket per
+    node. Node ids and edges are the same as with any other exact
+    structural hash. *)
 
 type t
 (** A mutable AIG manager. *)

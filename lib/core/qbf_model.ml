@@ -11,6 +11,8 @@ let m_screened = Metrics.counter "qbf.screened"
 
 let m_shrunk_lits = Metrics.counter "qbf.shrunk_lits"
 
+let m_pairs = Metrics.counter "qbf.pairs"
+
 let m_queries = Metrics.counter "qbf.queries"
 
 let m_optimize = Metrics.counter "qbf.optimize_calls"
@@ -243,6 +245,23 @@ let partition_of_side abs side =
   in
   Partition.make ~xa:(block 0) ~xb:(block 1) ~xc:(block 2)
 
+(* The one clause builder, for refinements and pairs alike: excludes
+   every candidate that admits the screen's current tuple — each input
+   where x' differs must be in XA, each input where x'' differs must be
+   in XB. An empty clause would make the abstraction Unsat and report a
+   false "indecomposable", so it is an error, not an assertion that
+   -noassert would drop. *)
+let exclude_tuple abs screen =
+  let clause = ref [] in
+  Screen.iter_diff screen
+    ~xa:(fun j -> clause := Lit.negate abs.alpha.(j) :: !clause)
+    ~xb:(fun j -> clause := Lit.negate abs.beta.(j) :: !clause);
+  if !clause = [] then
+    failwith
+      "Qbf_model: counterexample tuple with no differing input gives an \
+       empty clause";
+  ignore (Solver.add_clause abs.solver !clause)
+
 let query abs copies screen side target k ~deadline ~refinement_cap
     ~refinements ~qbf_queries =
   incr qbf_queries;
@@ -250,17 +269,10 @@ let query abs copies screen side target k ~deadline ~refinement_cap
   let t_query = Clock.now () in
   let assumptions = bound_assumptions abs target k in
   (* the single refinement path, for simulated and SAT counterexamples
-     alike: shrink the screen's current tuple, then exclude every
-     candidate that admits it — each input where x' differs must be in
-     XA, each input where x'' differs must be in XB *)
+     alike: shrink the screen's current tuple, then exclude it *)
   let refine () =
     Metrics.add m_shrunk_lits (Screen.shrink screen);
-    let clause = ref [] in
-    Screen.iter_diff screen
-      ~xa:(fun j -> clause := Lit.negate abs.alpha.(j) :: !clause)
-      ~xb:(fun j -> clause := Lit.negate abs.beta.(j) :: !clause);
-    assert (!clause <> []);
-    ignore (Solver.add_clause abs.solver !clause);
+    exclude_tuple abs screen;
     incr refinements;
     Metrics.inc m_refinements
   in
@@ -329,9 +341,10 @@ let optimize ?copies ?(symmetry_breaking = true) ?strategy ?bootstrap
   Metrics.inc m_optimize;
   let t0 = Clock.now () in
   let n = Problem.n_vars p in
-  let refinements = ref 0 and qbf_queries = ref 0 in
+  let refinements = ref 0 and qbf_queries = ref 0 and pairs = ref 0 in
   let finish partition optimal =
     Obs.add_attr "refinements" (Step_obs.Json.Int !refinements);
+    Obs.add_attr "pairs" (Step_obs.Json.Int !pairs);
     Obs.add_attr "queries" (Step_obs.Json.Int !qbf_queries);
     Obs.add_attr "optimal" (Step_obs.Json.Bool optimal);
     {
@@ -377,7 +390,20 @@ let optimize ?copies ?(symmetry_breaking = true) ?strategy ?bootstrap
       | Weighted { wd; wb } -> (wd + wb) * (n - 2)
       | Disjointness | Balancedness | Combined -> n - 2
     in
+    (* Seeds the abstraction with both clauses of every pair the screen's
+       sweep finds, just before the first query, so an optimize that
+       issues none (a bootstrap already at the floor) pays nothing. Pair
+       tuples are already minimal, so they are not shrunk or banked, and
+       they are not refinements. *)
+    let seeded = ref false in
     let ask k =
+      if not !seeded then begin
+        seeded := true;
+        Screen.pairs screen (fun () ->
+            exclude_tuple abs screen;
+            incr pairs;
+            Metrics.inc m_pairs)
+      end;
       query abs copies screen side target k ~deadline
         ~refinement_cap:max_refinements ~refinements ~qbf_queries
     in

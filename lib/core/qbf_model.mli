@@ -82,4 +82,11 @@ val optimize :
     provides the initial upper bound; without it the search first decides
     plain decomposability at the loosest bound. [symmetry_breaking]
     defaults to [true]. With a [bootstrap], the result is never worse than
-    it (mirroring the paper's setup). *)
+    it (mirroring the paper's setup).
+
+    Just before its first bound query, the search seeds the abstraction
+    with both clauses of every pair found by {!Screen.pairs}. These
+    clauses are not refinements: [max_refinements] and [refinements] do
+    not count them (the [qbf.pairs] counter does). A search that issues
+    no query, because the bootstrap already meets the floor, runs no
+    sweep. *)

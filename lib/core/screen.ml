@@ -104,6 +104,9 @@ let bank_words = 4
 (* fresh random words tried per candidate after the bank *)
 let random_words = 8
 
+(* random base words of the pairwise sweep *)
+let pair_words = 4
+
 type t = {
   gate : Gate.t;
   sim : sim;
@@ -344,6 +347,65 @@ let shrink t =
   done;
   bank t;
   !reverted
+
+(* The pairwise sweep. Each base word x is simulated once, and once per
+   single flip x ⊕ e_j; a pair's violation word then needs no simulation
+   for OR and AND, and one more (x ⊕ e_i ⊕ e_j) for XOR. The base words
+   live in [sx], since [f] may run {!shrink}, which overwrites the
+   simulator words. *)
+let pairs t f =
+  let n = t.n and s = t.sim in
+  let found = Bytes.make (n * n) '\000' in
+  let flips = Array.make n 0 (* f(x ⊕ e_j) *) in
+  for _ = 1 to pair_words do
+    for j = 0 to n - 1 do
+      t.sx.(j) <- random_word t
+    done;
+    Array.blit t.sx 0 t.wx 0 n;
+    let fx = run s t.wx in
+    for j = 0 to n - 1 do
+      t.wx.(j) <- lnot t.sx.(j);
+      flips.(j) <- run s t.wx;
+      t.wx.(j) <- t.sx.(j)
+    done;
+    for i = 0 to n - 2 do
+      for j = i + 1 to n - 1 do
+        if Bytes.get found ((i * n) + j) = '\000' then begin
+          let fi = flips.(i) and fj = flips.(j) in
+          let v =
+            match t.gate with
+            | Gate.Or_gate -> fx land lnot fi land lnot fj
+            | Gate.And_gate -> lnot fx land fi land fj
+            | Gate.Xor_gate ->
+                t.wx.(i) <- lnot t.sx.(i);
+                t.wx.(j) <- lnot t.sx.(j);
+                let fij = run s t.wx in
+                t.wx.(i) <- t.sx.(i);
+                t.wx.(j) <- t.sx.(j);
+                fx lxor fi lxor fj lxor fij
+          in
+          if v <> 0 then begin
+            Bytes.set found ((i * n) + j) '\001';
+            let lane = lowest_lane v in
+            (* the condition is symmetric in the two flips: report both
+               orders, (x, x ⊕ e_i, x ⊕ e_j) and (x, x ⊕ e_j, x ⊕ e_i) *)
+            let report a b =
+              for k = 0 to n - 1 do
+                let x = bit t.sx.(k) lane in
+                t.tx.(k) <- x;
+                t.t1.(k) <- x <> (k = a);
+                t.t2.(k) <- x <> (k = b)
+              done;
+              f ()
+            in
+            report i j;
+            report j i;
+            Array.blit t.sx 0 t.wx 0 n
+          end
+        end
+      done
+    done
+  done
 
 let iter_diff t ~xa ~xb =
   for j = 0 to t.n - 1 do

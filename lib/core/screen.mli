@@ -23,7 +23,18 @@
     A violating tuple refutes every partition whose XA contains the inputs
     where [x'] differs from [x] and whose XB contains those where [x'']
     does — the CEGAR refinement clause. {!shrink} makes that clause as
-    short as it can before it is added. *)
+    short as it can before it is added.
+
+    {!pairs} finds the shortest such clauses up front: the pairs (i, j)
+    with a violating tuple [(x, x ⊕ e_i, x ⊕ e_j)], each of which rules
+    out i in XA together with j in XB. This is the sample-based pairwise
+    test of Bogdanov and Wang, "Learning and Testing Variable
+    Partitions". One random word costs n + 1 simulations for OR and AND,
+    since a pair's violation word is
+    [f(x) ∧ ¬f(x ⊕ e_i) ∧ ¬f(x ⊕ e_j)] (or its dual), and n(n−1)/2 more
+    for XOR, which also needs [f(x ⊕ e_i ⊕ e_j)]. {!Qbf_model.optimize}
+    adds both clauses of every pair found before its first bound query;
+    a pair the sample misses is still found by the CEGAR loop. *)
 
 (** {2 Compiled cone simulator} *)
 
@@ -66,6 +77,18 @@ val shrink : t -> int
 (** Greedily reverts differing inputs of the current (violating) tuple
     while it still violates, testing 63 prefixes per simulation, then
     adds the result to the bank. Returns the number of inputs reverted. *)
+
+val pairs : t -> (unit -> unit) -> unit
+(** [pairs t f] runs the pairwise sweep on a few seeded random words
+    from the screen's generator. For each pair of support positions
+    [i < j] with a violating tuple [(x, x ⊕ e_i, x ⊕ e_j)] (the lowest
+    violating lane of the first word that shows one), it makes that tuple
+    current and calls [f ()], then does the same for
+    [(x, x ⊕ e_j, x ⊕ e_i)], which violates too since the condition is
+    symmetric in the two copies. A pair is reported once. Its tuples are
+    already minimal: reverting either flip makes two points coincide, so
+    {!shrink} would revert nothing. [f] may call {!iter_diff}, {!tuple}
+    and {!shrink}. *)
 
 val iter_diff : t -> xa:(int -> unit) -> xb:(int -> unit) -> unit
 (** Support positions where the current tuple's [x'] (passed to [xa]) or

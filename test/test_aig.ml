@@ -464,6 +464,83 @@ let prop_sim64_matches_eval =
              = (if Aig.eval m (env_of_mask mask) edge then 1L else 0L))
         all_masks)
 
+(* Differential test of the flat structural-hash table against a
+   reference [Hashtbl] strash. Each op ANDs one of the last 8 edges with
+   any earlier edge (inputs and results so far, either polarity), so the
+   ops both hit the table and keep adding nodes. *)
+module Ref_strash = struct
+  type t = {
+    keys : (int * int, int) Hashtbl.t;
+    fanins : (int, int * int) Hashtbl.t;
+    mutable next : int; (* the next node id *)
+  }
+
+  let create n_inputs =
+    { keys = Hashtbl.create 16; fanins = Hashtbl.create 16; next = n_inputs + 1 }
+
+  let and_ r a b =
+    let a, b = if a <= b then (a, b) else (b, a) in
+    if a = Aig.f then Aig.f
+    else if a = Aig.t_ then b
+    else if a = b then a
+    else if a = Aig.not_ b then Aig.f
+    else
+      match Hashtbl.find_opt r.keys (a, b) with
+      | Some id -> 2 * id
+      | None ->
+          let id = r.next in
+          r.next <- id + 1;
+          Hashtbl.replace r.keys (a, b) id;
+          Hashtbl.replace r.fanins id (a, b);
+          2 * id
+end
+
+let gen_and_ops =
+  QCheck2.Gen.(
+    list_size (int_range 300 700)
+      (quad (int_bound 1_000_000) bool (int_bound 1_000_000) bool))
+
+let prop_flat_strash_matches_hashtbl =
+  QCheck2.Test.make ~count:60 ~name:"flat strash matches a Hashtbl strash"
+    gen_and_ops (fun ops ->
+      let n_inputs = 4 in
+      let m = Aig.create () in
+      let r = Ref_strash.create n_inputs in
+      let pool = Array.make (n_inputs + List.length ops) 0 in
+      for i = 0 to n_inputs - 1 do
+        pool.(i) <- Aig.fresh_input m
+      done;
+      let pool_n = ref n_inputs in
+      let push e =
+        pool.(!pool_n) <- e;
+        incr pool_n
+      in
+      let pick i c = (if c then Aig.not_ else Fun.id) pool.(i) in
+      let ok = ref true in
+      List.iter
+        (fun (i, ci, j, cj) ->
+          (* a recent edge against any edge: the cone keeps deepening *)
+          let a = pick (!pool_n - 1 - (i mod min 8 !pool_n)) ci in
+          let b = pick (j mod !pool_n) cj in
+          let e = Aig.and_ m a b in
+          if e <> Aig.and_ m b a || e <> Ref_strash.and_ r a b then ok := false;
+          if not (Aig.is_const e) then push e)
+        ops;
+      (* every node the reference created exists with the same fanins *)
+      Hashtbl.iter
+        (fun id fanins -> if Aig.fanins m id <> fanins then ok := false)
+        r.Ref_strash.fanins;
+      (* a second pass over every recorded node only hits the table *)
+      let before = Aig.n_nodes m in
+      Hashtbl.iter
+        (fun id (a, b) -> if Aig.and_ m b a <> 2 * id then ok := false)
+        r.Ref_strash.fanins;
+      (* more than 64 ANDs: the 16-slot table has doubled at least 4 times *)
+      !ok
+      && Aig.n_nodes m = r.Ref_strash.next
+      && Aig.n_nodes m = before
+      && Aig.n_ands m > 64)
+
 let prop_cofactor_semantics =
   QCheck2.Test.make ~count:200 ~name:"cofactor fixes a variable"
     ~print:pp_expr (gen_expr n_test_vars) (fun e ->
@@ -674,6 +751,7 @@ let () =
         [
           prop_eval_matches_interp;
           prop_sim64_matches_eval;
+          prop_flat_strash_matches_hashtbl;
           prop_cofactor_semantics;
           prop_quantify_semantics;
           prop_blif_roundtrip;

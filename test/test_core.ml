@@ -736,6 +736,137 @@ let prop_screen_clauses_backed =
           in
           screened && from_sat)
 
+(* ---------- pairwise sweep ---------- *)
+
+(* Seeded planted cones, with their planted partitions, and random-DAG
+   outputs. *)
+let pair_cones () =
+  let module G = Step_circuits.Generators in
+  let planted =
+    List.concat_map
+      (fun gate ->
+        List.map
+          (fun seed ->
+            let pl = G.planted_cone ~seed ~na:3 ~nb:3 ~nc:2 gate in
+            (Problem.of_output pl.G.circuit 0, Some (gate, pl.G.truth)))
+          [ 3; 17; 29 ])
+      Gate.all
+  in
+  let dags =
+    List.concat_map
+      (fun seed ->
+        let c = G.random_dag ~seed ~n_inputs:8 ~n_gates:40 ~n_outputs:3 in
+        List.init (Circuit.n_outputs c) (fun k -> (Problem.of_output c k, None)))
+      [ 1; 2; 5 ]
+  in
+  List.filter (fun (p, _) -> Problem.n_vars p >= 2) (planted @ dags)
+
+(* Some x over [n] positions makes (x, x ⊕ e_i, x ⊕ e_j) violate. *)
+let pair_witness p g n i j =
+  let point mask flip =
+    Array.init n (fun k -> (mask lsr k) land 1 = 1 <> List.mem k flip)
+  in
+  List.exists
+    (fun mask ->
+      tuple_violates p g (point mask [], point mask [ i ], point mask [ j ]))
+    (List.init (1 lsl n) Fun.id)
+
+let test_screen_pairs () =
+  let total = ref 0 in
+  List.iteri
+    (fun k (p, planted) ->
+      let n = Problem.n_vars p in
+      let support = Array.of_list p.Problem.support in
+      List.iter
+        (fun g ->
+          let label what =
+            Printf.sprintf "%s cone %d (n=%d): %s" (Gate.to_string g) k n what
+          in
+          let screen = Screen.create p g in
+          let found = ref [] in
+          Screen.pairs screen (fun () ->
+              let xa = ref [] and xb = ref [] in
+              Screen.iter_diff screen
+                ~xa:(fun j -> xa := j :: !xa)
+                ~xb:(fun j -> xb := j :: !xb);
+              let i, j =
+                match (!xa, !xb) with
+                | [ i ], [ j ] when i <> j -> (i, j)
+                | _ -> Alcotest.fail (label "not one flip per copy")
+              in
+              let t = Screen.tuple screen in
+              if not (tuple_violates p g t) then
+                Alcotest.fail (label "reported tuple does not violate");
+              Alcotest.(check int) (label "shrink reverts nothing") 0
+                (Screen.shrink screen);
+              if Screen.tuple screen <> t then
+                Alcotest.fail (label "shrink changed a pair tuple");
+              found := (i, j) :: !found);
+          let found = !found in
+          total := !total + List.length found;
+          (* both orders of every pair, each once: the two clauses
+             ¬α_i ∨ ¬β_j and ¬α_j ∨ ¬β_i *)
+          Alcotest.(check int) (label "no pair reported twice")
+            (List.length found)
+            (List.length (List.sort_uniq compare found));
+          List.iter
+            (fun (i, j) ->
+              if not (List.mem (j, i) found) then
+                Alcotest.fail
+                  (label (Printf.sprintf "(%d, %d) without (%d, %d)" i j j i)))
+            found;
+          (match planted with
+          | Some (pg, truth) when pg = g ->
+              let in_ xs j = List.mem support.(j) xs in
+              List.iter
+                (fun (i, j) ->
+                  if in_ truth.Partition.xa i && in_ truth.Partition.xb j then
+                    Alcotest.fail (label "pair crosses the planted XA and XB"))
+                found
+          | _ -> ());
+          if n <= 8 then
+            List.iter
+              (fun (i, j) ->
+                if not (pair_witness p g n i j) then
+                  Alcotest.fail
+                    (label (Printf.sprintf "(%d, %d) has no witness" i j)))
+              found)
+        Gate.all)
+    (pair_cones ());
+  Alcotest.(check bool) "some pairs reported" true (!total > 0)
+
+(* Optimize adds exactly the clauses of the sweep (same seeded screen,
+   and the sweep is its first use), before its first query and only if
+   it makes one. *)
+let test_qbf_pairs_seeded () =
+  let pairs = Step_obs.Metrics.counter "qbf.pairs" in
+  let added f =
+    let before = Step_obs.Metrics.value pairs in
+    let o = f () in
+    (Step_obs.Metrics.value pairs - before, o)
+  in
+  let p, _ = planted_problem Gate.Or_gate 37 in
+  let expected = ref 0 in
+  let screen = Screen.create p Gate.Or_gate in
+  Screen.pairs screen (fun () -> incr expected);
+  let n, o =
+    added (fun () -> Qbf_model.optimize p Gate.Or_gate Qbf_model.Disjointness)
+  in
+  Alcotest.(check bool) "the planted cone has pairs" true (!expected > 0);
+  Alcotest.(check int) "one clause per reported pair" !expected n;
+  Alcotest.(check bool) "still optimal" true o.Qbf_model.optimal;
+  (* parity with an XC-free bootstrap is already at the floor: no query *)
+  let m = Aig.create () in
+  let xs = List.init 5 (fun _ -> Aig.fresh_input m) in
+  let p = Problem.of_edge m (Aig.xor_list m xs) in
+  let bootstrap = Partition.make ~xa:[ 0; 1 ] ~xb:[ 2; 3; 4 ] ~xc:[] in
+  let n, o =
+    added (fun () ->
+        Qbf_model.optimize ~bootstrap p Gate.Xor_gate Qbf_model.Disjointness)
+  in
+  Alcotest.(check int) "no query, no sweep" 0 n;
+  Alcotest.(check int) "no query" 0 o.Qbf_model.qbf_queries
+
 (* ---------- screened MG seed scan ---------- *)
 
 (* Seeded planted cones (decomposable under their own gate, mostly not
@@ -868,6 +999,9 @@ let () =
             test_qbf_copies_mismatch_rejected;
           Alcotest.test_case "mg screened scan = unscreened" `Quick
             test_mg_screened_scan;
+          Alcotest.test_case "screen pairs" `Quick test_screen_pairs;
+          Alcotest.test_case "qbf pairs seeded lazily" `Quick
+            test_qbf_pairs_seeded;
           Alcotest.test_case "mg copies mismatch rejected" `Quick
             test_mg_copies_mismatch_rejected;
           Alcotest.test_case "bootstrap never worse" `Quick
