@@ -169,8 +169,9 @@ arenasmoke:
 # Differential optimum gate: random cones with support <= 8, STEP-QD/QB/
 # QDB on all three gates (plain and MG-bootstrapped); the optimum k and
 # every "indecomposable" verdict must match exhaustive enumeration, and
-# every pair the screen's pairwise sweep reports must have an
-# exhaustively found witness point.
+# every ordered pair of the screen's pair graph (Screen.conflict) must be
+# symmetric, have an exhaustively found witness point, and be what the
+# pairwise sweep reports.
 optsmoke:
 	dune build bin/fuzz.exe
 	dune exec --no-build bin/fuzz.exe -- --optimum --rounds 40 --vars 8 \

@@ -7,7 +7,7 @@
    Usage:
      dune exec bench/main.exe                 # all tables + figure + ablations
      dune exec bench/main.exe -- --quick      # reduced circuit set
-     dune exec bench/main.exe -- --table 3    # one artifact (1..4, fig, a1..a7)
+     dune exec bench/main.exe -- --table 3    # one artifact (1..4, fig, a1..a6)
      dune exec bench/main.exe -- --budget 5.0 # per-PO time budget (seconds)
 *)
 
@@ -15,7 +15,7 @@ let usage () =
   prerr_endline
     "usage: main.exe [--quick] [--budget SECONDS] [--scale S] [--jobs N] \
      [--cache] [--cache-dir DIR] [--certify] \
-     [--table 1|2|3|4|fig|a1|a2|a3|a4|a5|a6|a7]";
+     [--table 1|2|3|4|fig|a1|a2|a3|a4|a5|a6]";
   exit 2
 
 type selection =
@@ -70,7 +70,6 @@ let () =
       ("a4", "a4", fun () -> Tables.ablation_weights config);
       ("a5", "a5", fun () -> Tables.ablation_bdd config);
       ("a6", "a6", fun () -> Tables.ablation_depth config);
-      ("a7", "a7", fun () -> Tables.ablation_seed_order config);
     ]
   in
   (* Each artifact also leaves a machine-readable record of every

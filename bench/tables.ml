@@ -428,36 +428,6 @@ let ablation_depth config =
   Printf.printf
     "(lower balancedness should track lower depth of the decomposed network)\n"
 
-let ablation_seed_order config =
-  Printf.printf
-    "%s\nABLATION A7: STEP-MG seed ordering (index spread vs simulation \
-     signatures)\n" hr;
-  let gate = Gate.Or_gate in
-  let circuits = Runs.circuits config in
-  let measure order =
-    let t0 = Unix.gettimeofday () in
-    let seeds = ref 0 and found = ref 0 and total = ref 0 in
-    List.iter
-      (fun c ->
-        for i = 0 to Circuit.n_outputs c - 1 do
-          let p = Problem.of_output c i in
-          if Problem.n_vars p >= 2 then begin
-            incr total;
-            let r = Mg.find ~seed_order:order ~time_budget:1.0 p gate in
-            seeds := !seeds + r.Mg.seeds_tried;
-            if r.Mg.partition <> None then incr found
-          end
-        done)
-      circuits;
-    (Unix.gettimeofday () -. t0, !seeds, !found, !total)
-  in
-  let report label (t, seeds, found, total) =
-    Printf.printf "%-10s %.3fs  seeds tried=%-5d decomposed=%d/%d\n" label t
-      seeds found total
-  in
-  report "spread" (measure Mg.Spread);
-  report "signature" (measure Mg.Signature)
-
 let ablation_extract config =
   Printf.printf
     "%s\nABLATION A3: extraction engines (quantification vs interpolation)\n" hr;

@@ -226,9 +226,10 @@ let optimum_problem st n =
 
 let pairs_checked = ref 0
 
-(* Every ordered pair (i, j) reported by the pairwise sweep must have a
-   point x, found by enumerating all of them, where the tuple
-   (x, x ⊕ e_i, x ⊕ e_j) violates the gate condition. *)
+(* Every ordered pair (i, j) in the screen's pair graph must be symmetric
+   and have a point x, found by enumerating all of them, where the tuple
+   (x, x ⊕ e_i, x ⊕ e_j) violates the gate condition; the sweep must
+   report exactly the pairs of the graph, each as two flips. *)
 let check_pairs round (p : Problem.t) g =
   let support = Array.of_list p.Problem.support in
   let n = Array.length support in
@@ -248,20 +249,36 @@ let check_pairs round (p : Problem.t) g =
     | Gate.Xor_gate -> fx <> f1 <> f2 <> f mask (ei lor ej)
   in
   let screen = Screen.create p g in
+  let conflicts = ref 0 in
+  let bad what i j =
+    fail round
+      (Printf.sprintf "%s: pair (%d, %d) %s" (Gate.to_string g) i j what)
+  in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      if i <> j then begin
+        incr pairs_checked;
+        let c = Screen.conflict screen i j in
+        if c <> Screen.conflict screen j i then bad "is not symmetric" i j;
+        let witness mask = violates mask i j in
+        if c then incr conflicts;
+        if c && not (List.exists witness (List.init (1 lsl n) Fun.id)) then
+          bad "has no witness" i j
+      end
+    done
+  done;
   Screen.pairs screen (fun () ->
-      incr pairs_checked;
+      decr conflicts;
       let xa = ref [] and xb = ref [] in
       Screen.iter_diff screen
         ~xa:(fun k -> xa := k :: !xa)
         ~xb:(fun k -> xb := k :: !xb);
       match (!xa, !xb) with
       | [ i ], [ j ] when i <> j ->
-          let witness mask = violates mask i j in
-          if not (List.exists witness (List.init (1 lsl n) Fun.id)) then
-            fail round
-              (Printf.sprintf "%s: pair (%d, %d) has no witness"
-                 (Gate.to_string g) i j)
-      | _ -> fail round (Gate.to_string g ^ ": pair tuple is not two flips"))
+          if not (Screen.conflict screen i j) then bad "is not a conflict" i j
+      | _ -> fail round (Gate.to_string g ^ ": pair tuple is not two flips"));
+  if !conflicts <> 0 then
+    fail round (Gate.to_string g ^ ": pairs reports other pairs than the graph")
 
 let optimum_round round st =
   let p = optimum_problem st (2 + Random.State.int st (!n_vars - 1)) in

@@ -1,25 +1,8 @@
 module Aig = Step_aig.Aig
 module Solver = Step_sat.Solver
 
-let decomposable ?copies ?time_budget p g partition =
-  let c =
-    match copies with
-    | Some c ->
-        if Copies.problem c != p then
-          invalid_arg "Check.decomposable: copies built for a different problem";
-        if Copies.gate c <> g then
-          invalid_arg
-            (Printf.sprintf
-               "Check.decomposable: copies built for gate %s, not %s"
-               (Gate.to_string (Copies.gate c))
-               (Gate.to_string g));
-        c
-    | None -> Copies.create p g
-  in
-  (match time_budget with
-  | Some b -> Solver.set_time_budget (Copies.solver c) b
-  | None -> ());
-  match Copies.check c partition with
+let decomposable p g partition =
+  match Copies.check (Copies.create p g) partition with
   | Solver.Unsat -> Some true
   | Solver.Sat -> Some false
   | Solver.Unknown -> None

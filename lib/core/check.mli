@@ -5,16 +5,10 @@
     exists to cross-validate the SAT path in tests — it is exponential in
     the support size. *)
 
-val decomposable :
-  ?copies:Copies.t ->
-  ?time_budget:float ->
-  Problem.t ->
-  Gate.t ->
-  Partition.t ->
-  bool option
-(** [Some true] / [Some false] decomposability; [None] when the budget
-    expired. Pass [copies] to reuse an existing scaffold (it must match
-    the problem and gate). *)
+val decomposable : Problem.t -> Gate.t -> Partition.t -> bool option
+(** [Some true] / [Some false] decomposability, decided on a fresh
+    scaffold with no budget; [None] only if the solver gives up
+    ({!Step_sat.Solver.Unknown}). *)
 
 val decomposable_semantic : Problem.t -> Gate.t -> Partition.t -> bool
 (** Truth-table reference: checks [f = fA <OP> fB] pointwise using the

@@ -12,13 +12,12 @@ type t = {
   copy2_lit : (int, Lit.t) Hashtbl.t; (* -> SAT lit of x''_i *)
   sel_alpha : (int, Lit.t) Hashtbl.t;
   sel_beta : (int, Lit.t) Hashtbl.t;
+  screen : Screen.t Lazy.t;
 }
 
-let problem c = c.problem
-
-let gate c = c.gate
-
 let solver c = Tseitin.solver c.enc
+
+let screen c = Lazy.force c.screen
 
 (* fresh copy of the support inputs; returns idx -> substitution edge *)
 let fresh_copy aig support tag =
@@ -110,7 +109,22 @@ let create ?(proof = false) (p : Problem.t) gate_ =
     copy2_lit;
     sel_alpha;
     sel_beta;
+    screen = lazy (Screen.create p gate_);
   }
+
+(* An assert would vanish under -noassert and let a mismatched scaffold
+   check the wrong formula, so a mismatch is an Invalid_argument. *)
+let resolve ~caller copies (p : Problem.t) g =
+  match copies with
+  | None -> create p g
+  | Some c ->
+      if c.problem != p then
+        invalid_arg (caller ^ ": copies built for a different problem");
+      if c.gate <> g then
+        invalid_arg
+          (Printf.sprintf "%s: copies built for gate %s, not %s" caller
+             (Gate.to_string c.gate) (Gate.to_string g));
+      c
 
 let alpha_selector c i = Hashtbl.find c.sel_alpha i
 

@@ -26,7 +26,12 @@
       [tᵢ ⇒ (xᵢ ≡ x''ᵢ) ∧ (x'''ᵢ ≡ x'ᵢ)].
 
     [Unsat] under a partition's assumptions means the function is
-    bi-decomposable with that gate and partition. *)
+    bi-decomposable with that gate and partition.
+
+    A scaffold also carries the one simulation {!Screen} of its problem
+    and gate, built on first use. STEP-MG and the QBF search that it
+    bootstraps share a scaffold, so they read one pair graph and the
+    search reuses MG's learnt clauses. *)
 
 type t
 
@@ -38,12 +43,19 @@ val create : ?proof:bool -> Problem.t -> Gate.t -> t
     disables clause minimization and keeps deleted clause literals, so it
     is never turned on for the hot solve path. *)
 
-val problem : t -> Problem.t
-
-val gate : t -> Gate.t
+val resolve : caller:string -> t option -> Problem.t -> Gate.t -> t
+(** [resolve ~caller copies p g] is the given scaffold, or a fresh one for
+    [p] and [g] when there is none.
+    @raise Invalid_argument, with a message that starts with [caller],
+    if the given scaffold was built for another problem or gate (it names
+    both gates). *)
 
 val solver : t -> Step_sat.Solver.t
 (** The underlying solver (e.g. to set budgets). *)
+
+val screen : t -> Screen.t
+(** The scaffold's screen, built on first use: a scaffold that never asks
+    for it (a certificate's, an LJH probe's) compiles no simulator. *)
 
 val alpha_selector : t -> int -> Step_sat.Lit.t
 (** [alpha_selector c i]: assuming it keeps [i] out of [XA].

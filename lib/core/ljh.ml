@@ -13,7 +13,7 @@ type result = {
   cpu : float;
 }
 
-let find ?seed_limit ?time_budget (p : Problem.t) g =
+let find ?time_budget (p : Problem.t) g =
   Obs.span
     ~attrs:[ ("n", Step_obs.Json.Int (Problem.n_vars p)) ]
     "ljh.find"
@@ -51,26 +51,21 @@ let find ?seed_limit ?time_budget (p : Problem.t) g =
         pairs := (support.(i), support.(j)) :: !pairs
       done
     done;
-    let limit =
-      match seed_limit with Some l -> l | None -> n * (n - 1) / 2
-    in
     let seed_partition u v =
       Partition.make ~xa:[ u ] ~xb:[ v ]
         ~xc:(List.filter (fun i -> i <> u && i <> v) p.Problem.support)
     in
-    let rec scan pairs tried =
-      if tried >= limit || Clock.now () > deadline then None
-      else
-        match pairs with
-        | [] -> None
-        | (u, v) :: rest -> begin
-            match check (seed_partition u v) with
-            | Solver.Unsat -> Some (u, v)
-            | Solver.Sat -> scan rest (tried + 1)
-            | Solver.Unknown -> None
-          end
+    let rec scan = function
+      | _ when Clock.now () > deadline -> None
+      | [] -> None
+      | (u, v) :: rest -> begin
+          match check (seed_partition u v) with
+          | Solver.Unsat -> Some (u, v)
+          | Solver.Sat -> scan rest
+          | Solver.Unknown -> None
+        end
     in
-    match scan !pairs 0 with
+    match scan !pairs with
     | None -> finish None !sat_calls
     | Some (u, v) ->
         (* greedy growth: move each shared variable into XA if possible,

@@ -16,7 +16,7 @@ type result = {
   cpu : float;
 }
 
-val find :
-  ?seed_limit:int -> ?time_budget:float -> Problem.t -> Gate.t -> result
-(** Always builds a private scaffold (the original tool re-encodes
-    formula (2) per output), which is part of its measured cost. *)
+val find : ?time_budget:float -> Problem.t -> Gate.t -> result
+(** Scans every seed pair until one is decomposable. Always builds a
+    private scaffold (the original tool re-encodes formula (2) per
+    output), which is part of its measured cost. *)

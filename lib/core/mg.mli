@@ -10,44 +10,38 @@
     Minimality of the MUS makes the resulting [XC] irredundant — good,
     though not optimal, disjointness.
 
-    Most seeds fail, so each seed is screened by cone simulation
-    ({!Screen.refute} on the side array [u ↦ XA], [v ↦ XB], rest [↦ XC])
-    before its SAT call. A refuted seed has a genuine counterexample
-    tuple, so its SAT call would have answered [Sat]: it is skipped, and
-    the scan order, [seeds_tried] and the partition found are those of
-    the unscreened scan. *)
+    Most seeds fail, and a seed fails exactly when [(u, v)] is a
+    conflicting pair: some point [x] makes the tuple
+    [(x, x ⊕ e_u, x ⊕ e_v)] violate the gate condition. So a seed whose
+    pair is in the pair graph of the scaffold's screen
+    ({!Copies.screen}, {!Screen.conflict}) is skipped with no SAT call.
+    Such a pair has a genuine counterexample, so its SAT call would have
+    answered [Sat]: the scan order, [seeds_tried] and the partition found
+    are those of the unscreened scan. A QBF search on the same scaffold
+    reads the same graph. *)
 
 type result = {
   partition : Partition.t option; (** [None] = not decomposable (or budget). *)
   seeds_tried : int;
   sat_calls : int;
       (** Seeds that reached SAT; the other [seeds_tried - sat_calls]
-          were refuted by simulation. *)
+          were conflicting pairs of the screen's graph. *)
   cpu : float; (** Seconds. *)
 }
 
-type seed_order =
-  | Spread
-      (** Index-distance ordering (large gaps first) — the default. *)
-  | Signature
-      (** Simulation-guided: random 64-bit simulation computes a
-          sensitivity signature [dᵥ = f ⊕ f[v flipped]] per variable, and
-          pairs whose signatures overlap least are tried first — variables
-          that toggle the output on disjoint input regions are the most
-          likely to sit in different blocks of a decomposition. Measured
-          in ablation [a7]. *)
-
-val seeds : ?seed_order:seed_order -> Problem.t -> (int * int) list
-(** The seed pairs [(u, v)] in scan order (default [Spread]). *)
+val seeds : Problem.t -> (int * int) list
+(** The seed pairs [(u, v)] in scan order: index distance over the
+    support, large gaps first. *)
 
 val find :
-  ?copies:Copies.t ->
-  ?seed_limit:int ->
-  ?seed_order:seed_order ->
-  ?time_budget:float ->
-  Problem.t ->
-  Gate.t ->
-  result
-(** Scans seed pairs (bounded by [seed_limit], default [4 * n] capped to
-    all pairs) until one admits a decomposition, then minimizes. Supports
-    of size < 2 are never decomposable. *)
+  ?copies:Copies.t -> ?time_budget:float -> Problem.t -> Gate.t -> result
+(** Scans the first [min (4n, n(n-1)/2)] seed pairs until one admits a
+    decomposition, then minimizes. Supports of size < 2 are never
+    decomposable. [copies] must be built for the same problem and gate
+    ({!Copies.resolve}).
+
+    [time_budget] bounds the SAT work as well as the scan: every seed
+    call and every MUS call is armed with the time left. A MUS cut short
+    keeps the selectors it has not decided, so the partition is still
+    valid, though its [XC] may not be irredundant. The solver's time
+    budget is cleared on return. *)

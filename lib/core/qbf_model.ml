@@ -213,22 +213,6 @@ type query_answer =
   | Q_invalid
   | Q_unknown
 
-(* Arm [solver]'s wall-clock budget with the time left until [deadline]
-   (cleared when there is none), so a single hard SAT call cannot
-   overshoot the query deadline. False means the deadline already passed. *)
-let arm_budget ~deadline solver =
-  if deadline = infinity then begin
-    Solver.set_time_budget solver (-1.0);
-    true
-  end
-  else
-    let remaining = deadline -. Clock.now () in
-    if remaining <= 0.0 then false
-    else begin
-      Solver.set_time_budget solver remaining;
-      true
-    end
-
 (* The candidate's block per support position: 0 XA, 1 XB, 2 XC. The
    abstraction excludes (1,1), so alpha and beta never both hold. *)
 let read_side abs side =
@@ -279,7 +263,7 @@ let query abs copies screen side target k ~deadline ~refinement_cap
   let rec loop () =
     if Clock.now () > deadline || !refinements >= refinement_cap then
       Q_unknown
-    else if not (arm_budget ~deadline abs.solver) then Q_unknown
+    else if not (Solver.arm_deadline abs.solver deadline) then Q_unknown
     else
       match
         Obs.span "sat.abstraction" (fun () ->
@@ -296,8 +280,8 @@ let query abs copies screen side target k ~deadline ~refinement_cap
           end
           (* re-check between abstraction and verification: the screen
              is cheap, the verification solve is not *)
-          else if not (arm_budget ~deadline (Copies.solver copies)) then
-            Q_unknown
+          else if not (Solver.arm_deadline (Copies.solver copies) deadline)
+          then Q_unknown
           else
             let partition = partition_of_side abs side in
             match
@@ -358,24 +342,11 @@ let optimize ?copies ?(symmetry_breaking = true) ?strategy ?bootstrap
   in
   if n < 2 then finish None true
   else begin
-    let copies =
-      match copies with
-      | Some c ->
-          (* a caller-supplied scaffold must be the one built for this
-             very problem/gate — an assert would vanish under -noassert
-             and let a mismatched scaffold verify the wrong formula *)
-          if Copies.problem c != p then
-            invalid_arg
-              "Qbf_model.optimize: copies built for a different problem";
-          if Copies.gate c <> g then
-            invalid_arg
-              (Printf.sprintf
-                 "Qbf_model.optimize: copies built for gate %s, not %s"
-                 (Gate.to_string (Copies.gate c))
-                 (Gate.to_string g));
-          c
-      | None -> Copies.create p g
-    in
+    let copies = Copies.resolve ~caller:"Qbf_model.optimize" copies p g in
+    (* a shared scaffold must not keep this search's budget *)
+    Fun.protect ~finally:(fun () ->
+        Solver.set_time_budget (Copies.solver copies) (-1.0))
+    @@ fun () ->
     let strategy =
       match strategy with Some s -> s | None -> default_strategy target
     in
@@ -383,18 +354,19 @@ let optimize ?copies ?(symmetry_breaking = true) ?strategy ?bootstrap
       match time_budget with Some b -> t0 +. b | None -> infinity
     in
     let abs = make_abstraction p ~symmetry_breaking target in
-    let screen = Screen.create p g in
+    let screen = Copies.screen copies in
     let side = Array.make n 0 in
     let k_max =
       match target with
       | Weighted { wd; wb } -> (wd + wb) * (n - 2)
       | Disjointness | Balancedness | Combined -> n - 2
     in
-    (* Seeds the abstraction with both clauses of every pair the screen's
-       sweep finds, just before the first query, so an optimize that
-       issues none (a bootstrap already at the floor) pays nothing. Pair
-       tuples are already minimal, so they are not shrunk or banked, and
-       they are not refinements. *)
+    (* Seeds the abstraction with both clauses of every pair of the
+       screen's graph (which an Mg.find on the same scaffold has already
+       drawn) just before the first query, so an optimize that issues
+       none (a bootstrap already at the floor) pays nothing. Pair tuples
+       are already minimal, so they are not shrunk or banked, and they
+       are not refinements. *)
     let seeded = ref false in
     let ask k =
       if not !seeded then begin

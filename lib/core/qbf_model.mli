@@ -85,8 +85,11 @@ val optimize :
     it (mirroring the paper's setup).
 
     Just before its first bound query, the search seeds the abstraction
-    with both clauses of every pair found by {!Screen.pairs}. These
-    clauses are not refinements: [max_refinements] and [refinements] do
-    not count them (the [qbf.pairs] counter does). A search that issues
-    no query, because the bootstrap already meets the floor, runs no
-    sweep. *)
+    with both clauses of every pair of the pair graph ({!Screen.pairs} on
+    {!Copies.screen}); on a scaffold shared with {!Mg.find} that graph
+    is the one MG's seed scan read. These clauses are not refinements:
+    [max_refinements] and [refinements] do not count them (the
+    [qbf.pairs] counter does). A search that issues no query, because
+    the bootstrap already meets the floor, adds none. [copies] must be
+    built for the same problem and gate ({!Copies.resolve}); its
+    solver's time budget is cleared on return. *)

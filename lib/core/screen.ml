@@ -131,6 +131,15 @@ type t = {
   t1 : bool array;
   t2 : bool array;
   items : int array; (* shrink scratch: j for x'_j, n + j for x''_j *)
+  (* the pair graph: [pair_words] random base words x, drawn on the first
+     pair question, with f(x) and f(x ⊕ e_j) for every single flip.
+     [first] caches, per pair i < j at [i * n + j], the first word with a
+     violating tuple: 0 not yet computed, 1 none, 2 + w word w. *)
+  mutable drawn : bool;
+  base : int array array;
+  fx : int array;
+  flips : int array array;
+  first : Bytes.t;
 }
 
 let create (p : Problem.t) gate =
@@ -166,6 +175,11 @@ let create (p : Problem.t) gate =
     t1 = Array.make n false;
     t2 = Array.make n false;
     items = Array.make (2 * n) 0;
+    drawn = false;
+    base = Array.init pair_words (fun _ -> words ());
+    fx = Array.make pair_words 0;
+    flips = Array.init pair_words (fun _ -> words ());
+    first = Bytes.make (n * n) '\000';
   }
 
 (* splitmix-style generator over native ints: 63 random bits, no boxing *)
@@ -348,60 +362,86 @@ let shrink t =
   bank t;
   !reverted
 
-(* The pairwise sweep. Each base word x is simulated once, and once per
-   single flip x ⊕ e_j; a pair's violation word then needs no simulation
-   for OR and AND, and one more (x ⊕ e_i ⊕ e_j) for XOR. The base words
-   live in [sx], since [f] may run {!shrink}, which overwrites the
-   simulator words. *)
+(* ---------- the pair graph ---------- *)
+
+(* Each base word x is simulated once, and once per single flip x ⊕ e_j;
+   a pair's violation word then needs no simulation for OR and AND, and
+   one more (x ⊕ e_i ⊕ e_j) for XOR. *)
+let draw t =
+  if not t.drawn then begin
+    t.drawn <- true;
+    Array.iteri
+      (fun w x ->
+        for j = 0 to t.n - 1 do
+          x.(j) <- random_word t
+        done;
+        t.fx.(w) <- run t.sim x;
+        Array.blit x 0 t.wx 0 t.n;
+        for j = 0 to t.n - 1 do
+          t.wx.(j) <- lnot x.(j);
+          t.flips.(w).(j) <- run t.sim t.wx;
+          t.wx.(j) <- x.(j)
+        done)
+      t.base
+  end
+
+(* Lanes of base word [w] where (x, x ⊕ e_i, x ⊕ e_j) violates. *)
+let pair_violations t w i j =
+  let fx = t.fx.(w) and fi = t.flips.(w).(i) and fj = t.flips.(w).(j) in
+  match t.gate with
+  | Gate.Or_gate -> fx land lnot fi land lnot fj
+  | Gate.And_gate -> lnot fx land fi land fj
+  | Gate.Xor_gate ->
+      let x = t.base.(w) in
+      Array.blit x 0 t.wx 0 t.n;
+      t.wx.(i) <- lnot x.(i);
+      t.wx.(j) <- lnot x.(j);
+      fx lxor fi lxor fj lxor run t.sim t.wx
+
+(* The first base word where pair i < j violates, or -1; cached. *)
+let first_word t i j =
+  let k = (i * t.n) + j in
+  match Bytes.get t.first k with
+  | '\000' ->
+      draw t;
+      let rec go w =
+        if w = pair_words then -1
+        else if pair_violations t w i j <> 0 then w
+        else go (w + 1)
+      in
+      let w = go 0 in
+      Bytes.set t.first k (Char.chr (w + 2));
+      w
+  | c -> Char.code c - 2
+
+let conflict t i j =
+  if i = j || i < 0 || j < 0 || i >= t.n || j >= t.n then
+    invalid_arg "Screen.conflict: positions";
+  first_word t (min i j) (max i j) >= 0
+
+(* Reports word-major, in the order the sweep finds them: the pairs
+   whose first violating word is w, for w = 0, 1, ... *)
 let pairs t f =
-  let n = t.n and s = t.sim in
-  let found = Bytes.make (n * n) '\000' in
-  let flips = Array.make n 0 (* f(x ⊕ e_j) *) in
-  for _ = 1 to pair_words do
-    for j = 0 to n - 1 do
-      t.sx.(j) <- random_word t
-    done;
-    Array.blit t.sx 0 t.wx 0 n;
-    let fx = run s t.wx in
-    for j = 0 to n - 1 do
-      t.wx.(j) <- lnot t.sx.(j);
-      flips.(j) <- run s t.wx;
-      t.wx.(j) <- t.sx.(j)
-    done;
+  let n = t.n in
+  for w = 0 to pair_words - 1 do
     for i = 0 to n - 2 do
       for j = i + 1 to n - 1 do
-        if Bytes.get found ((i * n) + j) = '\000' then begin
-          let fi = flips.(i) and fj = flips.(j) in
-          let v =
-            match t.gate with
-            | Gate.Or_gate -> fx land lnot fi land lnot fj
-            | Gate.And_gate -> lnot fx land fi land fj
-            | Gate.Xor_gate ->
-                t.wx.(i) <- lnot t.sx.(i);
-                t.wx.(j) <- lnot t.sx.(j);
-                let fij = run s t.wx in
-                t.wx.(i) <- t.sx.(i);
-                t.wx.(j) <- t.sx.(j);
-                fx lxor fi lxor fj lxor fij
+        if first_word t i j = w then begin
+          let x = t.base.(w) in
+          let lane = lowest_lane (pair_violations t w i j) in
+          (* the condition is symmetric in the two flips: report both
+             orders, (x, x ⊕ e_i, x ⊕ e_j) and (x, x ⊕ e_j, x ⊕ e_i) *)
+          let report a b =
+            for k = 0 to n - 1 do
+              let b0 = bit x.(k) lane in
+              t.tx.(k) <- b0;
+              t.t1.(k) <- b0 <> (k = a);
+              t.t2.(k) <- b0 <> (k = b)
+            done;
+            f ()
           in
-          if v <> 0 then begin
-            Bytes.set found ((i * n) + j) '\001';
-            let lane = lowest_lane v in
-            (* the condition is symmetric in the two flips: report both
-               orders, (x, x ⊕ e_i, x ⊕ e_j) and (x, x ⊕ e_j, x ⊕ e_i) *)
-            let report a b =
-              for k = 0 to n - 1 do
-                let x = bit t.sx.(k) lane in
-                t.tx.(k) <- x;
-                t.t1.(k) <- x <> (k = a);
-                t.t2.(k) <- x <> (k = b)
-              done;
-              f ()
-            in
-            report i j;
-            report j i;
-            Array.blit t.sx 0 t.wx 0 n
-          end
+          report i j;
+          report j i
         end
       done
     done

@@ -25,16 +25,22 @@
     does — the CEGAR refinement clause. {!shrink} makes that clause as
     short as it can before it is added.
 
-    {!pairs} finds the shortest such clauses up front: the pairs (i, j)
-    with a violating tuple [(x, x ⊕ e_i, x ⊕ e_j)], each of which rules
-    out i in XA together with j in XB. This is the sample-based pairwise
-    test of Bogdanov and Wang, "Learning and Testing Variable
-    Partitions". One random word costs n + 1 simulations for OR and AND,
-    since a pair's violation word is
-    [f(x) ∧ ¬f(x ⊕ e_i) ∧ ¬f(x ⊕ e_j)] (or its dual), and n(n−1)/2 more
-    for XOR, which also needs [f(x ⊕ e_i ⊕ e_j)]. {!Qbf_model.optimize}
-    adds both clauses of every pair found before its first bound query;
-    a pair the sample misses is still found by the CEGAR loop. *)
+    The screen also owns the {e pair graph}: the pairs (i, j) with a
+    violating tuple [(x, x ⊕ e_i, x ⊕ e_j)], each of which rules out i in
+    XA together with j in XB — the shortest refinement clauses. This is
+    the sample-based pairwise test of Bogdanov and Wang, "Learning and
+    Testing Variable Partitions". The sample is a few seeded random words
+    drawn on the screen's first pair question ({!conflict} or {!pairs}).
+    Each word costs n + 1 simulations, f(x) and every single flip
+    [f(x ⊕ e_i)], which decide every pair for OR and AND: a pair's
+    violation word is [f(x) ∧ ¬f(x ⊕ e_i) ∧ ¬f(x ⊕ e_j)] (or its dual).
+    XOR also needs [f(x ⊕ e_i ⊕ e_j)], simulated the first time a pair is
+    asked about. Each pair's answer is cached. The graph is read twice on
+    a QBF method's scaffold ({!Copies.screen}): {!Mg.find} skips the
+    seeds [{u | v | rest}] of conflicting pairs, and
+    {!Qbf_model.optimize} adds both clauses of every pair before its
+    first bound query. A pair the sample misses is still found by a SAT
+    call or the CEGAR loop. *)
 
 (** {2 Compiled cone simulator} *)
 
@@ -55,11 +61,12 @@ val run : sim -> int array -> int
 
 type t
 (** Per-problem state: the compiled cone, the counterexample bank, the
-    random generator and the current tuple. *)
+    random generator, the pair graph and the current tuple. *)
 
 val create : Problem.t -> Gate.t -> t
 (** The generator is seeded from the gate and the support size only, so
-    answers do not depend on the global [Random] state or on scheduling. *)
+    answers do not depend on the global [Random] state or on scheduling.
+    The library builds one screen per scaffold, through {!Copies.screen}. *)
 
 val refute : t -> int array -> bool
 (** [refute t side] screens the candidate partition [side] ([side.(j)] is
@@ -78,17 +85,24 @@ val shrink : t -> int
     while it still violates, testing 63 prefixes per simulation, then
     adds the result to the bank. Returns the number of inputs reverted. *)
 
+val conflict : t -> int -> int -> bool
+(** [conflict t i j] for distinct support positions: some sampled [x]
+    makes [(x, x ⊕ e_i, x ⊕ e_j)] violate, so no partition puts i in XA
+    and j in XB. Symmetric in [i] and [j], since the condition is
+    symmetric in the two copies. Leaves the current tuple unchanged.
+    @raise Invalid_argument if [i = j] or either is out of range. *)
+
 val pairs : t -> (unit -> unit) -> unit
-(** [pairs t f] runs the pairwise sweep on a few seeded random words
-    from the screen's generator. For each pair of support positions
-    [i < j] with a violating tuple [(x, x ⊕ e_i, x ⊕ e_j)] (the lowest
-    violating lane of the first word that shows one), it makes that tuple
-    current and calls [f ()], then does the same for
-    [(x, x ⊕ e_j, x ⊕ e_i)], which violates too since the condition is
-    symmetric in the two copies. A pair is reported once. Its tuples are
-    already minimal: reverting either flip makes two points coincide, so
-    {!shrink} would revert nothing. [f] may call {!iter_diff}, {!tuple}
-    and {!shrink}. *)
+(** [pairs t f] reports every pair of the graph. For each pair of
+    support positions [i < j] with {!conflict}, it makes the tuple
+    [(x, x ⊕ e_i, x ⊕ e_j)] current, at the lowest violating lane of the
+    first word that shows one, and calls [f ()]; then it does the same for
+    [(x, x ⊕ e_j, x ⊕ e_i)]. Pairs come in word-major order: first those
+    the first word shows, in [(i, j)] order, then those only the second
+    word shows, and so on. Each call reports each pair once. Its tuples
+    are already minimal: reverting either flip makes two points coincide,
+    so {!shrink} would revert nothing. [f] may call {!iter_diff},
+    {!tuple} and {!shrink}. *)
 
 val iter_diff : t -> xa:(int -> unit) -> xb:(int -> unit) -> unit
 (** Support positions where the current tuple's [x'] (passed to [xa]) or

@@ -15,6 +15,7 @@
 
 val minimize :
   ?hard:Step_sat.Lit.t list ->
+  ?deadline:float ->
   Step_sat.Solver.t ->
   selectors:Step_sat.Lit.t list ->
   Step_sat.Lit.t list
@@ -22,6 +23,16 @@ val minimize :
     such that the assumptions [hard @ S] are unsatisfiable. Minimality is
     irredundancy: removing any single element of [S] makes the solver
     satisfiable under the remaining assumptions.
+
+    [deadline] is an absolute {!Step_obs.Clock} time (default: none).
+    Each SAT call is armed with the time left
+    ({!Step_sat.Solver.arm_deadline}). When the deadline passes,
+    [minimize] returns its current working set at once: the elements
+    found necessary and those not yet tested, or all of [selectors] if
+    the first call did not finish. That set is still unsatisfiable with
+    [hard], so it is a valid answer, but it may not be minimal. Either
+    way the solver's time budget is cleared on return. The solver's
+    conflict budget, if set, also ends the search this way.
     @raise Invalid_argument if [hard @ selectors] is satisfiable. *)
 
 val is_minimal :

@@ -1508,6 +1508,19 @@ let set_conflict_budget s n = s.conflict_budget <- n
 
 let set_time_budget s t = s.time_budget <- t
 
+let arm_deadline s deadline =
+  if deadline = infinity then begin
+    set_time_budget s (-1.0);
+    true
+  end
+  else
+    let remaining = deadline -. Clock.now () in
+    if remaining <= 0.0 then false
+    else begin
+      set_time_budget s remaining;
+      true
+    end
+
 let model_value s l =
   let v = Lit.var l in
   if v >= Bytes.length s.model then false

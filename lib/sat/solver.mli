@@ -93,6 +93,14 @@ val set_time_budget : t -> float -> unit
 (** Wall-clock budget in seconds for subsequent {!solve_limited} calls;
     negative disables. Checked at restart boundaries (coarse). *)
 
+val arm_deadline : t -> float -> bool
+(** [arm_deadline s deadline] sets the time budget to what is left until
+    the absolute {!Step_obs.Clock} time [deadline], so the next
+    {!solve_limited} call cannot run past it; [infinity] clears the
+    budget. False, with the budget unchanged, when the deadline has
+    passed. Arm before every call of a deadline-bound loop: the budget
+    is counted from the start of each call. *)
+
 val model_value : t -> Lit.t -> bool
 (** Value of a literal in the model of the last [Sat] answer. Literals over
     variables created after the last solve evaluate as unassigned-false. *)

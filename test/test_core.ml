@@ -804,6 +804,34 @@ let test_screen_pairs () =
               found := (i, j) :: !found);
           let found = !found in
           total := !total + List.length found;
+          (* the graph [conflict] answers, asked first on a fresh screen,
+             is symmetric and is exactly the set [pairs] reports *)
+          let fresh = Screen.create p g in
+          let graph = ref [] in
+          for i = 0 to n - 1 do
+            for j = 0 to n - 1 do
+              if i <> j && Screen.conflict fresh i j then begin
+                if not (Screen.conflict fresh j i) then
+                  Alcotest.fail (label "conflict is not symmetric");
+                graph := (i, j) :: !graph
+              end
+            done
+          done;
+          if List.sort compare !graph <> List.sort compare found then
+            Alcotest.fail (label "conflict differs from the reported pairs");
+          (* after MG's lookups on a shared scaffold, the scaffold's
+             screen reports the same pairs in the same order *)
+          let c = Copies.create p g in
+          ignore (Mg.find ~copies:c p g);
+          let after_mg = ref [] in
+          Screen.pairs (Copies.screen c) (fun () ->
+              let i = ref (-1) and j = ref (-1) in
+              Screen.iter_diff (Copies.screen c)
+                ~xa:(fun k -> i := k)
+                ~xb:(fun k -> j := k);
+              after_mg := (!i, !j) :: !after_mg);
+          if !after_mg <> found then
+            Alcotest.fail (label "pairs after MG differ from a fresh sweep");
           (* both orders of every pair, each once: the two clauses
              ¬α_i ∨ ¬β_j and ¬α_j ∨ ¬β_i *)
           Alcotest.(check int) (label "no pair reported twice")
@@ -867,6 +895,63 @@ let test_qbf_pairs_seeded () =
   Alcotest.(check int) "no query, no sweep" 0 n;
   Alcotest.(check int) "no query" 0 o.Qbf_model.qbf_queries
 
+(* MG and the QBF search it bootstraps read one pair graph: the screen of
+   their shared scaffold, whose every pair optimize seeds as two
+   clauses. *)
+let test_mg_qbf_share_screen () =
+  let pairs = Step_obs.Metrics.counter "qbf.pairs" in
+  let p, _ = planted_problem Gate.Or_gate 37 in
+  let n = Problem.n_vars p in
+  let c = Copies.create p Gate.Or_gate in
+  ignore (Mg.find ~copies:c p Gate.Or_gate);
+  let screen = Copies.screen c in
+  let before = Step_obs.Metrics.value pairs in
+  let o = Qbf_model.optimize ~copies:c p Gate.Or_gate Qbf_model.Disjointness in
+  Alcotest.(check bool) "optimal" true o.Qbf_model.optimal;
+  Alcotest.(check bool) "one screen" true (Copies.screen c == screen);
+  let conflicts = ref 0 in
+  for i = 0 to n - 2 do
+    for j = i + 1 to n - 1 do
+      if Screen.conflict screen i j then incr conflicts
+    done
+  done;
+  Alcotest.(check bool) "the planted cone has conflicts" true (!conflicts > 0);
+  Alcotest.(check int) "two clauses per conflict" (2 * !conflicts)
+    (Step_obs.Metrics.value pairs - before)
+
+(* A budget far below the MUS time bounds the MUS as well as the seed
+   scan. The clock is a fake that advances 1 ms per read, so the run is
+   deterministic. The budget is the smallest tenth of the unbudgeted run
+   under which the scan still reaches its decomposable seed, so the MUS is
+   what the deadline cuts short: the find must return within a few clock
+   reads of it, with a partition that is still valid. *)
+let test_mg_budget_bounds_mus () =
+  let p = Problem.of_output (Step_circuits.Suite.by_name "C7552") 0 in
+  let g = Gate.Xor_gate in
+  let t = ref 0.0 in
+  Step_obs.Clock.set_source (fun () ->
+      t := !t +. 0.001;
+      !t);
+  Fun.protect ~finally:Step_obs.Clock.use_wall_clock (fun () ->
+      let full = Mg.find p g in
+      Alcotest.(check bool) "decomposable unbudgeted" true
+        (full.Mg.partition <> None);
+      let rec first_found k =
+        if k > 5 then Alcotest.fail "no budget of at most half finds a seed"
+        else
+          let budget = full.Mg.cpu *. float_of_int k /. 10.0 in
+          let r = Mg.find ~time_budget:budget p g in
+          match r.Mg.partition with
+          | Some part -> (budget, r, part)
+          | None -> first_found (k + 1)
+      in
+      let budget, r, part = first_found 1 in
+      if r.Mg.cpu > budget +. 0.05 then
+        Alcotest.failf "returned %.3f fake s after a %.3f s budget" r.Mg.cpu
+          budget;
+      Alcotest.(check (option bool)) "partition still valid" (Some true)
+        (Check.decomposable p g part))
+
 (* ---------- screened MG seed scan ---------- *)
 
 (* Seeded planted cones (decomposable under their own gate, mostly not
@@ -893,10 +978,11 @@ let scan_cones () =
   |> List.filter (fun p -> Problem.n_vars p >= 2)
 
 (* The reference: the unscreened scan, one SAT call per seed in Mg's
-   order and under its default seed limit. Alongside it, the screen Mg
-   builds (seeded from the gate and support size alone, so this replay
-   sees the same words) is asked about each seed: a refuted seed must
-   answer Sat. Returns (seeds tried, seeds refuted, found). *)
+   order and under its default seed limit. Alongside it, the pair graph
+   Mg reads (a screen seeded from the gate and support size alone, so
+   this replay sees the same words) is asked about each seed: a
+   conflicting pair's seed must answer Sat. Returns (seeds tried, seeds
+   refuted, found). *)
 let reference_scan (p : Problem.t) g =
   let n = Problem.n_vars p in
   let limit = min (4 * n) (n * (n - 1) / 2) in
@@ -904,12 +990,8 @@ let reference_scan (p : Problem.t) g =
   let screen = Screen.create p g in
   let pos = Hashtbl.create n in
   List.iteri (fun j i -> Hashtbl.replace pos i j) p.Problem.support;
-  let side = Array.make n 2 in
   let refutes u v =
-    Array.fill side 0 n 2;
-    side.(Hashtbl.find pos u) <- 0;
-    side.(Hashtbl.find pos v) <- 1;
-    Screen.refute screen side
+    Screen.conflict screen (Hashtbl.find pos u) (Hashtbl.find pos v)
   in
   let assumptions u v =
     List.concat_map
@@ -930,7 +1012,7 @@ let reference_scan (p : Problem.t) g =
         | Step_sat.Solver.Sat ->
             go (tried + 1) (if r then refuted + 1 else refuted) rest
         | Step_sat.Solver.Unsat ->
-            if r then Alcotest.fail "the screen refuted a seed SAT answers Unsat";
+            if r then Alcotest.fail "a conflicting pair's seed answers Unsat";
             (tried + 1, refuted, true)
         | Step_sat.Solver.Unknown -> Alcotest.fail "reference scan: Unknown")
   in
@@ -1006,6 +1088,10 @@ let () =
             test_mg_copies_mismatch_rejected;
           Alcotest.test_case "bootstrap never worse" `Quick
             test_qbf_bootstrap_never_worse;
+          Alcotest.test_case "mg and qbf share one screen" `Quick
+            test_mg_qbf_share_screen;
+          Alcotest.test_case "mg budget bounds the mus" `Quick
+            test_mg_budget_bounds_mus;
         ] );
       ( "extract",
         [

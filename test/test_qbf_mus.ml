@@ -370,6 +370,24 @@ let test_mus_with_hard () =
   Alcotest.(check (list int)) "mus" (List.sort compare [ s1; s2 ])
     (List.sort compare mus)
 
+let test_mus_deadline_passed () =
+  (* a deadline already passed: the working set is all the selectors,
+     which is still unsatisfiable, and no budget is left armed (a stale
+     one would make [is_minimal]'s plain solves raise) *)
+  let solver = Solver.create () in
+  let sel () = Lit.pos (Solver.new_var solver) in
+  let s1 = sel () and s2 = sel () and s3 = sel () in
+  let x = Lit.pos (Solver.new_var solver) in
+  selector_clause () solver s1 [ x ];
+  selector_clause () solver s2 [ Lit.negate x ];
+  selector_clause () solver s3 [ x ];
+  let deadline = Step_obs.Clock.now () -. 1.0 in
+  let set = Mus.minimize ~deadline solver ~selectors:[ s1; s2; s3 ] in
+  Alcotest.(check (list int)) "working set" [ s1; s2; s3 ]
+    (List.sort compare set);
+  Alcotest.(check bool) "not minimal, budget cleared" false
+    (Mus.is_minimal solver set)
+
 let prop_mus_minimal =
   (* random unsatisfiable group structure: groups of unit clauses over few
      vars; force unsat by adding complementary pair groups *)
@@ -494,6 +512,7 @@ let () =
           Alcotest.test_case "simple" `Quick test_mus_simple;
           Alcotest.test_case "requires unsat" `Quick test_mus_requires_unsat;
           Alcotest.test_case "with hard assumptions" `Quick test_mus_with_hard;
+          Alcotest.test_case "deadline passed" `Quick test_mus_deadline_passed;
         ] );
       qsuite "properties"
         [
