@@ -171,7 +171,10 @@ arenasmoke:
 # every "indecomposable" verdict must match exhaustive enumeration, and
 # every ordered pair of the screen's pair graph (Screen.conflict) must be
 # symmetric, have an exhaustively found witness point, and be what the
-# pairwise sweep reports.
+# pairwise sweep reports. Every STEP-MG partition (all three gates) must
+# decompose, and moving any one of its XC inputs to XA or to XB must
+# give a partition exhaustive enumeration finds not decomposable (the
+# group MUS is irredundant). It prints the pairs and partitions checked.
 optsmoke:
 	dune build bin/fuzz.exe
 	dune exec --no-build bin/fuzz.exe -- --optimum --rounds 40 --vars 8 \

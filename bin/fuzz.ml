@@ -21,7 +21,9 @@
    optimum k and the "indecomposable" verdicts must match an exhaustive
    enumeration of every partition (Step_core.Exhaustive). Every pair the
    screen's pairwise sweep reports (Step_core.Screen.pairs) must have a
-   witness point found by enumerating the cone's inputs.
+   witness point found by enumerating the cone's inputs. Every STEP-MG
+   partition must decompose with an irredundant XC: moving any one XC
+   input to XA or to XB must give a partition the enumeration rejects.
 
    Exit code 0 when every round agrees; 1 with a reproducer seed printed
    otherwise. Usage:
@@ -280,6 +282,37 @@ let check_pairs round (p : Problem.t) g =
   if !conflicts <> 0 then
     fail round (Gate.to_string g ^ ": pairs reports other pairs than the graph")
 
+let mg_checked = ref 0
+
+(* STEP-MG's partition must decompose, and its XC must be irredundant:
+   moving any one XC input to XA or to XB gives a partition that
+   exhaustive enumeration finds not decomposable. That is the minimality
+   of MG's group MUS: an input a complete MUS frees on both copies is one
+   f does not depend on, so the counterexample that makes each XC
+   selector necessary is one for the moved partition too. *)
+let check_mg round (p : Problem.t) g all =
+  match (Mg.find p g).Mg.partition with
+  | None -> ()
+  | Some q ->
+      incr mg_checked;
+      let what =
+        Printf.sprintf "MG %s %s" (Gate.to_string g) (Partition.to_string q)
+      in
+      if Check.decomposable p g q <> Some true then
+        fail round (what ^ ": returned an invalid partition");
+      (* [all] holds canonical forms, and both orders of equal sizes *)
+      let decomposes q = List.mem (Partition.canonical q) all in
+      let open Partition in
+      List.iter
+        (fun i ->
+          let xc = List.filter (( <> ) i) q.xc in
+          if
+            decomposes (make ~xa:(i :: q.xa) ~xb:q.xb ~xc)
+            || decomposes (make ~xa:q.xa ~xb:(i :: q.xb) ~xc)
+          then
+            fail round (Printf.sprintf "%s: XC input %d is redundant" what i))
+        q.xc
+
 let optimum_round round st =
   let p = optimum_problem st (2 + Random.State.int st (!n_vars - 1)) in
   if List.length p.Problem.support >= 2 then
@@ -287,6 +320,7 @@ let optimum_round round st =
       (fun g ->
         check_pairs round p g;
         let all = Exhaustive.all_decomposable p g in
+        check_mg round p g all;
         List.iter
           (fun (label, target) ->
             let k = Qbf_model.target_k target in
@@ -516,6 +550,8 @@ let () =
      else if !proofs then " (proofs)"
      else "")
     !rounds !failures
-    (if !optimum then Printf.sprintf ", %d pairs checked" !pairs_checked
+    (if !optimum then
+       Printf.sprintf ", %d pairs checked, %d MG partitions checked"
+         !pairs_checked !mg_checked
      else "");
   exit (if !failures = 0 then 0 else 1)

@@ -12,6 +12,10 @@ let m_screened = Metrics.counter "mg.screened"
 
 let m_found = Metrics.counter "mg.decomposed"
 
+let m_mus_sat_calls = Metrics.counter "mg.mus.sat_calls"
+
+let m_mus_screened = Metrics.counter "mg.mus.screened"
+
 type result = {
   partition : Partition.t option;
   seeds_tried : int;
@@ -53,6 +57,76 @@ let partition_of_selectors (p : Problem.t) ~u ~v ~mus ~alpha_sel ~beta_sel =
       end)
     p.Problem.support;
   Partition.make ~xa:!xa ~xb:!xb ~xc:!xc
+
+(* A MUS state drops some of the selectors of the inputs other than u
+   and v. Input i is free on copy 1 when α_i is dropped and on copy 2
+   when β_i is; side 3 is free on both. *)
+let mus_hook c (p : Problem.t) ~u ~v =
+  let screen = Copies.screen c in
+  let support = Array.of_list p.Problem.support in
+  let n = Array.length support in
+  (* selector -> 2 * position + copy (0 for α, 1 for β) *)
+  let code = Hashtbl.create (4 * n) in
+  Array.iteri
+    (fun j i ->
+      Hashtbl.replace code (Copies.alpha_selector c i) (2 * j);
+      Hashtbl.replace code (Copies.beta_selector c i) ((2 * j) + 1))
+    support;
+  let hard = [ Copies.beta_selector c u; Copies.alpha_selector c v ] in
+  let free = Array.make (2 * n) true and side = Array.make n 0 in
+  let exists_pos f =
+    let rec go j = j < n && (f j || go (j + 1)) in
+    go 0
+  in
+  fun sels ->
+    Array.fill free 0 (2 * n) true;
+    List.iter (fun l -> free.(Hashtbl.find code l) <- false) hard;
+    List.iter (fun l -> free.(Hashtbl.find code l) <- false) sels;
+    for j = 0 to n - 1 do
+      side.(j) <-
+        (match (free.(2 * j), free.((2 * j) + 1)) with
+        | true, false -> 0
+        | false, true -> 1
+        | false, false -> 2
+        | true, true -> 3)
+    done;
+    (* an input f depends on, free on both copies *)
+    exists_pos (fun j -> side.(j) = 3 && Screen.depends screen j)
+    (* a conflicting pair, i free on copy 1 and j on copy 2 *)
+    || exists_pos (fun i ->
+           free.(2 * i)
+           && exists_pos (fun j ->
+                  j <> i && free.((2 * j) + 1) && Screen.conflict screen i j))
+    || Screen.refute screen side
+
+let guess_name = function
+  | Mus.Confirmed -> "confirmed"
+  | Mus.Fallback -> "fallback"
+  | Mus.No_guess -> "none"
+
+(* The group MUS over the equality selectors of every input but the seed
+   (u, v), screened by [mus_hook]; still valid if the deadline cuts it
+   short. *)
+let seed_mus c (p : Problem.t) ~u ~v ~deadline =
+  Obs.span "mg.mus" @@ fun () ->
+  let hard = [ Copies.beta_selector c u; Copies.alpha_selector c v ] in
+  let selectors =
+    List.concat_map
+      (fun i ->
+        if i = u || i = v then []
+        else [ Copies.alpha_selector c i; Copies.beta_selector c i ])
+      p.Problem.support
+  in
+  let r =
+    Mus.minimize ~hard ~deadline ~refute:(mus_hook c p ~u ~v)
+      (Copies.solver c) ~selectors
+  in
+  Metrics.add m_mus_sat_calls r.Mus.sat_calls;
+  Metrics.add m_mus_screened r.Mus.screened;
+  Obs.add_attr "sat_calls" (Step_obs.Json.Int r.Mus.sat_calls);
+  Obs.add_attr "screened" (Step_obs.Json.Int r.Mus.screened);
+  Obs.add_attr "guess" (Step_obs.Json.String (guess_name r.Mus.guess));
+  r.Mus.mus
 
 let find ?copies ?time_budget (p : Problem.t) g =
   Obs.span
@@ -122,20 +196,8 @@ let find ?copies ?time_budget (p : Problem.t) g =
             | Solver.Sat -> scan rest (tried + 1)
             | Solver.Unknown -> (None, tried + 1)
             | Solver.Unsat ->
-                (* decomposable under the seed: minimize the equality set,
-                   which stays valid if the deadline cuts it short *)
-                let hard = [ beta_sel u; alpha_sel v ] in
-                let selectors =
-                  List.concat_map
-                    (fun i ->
-                      if i = u || i = v then []
-                      else [ alpha_sel i; beta_sel i ])
-                    p.Problem.support
-                in
-                let mus =
-                  Obs.span "mg.mus" (fun () ->
-                      Mus.minimize ~hard ~deadline solver ~selectors)
-                in
+                (* decomposable under the seed: minimize the equality set *)
+                let mus = seed_mus c p ~u ~v ~deadline in
                 ( Some
                     (partition_of_selectors p ~u ~v ~mus ~alpha_sel ~beta_sel),
                   tried + 1 )

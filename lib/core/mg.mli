@@ -18,7 +18,12 @@
     Such a pair has a genuine counterexample, so its SAT call would have
     answered [Sat]: the scan order, [seeds_tried] and the partition found
     are those of the unscreened scan. A QBF search on the same scaffold
-    reads the same graph. *)
+    reads the same graph.
+
+    The group MUS is screened too ({!mus_hook}): a necessary selector
+    answers [Sat], which simulation can often show, so deletion tests
+    skip their SAT call and one call proves an optimistic guess of the
+    whole MUS ({!Step_mus.Mus.minimize}). *)
 
 type result = {
   partition : Partition.t option; (** [None] = not decomposable (or budget). *)
@@ -45,3 +50,19 @@ val find :
     keeps the selectors it has not decided, so the partition is still
     valid, though its [XC] may not be irredundant. The solver's time
     budget is cleared on return. *)
+
+val mus_hook :
+  Copies.t -> Problem.t -> u:int -> v:int -> Step_sat.Lit.t list -> bool
+(** [mus_hook c p ~u ~v] is the refutation hook {!find} gives
+    {!Step_mus.Mus.minimize} for the seed [(u, v)]: [hook sels] is true
+    only if the hard assumptions [[β_u; α_v]] and [sels] are satisfiable
+    on [c]. A selector set frees input [i] on copy 1 when [α_i] is
+    absent and on copy 2 when [β_i] is; an input free on both copies
+    (both dropped) is side 3 of {!Screen.refute}. The hook answers true
+    when the scaffold's screen shows a counterexample:
+    - an input free on both copies that f depends on ({!Screen.depends});
+    - a conflicting pair ({!Screen.conflict}), [i] free on copy 1 and
+      [j <> i] free on copy 2;
+    - a violating tuple of {!Screen.refute} on the side array.
+    The tuple the last one leaves current is not a partition's and is
+    never shrunk, banked or turned into a clause. *)

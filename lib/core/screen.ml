@@ -212,13 +212,14 @@ let violations t =
       run s t.wx lxor run s t.w1 lxor run s t.w2 lxor run s t.w3
 
 (* Projects the source words onto a candidate: x' takes y on XA and x
-   elsewhere, x'' takes z on XB and x elsewhere. *)
+   elsewhere, x'' takes z on XB and x elsewhere; an input free on both
+   copies (side 3) takes y in x' and z in x''. *)
 let project t (side : int array) sx sy sz =
   for j = 0 to t.n - 1 do
-    let x = sx.(j) in
+    let x = sx.(j) and s = side.(j) in
     t.wx.(j) <- x;
-    t.w1.(j) <- (if side.(j) = 0 then sy.(j) else x);
-    t.w2.(j) <- (if side.(j) = 1 then sz.(j) else x)
+    t.w1.(j) <- (if s = 0 || s = 3 then sy.(j) else x);
+    t.w2.(j) <- (if s = 1 || s = 3 then sz.(j) else x)
   done
 
 let bit w lane = (w lsr lane) land 1 = 1
@@ -321,6 +322,8 @@ let revert t it =
 let shrink t =
   let m = ref 0 in
   for j = 0 to t.n - 1 do
+    if t.t1.(j) <> t.tx.(j) && t.t2.(j) <> t.tx.(j) then
+      invalid_arg "Screen.shrink: copies differ on the same input";
     if t.t1.(j) <> t.tx.(j) then begin
       t.items.(!m) <- j;
       incr m
@@ -413,6 +416,14 @@ let first_word t i j =
       Bytes.set t.first k (Char.chr (w + 2));
       w
   | c -> Char.code c - 2
+
+let depends t j =
+  if j < 0 || j >= t.n then invalid_arg "Screen.depends: position";
+  draw t;
+  let rec go w =
+    w < pair_words && (t.fx.(w) <> t.flips.(w).(j) || go (w + 1))
+  in
+  go 0
 
 let conflict t i j =
   if i = j || i < 0 || j < 0 || i >= t.n || j >= t.n then

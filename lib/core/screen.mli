@@ -37,10 +37,11 @@
     XOR also needs [f(x ⊕ e_i ⊕ e_j)], simulated the first time a pair is
     asked about. Each pair's answer is cached. The graph is read twice on
     a QBF method's scaffold ({!Copies.screen}): {!Mg.find} skips the
-    seeds [{u | v | rest}] of conflicting pairs, and
-    {!Qbf_model.optimize} adds both clauses of every pair before its
-    first bound query. A pair the sample misses is still found by a SAT
-    call or the CEGAR loop. *)
+    seeds [{u | v | rest}] of conflicting pairs and screens its group
+    MUS with it ({!Mg.mus_hook}, with {!depends} and side 3 of
+    {!refute}), and {!Qbf_model.optimize} adds both clauses of every
+    pair before its first bound query. A pair the sample misses is still
+    found by a SAT call or the CEGAR loop. *)
 
 (** {2 Compiled cone simulator} *)
 
@@ -71,7 +72,16 @@ val create : Problem.t -> Gate.t -> t
 val refute : t -> int array -> bool
 (** [refute t side] screens the candidate partition [side] ([side.(j)] is
     0 for XA, 1 for XB, 2 for XC, per support position). True when a
-    violating tuple was found; it becomes the current tuple. *)
+    violating tuple was found; it becomes the current tuple.
+
+    Side 3 frees an input on both copies: [x'] and [x''] both draw their
+    own bits there, and for XOR so does the fourth point, as the
+    {!Copies} scaffold leaves all four points free on an input whose two
+    selectors are both dropped. That is a state of STEP-MG's group MUS,
+    not a partition, and only the answer is used ({!Mg.mus_hook}). Its
+    tuple may differ from [x] in both copies on one input, so it must
+    not reach {!shrink} (which rejects it), the bank or a refinement
+    clause; {!Qbf_model} never passes side 3. *)
 
 val load : t -> x:bool array -> x1:bool array -> x2:bool array -> bool
 (** Makes [(x, x', x'')] the current tuple (e.g. the points of a SAT
@@ -83,7 +93,10 @@ val load : t -> x:bool array -> x1:bool array -> x2:bool array -> bool
 val shrink : t -> int
 (** Greedily reverts differing inputs of the current (violating) tuple
     while it still violates, testing 63 prefixes per simulation, then
-    adds the result to the bank. Returns the number of inputs reverted. *)
+    adds the result to the bank. Returns the number of inputs reverted.
+    @raise Invalid_argument, banking nothing, if both copies of the
+    current tuple differ from [x] on the same input (a side-3
+    refutation of {!refute}), which no partition allows. *)
 
 val conflict : t -> int -> int -> bool
 (** [conflict t i j] for distinct support positions: some sampled [x]
@@ -91,6 +104,16 @@ val conflict : t -> int -> int -> bool
     and j in XB. Symmetric in [i] and [j], since the condition is
     symmetric in the two copies. Leaves the current tuple unchanged.
     @raise Invalid_argument if [i = j] or either is out of range. *)
+
+val depends : t -> int -> bool
+(** [depends t j]: some [x] of the pair graph's sample has
+    [f(x) ≠ f(x ⊕ e_j)], so f depends on support position [j]. An input
+    f depends on cannot be free on both copies: for OR the tuple
+    [(y, y ⊕ e_j, y ⊕ e_j)] violates, where [y] is whichever of [x] and
+    [x ⊕ e_j] has [f(y) = 1] (AND: [f(y) = 0]); for XOR
+    [x' = x'' = x] with fourth point [x ⊕ e_j] does. Leaves the current
+    tuple unchanged.
+    @raise Invalid_argument if [j] is out of range. *)
 
 val pairs : t -> (unit -> unit) -> unit
 (** [pairs t f] reports every pair of the graph. For each pair of

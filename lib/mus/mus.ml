@@ -1,21 +1,42 @@
 module Solver = Step_sat.Solver
 module Lit = Step_sat.Lit
 
-let minimize ?(hard = []) ?(deadline = infinity) solver ~selectors =
+type guess = Confirmed | Fallback | No_guess
+
+type result = {
+  mus : Lit.t list;
+  sat_calls : int;
+  screened : int;
+  guess : guess;
+}
+
+let minimize ?(hard = []) ?(deadline = infinity) ?refute solver ~selectors =
+  let sat_calls = ref 0 and screened = ref 0 in
   (* Some sat, or None once the deadline has passed *)
   let solve sels =
     if not (Solver.arm_deadline solver deadline) then None
-    else
+    else begin
+      incr sat_calls;
       match Solver.solve_limited ~assumptions:(hard @ sels) solver with
       | Solver.Sat -> Some true
       | Solver.Unsat -> Some false
       | Solver.Unknown -> None
+    end
+  in
+  (* true only if [hard @ sels] is satisfiable *)
+  let refuted sels =
+    match refute with
+    | Some r when r sels ->
+        incr screened;
+        true
+    | _ -> false
   in
   (* [needed @ candidates] stays unsatisfiable throughout *)
   let rec shrink needed = function
     | [] -> List.rev needed
     | c :: rest as candidates -> (
-        match solve (needed @ rest) with
+        let test = needed @ rest in
+        match if refuted test then Some true else solve test with
         | Some true ->
             (* satisfiable without [c]: the group is necessary *)
             shrink (c :: needed) rest
@@ -25,18 +46,40 @@ let minimize ?(hard = []) ?(deadline = infinity) solver ~selectors =
             shrink needed (List.filter (fun l -> List.mem l core) rest)
         | None -> List.rev_append needed candidates)
   in
-  let result =
+  (* The optimistic pass keeps what the hook shows necessary and drops
+     the rest untested; each kept [c] has a model of a superset of the
+     final [needed] minus [c]. *)
+  let rec optimistic needed = function
+    | [] -> List.rev needed
+    | c :: rest ->
+        if refuted (needed @ rest) then optimistic (c :: needed) rest
+        else optimistic needed rest
+  in
+  let mus, guess =
     match solve selectors with
     | Some true ->
         invalid_arg "Mus.minimize: initial selector set is satisfiable"
-    | None -> selectors
-    | Some false ->
+    | None -> (selectors, No_guess)
+    | Some false -> (
         (* start from the first core *)
         let core = Solver.unsat_core solver in
-        shrink [] (List.filter (fun l -> List.mem l selectors) core)
+        let core = List.filter (fun l -> List.mem l core) selectors in
+        match refute with
+        | None -> (shrink [] core, No_guess)
+        | Some _ -> (
+            let needed = optimistic [] core in
+            if List.length needed = List.length core then (core, Confirmed)
+            else
+              match solve needed with
+              | Some false -> (needed, Confirmed)
+              | Some true ->
+                  (* some drop was wrong, so the marks were tested with a
+                     necessary selector free: start over from the core *)
+                  (shrink [] core, Fallback)
+              | None -> (core, No_guess)))
   in
   Solver.set_time_budget solver (-1.0);
-  result
+  { mus; sat_calls = !sat_calls; screened = !screened; guess }
 
 let is_minimal ?(hard = []) solver set =
   let solve sels = Solver.solve ~assumptions:(hard @ sels) solver in

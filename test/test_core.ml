@@ -1044,6 +1044,168 @@ let test_mg_screened_scan () =
   Alcotest.(check bool) "some cones are indecomposable" true
     (!indecomposable > 0)
 
+(* ---------- screened MG MUS ---------- *)
+
+(* Whether the Copies scaffold has a counterexample when support position
+   j is on [side.(j)]: 0 frees x' there, 1 frees x'', 2 frees nothing and
+   3 frees every copy (for XOR also the fourth point), by enumerating the
+   truth table. The base point's bits on side-3 inputs are as free as the
+   copies', so each point is judged by the values f takes over every
+   completion of those bits. *)
+let scaffold_witness (p : Problem.t) g side =
+  let n = Array.length side in
+  let pos = Array.make (Aig.n_inputs p.Problem.aig) 0 in
+  List.iteri (fun j i -> pos.(i) <- j) p.Problem.support;
+  let tt =
+    Array.init (1 lsl n) (fun m ->
+        Aig.eval p.Problem.aig
+          (fun i -> (m lsr pos.(i)) land 1 = 1)
+          p.Problem.f)
+  in
+  let masks = List.init (1 lsl n) Fun.id in
+  let mask s =
+    let m = ref 0 in
+    Array.iteri (fun j sj -> if sj = s then m := !m lor (1 lsl j)) side;
+    !m
+  in
+  let subsets m = List.filter (fun s -> s land m = s) masks in
+  let ma = mask 0 and mb = mask 1 and md = mask 3 in
+  let completions = subsets md in
+  let can v m = List.exists (fun d -> tt.(m lor d) = v) completions in
+  let violates x a b =
+    let x1 = x land lnot ma lor a and x2 = x land lnot mb lor b in
+    let x3 = x land lnot (ma lor mb) lor a lor b in
+    match g with
+    | Gate.Or_gate -> can true x && can false x1 && can false x2
+    | Gate.And_gate -> can false x && can true x1 && can true x2
+    | Gate.Xor_gate ->
+        let points = [ x; x1; x2; x3 ] in
+        List.exists (fun m -> can true m && can false m) points
+        || List.fold_left (fun acc m -> acc <> can true m) false points
+  in
+  List.exists
+    (fun x ->
+      x land md = 0
+      && List.exists
+           (fun a -> List.exists (violates x a) (subsets mb))
+           (subsets ma))
+    masks
+
+(* Every true answer of MG's MUS hook, on random selector sets of the
+   first seeds, has an exhaustive witness under the scaffold's semantics
+   and a model on the scaffold itself; some answers free an input on both
+   copies. *)
+let test_mg_mus_hook () =
+  let st = Random.State.make [| 23 |] in
+  List.iter
+    (fun g ->
+      let refuted = ref 0 and doubly = ref 0 in
+      List.iteri
+        (fun k (p, _) ->
+          let c = Copies.create p g in
+          let alpha = Copies.alpha_selector c
+          and beta = Copies.beta_selector c in
+          let seeds = List.filteri (fun s _ -> s < 3) (Mg.seeds p) in
+          List.iter
+            (fun (u, v) ->
+              let hook = Mg.mus_hook c p ~u ~v in
+              let label what =
+                Printf.sprintf "%s cone %d seed (%d, %d): %s"
+                  (Gate.to_string g) k u v what
+              in
+              for _ = 1 to 25 do
+                (* each selector of the other inputs kept with
+                   probability 0, 1/4, 1/2 or 3/4 *)
+                let keep = Random.State.int st 4 in
+                let kept _ = Random.State.int st 4 < keep in
+                (* per input, in support order: α kept, β kept *)
+                let picks =
+                  List.map
+                    (fun i ->
+                      if i = u then (i, false, true)
+                      else if i = v then (i, true, false)
+                      else (i, kept (), kept ()))
+                    p.Problem.support
+                in
+                let sels =
+                  List.concat_map
+                    (fun (i, a, b) ->
+                      if i = u || i = v then []
+                      else
+                        (if a then [ alpha i ] else [])
+                        @ if b then [ beta i ] else [])
+                    picks
+                in
+                if hook sels then begin
+                  incr refuted;
+                  let side =
+                    Array.of_list
+                      (List.map
+                         (fun (_, a, b) ->
+                           match (a, b) with
+                           | false, true -> 0
+                           | true, false -> 1
+                           | true, true -> 2
+                           | false, false -> 3)
+                         picks)
+                  in
+                  if Array.mem 3 side then incr doubly;
+                  if not (scaffold_witness p g side) then
+                    Alcotest.fail (label "refutes a set with no witness");
+                  let hard = [ beta u; alpha v ] in
+                  match Copies.solve_assuming c (hard @ sels) with
+                  | Step_sat.Solver.Sat -> ()
+                  | Step_sat.Solver.Unsat | Step_sat.Solver.Unknown ->
+                      Alcotest.fail (label "refutes an unsat set")
+                end
+              done)
+            seeds)
+        (List.filter (fun (p, _) -> Problem.n_vars p <= 8) (pair_cones ()));
+      let check what n =
+        Alcotest.(check bool) (Gate.to_string g ^ ": " ^ what) true (n > 0)
+      in
+      check "some sets refuted" !refuted;
+      check "some with side 3" !doubly)
+    Gate.all
+
+(* A side-3 refutation whose copies differ on one input is rejected by
+   shrink and never banked: a screen that tried to shrink it answers
+   every later candidate exactly as one that did not. *)
+let test_side3_not_banked () =
+  let rejected = ref 0 in
+  let st = Random.State.make [| 31 |] in
+  List.iter
+    (fun (p, _) ->
+      let n = Problem.n_vars p in
+      List.iter
+        (fun g ->
+          let s1 = Screen.create p g and s2 = Screen.create p g in
+          let side = Array.init n (fun _ -> Random.State.int st 4) in
+          let r = Screen.refute s1 side in
+          Alcotest.(check bool) "same answer" r (Screen.refute s2 side);
+          let x, x1, x2 = Screen.tuple s1 in
+          let both = ref false in
+          Array.iteri
+            (fun j xj -> if x1.(j) <> xj && x2.(j) <> xj then both := true)
+            x;
+          if r && !both then begin
+            incr rejected;
+            match Screen.shrink s1 with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.fail "shrink accepted a side-3 tuple"
+          end;
+          for _ = 1 to 10 do
+            let part = Array.init n (fun _ -> Random.State.int st 3) in
+            let r1 = Screen.refute s1 part in
+            if r1 <> Screen.refute s2 part then
+              Alcotest.fail "a rejected tuple changed a later answer";
+            if r1 && Screen.tuple s1 <> Screen.tuple s2 then
+              Alcotest.fail "a rejected tuple changed a later tuple"
+          done)
+        Gate.all)
+    (pair_cones ());
+  Alcotest.(check bool) "some side-3 tuples rejected" true (!rejected > 0)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1092,6 +1254,10 @@ let () =
             test_mg_qbf_share_screen;
           Alcotest.test_case "mg budget bounds the mus" `Quick
             test_mg_budget_bounds_mus;
+          Alcotest.test_case "mg mus hook has witnesses" `Quick
+            test_mg_mus_hook;
+          Alcotest.test_case "side-3 tuple never banked" `Quick
+            test_side3_not_banked;
         ] );
       ( "extract",
         [

@@ -339,7 +339,7 @@ let test_mus_simple () =
   selector_clause () solver s1 [ x ];
   selector_clause () solver s2 [ Lit.negate x ];
   selector_clause () solver s3 [ y ];
-  let mus = Mus.minimize solver ~selectors:[ s1; s2; s3 ] in
+  let mus = (Mus.minimize solver ~selectors:[ s1; s2; s3 ]).Mus.mus in
   Alcotest.(check (list int)) "mus = {s1,s2}" (List.sort compare [ s1; s2 ])
     (List.sort compare mus);
   Alcotest.(check bool) "is minimal" true (Mus.is_minimal solver mus)
@@ -349,7 +349,7 @@ let test_mus_requires_unsat () =
   let s1 = Lit.pos (Solver.new_var solver) in
   let x = Lit.pos (Solver.new_var solver) in
   selector_clause () solver s1 [ x ];
-  match Mus.minimize solver ~selectors:[ s1 ] with
+  match (Mus.minimize solver ~selectors:[ s1 ]).Mus.mus with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument on satisfiable input"
 
@@ -366,7 +366,9 @@ let test_mus_with_hard () =
   selector_clause () solver s1 [ Lit.negate x; y ];
   selector_clause () solver s2 [ Lit.negate y ];
   selector_clause () solver s3 [ z ];
-  let mus = Mus.minimize ~hard:[ h ] solver ~selectors:[ s1; s2; s3 ] in
+  let mus =
+    (Mus.minimize ~hard:[ h ] solver ~selectors:[ s1; s2; s3 ]).Mus.mus
+  in
   Alcotest.(check (list int)) "mus" (List.sort compare [ s1; s2 ])
     (List.sort compare mus)
 
@@ -382,7 +384,9 @@ let test_mus_deadline_passed () =
   selector_clause () solver s2 [ Lit.negate x ];
   selector_clause () solver s3 [ x ];
   let deadline = Step_obs.Clock.now () -. 1.0 in
-  let set = Mus.minimize ~deadline solver ~selectors:[ s1; s2; s3 ] in
+  let set =
+    (Mus.minimize ~deadline solver ~selectors:[ s1; s2; s3 ]).Mus.mus
+  in
   Alcotest.(check (list int)) "working set" [ s1; s2; s3 ]
     (List.sort compare set);
   Alcotest.(check bool) "not minimal, budget cleared" false
@@ -427,9 +431,185 @@ let prop_mus_minimal =
       ignore (Solver.add_clause solver [ Lit.negate sa; Lit.pos base.(0) ]);
       ignore (Solver.add_clause solver [ Lit.negate sb; Lit.neg_of_var base.(0) ]);
       let selectors = sa :: sb :: selectors in
-      let mus = Mus.minimize solver ~selectors in
+      let mus = (Mus.minimize solver ~selectors).Mus.mus in
       Mus.is_minimal solver mus
       && List.for_all (fun l -> List.mem l selectors) mus)
+
+(* ---------- screened mus ---------- *)
+
+(* A random group CNF over at most 8 variables, unsatisfiable as a whole,
+   built identically on every call for the same seed: the solver, the
+   selectors (the first hard, when [with_hard]) and a brute-force
+   satisfiability oracle for any selector set. *)
+type group_cnf = {
+  g_solver : Solver.t;
+  g_hard : Lit.t list;
+  g_selectors : Lit.t list;
+  g_sat : Lit.t list -> bool; (* hard @ sels is satisfiable *)
+}
+
+let group_cnf seed =
+  let st = Random.State.make [| seed |] in
+  let solver = Solver.create () in
+  let n_vars = 1 + Random.State.int st 8 in
+  let base = Array.init n_vars (fun _ -> Solver.new_var solver) in
+  let random_group () =
+    List.init (1 + Random.State.int st 2) (fun _ ->
+        List.init (1 + Random.State.int st 3) (fun _ ->
+            (Random.State.int st n_vars, Random.State.bool st)))
+  in
+  let groups =
+    List.init (3 + Random.State.int st 10) (fun _ -> random_group ())
+  in
+  let holds assignment group =
+    List.for_all
+      (List.exists (fun (v, b) -> (assignment lsr v) land 1 = 1 = b))
+      group
+  in
+  let sat_groups gs =
+    List.exists
+      (fun a -> List.for_all (holds a) gs)
+      (List.init (1 lsl n_vars) Fun.id)
+  in
+  (* a satisfiable draw gets two contradictory groups *)
+  let groups =
+    if sat_groups groups then
+      groups @ [ [ [ (0, true) ] ]; [ [ (0, false) ] ] ]
+    else groups
+  in
+  let table = Hashtbl.create 16 in
+  let selectors =
+    List.map
+      (fun group ->
+        let sel = Lit.pos (Solver.new_var solver) in
+        List.iter
+          (fun clause ->
+            ignore
+              (Solver.add_clause solver
+                 (Lit.negate sel
+                 :: List.map (fun (v, b) -> Lit.of_var b base.(v)) clause)))
+          group;
+        Hashtbl.replace table sel group;
+        sel)
+      groups
+  in
+  let hard, selectors =
+    match selectors with
+    | h :: rest when Random.State.bool st && rest <> [] -> ([ h ], rest)
+    | _ -> ([], selectors)
+  in
+  let sat sels = sat_groups (List.map (Hashtbl.find table) (hard @ sels)) in
+  { g_solver = solver; g_hard = hard; g_selectors = selectors; g_sat = sat }
+
+let gen_seed = QCheck2.Gen.int_range 0 1_000_000
+
+(* The deletion walk of the optimistic pass under a complete oracle:
+   keep [c] exactly when [needed @ rest] is satisfiable. *)
+let oracle_walk sat core =
+  let rec go needed = function
+    | [] -> List.rev needed
+    | c :: rest ->
+        if sat (needed @ rest) then go (c :: needed) rest else go needed rest
+  in
+  go [] core
+
+let prop_mus_complete_hook =
+  QCheck2.Test.make ~count:300
+    ~name:"mus with a complete hook: one proof, the oracle's deletion walk"
+    ~print:string_of_int gen_seed (fun seed ->
+      let g = group_cnf seed in
+      let r =
+        Mus.minimize ~hard:g.g_hard ~refute:g.g_sat g.g_solver
+          ~selectors:g.g_selectors
+      in
+      (* the same first call on an identically built fresh solver *)
+      let f = group_cnf seed in
+      let core =
+        match
+          Solver.solve_limited ~assumptions:(f.g_hard @ f.g_selectors)
+            f.g_solver
+        with
+        | Solver.Unsat ->
+            let core = Solver.unsat_core f.g_solver in
+            List.filter (fun l -> List.mem l core) f.g_selectors
+        | Solver.Sat | Solver.Unknown -> failwith "group CNF is satisfiable"
+      in
+      let plain =
+        Mus.minimize ~hard:f.g_hard f.g_solver ~selectors:f.g_selectors
+      in
+      r.Mus.guess = Mus.Confirmed
+      && r.Mus.sat_calls <= 2
+      && r.Mus.mus = oracle_walk g.g_sat core
+      && Mus.is_minimal ~hard:g.g_hard g.g_solver r.Mus.mus
+      && Mus.is_minimal ~hard:f.g_hard f.g_solver plain.Mus.mus
+      && plain.Mus.screened = 0 && plain.Mus.guess = Mus.No_guess)
+
+(* A sound but partial hook: it refutes a seeded half of the satisfiable
+   sets, so some optimistic passes drop a necessary selector and fall
+   back to exact deletion. *)
+let partial_hook seed g sels =
+  g.g_sat sels && Hashtbl.hash (seed, List.sort compare sels) land 1 = 0
+
+let prop_mus_partial_hook =
+  QCheck2.Test.make ~count:300 ~name:"mus with a partial hook is minimal"
+    ~print:string_of_int gen_seed (fun seed ->
+      let g = group_cnf seed in
+      let r =
+        Mus.minimize ~hard:g.g_hard ~refute:(partial_hook seed g) g.g_solver
+          ~selectors:g.g_selectors
+      in
+      Mus.is_minimal ~hard:g.g_hard g.g_solver r.Mus.mus
+      && List.for_all (fun l -> List.mem l g.g_selectors) r.Mus.mus)
+
+(* The fallback path is taken, and its answer is minimal although the
+   optimistic marks it discarded were tested with a necessary selector
+   dropped. *)
+let test_mus_fallback () =
+  let fallbacks = ref 0 and confirmed = ref 0 in
+  for seed = 0 to 499 do
+    let g = group_cnf seed in
+    let r =
+      Mus.minimize ~hard:g.g_hard ~refute:(partial_hook seed g) g.g_solver
+        ~selectors:g.g_selectors
+    in
+    (match r.Mus.guess with
+    | Mus.Fallback -> incr fallbacks
+    | Mus.Confirmed -> incr confirmed
+    | Mus.No_guess ->
+        Alcotest.failf "seed %d: no guess without a deadline" seed);
+    if not (Mus.is_minimal ~hard:g.g_hard g.g_solver r.Mus.mus) then
+      Alcotest.failf "seed %d: %s result is not minimal" seed
+        (if r.Mus.guess = Mus.Fallback then "fallback" else "confirmed")
+  done;
+  Alcotest.(check bool) "some passes fall back" true (!fallbacks > 0);
+  Alcotest.(check bool) "some passes are confirmed" true (!confirmed > 0)
+
+(* The clock jumps past the deadline inside the hook, during the
+   optimistic pass, so the proof call is never made: the answer is the
+   first core, still unsatisfiable. *)
+let prop_mus_deadline_in_proof =
+  QCheck2.Test.make ~count:200
+    ~name:"mus cut short before its proof returns an unsat set"
+    ~print:string_of_int gen_seed (fun seed ->
+      let g = group_cnf seed in
+      let t = ref 0.0 in
+      Step_obs.Clock.set_source (fun () -> !t);
+      Fun.protect ~finally:Step_obs.Clock.use_wall_clock (fun () ->
+          let refute sels =
+            t := 100.0;
+            g.g_sat sels
+          in
+          let r =
+            Mus.minimize ~hard:g.g_hard ~deadline:10.0 ~refute g.g_solver
+              ~selectors:g.g_selectors
+          in
+          let unsat =
+            not
+              (Solver.solve ~assumptions:(g.g_hard @ r.Mus.mus) g.g_solver)
+          in
+          unsat
+          && List.for_all (fun l -> List.mem l g.g_selectors) r.Mus.mus
+          && (r.Mus.guess = Mus.No_guess || r.Mus.sat_calls = 1)))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -513,6 +693,7 @@ let () =
           Alcotest.test_case "requires unsat" `Quick test_mus_requires_unsat;
           Alcotest.test_case "with hard assumptions" `Quick test_mus_with_hard;
           Alcotest.test_case "deadline passed" `Quick test_mus_deadline_passed;
+          Alcotest.test_case "screened fallback" `Quick test_mus_fallback;
         ] );
       qsuite "properties"
         [
@@ -520,5 +701,8 @@ let () =
           prop_cegar_duality;
           prop_qdimacs_matches_naive;
           prop_mus_minimal;
+          prop_mus_complete_hook;
+          prop_mus_partial_hook;
+          prop_mus_deadline_in_proof;
         ];
     ]
