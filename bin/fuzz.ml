@@ -436,11 +436,13 @@ let proof_round round st =
   end
 
 (* --arena mode: differential fuzzing of the arena-based solver paths.
-   Every round solves the same random CNF three ways — inprocessing off
-   (reference), inprocessing + forced compaction, and proof-logging with a
-   forced DB reduction and compaction — and demands identical verdicts,
-   satisfying models, clean invariant audits, and LRAT/DRAT certificates
-   that still check after the arena has moved every clause. *)
+   Every round solves the same random CNF three ways — the plain solver
+   (reference); a solve under a random assumption, then a forced DB
+   reduction and compaction, then a re-solve without it; and
+   proof-logging with a forced DB reduction and compaction — and demands
+   identical verdicts, satisfying models, clean invariant audits, and
+   LRAT/DRAT certificates that still check after the arena has moved
+   every clause. *)
 
 let eval_dimacs cnf value =
   List.for_all
@@ -467,24 +469,33 @@ let arena_round round st =
     | [] -> ()
     | d :: _ -> fail round (label ^ " audit: " ^ Diag.to_text d)
   in
-  (* reference: arena solver with inprocessing disabled *)
+  (* reference: the plain solver *)
   let base = mk () in
-  Solver.set_inprocessing base false;
   let r0 = Solver.solve base in
   if r0 then check_model "reference" base;
   check_audit "reference" base;
-  (* forced inprocessing + compaction before the solve *)
+  (* learnts from a solve under a random assumption, then a forced
+     reduction + compaction (surviving blocks move over the ones the
+     reduction deleted), then a re-solve on the compacted arena *)
   let s1 = mk () in
-  Solver.inprocess s1;
+  let p = Lit.of_var (Random.State.bool st) (Random.State.int st n) in
+  let ra = Solver.solve ~assumptions:[ p ] s1 in
+  if ra && not r0 then
+    fail round "satisfiable under an assumption but the reference is not";
+  if ra then begin
+    check_model "assumed" s1;
+    if not (Solver.model_value s1 p) then
+      fail round "assumed model falsifies its assumption"
+  end;
+  Solver.reduce_learnts s1;
   Solver.compact s1;
-  check_audit "inprocessed" s1;
+  check_audit "compacted" s1;
   let r1 = Solver.solve s1 in
   if r1 <> r0 then
     fail round
-      (Printf.sprintf "inprocessed verdict %b disagrees with reference %b" r1
-         r0);
-  if r1 then check_model "inprocessed" s1;
-  check_audit "inprocessed post-solve" s1;
+      (Printf.sprintf "compacted verdict %b disagrees with reference %b" r1 r0);
+  if r1 then check_model "compacted" s1;
+  check_audit "compacted post-solve" s1;
   (* proof mode: certificates must survive reduction + compaction *)
   let s3 = mk ~proof:true () in
   let r3 = Solver.solve s3 in

@@ -15,5 +15,7 @@ val best :
     bi-decomposable with this gate. *)
 
 val all_decomposable : Problem.t -> Gate.t -> Partition.t list
-(** Every decomposable non-trivial partition (canonicalized, deduplicated:
-    [XA]/[XB] swaps are reported once). *)
+(** Every decomposable non-trivial partition, canonicalized by
+    {!Partition.canonical} and deduplicated. A partition with
+    [|XA| <> |XB|] and its [XA]/[XB] swap are reported once, with the
+    larger set as [XA]; when [|XA| = |XB|] both orders are listed. *)

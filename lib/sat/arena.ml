@@ -19,7 +19,7 @@
 type t = {
   mutable bank : int array;
   mutable top : int; (* next free word *)
-  mutable wasted : int; (* words buried in removed/shrunk blocks *)
+  mutable wasted : int; (* words buried in removed blocks *)
 }
 
 let flag_learnt = 1
@@ -69,8 +69,6 @@ let size a r = a.bank.(r + 1)
 
 let learnt a r = a.bank.(r) land flag_learnt <> 0
 
-let clear_learnt a r = a.bank.(r) <- a.bank.(r) land lnot flag_learnt
-
 let removed a r = a.bank.(r) land flag_removed <> 0
 
 let remove a r =
@@ -90,16 +88,6 @@ let lbd a r = a.bank.(r + 2)
 let set_lbd a r v = a.bank.(r + 2) <- v
 
 let lit a r i = a.bank.(r + header_words + i)
-
-let set_lit a r i l = a.bank.(r + header_words + i) <- l
-
-(* Drop the literal at position [i], swapping the last literal into the
-   hole. The vacated word stays buried until the next gc. *)
-let remove_lit a r i =
-  let n = size a r in
-  a.bank.(r + header_words + i) <- a.bank.(r + header_words + n - 1);
-  a.bank.(r + 1) <- n - 1;
-  a.wasted <- a.wasted + 1
 
 let lits a r = Array.sub a.bank (r + header_words) (size a r)
 

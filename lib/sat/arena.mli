@@ -28,8 +28,8 @@ val top : t -> int
 (** Words in use (allocation high-water mark). *)
 
 val wasted : t -> int
-(** Words buried in removed blocks and shrunk literals — the amount a
-    {!gc} would reclaim. *)
+(** Words buried in removed blocks — the amount a {!gc} would
+    reclaim. *)
 
 val id : t -> int -> int
 
@@ -37,10 +37,6 @@ val size : t -> int -> int
 (** Number of literals in the block. *)
 
 val learnt : t -> int -> bool
-
-val clear_learnt : t -> int -> unit
-(** Promote a learnt block to a problem clause (subsumption found it
-    irredundant). *)
 
 val removed : t -> int -> bool
 
@@ -62,12 +58,6 @@ val set_lbd : t -> int -> int -> unit
 
 val lit : t -> int -> int -> int
 (** [lit a r i] is the [i]-th literal of the block at [r]. *)
-
-val set_lit : t -> int -> int -> int -> unit
-
-val remove_lit : t -> int -> int -> unit
-(** [remove_lit a r i] drops the [i]-th literal (order not preserved),
-    shrinking the block's size by one. *)
 
 val lits : t -> int -> int array
 (** Fresh copy of the block's literals. *)

@@ -40,5 +40,3 @@ let set t i v =
 let get t i = if mem t i then t.data.(i) else 0
 
 let unset t i = if i < Array.length t.stamps then t.stamps.(i) <- 0
-
-let capacity t = Array.length t.stamps

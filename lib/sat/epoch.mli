@@ -1,7 +1,7 @@
 (** Epoch-stamped scratch map over small integer keys.
 
-    The solver's conflict analysis and inprocessing passes need per-var /
-    per-literal scratch marks that are set a handful of times and then
+    The solver's conflict analysis and LBD computation need per-variable
+    / per-level scratch marks that are set a handful of times and then
     cleared wholesale. A [Bytes] map needs an explicit to-clear list to
     stay O(marks); an epoch map makes {!reset} O(1) by bumping a
     generation counter instead: a slot counts as set only when its stamp
@@ -31,5 +31,3 @@ val get : t -> int -> int
 
 val unset : t -> int -> unit
 (** Unsets a single key. *)
-
-val capacity : t -> int

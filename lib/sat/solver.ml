@@ -23,22 +23,14 @@ let h_solve = Metrics.histogram "sat.solve_s"
 
 (* Deep solver telemetry (gated on [Metrics.deep]): learned-clause
    quality (LBD/"glue" and length distributions), restart dynamics and
-   per-call phase timings. Restart, clause-DB-reduction, inprocessing and
-   arena-gc counters are always on — all fire orders of magnitude less
-   often than conflicts. *)
+   per-call phase timings. Restart, clause-DB-reduction and arena-gc
+   counters are always on — all fire orders of magnitude less often than
+   conflicts. *)
 let m_restarts = Metrics.counter "sat.restarts"
 
 let m_reduce_db = Metrics.counter "sat.reduce_db"
 
-let m_subsumed = Metrics.counter "sat.subsumed"
-
-let m_strengthened = Metrics.counter "sat.strengthened"
-
-let m_inprocess = Metrics.counter "sat.inprocess"
-
 let m_arena_gc = Metrics.counter "sat.arena_gc"
-
-let h_inprocess_s = Metrics.histogram "sat.inprocess_s"
 
 let h_lbd = Metrics.histogram "sat.lbd"
 
@@ -104,7 +96,6 @@ type t = {
   mutable polarity : Bytes.t; (* saved phase: 1 = true *)
   seen : Epoch.t; (* analysis marks: 1 = seen, 2 = level-0 proof mark *)
   lbd_seen : Epoch.t; (* per-level scratch for LBD computation *)
-  mark : Epoch.t; (* per-literal scratch for subsumption checks *)
   trail : Veci.t;
   trail_lim : Veci.t;
   mutable qhead : int;
@@ -124,9 +115,6 @@ type t = {
   mutable decisions : int;
   mutable propagations : int;
   mutable max_learnts : float;
-  (* inprocessing *)
-  mutable inprocessing : bool;
-  mutable inprocess_next : int;
   (* budgets *)
   mutable conflict_budget : int;
   mutable conflict_limit : int;
@@ -158,7 +146,6 @@ let create ?(proof = false) () =
       polarity = Bytes.make 16 '\000';
       seen = Epoch.create ();
       lbd_seen = Epoch.create ();
-      mark = Epoch.create ();
       trail = Veci.create ();
       trail_lim = Veci.create ();
       qhead = 0;
@@ -179,8 +166,6 @@ let create ?(proof = false) () =
       decisions = 0;
       propagations = 0;
       max_learnts = 0.;
-      inprocessing = not proof;
-      inprocess_next = 4000;
       conflict_budget = -1;
       conflict_limit = max_int;
       time_budget = -1.;
@@ -201,14 +186,6 @@ let proof_logging s = s.proof_mode
 let n_vars s = s.nvars
 
 let n_clauses s = s.n_problem
-
-let n_learnts s = Veci.length s.learnts
-
-let n_conflicts s = s.conflicts
-
-let n_decisions s = s.decisions
-
-let n_propagations s = s.propagations
 
 let okay s = s.ok
 
@@ -250,8 +227,7 @@ let grow_vars s n =
     done;
     s.watches <- watches;
     Epoch.ensure s.seen cap;
-    Epoch.ensure s.lbd_seen cap;
-    Epoch.ensure s.mark (2 * cap)
+    Epoch.ensure s.lbd_seen cap
   end
 
 let new_var s =
@@ -917,204 +893,6 @@ let compact s =
     invalid_arg "Solver.compact: only at decision level 0";
   collect s
 
-(* ---------- inprocessing ---------- *)
-
-(* Remove literal [l] from clause [r], keeping the watch invariant
-   (watched slots 0/1 hold non-false literals of unsatisfied clauses).
-   Positions >= 2 are unwatched, so the swap-delete suffices; touching a
-   watched slot detaches, deletes, re-picks two non-false literals and
-   reattaches. A clause strengthened to a unit is enqueued; propagation
-   is the caller's job. Never called on locked clauses or in proof mode. *)
-let strengthen_clause s r l =
-  let a = s.arena in
-  let n = Arena.size a r in
-  let i = ref 0 in
-  while !i < n && Arena.lit a r !i <> l do
-    incr i
-  done;
-  if !i < n then begin
-    Metrics.inc m_strengthened;
-    if !i >= 2 then Arena.remove_lit a r !i
-    else begin
-      detach s r;
-      Arena.remove_lit a r !i;
-      let n = n - 1 in
-      if n = 1 then begin
-        let u = Arena.lit a r 0 in
-        if lit_unassigned s u then enqueue s u r
-        else if lit_false s u then s.ok <- false
-      end
-      else begin
-        (* re-pick two non-false literals into slots 0/1 *)
-        let pick from =
-          let k = ref from in
-          while !k < n && lit_false s (Arena.lit a r !k) do
-            incr k
-          done;
-          if !k < n then begin
-            let tmp = Arena.lit a r from in
-            Arena.set_lit a r from (Arena.lit a r !k);
-            Arena.set_lit a r !k tmp;
-            true
-          end
-          else false
-        in
-        let ok0 = pick 0 in
-        let ok1 = ok0 && pick 1 in
-        if not ok0 then s.ok <- false
-        else begin
-          attach s r;
-          if not ok1 then begin
-            let u = Arena.lit a r 0 in
-            if lit_unassigned s u then enqueue s u r
-            else if lit_false s u then s.ok <- false
-          end
-        end
-      end
-    end
-  end
-
-(* Does [c] subsume [d] (c ⊆ d), or self-subsume it (c \ {l} ⊆ d with
-   ¬l ∈ d)? Returns [max_int] for subsumption, the flip literal [l] of
-   [c] for self-subsumption, [-1] for neither. One epoch reset plus a
-   linear walk of each clause. *)
-let subsume_check s c d =
-  let a = s.arena in
-  Epoch.reset s.mark;
-  for i = 0 to Arena.size a d - 1 do
-    Epoch.set s.mark (Arena.lit a d i) 1
-  done;
-  let nc = Arena.size a c in
-  let flip = ref max_int in
-  let ok = ref true in
-  let i = ref 0 in
-  while !ok && !i < nc do
-    let l = Arena.lit a c !i in
-    if Epoch.mem s.mark l then ()
-    else if !flip = max_int && Epoch.mem s.mark (Lit.negate l) then flip := l
-    else ok := false;
-    incr i
-  done;
-  if !ok then !flip else -1
-
-(* One inprocessing pass at decision level 0 (non-proof mode only):
-   1. propagate to fixpoint;
-   2. drop satisfied clauses and strip level-0-false literals (the watch
-      invariant guarantees watched slots of unsatisfied clauses are
-      non-false, so only positions >= 2 can be stripped);
-   3. backward subsumption + self-subsuming resolution driven by
-      occurrence lists over arena refs, under a work budget. A learnt
-      clause that subsumes a problem clause is promoted to problem status
-      first, so the stronger clause can never be dropped later by
-      database reduction. *)
-let inprocess_pass s =
-  Metrics.inc m_inprocess;
-  let t0 = Clock.now () in
-  let a = s.arena in
-  if propagate s >= 0 then s.ok <- false;
-  if s.ok then begin
-    (* sweep: satisfied clauses out, false literals stripped *)
-    for id = 0 to Veci.length s.cmap - 1 do
-      let r = Veci.get s.cmap id in
-      if r >= 0 && not (locked s r) then begin
-        let n = Arena.size a r in
-        let sat = ref false in
-        for i = 0 to n - 1 do
-          if lit_true s (Arena.lit a r i) then sat := true
-        done;
-        if !sat then remove_clause s r
-        else
-          for i = n - 1 downto 2 do
-            if lit_false s (Arena.lit a r i) then begin
-              Arena.remove_lit a r i;
-              Metrics.inc m_strengthened
-            end
-          done
-      end
-    done
-  end;
-  if s.ok then begin
-    (* occurrence lists over the live, unlocked clauses *)
-    let occ = Array.init (2 * s.nvars) (fun _ -> Veci.create ~cap:4 ()) in
-    for id = 0 to Veci.length s.cmap - 1 do
-      let r = Veci.get s.cmap id in
-      if r >= 0 && (not (locked s r)) && Arena.size a r >= 2 then
-        for i = 0 to Arena.size a r - 1 do
-          Veci.push occ.(Arena.lit a r i) r
-        done
-    done;
-    let budget = ref 400_000 in
-    let id = ref 0 in
-    let n_ids = Veci.length s.cmap in
-    while s.ok && !budget > 0 && !id < n_ids do
-      let c = Veci.get s.cmap !id in
-      incr id;
-      if c >= 0 && (not (locked s c)) && Arena.size a c >= 2 then begin
-        (* scan the shortest occurrence list among c's literals *)
-        let best = ref (Arena.lit a c 0) in
-        for i = 1 to Arena.size a c - 1 do
-          let l = Arena.lit a c i in
-          if Veci.length occ.(l) < Veci.length occ.(!best) then best := l
-        done;
-        (* candidates containing [best] can be subsumed or strengthened;
-           candidates containing [¬best] can only be strengthened (with
-           [best] itself as the flipped literal) *)
-        let scan cands =
-          let k = ref 0 in
-          while s.ok && !budget > 0 && !k < Veci.length cands do
-            let d = Veci.get cands !k in
-            incr k;
-            if
-              d <> c
-              && (not (Arena.removed a d))
-              && (not (Arena.removed a c))
-              && (not (locked s d))
-              && Arena.size a d >= Arena.size a c
-            then begin
-              budget := !budget - Arena.size a d;
-              match subsume_check s c d with
-              | -1 -> ()
-              | m when m = max_int ->
-                  (* c subsumes d: keep the stronger clause irredundant *)
-                  if Arena.learnt a c && not (Arena.learnt a d) then begin
-                    Arena.clear_learnt a c;
-                    Bytes.set s.cflags (Arena.id a c) '\000';
-                    s.n_problem <- s.n_problem + 1
-                  end;
-                  remove_clause s d;
-                  Metrics.inc m_subsumed
-              | l ->
-                  (* self-subsuming resolution: drop ¬l from d *)
-                  strengthen_clause s d (Lit.negate l);
-                  if s.ok && propagate s >= 0 then s.ok <- false
-            end
-          done
-        in
-        scan occ.(!best);
-        let nbest = Lit.negate !best in
-        if s.ok && nbest < Array.length occ then scan occ.(nbest)
-      end
-    done;
-    (* strengthening may have promoted/removed learnts: rebuild the index *)
-    Veci.clear s.learnts;
-    for id = 0 to Veci.length s.cmap - 1 do
-      let r = Veci.get s.cmap id in
-      if r >= 0 && Arena.learnt a r then Veci.push s.learnts r
-    done
-  end;
-  Metrics.observe h_inprocess_s (Clock.elapsed_since t0)
-
-let set_inprocessing s b = s.inprocessing <- b
-
-let inprocess s =
-  if decision_level s <> 0 then
-    invalid_arg "Solver.inprocess: only at decision level 0";
-  if s.proof_mode then invalid_arg "Solver.inprocess: unavailable in proof mode";
-  if s.ok then begin
-    inprocess_pass s;
-    maybe_collect s
-  end
-
 (* ---------- runtime sanitizer ---------- *)
 
 (* Opt-in invariant audits (STEP_SANITIZE=1 or [set_sanitize]), reporting
@@ -1457,19 +1235,8 @@ let solve_limited ?(assumptions = []) s =
           Metrics.inc m_restarts;
           incr restarts;
           s.max_learnts <- s.max_learnts *. 1.05;
-          (* restart boundary (decision level 0): inprocess on schedule,
-             then reclaim arena space if enough is buried *)
-          if
-            s.inprocessing && (not s.proof_mode) && s.ok
-            && s.conflicts >= s.inprocess_next
-          then begin
-            inprocess_pass s;
-            s.inprocess_next <- s.conflicts + 4000;
-            if not s.ok then begin
-              s.core <- [];
-              raise (Done Unsat)
-            end
-          end;
+          (* restart boundary (decision level 0): reclaim arena space if
+             enough is buried *)
           maybe_collect s
         done;
         assert false
@@ -1562,12 +1329,3 @@ let clause_lits s id =
 let is_learnt_clause s id =
   assert (id >= 0 && id < Veci.length s.cmap);
   Bytes.get s.cflags id = '\001'
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "vars=%d clauses=%d learnts=%d conflicts=%d decisions=%d propagations=%d"
-    s.nvars s.n_problem (Veci.length s.learnts) s.conflicts s.decisions
-    s.propagations
-
-
-

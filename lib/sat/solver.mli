@@ -54,14 +54,6 @@ val n_vars : t -> int
 val n_clauses : t -> int
 (** Number of problem (non-learned) clauses added so far. *)
 
-val n_learnts : t -> int
-
-val n_conflicts : t -> int
-
-val n_decisions : t -> int
-
-val n_propagations : t -> int
-
 val okay : t -> bool
 (** [false] once the clause set is known unsatisfiable at level 0. *)
 
@@ -72,9 +64,6 @@ val add_clause : t -> Lit.t list -> int
     solver permanently unsatisfiable; in proof mode an empty clause is
     kept and recorded as the refutation. Variables are allocated on
     demand. *)
-
-val add_clause_a : t -> Lit.t array -> int
-(** Array variant of {!add_clause}; the array is not retained. *)
 
 val solve : ?assumptions:Lit.t list -> t -> bool
 (** [solve s] is [true] iff the clause set (under the given assumptions)
@@ -145,18 +134,6 @@ val reduce_learnts : t -> unit
     tests and fuzzers exercising deletion-aware proof export.
     @raise Invalid_argument unless at decision level 0. *)
 
-val set_inprocessing : t -> bool -> unit
-(** Toggles the scheduled inprocessing passes (satisfied-clause removal,
-    false-literal stripping, backward subsumption and self-subsuming
-    resolution) that run between restarts. On by default; never runs in
-    proof mode regardless of this flag. *)
-
-val inprocess : t -> unit
-(** Runs one inprocessing pass immediately (then compacts the arena if
-    enough space is buried). Intended for tests and fuzzers.
-    @raise Invalid_argument unless at decision level 0, or in proof
-    mode (inprocessing would invalidate the recorded derivations). *)
-
 val compact : t -> unit
 (** Forces an arena garbage collection: live clause blocks are compacted
     to the bottom of the bank and every internal reference is reseated.
@@ -167,7 +144,7 @@ val compact : t -> unit
 
 val n_live_clauses : t -> int
 (** Number of clause records (problem + learned) still alive, i.e. not
-    deleted by reduction or inprocessing. *)
+    deleted by learnt-database reduction. *)
 
 val n_clause_records : t -> int
 (** Total number of clause records allocated (problem + learned, live or
@@ -178,5 +155,3 @@ val clause_lits : t -> int -> Lit.t array
     Valid for ids returned by {!add_clause} and ids appearing in proofs. *)
 
 val is_learnt_clause : t -> int -> bool
-
-val pp_stats : Format.formatter -> t -> unit

@@ -166,6 +166,30 @@ let test_xor_parity_fully_decomposable () =
   Alcotest.(check (option bool)) "or" (Some false)
     (Check.decomposable p Gate.Or_gate part)
 
+let test_exhaustive_equal_size_swaps () =
+  (* parity of 4 inputs decomposes under all 50 ordered non-trivial
+     partitions; canonical forms merge the 32 with |XA| <> |XB| into 16,
+     and the 18 with |XA| = |XB| stay in both orders *)
+  let m = Aig.create () in
+  let xs = List.init 4 (fun _ -> Aig.fresh_input m) in
+  let p = Problem.of_edge m (Aig.xor_list m xs) in
+  let all = Exhaustive.all_decomposable p Gate.Xor_gate in
+  Alcotest.(check int) "entries" 34 (List.length all);
+  let equal =
+    List.filter
+      (fun (q : Partition.t) -> List.length q.xa = List.length q.xb)
+      all
+  in
+  Alcotest.(check int) "equal-size entries" 18 (List.length equal);
+  List.iter
+    (fun (q : Partition.t) ->
+      let swap = Partition.make ~xa:q.xb ~xb:q.xa ~xc:q.xc in
+      Alcotest.(check bool)
+        ("swap listed: " ^ Partition.to_string q)
+        true
+        (List.exists (Partition.equal swap) all))
+    equal
+
 let test_mg_finds_planted () =
   List.iter
     (fun gate ->
@@ -1223,6 +1247,8 @@ let () =
             test_or_decomposable_planted;
           Alcotest.test_case "parity xor" `Quick
             test_xor_parity_fully_decomposable;
+          Alcotest.test_case "exhaustive keeps equal-size swaps" `Quick
+            test_exhaustive_equal_size_swaps;
         ] );
       ( "methods",
         [

@@ -169,21 +169,27 @@ let test_duplicate_literals () =
   Alcotest.(check bool) "sat" true (Solver.solve s);
   Alcotest.(check bool) "forced" true (Solver.var_value s 0)
 
-let test_conflict_budget () =
-  (* pigeonhole 6->5 takes more than 1 conflict *)
-  let n_p = 6 and n_h = 5 in
+(* Pigeonhole [n_p] -> [n_h] over vars [i * n_h + h], every clause
+   prefixed with [guard]. *)
+let pigeonhole ?(guard = []) n_p n_h =
   let v i h = (i * n_h) + h in
-  let s = Solver.create () in
+  let clauses = ref [] in
+  let add c = clauses := (guard @ c) :: !clauses in
   for i = 0 to n_p - 1 do
-    ignore (Solver.add_clause s (List.init n_h (fun h -> pos (v i h))))
+    add (List.init n_h (fun h -> pos (v i h)))
   done;
   for h = 0 to n_h - 1 do
     for i = 0 to n_p - 1 do
       for j = i + 1 to n_p - 1 do
-        ignore (Solver.add_clause s [ neg (v i h); neg (v j h) ])
+        add [ neg (v i h); neg (v j h) ]
       done
     done
   done;
+  List.rev !clauses
+
+let test_conflict_budget () =
+  (* pigeonhole 6->5 takes more than 1 conflict *)
+  let s = solver_of (pigeonhole 6 5) in
   Solver.set_conflict_budget s 1;
   (match Solver.solve_limited s with
   | Solver.Unknown -> ()
@@ -357,71 +363,33 @@ let test_epoch_basic () =
   Epoch.set e 40 3;
   Alcotest.(check int) "rebind after reset" 3 (Epoch.get e 40)
 
-(* ---------- inprocessing and arena compaction ---------- *)
-
-let test_inprocess_subsumption () =
-  let s = solver_of [ [ pos 0; pos 1 ]; [ pos 0; pos 1; pos 2 ] ] in
-  Alcotest.(check int) "two live" 2 (Solver.n_live_clauses s);
-  Solver.inprocess s;
-  Alcotest.(check int) "subsumed away" 1 (Solver.n_live_clauses s);
-  Alcotest.(check (list string)) "audit clean" []
-    (List.map Step_lint.Diag.to_text (Solver.audit s));
-  Alcotest.(check bool) "still sat" true (Solver.solve s)
-
-let test_inprocess_self_subsume () =
-  (* [x0 x1] strengthens [¬x0 x1 x2] to [x1 x2] (resolution on x0) *)
-  let s = Solver.create () in
-  ignore (Solver.add_clause s [ pos 0; pos 1 ]);
-  let d = Solver.add_clause s [ neg 0; pos 1; pos 2 ] in
-  Solver.inprocess s;
-  let lits = List.sort compare (Array.to_list (Solver.clause_lits s d)) in
-  Alcotest.(check (list int)) "strengthened" [ pos 1; pos 2 ] lits;
-  Alcotest.(check (list string)) "audit clean" []
-    (List.map Step_lint.Diag.to_text (Solver.audit s));
-  Alcotest.(check bool) "still sat" true (Solver.solve s)
-
-let test_inprocess_satisfied_removal () =
-  (* the unit lands last so the other clauses already exist when x0 is
-     fixed: one becomes satisfied, one carries a false literal *)
-  let s = Solver.create () in
-  ignore (Solver.add_clause s [ pos 0; pos 1; pos 2 ]);
-  ignore (Solver.add_clause s [ neg 0; pos 1; neg 2 ]);
-  ignore (Solver.add_clause s [ pos 0 ]);
-  Solver.inprocess s;
-  (* the satisfied wide clause goes; the unit stays locked; the third is
-     strengthened by the false literal ¬x0 *)
-  Alcotest.(check int) "live afterwards" 2 (Solver.n_live_clauses s);
-  Alcotest.(check bool) "still sat" true (Solver.solve s)
-
-let test_inprocess_proof_mode_rejected () =
-  let s = solver_of ~proof:true [ [ pos 0; pos 1 ] ] in
-  Alcotest.check_raises "rejected"
-    (Invalid_argument "Solver.inprocess: unavailable in proof mode") (fun () ->
-      Solver.inprocess s)
+(* ---------- arena compaction ---------- *)
 
 let test_compact_preserves_ids () =
-  let s = Solver.create () in
-  let ids =
-    List.init 40 (fun i ->
-        let v = 3 * i in
-        (Solver.add_clause s [ pos v; pos (v + 1); pos (v + 2) ], v))
-  in
-  (* kill every other clause via subsumption, then force a compaction *)
-  List.iteri
-    (fun i (_, v) -> if i mod 2 = 0 then ignore (Solver.add_clause s [ pos v; pos (v + 1) ]))
-    ids;
-  Solver.inprocess s;
+  (* pigeonhole 6->5 guarded by [a]: unsatisfiable under the assumption
+     [a], so the solve learns clauses, satisfiable without it *)
+  let a = 30 in
+  let s = solver_of (pigeonhole ~guard:[ neg a ] 6 5) in
+  Alcotest.(check bool) "unsat under a" false
+    (Solver.solve ~assumptions:[ pos a ] s);
+  let n_ids = Solver.n_clause_records s in
+  let before = Array.init n_ids (Solver.clause_lits s) in
+  let live0 = Solver.n_live_clauses s in
+  (* the database reduction leaves dead learnt blocks for the gc to move *)
+  Solver.reduce_learnts s;
+  Alcotest.(check bool) "reduction killed clauses" true
+    (Solver.n_live_clauses s < live0);
   Solver.compact s;
   Alcotest.(check (list string)) "audit clean" []
     (List.map Step_lint.Diag.to_text (Solver.audit s));
   (* surviving ids still resolve to their literals after the move *)
-  List.iteri
-    (fun i (id, v) ->
-      if i mod 2 = 1 then
-        Alcotest.(check (list int))
-          "lits stable" [ pos v; pos (v + 1); pos (v + 2) ]
-          (List.sort compare (Array.to_list (Solver.clause_lits s id))))
-    ids;
+  Array.iteri
+    (fun id lits ->
+      let now = Solver.clause_lits s id in
+      if now <> [||] then
+        Alcotest.(check (list int)) "lits stable" (Array.to_list lits)
+          (Array.to_list now))
+    before;
   Alcotest.(check bool) "still sat" true (Solver.solve s)
 
 (* ---------- property tests ---------- *)
@@ -529,14 +497,8 @@ let () =
         ] );
       ( "epoch",
         [ Alcotest.test_case "basic" `Quick test_epoch_basic ] );
-      ( "inprocess",
+      ( "arena",
         [
-          Alcotest.test_case "subsumption" `Quick test_inprocess_subsumption;
-          Alcotest.test_case "self-subsume" `Quick test_inprocess_self_subsume;
-          Alcotest.test_case "satisfied removal" `Quick
-            test_inprocess_satisfied_removal;
-          Alcotest.test_case "proof mode rejected" `Quick
-            test_inprocess_proof_mode_rejected;
           Alcotest.test_case "compact preserves ids" `Quick
             test_compact_preserves_ids;
         ] );
