@@ -156,10 +156,11 @@ certfuzz:
 	  --seed 11
 
 # Arena differential smoke: each round solves the same random CNF with
-# the plain solver (reference), under a random assumption followed by a
-# forced DB reduction + arena compaction and a re-solve, and in proof
-# mode with a forced DB reduction + compaction whose LRAT/DRAT
-# certificates must still check.
+# the plain solver (reference); with a guarded pigeonhole formula added,
+# under a random assumption and under the guard (which learns clauses),
+# followed by a forced DB reduction that must delete learnts, arena
+# compaction and a re-solve; and in proof mode with a forced DB
+# reduction + compaction whose LRAT/DRAT certificates must still check.
 arenasmoke:
 	dune build bin/fuzz.exe
 	dune exec --no-build bin/fuzz.exe -- --arena --rounds 120 --vars 12 \

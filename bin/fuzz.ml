@@ -437,12 +437,33 @@ let proof_round round st =
 
 (* --arena mode: differential fuzzing of the arena-based solver paths.
    Every round solves the same random CNF three ways — the plain solver
-   (reference); a solve under a random assumption, then a forced DB
-   reduction and compaction, then a re-solve without it; and
-   proof-logging with a forced DB reduction and compaction — and demands
-   identical verdicts, satisfying models, clean invariant audits, and
-   LRAT/DRAT certificates that still check after the arena has moved
-   every clause. *)
+   (reference); with a guarded pigeonhole formula added, a solve under a
+   random assumption and one under the guard (which learns clauses), then
+   a forced DB reduction and compaction, then a re-solve without
+   assumptions; and proof-logging with a forced DB reduction and
+   compaction — and demands identical verdicts, satisfying models, clean
+   invariant audits, and LRAT/DRAT certificates that still check after the
+   arena has moved every clause. *)
+
+(* Pigeonhole [n_h + 1] -> [n_h] over DIMACS vars from [first], every
+   clause prefixed with [-g]: unsatisfiable under the assumption [g],
+   satisfied by [g] false. *)
+let guarded_pigeonhole ~g ~first n_h =
+  let n_p = n_h + 1 in
+  let v i h = first + (i * n_h) + h in
+  let clauses = ref [] in
+  let add c = clauses := (-g :: c) :: !clauses in
+  for i = 0 to n_p - 1 do
+    add (List.init n_h (v i))
+  done;
+  for h = 0 to n_h - 1 do
+    for i = 0 to n_p - 1 do
+      for j = i + 1 to n_p - 1 do
+        add [ -v i h; -v j h ]
+      done
+    done
+  done;
+  List.rev !clauses
 
 let eval_dimacs cnf value =
   List.for_all
@@ -452,7 +473,7 @@ let eval_dimacs cnf value =
 let arena_round round st =
   let n = !n_vars in
   let cnf = random_cnf st n in
-  let mk ?proof () =
+  let mk ?proof cnf =
     let s = Solver.create ?proof () in
     Solver.ensure_var s (n - 1);
     List.iter
@@ -460,7 +481,7 @@ let arena_round round st =
       cnf;
     s
   in
-  let check_model label s =
+  let check_model ?(cnf = cnf) label s =
     if not (eval_dimacs cnf (fun v -> Solver.var_value s (v - 1))) then
       fail round (label ^ " model does not satisfy the input CNF")
   in
@@ -470,34 +491,47 @@ let arena_round round st =
     | d :: _ -> fail round (label ^ " audit: " ^ Diag.to_text d)
   in
   (* reference: the plain solver *)
-  let base = mk () in
+  let base = mk cnf in
   let r0 = Solver.solve base in
   if r0 then check_model "reference" base;
   check_audit "reference" base;
-  (* learnts from a solve under a random assumption, then a forced
-     reduction + compaction (surviving blocks move over the ones the
-     reduction deleted), then a re-solve on the compacted arena *)
-  let s1 = mk () in
+  (* learnts from solves under a random assumption and under the guard of
+     a pigeonhole formula on fresh vars, then a forced reduction +
+     compaction (surviving blocks move over the ones the reduction
+     deleted), then a re-solve on the compacted arena *)
+  let g = n + 1 in
+  let n_h = 5 + Random.State.int st 2 in
+  let php = guarded_pigeonhole ~g ~first:(n + 2) n_h in
+  let cnf1 = cnf @ php in
+  let s1 = mk cnf1 in
   let p = Lit.of_var (Random.State.bool st) (Random.State.int st n) in
   let ra = Solver.solve ~assumptions:[ p ] s1 in
   if ra && not r0 then
     fail round "satisfiable under an assumption but the reference is not";
   if ra then begin
-    check_model "assumed" s1;
+    check_model ~cnf:cnf1 "assumed" s1;
     if not (Solver.model_value s1 p) then
       fail round "assumed model falsifies its assumption"
   end;
+  if Solver.solve ~assumptions:[ Lit.of_dimacs g ] s1 then
+    fail round "guarded pigeonhole satisfiable under its guard";
+  (* the first reduction spares the learnts the last conflicts used and
+     clears their marks; the second can delete those too *)
+  let live = Solver.n_live_clauses s1 in
   Solver.reduce_learnts s1;
+  Solver.reduce_learnts s1;
+  if r0 && Solver.n_live_clauses s1 >= live then
+    fail round "learnt-DB reduction deleted no clause";
   Solver.compact s1;
   check_audit "compacted" s1;
   let r1 = Solver.solve s1 in
   if r1 <> r0 then
     fail round
       (Printf.sprintf "compacted verdict %b disagrees with reference %b" r1 r0);
-  if r1 then check_model "compacted" s1;
+  if r1 then check_model ~cnf:cnf1 "compacted" s1;
   check_audit "compacted post-solve" s1;
   (* proof mode: certificates must survive reduction + compaction *)
-  let s3 = mk ~proof:true () in
+  let s3 = mk ~proof:true cnf in
   let r3 = Solver.solve s3 in
   if r3 <> r0 then
     fail round
