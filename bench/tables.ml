@@ -344,7 +344,7 @@ let ablation_bdd config =
           Step_bdd.Bidec.decomposable ~max_nodes:500_000 p Gate.Or_gate part)
     in
     Printf.printf "%-12s SAT: %-4s %8.4fs    BDD: %-7s %8.4fs\n" label
-      (show sat_r) sat_t (show bdd_r) bdd_t
+      (show (Some sat_r)) sat_t (show bdd_r) bdd_t
   in
   (* the adder MSB under the adder's natural (non-interleaved) input order
      a0..an b0..bn: linear for SAT, exponential for the fixed-order BDD —

@@ -131,19 +131,16 @@ let round_check round st =
     | Some part ->
         let sat = Check.decomposable p g part in
         let sem = Check.decomposable_semantic p g part in
-        if sat <> Some sem then
+        if sat <> sem then
           fail round
-            (Printf.sprintf "SAT=%s vs semantic=%b for %s %s"
-               (match sat with
-               | Some b -> string_of_bool b
-               | None -> "timeout")
-               sem (Gate.to_string g) (Partition.to_string part));
+            (Printf.sprintf "SAT=%b vs semantic=%b for %s %s" sat sem
+               (Gate.to_string g) (Partition.to_string part));
         (match Step_bdd.Bidec.decomposable p g part with
-        | Some b when Some b <> sat ->
+        | Some b when b <> sat ->
             fail round "BDD check disagrees with SAT check"
         | Some _ | None -> ());
         (* 2. extraction engines on decomposable partitions *)
-        if sat = Some true then
+        if sat then
           List.iter
             (fun engine ->
               match Extract.run ~engine p g part with
@@ -172,7 +169,7 @@ let round_check round st =
         match part with
         | None -> ()
         | Some part ->
-            if Check.decomposable p g part <> Some true then
+            if not (Check.decomposable p g part) then
               fail round (label ^ " returned an invalid partition"))
       [ ("MG", mg); ("LJH", lj); ("QD", qd.Qbf_model.partition) ]
   end
@@ -298,7 +295,7 @@ let check_mg round (p : Problem.t) g all =
       let what =
         Printf.sprintf "MG %s %s" (Gate.to_string g) (Partition.to_string q)
       in
-      if Check.decomposable p g q <> Some true then
+      if not (Check.decomposable p g q) then
         fail round (what ^ ": returned an invalid partition");
       (* [all] holds canonical forms, and both orders of equal sizes *)
       let decomposes q = List.mem (Partition.canonical q) all in
@@ -353,7 +350,7 @@ let optimum_round round st =
                     fail round
                       (Printf.sprintf "%s: optimum %d, enumeration says %d"
                          what (k q) e)
-                  else if Check.decomposable p g q <> Some true then
+                  else if not (Check.decomposable p g q) then
                     fail round (what ^ ": returned an invalid partition")
             in
             check "plain" (Qbf_model.optimize p g target);
@@ -395,7 +392,7 @@ let proof_round round st =
     ignore (Solver.solve ~assumptions:[ a ] solver);
     Solver.reduce_learnts solver
   end;
-  if Solver.solve solver then begin
+  if Solver.solve solver = Solver.Sat then begin
     let model =
       (* solver var [i] is DIMACS var [i + 1] *)
       List.init n (fun i ->
@@ -440,10 +437,12 @@ let proof_round round st =
    (reference); with a guarded pigeonhole formula added, a solve under a
    random assumption and one under the guard (which learns clauses), then
    a forced DB reduction and compaction, then a re-solve without
-   assumptions; and proof-logging with a forced DB reduction and
-   compaction — and demands identical verdicts, satisfying models, clean
-   invariant audits, and LRAT/DRAT certificates that still check after the
-   arena has moved every clause. *)
+   assumptions; and proof-logged, the pigeonhole formula alone solved
+   under the guard, reduced and compacted, then the CNF added and
+   solved, then refuted with the guard asserted — and demands identical
+   verdicts, satisfying models, clean invariant audits, and LRAT/DRAT
+   certificates that still check after the arena has moved every
+   clause. *)
 
 (* Pigeonhole [n_h + 1] -> [n_h] over DIMACS vars from [first], every
    clause prefixed with [-g]: unsatisfiable under the assumption [g],
@@ -492,7 +491,7 @@ let arena_round round st =
   in
   (* reference: the plain solver *)
   let base = mk cnf in
-  let r0 = Solver.solve base in
+  let r0 = Solver.solve base = Solver.Sat in
   if r0 then check_model "reference" base;
   check_audit "reference" base;
   (* learnts from solves under a random assumption and under the guard of
@@ -505,7 +504,7 @@ let arena_round round st =
   let cnf1 = cnf @ php in
   let s1 = mk cnf1 in
   let p = Lit.of_var (Random.State.bool st) (Random.State.int st n) in
-  let ra = Solver.solve ~assumptions:[ p ] s1 in
+  let ra = Solver.solve ~assumptions:[ p ] s1 = Solver.Sat in
   if ra && not r0 then
     fail round "satisfiable under an assumption but the reference is not";
   if ra then begin
@@ -513,7 +512,7 @@ let arena_round round st =
     if not (Solver.model_value s1 p) then
       fail round "assumed model falsifies its assumption"
   end;
-  if Solver.solve ~assumptions:[ Lit.of_dimacs g ] s1 then
+  if Solver.solve ~assumptions:[ Lit.of_dimacs g ] s1 = Solver.Sat then
     fail round "guarded pigeonhole satisfiable under its guard";
   (* the first reduction spares the learnts the last conflicts used and
      clears their marks; the second can delete those too *)
@@ -524,36 +523,51 @@ let arena_round round st =
     fail round "learnt-DB reduction deleted no clause";
   Solver.compact s1;
   check_audit "compacted" s1;
-  let r1 = Solver.solve s1 in
+  let r1 = Solver.solve s1 = Solver.Sat in
   if r1 <> r0 then
     fail round
       (Printf.sprintf "compacted verdict %b disagrees with reference %b" r1 r0);
   if r1 then check_model ~cnf:cnf1 "compacted" s1;
   check_audit "compacted post-solve" s1;
-  (* proof mode: certificates must survive reduction + compaction *)
-  let s3 = mk ~proof:true cnf in
-  let r3 = Solver.solve s3 in
+  (* proof mode: the pigeonhole formula alone learns clauses under the
+     guard (the random CNF, often refuted by its units, would stop it),
+     loses some to two reductions and is compacted; the CNF is then
+     added and solved against the reference, and asserting the guard
+     gives a refutation whose certificates must check *)
+  let s3 = mk ~proof:true php in
+  if Solver.solve ~assumptions:[ Lit.of_dimacs g ] s3 = Solver.Sat then
+    fail round "proof-mode guarded pigeonhole satisfiable under its guard";
+  let n_live = Solver.n_live_clauses s3 in
+  Solver.reduce_learnts s3;
+  Solver.reduce_learnts s3;
+  if Solver.n_live_clauses s3 >= n_live then
+    fail round "proof-mode learnt-DB reduction deleted no clause";
+  Solver.compact s3;
+  check_audit "proof-mode compacted" s3;
+  List.iter
+    (fun c -> ignore (Solver.add_clause s3 (List.map Lit.of_dimacs c)))
+    cnf;
+  let r3 = Solver.solve s3 = Solver.Sat in
   if r3 <> r0 then
     fail round
       (Printf.sprintf "proof-mode verdict %b disagrees with reference %b" r3 r0);
-  if not r3 then begin
-    Solver.reduce_learnts s3;
-    Solver.compact s3;
-    check_audit "proof-mode compacted" s3;
-    let live = Lrat.input_cnf s3 in
-    let drat_text = Drat.export_string s3 in
-    if
-      Diag.has_errors
-        (Cert.check_drat ~item:"arena-drat" ~n_vars:(Solver.n_vars s3)
-           ~cnf:(Cert.pack_cnf live) ~proof:drat_text ())
-    then fail round "DRAT rejected after arena compaction";
-    let e = Lrat.export s3 in
-    if
-      Diag.has_errors
-        (Cert.check_lrat ~item:"arena-lrat" ~n_vars:e.Lrat.n_vars
-           ~cnf:(Cert.pack_cnf e.Lrat.cnf) ~proof:e.Lrat.proof ())
-    then fail round "LRAT rejected after arena compaction"
-  end
+  ignore (Solver.add_clause s3 [ Lit.of_dimacs g ]);
+  if Solver.solve s3 = Solver.Sat then
+    fail round "guarded pigeonhole satisfiable with its guard asserted";
+  check_audit "proof-mode refuted" s3;
+  let live = Lrat.input_cnf s3 in
+  let drat_text = Drat.export_string s3 in
+  if
+    Diag.has_errors
+      (Cert.check_drat ~item:"arena-drat" ~n_vars:(Solver.n_vars s3)
+         ~cnf:(Cert.pack_cnf live) ~proof:drat_text ())
+  then fail round "DRAT rejected after arena compaction";
+  let e = Lrat.export s3 in
+  if
+    Diag.has_errors
+      (Cert.check_lrat ~item:"arena-lrat" ~n_vars:e.Lrat.n_vars
+         ~cnf:(Cert.pack_cnf e.Lrat.cnf) ~proof:e.Lrat.proof ())
+  then fail round "LRAT rejected after arena compaction"
 
 let () =
   let arena = ref false and optimum = ref false in

@@ -664,7 +664,7 @@ let sat_cmd =
     List.iter (fun d -> prerr_endline (Diag.to_text d)) parse_diags;
     let solver = Step_sat.Solver.create ~proof:drat () in
     ignore (Step_sat.Dimacs.load_into solver cnf);
-    if Step_sat.Solver.solve solver then begin
+    if Step_sat.Solver.solve solver = Step_sat.Solver.Sat then begin
       print_endline "s SATISFIABLE";
       let values =
         List.init (Step_sat.Solver.n_vars solver) (fun v ->

@@ -48,7 +48,7 @@ let prop1_solver p gate part =
 
 let prop1_obligation p gate part =
   let solver = prop1_solver p gate part in
-  if Solver.solve solver then
+  if Solver.solve solver = Solver.Sat then
     raise
       (Refuted
          "claimed decomposition is satisfiable at the prop-1 scaffold \
@@ -82,7 +82,7 @@ let witness_obligation p gate =
     let xb = List.filteri (fun i _ -> i >= k) support in
     let part = Partition.make ~xa ~xb ~xc:[] in
     let solver = prop1_solver p gate part in
-    if not (Solver.solve solver) then
+    if Solver.solve solver = Solver.Unsat then
       raise
         (Refuted
            "claimed indecomposable, but the balanced sample partition \
@@ -114,7 +114,7 @@ let equivalence_obligation (p : Problem.t) g ~fa ~fb =
     let solver = Solver.create ~proof:true () in
     let enc = Tseitin.create ~solver aig in
     Tseitin.add_clause enc [ Tseitin.lit_of enc miter ];
-    if Solver.solve solver then
+    if Solver.solve solver = Solver.Sat then
       raise (Refuted "extracted fA/fB are not equivalent to f (miter is SAT)")
     else begin
       let e = Lrat.export solver in

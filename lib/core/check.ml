@@ -1,11 +1,7 @@
 module Aig = Step_aig.Aig
-module Solver = Step_sat.Solver
 
 let decomposable p g partition =
-  match Copies.check (Copies.create p g) partition with
-  | Solver.Unsat -> Some true
-  | Solver.Sat -> Some false
-  | Solver.Unknown -> None
+  Copies.check (Copies.create p g) partition = Step_sat.Solver.Unsat
 
 (* Truth-table reference. Assignments are bit masks over the support list
    (bit j = value of the j-th support variable). *)

@@ -5,10 +5,8 @@
     exists to cross-validate the SAT path in tests — it is exponential in
     the support size. *)
 
-val decomposable : Problem.t -> Gate.t -> Partition.t -> bool option
-(** [Some true] / [Some false] decomposability, decided on a fresh
-    scaffold with no budget; [None] only if the solver gives up
-    ({!Step_sat.Solver.Unknown}). *)
+val decomposable : Problem.t -> Gate.t -> Partition.t -> bool
+(** Decomposability, decided on a fresh scaffold with no deadline. *)
 
 val decomposable_semantic : Problem.t -> Gate.t -> Partition.t -> bool
 (** Truth-table reference: checks [f = fA <OP> fB] pointwise using the

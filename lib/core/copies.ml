@@ -155,10 +155,8 @@ let assumptions c (p : Partition.t) =
     support;
   !asm
 
-let solve_assuming c assumptions =
-  Solver.solve_limited ~assumptions (solver c)
-
-let check c p = solve_assuming c (assumptions c p)
+let check ?deadline c p =
+  Solver.solve ~assumptions:(assumptions c p) ?deadline (solver c)
 
 let model_points c =
   let s = solver c in

@@ -51,7 +51,8 @@ val resolve : caller:string -> t option -> Problem.t -> Gate.t -> t
     both gates). *)
 
 val solver : t -> Step_sat.Solver.t
-(** The underlying solver (e.g. to set budgets). *)
+(** The underlying solver, for selector-set searches (MUS, seed scans)
+    that assume more than one partition's selectors. *)
 
 val screen : t -> Screen.t
 (** The scaffold's screen, built on first use: a scaffold that never asks
@@ -69,12 +70,10 @@ val assumptions : t -> Partition.t -> Step_sat.Lit.t list
     [tᵢ] for [i ∉ XB].
     @raise Invalid_argument if the partition does not cover the support. *)
 
-val check : t -> Partition.t -> Step_sat.Solver.result
+val check : ?deadline:float -> t -> Partition.t -> Step_sat.Solver.result
 (** [Unsat] = decomposable; [Sat] = not decomposable (a counterexample is
-    then available via {!model_points}); [Unknown] = budget exhausted. *)
-
-val solve_assuming : t -> Step_sat.Lit.t list -> Step_sat.Solver.result
-(** Raw access for MUS/LJH-style manipulation of selector sets. *)
+    then available via {!model_points}); [Unknown] = the absolute
+    {!Step_obs.Clock} [deadline] (default none) passed. *)
 
 val model_points : t -> bool array * bool array * bool array
 (** After a [Sat] answer: the model's points [(x, x', x'')] over the

@@ -55,7 +55,7 @@ let interpolate_once aig ~f_a1 ~f_a2_neg ~f_b_neg ~support ~b_copy_vars =
     (fun i -> Tseitin.bind_input enc_b i (Tseitin.lit_of_input enc_a i))
     shared_vars;
   Tseitin.add_clause enc_b [ Tseitin.lit_of enc_b f_b_neg ];
-  if Solver.solve solver then
+  if Solver.solve solver = Solver.Sat then
     failwith "Extract: partition does not decompose the function";
   let edge_of_var = Hashtbl.create 16 in
   List.iter

@@ -40,8 +40,7 @@ let find ?time_budget (p : Problem.t) g =
        shared by STEP-MG and the QBF models. *)
     let check part =
       incr sat_calls;
-      let c = Copies.create p g in
-      Copies.check c part
+      Copies.check ~deadline (Copies.create p g) part
     in
     let support = Array.of_list p.Problem.support in
     (* lexicographic seed pairs *)

@@ -19,4 +19,9 @@ type result = {
 val find : ?time_budget:float -> Problem.t -> Gate.t -> result
 (** Scans every seed pair until one is decomposable. Always builds a
     private scaffold (the original tool re-encodes formula (2) per
-    output), which is part of its measured cost. *)
+    output), which is part of its measured cost.
+
+    [time_budget] sets one deadline for the scan and every SAT check. A
+    seed check it cuts short ends the scan with no partition; a growth
+    check it cuts short leaves its variable (and every later one) in
+    [XC], so the partition is still valid. *)

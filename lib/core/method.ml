@@ -31,10 +31,68 @@ let qbf_target = function
   | Qdb -> Qbf_model.Combined
   | (Ljh | Mg) as m -> invalid_arg ("Method.qbf_target: " ^ to_string m)
 
-let find_partition ?time_budget m p gate =
+type outcome = {
+  partition : Partition.t option;
+  optimal : bool;
+  timed_out : bool;
+  counters : (string * int) list;
+}
+
+let run ~time_budget m p gate =
+  let t0 = Step_obs.Clock.now () in
   match m with
-  | Ljh -> (Ljh.find ?time_budget p gate).Ljh.partition
-  | Mg -> (Mg.find ?time_budget p gate).Mg.partition
-  | Qd | Qb | Qdb ->
-      (Qbf_model.optimize ?time_budget p gate (qbf_target m))
-        .Qbf_model.partition
+  | Ljh ->
+      let r = Ljh.find ~time_budget p gate in
+      {
+        partition = r.Ljh.partition;
+        optimal = false;
+        timed_out = r.Ljh.partition = None && r.Ljh.cpu >= time_budget;
+        counters = [ ("sat_calls", r.Ljh.sat_calls) ];
+      }
+  | Mg ->
+      let r = Mg.find ~time_budget p gate in
+      {
+        partition = r.Mg.partition;
+        optimal = false;
+        timed_out = r.Mg.partition = None && r.Mg.cpu >= time_budget;
+        counters =
+          [ ("seeds_tried", r.Mg.seeds_tried); ("sat_calls", r.Mg.sat_calls) ];
+      }
+  | Qd | Qb | Qdb -> (
+      (* bootstrap with STEP-MG on a shared scaffold, as the paper does *)
+      let copies = Copies.create p gate in
+      let mg = Mg.find ~copies ~time_budget:(time_budget /. 4.0) p gate in
+      let mg_counters =
+        [
+          ("mg_seeds_tried", mg.Mg.seeds_tried);
+          ("mg_sat_calls", mg.Mg.sat_calls);
+        ]
+      in
+      let remaining = time_budget -. Step_obs.Clock.elapsed_since t0 in
+      if remaining <= 0.0 then
+        {
+          partition = mg.Mg.partition;
+          optimal = false;
+          timed_out = mg.Mg.partition = None;
+          counters = mg_counters;
+        }
+      else
+        (* without a bootstrap the QBF model decides feasibility *)
+        let o =
+          Qbf_model.optimize ~copies ?bootstrap:mg.Mg.partition
+            ~time_budget:remaining p gate (qbf_target m)
+        in
+        {
+          partition = o.Qbf_model.partition;
+          optimal = o.Qbf_model.optimal;
+          timed_out =
+            mg.Mg.partition = None
+            && (not o.Qbf_model.optimal)
+            && o.Qbf_model.partition = None;
+          counters =
+            mg_counters
+            @ [
+                ("refinements", o.Qbf_model.refinements);
+                ("qbf_queries", o.Qbf_model.qbf_queries);
+              ];
+        })

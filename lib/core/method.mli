@@ -1,6 +1,6 @@
 (** The partitioning methods of the paper's comparison, as a first-class
     enumeration shared by every layer (core heuristics, engine, CLI,
-    bench), plus the one place that maps a method onto its solver.
+    bench), plus the one kernel that runs a method's search.
 
     Naming is one scheme everywhere: {!to_string} prints the display
     names used in reports and the paper's tables ([LJH], [STEP-MG],
@@ -37,8 +37,20 @@ val qbf_target : t -> Qbf_model.target
     @raise Invalid_argument for the heuristics [Ljh] and [Mg], which
     have no QBF model. *)
 
-val find_partition :
-  ?time_budget:float -> t -> Problem.t -> Gate.t -> Partition.t option
-(** One partition search with the method's own solver, cold: [Ljh.find],
-    [Mg.find] or [Qbf_model.optimize] on {!qbf_target}, with no
-    STEP-MG bootstrap. [None] when not decomposable within budget. *)
+type outcome = {
+  partition : Partition.t option;
+      (** [None] = not decomposable, or nothing found within budget. *)
+  optimal : bool;  (** Proven optimal for the method's {!qbf_target}. *)
+  timed_out : bool;  (** No partition, and the budget ran out. *)
+  counters : (string * int) list;
+      (** The method's work counters ([sat_calls], [seeds_tried],
+          [refinements], ...), reported per output. *)
+}
+
+val run : time_budget:float -> t -> Problem.t -> Gate.t -> outcome
+(** The one method kernel: a partition search on one problem within
+    [time_budget] seconds. [Ljh] and [Mg] run {!Ljh.find} and {!Mg.find}.
+    [Qd], [Qb] and [Qdb] bootstrap with STEP-MG on a quarter of the
+    budget, then run {!Qbf_model.optimize} on {!qbf_target} with what is
+    left, on the same {!Copies} scaffold, as the paper does. The engine
+    and {!Recursive} both search through it. *)

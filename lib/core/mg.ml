@@ -180,10 +180,7 @@ let find ?copies ?time_budget (p : Problem.t) g =
       Screen.conflict screen (Hashtbl.find pos u) (Hashtbl.find pos v)
     in
     let rec scan pairs tried =
-      (* arming the solver for the next seed call also checks the
-         deadline *)
-      if tried >= limit || not (Solver.arm_deadline solver deadline) then
-        (None, tried)
+      if tried >= limit then (None, tried)
       else
         match pairs with
         | [] -> (None, tried)
@@ -191,7 +188,7 @@ let find ?copies ?time_budget (p : Problem.t) g =
         | (u, v) :: rest -> begin
             incr sat_calls;
             match
-              Solver.solve_limited ~assumptions:(seed_assumptions u v) solver
+              Solver.solve ~assumptions:(seed_assumptions u v) ~deadline solver
             with
             | Solver.Sat -> scan rest (tried + 1)
             | Solver.Unknown -> (None, tried + 1)
@@ -204,7 +201,5 @@ let find ?copies ?time_budget (p : Problem.t) g =
           end
     in
     let partition, tried = scan (seeds p) 0 in
-    (* a shared scaffold must not keep this search's budget *)
-    Solver.set_time_budget solver (-1.0);
     finish partition tried !sat_calls
   end

@@ -46,10 +46,9 @@ val find :
     ({!Copies.resolve}).
 
     [time_budget] bounds the SAT work as well as the scan: every seed
-    call and every MUS call is armed with the time left. A MUS cut short
-    keeps the selectors it has not decided, so the partition is still
-    valid, though its [XC] may not be irredundant. The solver's time
-    budget is cleared on return. *)
+    call and every MUS call runs under the same deadline. A MUS cut
+    short keeps the selectors it has not decided, so the partition is
+    still valid, though its [XC] may not be irredundant. *)
 
 val mus_hook :
   Copies.t -> Problem.t -> u:int -> v:int -> Step_sat.Lit.t list -> bool

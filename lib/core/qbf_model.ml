@@ -263,11 +263,10 @@ let query abs copies screen side target k ~deadline ~refinement_cap
   let rec loop () =
     if Clock.now () > deadline || !refinements >= refinement_cap then
       Q_unknown
-    else if not (Solver.arm_deadline abs.solver deadline) then Q_unknown
     else
       match
         Obs.span "sat.abstraction" (fun () ->
-            Solver.solve_limited ~assumptions abs.solver)
+            Solver.solve ~assumptions ~deadline abs.solver)
       with
       | Solver.Unknown -> Q_unknown
       | Solver.Unsat -> Q_invalid
@@ -278,14 +277,11 @@ let query abs copies screen side target k ~deadline ~refinement_cap
             refine ();
             loop ()
           end
-          (* re-check between abstraction and verification: the screen
-             is cheap, the verification solve is not *)
-          else if not (Solver.arm_deadline (Copies.solver copies) deadline)
-          then Q_unknown
           else
             let partition = partition_of_side abs side in
             match
-              Obs.span "sat.verify" (fun () -> Copies.check copies partition)
+              Obs.span "sat.verify" (fun () ->
+                  Copies.check ~deadline copies partition)
             with
             | Solver.Unsat -> Q_valid partition
             | Solver.Unknown -> Q_unknown
@@ -343,10 +339,6 @@ let optimize ?copies ?(symmetry_breaking = true) ?strategy ?bootstrap
   if n < 2 then finish None true
   else begin
     let copies = Copies.resolve ~caller:"Qbf_model.optimize" copies p g in
-    (* a shared scaffold must not keep this search's budget *)
-    Fun.protect ~finally:(fun () ->
-        Solver.set_time_budget (Copies.solver copies) (-1.0))
-    @@ fun () ->
     let strategy =
       match strategy with Some s -> s | None -> default_strategy target
     in

@@ -91,5 +91,6 @@ val optimize :
     [max_refinements] and [refinements] do not count them (the
     [qbf.pairs] counter does). A search that issues no query, because
     the bootstrap already meets the floor, adds none. [copies] must be
-    built for the same problem and gate ({!Copies.resolve}); its
-    solver's time budget is cleared on return. *)
+    built for the same problem and gate ({!Copies.resolve}).
+    [time_budget] sets one deadline that every abstraction and
+    verification call of the search runs under. *)

@@ -34,10 +34,10 @@ let step config (p : Problem.t) =
   let rec try_gates = function
     | [] -> None
     | gate :: rest -> begin
-        match
-          Method.find_partition ~time_budget:config.per_step_budget
-            config.method_ p gate
-        with
+        let r =
+          Method.run ~time_budget:config.per_step_budget config.method_ p gate
+        in
+        match r.Method.partition with
         | Some part when not (Partition.is_trivial part) -> begin
             match Extract.run p gate part with
             | e -> Some (gate, part, e.Extract.fa, e.Extract.fb)

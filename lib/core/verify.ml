@@ -25,7 +25,7 @@ let equivalent (p : Problem.t) g ~fa ~fb =
   else begin
     let enc = Tseitin.create aig in
     ignore (Solver.add_clause (Tseitin.solver enc) [ Tseitin.lit_of enc miter ]);
-    not (Solver.solve (Tseitin.solver enc))
+    Solver.solve (Tseitin.solver enc) = Solver.Unsat
   end
 
 let decomposition p g part ~fa ~fb =

@@ -10,10 +10,6 @@ module Method = Step_core.Method
 module Gate = Step_core.Gate
 module Partition = Step_core.Partition
 module Problem = Step_core.Problem
-module Copies = Step_core.Copies
-module Ljh = Step_core.Ljh
-module Mg = Step_core.Mg
-module Qbf_model = Step_core.Qbf_model
 module Certify = Step_core.Certify
 module Cert = Step_cert.Cert
 
@@ -90,65 +86,6 @@ let lint_circuit (c : Circuit.t) =
     }
   in
   Step_lint.Lint.check_aig ~name:c.Circuit.name view
-
-(* Method dispatch on one problem: (partition, proven_optimal, timed_out,
-   counters). Shared by the direct path and the cache-miss path, which
-   solves the canonically rebuilt cone instead of the original one. *)
-let solve_kernel ~per_po_budget p gate method_ =
-  let t0 = Clock.now () in
-  match method_ with
-  | Method.Ljh ->
-      let r = Ljh.find ~time_budget:per_po_budget p gate in
-      ( r.Ljh.partition,
-        false,
-        r.Ljh.partition = None && r.Ljh.cpu >= per_po_budget,
-        [ ("sat_calls", r.Ljh.sat_calls) ] )
-  | Method.Mg ->
-      let r = Mg.find ~time_budget:per_po_budget p gate in
-      ( r.Mg.partition,
-        false,
-        r.Mg.partition = None && r.Mg.cpu >= per_po_budget,
-        [ ("seeds_tried", r.Mg.seeds_tried); ("sat_calls", r.Mg.sat_calls) ] )
-  | Method.Qd | Method.Qb | Method.Qdb ->
-      (* bootstrap with STEP-MG on a shared scaffold, as the paper does *)
-      let copies = Copies.create p gate in
-      let mg_budget = per_po_budget /. 4.0 in
-      let mg = Mg.find ~copies ~time_budget:mg_budget p gate in
-      let mg_counters =
-        [
-          ("mg_seeds_tried", mg.Mg.seeds_tried);
-          ("mg_sat_calls", mg.Mg.sat_calls);
-        ]
-      in
-      let qbf_counters (o : Qbf_model.outcome) =
-        mg_counters
-        @ [
-            ("refinements", o.Qbf_model.refinements);
-            ("qbf_queries", o.Qbf_model.qbf_queries);
-          ]
-      in
-      let remaining = per_po_budget -. Clock.elapsed_since t0 in
-      if remaining <= 0.0 then
-        (mg.Mg.partition, false, mg.Mg.partition = None, mg_counters)
-      else begin
-        match mg.Mg.partition with
-        | None ->
-            (* MG found nothing: let the QBF model decide feasibility *)
-            let o =
-              Qbf_model.optimize ~copies ~time_budget:remaining p gate
-                (Method.qbf_target method_)
-            in
-            ( o.Qbf_model.partition,
-              o.Qbf_model.optimal,
-              (not o.Qbf_model.optimal) && o.Qbf_model.partition = None,
-              qbf_counters o )
-        | Some bootstrap ->
-            let o =
-              Qbf_model.optimize ~copies ~bootstrap ~time_budget:remaining p
-                gate (Method.qbf_target method_)
-            in
-            (o.Qbf_model.partition, o.Qbf_model.optimal, false, qbf_counters o)
-      end
 
 (* The cache key pins everything the cached result depends on besides the
    cone itself. The budget component is the *configured* per-PO budget,
@@ -248,8 +185,8 @@ let decompose_kernel (cfg : Config.t) ~budget circuit i gate method_ =
   else begin
     match cfg.cache with
     | None ->
-        let partition, optimal, timed_out, counters =
-          solve_kernel ~per_po_budget:budget p gate method_
+        let { Method.partition; optimal; timed_out; counters } =
+          Method.run ~time_budget:budget method_ p gate
         in
         let cert = mk_cert p partition timed_out in
         ( finish ?certificate:(Option.map snd cert) ~counters partition optimal
@@ -279,14 +216,20 @@ let decompose_kernel (cfg : Config.t) ~budget circuit i gate method_ =
         let compute () =
           let cp = Lazy.force canonical_problem in
           let budget = Float.max 0.0 (budget -. Clock.elapsed_since t0) in
-          let partition, proven_optimal, timed_out, counters =
-            solve_kernel ~per_po_budget:budget cp gate method_
+          let { Method.partition; optimal; timed_out; counters } =
+            Method.run ~time_budget:budget method_ cp gate
           in
           (* certify on the canonical problem, so the stored certificate
              is — like the entry itself — a pure function of the key and
              speaks in canonical input indices *)
           let cert = Option.map fst (mk_cert cp partition timed_out) in
-          { Cache.partition; proven_optimal; timed_out; counters; cert }
+          {
+            Cache.partition;
+            proven_optimal = optimal;
+            timed_out;
+            counters;
+            cert;
+          }
         in
         let entry, hit =
           Cache.find_or_compute cache ~key ~n_inputs:(Cone.n_inputs cone)

@@ -14,14 +14,11 @@ let minimize ?(hard = []) ?(deadline = infinity) ?refute solver ~selectors =
   let sat_calls = ref 0 and screened = ref 0 in
   (* Some sat, or None once the deadline has passed *)
   let solve sels =
-    if not (Solver.arm_deadline solver deadline) then None
-    else begin
-      incr sat_calls;
-      match Solver.solve_limited ~assumptions:(hard @ sels) solver with
-      | Solver.Sat -> Some true
-      | Solver.Unsat -> Some false
-      | Solver.Unknown -> None
-    end
+    incr sat_calls;
+    match Solver.solve ~assumptions:(hard @ sels) ~deadline solver with
+    | Solver.Sat -> Some true
+    | Solver.Unsat -> Some false
+    | Solver.Unknown -> None
   in
   (* true only if [hard @ sels] is satisfiable *)
   let refuted sels =
@@ -78,11 +75,12 @@ let minimize ?(hard = []) ?(deadline = infinity) ?refute solver ~selectors =
                   (shrink [] core, Fallback)
               | None -> (core, No_guess)))
   in
-  Solver.set_time_budget solver (-1.0);
   { mus; sat_calls = !sat_calls; screened = !screened; guess }
 
 let is_minimal ?(hard = []) solver set =
-  let solve sels = Solver.solve ~assumptions:(hard @ sels) solver in
+  let solve sels =
+    Solver.solve ~assumptions:(hard @ sels) solver = Solver.Sat
+  in
   (not (solve set))
   && List.for_all
        (fun c -> solve (List.filter (fun l -> l <> c) set))

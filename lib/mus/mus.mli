@@ -66,16 +66,13 @@ val minimize :
     set) can make the result redundant, never satisfiable. Both walks
     take the first core's selectors in the order of [selectors].
 
-    [deadline] is an absolute {!Step_obs.Clock} time (default: none).
-    Each SAT call is armed with the time left
-    ({!Step_sat.Solver.arm_deadline}). When the deadline passes,
+    [deadline] is an absolute {!Step_obs.Clock} time (default: none),
+    passed to each SAT call ({!Step_sat.Solver.solve}). When it passes,
     [minimize] returns its current working set at once: the elements
     found necessary and those not yet tested, the first core during the
     optimistic pass's proof, or all of [selectors] if the first call did
     not finish. That set is still unsatisfiable with [hard], so it is a
-    valid answer, but it may not be minimal. Either way the solver's time
-    budget is cleared on return. The solver's conflict budget, if set,
-    also ends the search this way.
+    valid answer, but it may not be minimal.
     @raise Invalid_argument if [hard @ selectors] is satisfiable. *)
 
 val is_minimal :

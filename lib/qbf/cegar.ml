@@ -89,21 +89,10 @@ let solve ?(max_iterations = max_int) ?time_budget ?(certify = false) aig
     in
     (outcome, { iterations = iter; abstraction_nodes; refutation })
   in
-  (* With a finite deadline every SAT call runs under its own wall-clock
-     budget (the time still remaining), so a single hard solve cannot
-     overshoot the deadline: it comes back [Unknown] and so do we. With
-     no deadline the plain (budget-free) [solve] entry point is used. *)
+  (* Every SAT call runs under the deadline, so a single hard solve
+     cannot overshoot it: it comes back [Unknown] and so do we. *)
   let solve_bounded ?assumptions solver span =
-    Obs.span span (fun () ->
-        if deadline = infinity then
-          if Solver.solve ?assumptions solver then Solver.Sat else Solver.Unsat
-        else
-          let remaining = deadline -. Clock.now () in
-          if remaining <= 0.0 then Solver.Unknown
-          else begin
-            Solver.set_time_budget solver remaining;
-            Solver.solve_limited ?assumptions solver
-          end)
+    Obs.span span (fun () -> Solver.solve ?assumptions ~deadline solver)
   in
   let iter_t0 = ref (Clock.now ()) in
   let rec loop iter =
@@ -125,57 +114,52 @@ let solve ?(max_iterations = max_int) ?time_budget ?(certify = false) aig
                 if b then l else Lit.negate l)
               candidate
           in
-          (* re-check between the abstraction and verification solves: an
-             expired deadline must not buy a whole verification pass *)
-          if Clock.now () > deadline then finish iter Unknown
-          else begin
-            match solve_bounded ~assumptions ver_solver "sat.verify" with
-            | Solver.Unknown -> finish iter Unknown
-            | Solver.Unsat ->
-                (* no universal assignment falsifies φ(x°, Y): witness found *)
-                let tbl = Hashtbl.create 16 in
-                List.iter (fun (v, b) -> Hashtbl.replace tbl v b) candidate;
-                let witness v =
-                  match Hashtbl.find_opt tbl v with
-                  | Some b -> b
-                  | None -> false
-                in
-                finish iter (Valid witness)
-            | Solver.Sat ->
-                (* counterexample y°: add φ(X, y°) to the abstraction *)
-                Metrics.inc m_iterations;
-                let yval v =
-                  Solver.model_value ver_solver (Tseitin.lit_of_input ver v)
-                in
-                let subst v =
-                  if Hashtbl.mem forall_set v then
-                    Some (if yval v then Aig.t_ else Aig.f)
-                  else None
-                in
-                let nodes_before = Aig.n_nodes aig in
-                let inst =
-                  Obs.span "cegar.instantiate" (fun () ->
-                      Aig.compose aig subst matrix)
-                in
-                ignore (Solver.add_clause abs_solver [ Tseitin.lit_of abs inst ]);
-                if Metrics.deep () then begin
-                  let now = Clock.now () in
-                  Metrics.observe h_iter_s (now -. !iter_t0);
-                  iter_t0 := now;
-                  let growth = Aig.n_nodes aig - nodes_before in
-                  Metrics.observe h_growth (float_of_int growth);
-                  Obs.event "cegar.refine"
-                    ~attrs:
-                      [
-                        ("iter", Step_obs.Json.Int (iter + 1));
-                        ( "abstraction_nodes",
-                          Step_obs.Json.Int (Aig.n_nodes aig - nodes0) );
-                        ("growth", Step_obs.Json.Int growth);
-                      ]
-                end;
-                (* the re-check after refinement is the loop head's *)
-                loop (iter + 1)
-          end
+          match solve_bounded ~assumptions ver_solver "sat.verify" with
+          | Solver.Unknown -> finish iter Unknown
+          | Solver.Unsat ->
+              (* no universal assignment falsifies φ(x°, Y): witness found *)
+              let tbl = Hashtbl.create 16 in
+              List.iter (fun (v, b) -> Hashtbl.replace tbl v b) candidate;
+              let witness v =
+                match Hashtbl.find_opt tbl v with
+                | Some b -> b
+                | None -> false
+              in
+              finish iter (Valid witness)
+          | Solver.Sat ->
+              (* counterexample y°: add φ(X, y°) to the abstraction *)
+              Metrics.inc m_iterations;
+              let yval v =
+                Solver.model_value ver_solver (Tseitin.lit_of_input ver v)
+              in
+              let subst v =
+                if Hashtbl.mem forall_set v then
+                  Some (if yval v then Aig.t_ else Aig.f)
+                else None
+              in
+              let nodes_before = Aig.n_nodes aig in
+              let inst =
+                Obs.span "cegar.instantiate" (fun () ->
+                    Aig.compose aig subst matrix)
+              in
+              ignore (Solver.add_clause abs_solver [ Tseitin.lit_of abs inst ]);
+              if Metrics.deep () then begin
+                let now = Clock.now () in
+                Metrics.observe h_iter_s (now -. !iter_t0);
+                iter_t0 := now;
+                let growth = Aig.n_nodes aig - nodes_before in
+                Metrics.observe h_growth (float_of_int growth);
+                Obs.event "cegar.refine"
+                  ~attrs:
+                    [
+                      ("iter", Step_obs.Json.Int (iter + 1));
+                      ( "abstraction_nodes",
+                        Step_obs.Json.Int (Aig.n_nodes aig - nodes0) );
+                      ("growth", Step_obs.Json.Int growth);
+                    ]
+              end;
+              (* the deadline check after refinement is the loop head's *)
+              loop (iter + 1)
     end
   in
   Obs.span "cegar.solve" (fun () -> loop 0)

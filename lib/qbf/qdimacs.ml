@@ -83,21 +83,30 @@ let build_matrix q =
   in
   (aig, Aig.and_list aig (List.map clause_edge q.clauses))
 
-let propositional_sat q =
-  let s = Solver.create () in
-  Solver.ensure_var s (q.num_vars - 1);
-  List.iter
-    (fun clause ->
-      ignore
-        (Solver.add_clause s
-           (List.map (fun l -> SLit.of_dimacs l) clause)))
-    q.clauses;
-  Solver.solve s
+(* A single-level prefix is one SAT call, bounded by the budget. *)
+let solve_within time_budget s =
+  let deadline =
+    match time_budget with
+    | Some b -> Step_obs.Clock.now () +. b
+    | None -> infinity
+  in
+  Solver.solve ~deadline s
 
 let solve ?max_iterations ?time_budget q =
   match normalized_prefix q with
-  | [] | [ (Exists, _) ] -> if propositional_sat q then True else False
-  | [ (Forall, _) ] ->
+  | [] | [ (Exists, _) ] -> (
+      let s = Solver.create () in
+      Solver.ensure_var s (q.num_vars - 1);
+      List.iter
+        (fun clause ->
+          ignore
+            (Solver.add_clause s (List.map (fun l -> SLit.of_dimacs l) clause)))
+        q.clauses;
+      match solve_within time_budget s with
+      | Solver.Sat -> True
+      | Solver.Unsat -> False
+      | Solver.Unknown -> Unknown)
+  | [ (Forall, _) ] -> (
       (* ∀X.φ ⟺ ¬SAT(¬φ); with φ in CNF, check whether some clause can be
          falsified: φ is a tautology iff every assignment satisfies it *)
       let aig, matrix = build_matrix q in
@@ -105,7 +114,10 @@ let solve ?max_iterations ?time_budget q =
       ignore
         (Solver.add_clause (Step_cnf.Tseitin.solver enc)
            [ Step_cnf.Tseitin.lit_of enc (Aig.not_ matrix) ]);
-      if Solver.solve (Step_cnf.Tseitin.solver enc) then False else True
+      match solve_within time_budget (Step_cnf.Tseitin.solver enc) with
+      | Solver.Sat -> False
+      | Solver.Unsat -> True
+      | Solver.Unknown -> Unknown)
   | [ (Exists, xs); (Forall, ys) ] -> begin
       let aig, matrix = build_matrix q in
       match

@@ -32,4 +32,6 @@ type answer = True | False | Unknown
 val solve : ?max_iterations:int -> ?time_budget:float -> t -> answer
 (** Decides the formula with the CEGAR engine ([∃∀] directly, [∀∃] via the
     negated dual, single-level and propositional formulas by SAT).
+    [time_budget] (seconds) bounds every prefix: [Unknown] once it runs
+    out. [max_iterations] bounds CEGAR refinements only.
     @raise Failure on more than two quantifier alternations. *)

@@ -115,11 +115,6 @@ type t = {
   mutable decisions : int;
   mutable propagations : int;
   mutable max_learnts : float;
-  (* budgets *)
-  mutable conflict_budget : int;
-  mutable conflict_limit : int;
-  mutable time_budget : float;
-  mutable deadline : float;
   (* proof logging *)
   proof_mode : bool;
   chain_ids : Veci.t; (* learned clause id per chain *)
@@ -166,10 +161,6 @@ let create ?(proof = false) () =
       decisions = 0;
       propagations = 0;
       max_learnts = 0.;
-      conflict_budget = -1;
-      conflict_limit = max_int;
-      time_budget = -1.;
-      deadline = infinity;
       proof_mode = proof;
       chain_ids = Veci.create ();
       chains = Array.make 16 dummy_step;
@@ -1114,7 +1105,7 @@ let luby y x =
 exception Done of result
 
 (* One restart-bounded search episode. *)
-let search s assumptions nof_conflicts =
+let search s assumptions deadline nof_conflicts =
   let conflict_c = ref 0 in
   let n_assumps = Array.length assumptions in
   let rec loop () =
@@ -1128,7 +1119,7 @@ let search s assumptions nof_conflicts =
         s.core <- [];
         raise (Done Unsat)
       end;
-      if s.conflicts land 1023 = 0 && Clock.now () > s.deadline then
+      if s.conflicts land 1023 = 0 && Clock.now () > deadline then
         raise (Done Unknown);
       let bt, step = analyze s confl in
       let lbd = lbd_of s s.tmp_learnt in
@@ -1144,7 +1135,6 @@ let search s assumptions nof_conflicts =
       loop ()
     end
     else begin
-      if s.conflicts >= s.conflict_limit then raise (Done Unknown);
       if !conflict_c >= nof_conflicts then begin
         cancel_until s 0;
         () (* restart *)
@@ -1193,7 +1183,7 @@ let search s assumptions nof_conflicts =
   in
   loop ()
 
-let solve_limited ?(assumptions = []) s =
+let solve_call s assumptions deadline =
   Step_fault.Fault.hit "solver.solve";
   List.iter (fun l -> ensure_var s (Lit.var l)) assumptions;
   if not s.ok then begin
@@ -1212,26 +1202,21 @@ let solve_limited ?(assumptions = []) s =
     let conflicts0 = s.conflicts in
     let decisions0 = s.decisions in
     let propagations0 = s.propagations in
-    s.deadline <-
-      (if s.time_budget >= 0. then t0 +. s.time_budget else infinity);
-    s.conflict_limit <-
-      (if s.conflict_budget >= 0 then s.conflicts + s.conflict_budget
-       else max_int);
     let assumptions = Array.of_list assumptions in
     let result =
       try
         let restarts = ref 0 in
         while true do
-          if Clock.now () > s.deadline then raise (Done Unknown);
+          if Clock.now () > deadline then raise (Done Unknown);
           let bound = int_of_float (luby 2.0 !restarts *. 100.) in
           if Metrics.deep () then begin
             let e0 = Clock.now () in
             Fun.protect
               ~finally:(fun () ->
                 Metrics.observe h_episode (Clock.elapsed_since e0))
-              (fun () -> search s assumptions bound)
+              (fun () -> search s assumptions deadline bound)
           end
-          else search s assumptions bound;
+          else search s assumptions deadline bound;
           Metrics.inc m_restarts;
           incr restarts;
           s.max_learnts <- s.max_learnts *. 1.05;
@@ -1263,30 +1248,11 @@ let solve_limited ?(assumptions = []) s =
     result
   end
 
-let solve ?assumptions s =
-  if s.conflict_budget >= 0 || s.time_budget >= 0. then
-    invalid_arg "Solver.solve: budget active; use solve_limited";
-  match solve_limited ?assumptions s with
-  | Sat -> true
-  | Unsat -> false
-  | Unknown -> assert false
-
-let set_conflict_budget s n = s.conflict_budget <- n
-
-let set_time_budget s t = s.time_budget <- t
-
-let arm_deadline s deadline =
-  if deadline = infinity then begin
-    set_time_budget s (-1.0);
-    true
-  end
-  else
-    let remaining = deadline -. Clock.now () in
-    if remaining <= 0.0 then false
-    else begin
-      set_time_budget s remaining;
-      true
-    end
+(* A deadline that has already passed answers before the fault site and
+   the counters, so [sat.calls] counts only the calls that search. *)
+let solve ?(assumptions = []) ?(deadline = infinity) s =
+  if deadline < infinity && Clock.now () >= deadline then Unknown
+  else solve_call s assumptions deadline
 
 let model_value s l =
   let v = Lit.var l in

@@ -8,13 +8,14 @@
 
     Variables are 0-based integers created by {!new_var}; literals follow
     the {!Lit} encoding. Clauses may only be added at decision level 0
-    (i.e. between [solve] calls). *)
+    (i.e. between [solve] calls). There is one entry point, {!solve}; a
+    time limit is its [deadline] argument, so the solver keeps no budget
+    from one call to the next. *)
 
 type t
 
 type result = Sat | Unsat | Unknown
-(** [Unknown] is only returned by {!solve_limited} when a conflict or time
-    budget expires. *)
+(** [Unknown] is only returned by {!solve} when its deadline passes. *)
 
 exception Sanitizer_violation of Step_lint.Diag.t list
 (** Raised mid-search by the runtime sanitizer when a solver invariant is
@@ -65,30 +66,14 @@ val add_clause : t -> Lit.t list -> int
     kept and recorded as the refutation. Variables are allocated on
     demand. *)
 
-val solve : ?assumptions:Lit.t list -> t -> bool
-(** [solve s] is [true] iff the clause set (under the given assumptions)
-    is satisfiable. Ignores budgets.
-    @raise Invalid_argument if a budget is active (use {!solve_limited}). *)
-
-val solve_limited : ?assumptions:Lit.t list -> t -> result
-(** Like {!solve} but respects {!set_conflict_budget} and
-    {!set_time_budget}, returning [Unknown] on expiry. *)
-
-val set_conflict_budget : t -> int -> unit
-(** Maximum number of conflicts for subsequent {!solve_limited} calls;
-    [-1] disables the budget. The counter resets at each call. *)
-
-val set_time_budget : t -> float -> unit
-(** Wall-clock budget in seconds for subsequent {!solve_limited} calls;
-    negative disables. Checked at restart boundaries (coarse). *)
-
-val arm_deadline : t -> float -> bool
-(** [arm_deadline s deadline] sets the time budget to what is left until
-    the absolute {!Step_obs.Clock} time [deadline], so the next
-    {!solve_limited} call cannot run past it; [infinity] clears the
-    budget. False, with the budget unchanged, when the deadline has
-    passed. Arm before every call of a deadline-bound loop: the budget
-    is counted from the start of each call. *)
+val solve : ?assumptions:Lit.t list -> ?deadline:float -> t -> result
+(** [solve s] decides the clause set under the given assumptions.
+    [deadline] is an absolute {!Step_obs.Clock} time (default [infinity]).
+    The search checks it at restart boundaries and every 1024 conflicts,
+    and answers [Unknown] once it has passed. A deadline that has passed
+    before the call answers [Unknown] at once, with no search, no
+    [solver.solve] fault hit and no [sat.*] counter change. The deadline
+    belongs to this call only: no budget survives it. *)
 
 val model_value : t -> Lit.t -> bool
 (** Value of a literal in the model of the last [Sat] answer. Literals over

@@ -251,7 +251,7 @@ let prop_bidec_matches_sat_check =
         if xa = [] || xb = [] then true
         else begin
           let part = Partition.make ~xa ~xb ~xc in
-          Bidec.decomposable p g part = Check.decomposable p g part
+          Bidec.decomposable p g part = Some (Check.decomposable p g part)
         end
       end)
 

@@ -156,9 +156,9 @@ let test_engine_cached_matches_uncached () =
             Step_core.Problem.of_edge circuit.Circuit.aig
               (Circuit.output circuit i)
           in
-          Alcotest.(check (option bool))
+          Alcotest.(check bool)
             (Printf.sprintf "po=%d cached partition valid" i)
-            (Some true)
+            true
             (Step_core.Check.decomposable p Gate.And_gate cp);
           Alcotest.(check int)
             (Printf.sprintf "po=%d same disjointness" i)

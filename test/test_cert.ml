@@ -16,6 +16,13 @@ module Gate = Step_core.Gate
 module Partition = Step_core.Partition
 module Certify = Step_core.Certify
 
+(* The verdict of a solve with no deadline, which cannot be [Unknown]. *)
+let sat ?assumptions s =
+  match Solver.solve ?assumptions s with
+  | Solver.Sat -> true
+  | Solver.Unsat -> false
+  | Solver.Unknown -> Alcotest.fail "Unknown from a solve with no deadline"
+
 let has_code code diags = List.exists (fun d -> d.Diag.code = code) diags
 
 let check_bool = Alcotest.(check bool)
@@ -181,7 +188,7 @@ let test_lrat_export_roundtrip () =
     let st = Random.State.make [| 42; round |] in
     let cnf = random_cnf st n in
     let s = solver_of_dimacs n cnf in
-    if not (Solver.solve s) then begin
+    if not (sat s) then begin
       incr unsat;
       let e = Lrat.export s in
       if
@@ -213,7 +220,7 @@ let test_drat_pigeonhole () =
         [ 0; 1 ]
   in
   let s = solver_of_dimacs 6 cnf in
-  check_bool "unsat" false (Solver.solve s);
+  check_bool "unsat" false (sat s);
   let proof = Step_sat.Drat.export_string s in
   check_bool "certificate checks" true (drat_ok ~n_vars:6 cnf proof);
   (* corrupted traces must be rejected: a non-RUP clause w.r.t. a
@@ -247,9 +254,9 @@ let test_drat_deletions () =
   let s = solver_of_dimacs n_vars cnf in
   (* solve under an assumption first so learnts pile up without
      finalizing the refutation, then force the reduction *)
-  ignore (Solver.solve ~assumptions:[ Lit.of_dimacs (v 0 0) ] s);
+  ignore (sat ~assumptions:[ Lit.of_dimacs (v 0 0) ] s);
   Solver.reduce_learnts s;
-  check_bool "unsat" false (Solver.solve s);
+  check_bool "unsat" false (sat s);
   let proof = Step_sat.Drat.export_string s in
   check_bool "trace has deletion lines" true
     (List.exists
@@ -262,7 +269,7 @@ let test_drat_deletions () =
 let test_empty_input_clause () =
   let cnf = [ [ 1 ]; []; [ -1; 2 ] ] in
   let s = solver_of_dimacs 2 cnf in
-  check_bool "unsat" false (Solver.solve s);
+  check_bool "unsat" false (sat s);
   let proof = Step_sat.Drat.export_string s in
   Alcotest.(check string) "drat is the empty clause" "0\n" proof;
   check_bool "drat checks" true (drat_ok ~n_vars:2 cnf proof);
@@ -293,7 +300,7 @@ let prop_drat_certificates_check =
     gen_cnf
     (fun (n, cnf) ->
       let s = solver_of_dimacs n cnf in
-      Solver.solve s || drat_ok ~n_vars:n cnf (Step_sat.Drat.export_string s))
+      sat s || drat_ok ~n_vars:n cnf (Step_sat.Drat.export_string s))
 
 (* ---------- certificate JSON round trip ---------- *)
 

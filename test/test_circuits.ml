@@ -233,9 +233,9 @@ let test_planted_ground_truth () =
           let p = Problem.of_output pl.Generators.circuit 0 in
           Alcotest.(check int)
             "full support" 7 (Problem.n_vars p);
-          Alcotest.(check (option bool))
+          Alcotest.(check bool)
             (Printf.sprintf "%s seed %d" (Gate.to_string gate) seed)
-            (Some true)
+            true
             (Check.decomposable p gate pl.Generators.truth))
         [ 1; 2; 3 ])
     Gate.all

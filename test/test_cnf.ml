@@ -6,6 +6,13 @@ module Cardinality = Step_cnf.Cardinality
 module Solver = Step_sat.Solver
 module Lit = Step_sat.Lit
 
+(* The verdict of a solve with no deadline, which cannot be [Unknown]. *)
+let sat ?assumptions s =
+  match Solver.solve ?assumptions s with
+  | Solver.Sat -> true
+  | Solver.Unsat -> false
+  | Solver.Unknown -> Alcotest.fail "Unknown from a solve with no deadline"
+
 (* random expressions, as in test_aig *)
 type expr =
   | Var of int
@@ -69,7 +76,7 @@ let test_tseitin_basic () =
   let gl = Tseitin.lit_of enc g in
   let s = Tseitin.solver enc in
   ignore (Solver.add_clause s [ gl ]);
-  Alcotest.(check bool) "sat" true (Solver.solve s);
+  Alcotest.(check bool) "sat" true (sat s);
   Alcotest.(check bool) "x true" true
     (Solver.model_value s (Tseitin.lit_of_input enc 0));
   Alcotest.(check bool) "y false" false
@@ -80,9 +87,9 @@ let test_tseitin_constant () =
   let enc = Tseitin.create m in
   let s = Tseitin.solver enc in
   ignore (Solver.add_clause s [ Tseitin.lit_of enc Aig.t_ ]);
-  Alcotest.(check bool) "true const sat" true (Solver.solve s);
+  Alcotest.(check bool) "true const sat" true (sat s);
   ignore (Solver.add_clause s [ Tseitin.lit_of enc Aig.f ]);
-  Alcotest.(check bool) "plus false const unsat" false (Solver.solve s)
+  Alcotest.(check bool) "plus false const unsat" false (sat s)
 
 let test_tseitin_sharing () =
   (* encoding the same cone twice must not add variables the second time *)
@@ -136,7 +143,7 @@ let prop_tseitin_equisat =
                 if env_of_mask mask i then in_lits.(i)
                 else Lit.negate in_lits.(i))
           in
-          Solver.solve ~assumptions s
+          sat ~assumptions s
           && Solver.model_value s out = eval_expr (env_of_mask mask) e)
         (List.init (1 lsl n_test_vars) Fun.id))
 
@@ -161,7 +168,7 @@ let test_totalizer_exact () =
           (fun i l -> if env_of_mask mask i then l else Lit.negate l)
           lits
       in
-      Alcotest.(check bool) "sat" true (Solver.solve ~assumptions s);
+      Alcotest.(check bool) "sat" true (sat ~assumptions s);
       let count = popcount mask n in
       Array.iteri
         (fun i o ->
@@ -186,7 +193,7 @@ let test_at_most_at_least () =
   let am = Option.get (Cardinality.at_most c 2) in
   let al = Option.get (Cardinality.at_least c 2) in
   Alcotest.(check bool) "exactly 2 sat" true
-    (Solver.solve ~assumptions:[ am; al ] s);
+    (sat ~assumptions:[ am; al ] s);
   let count =
     List.fold_left
       (fun acc l -> if Solver.model_value s l then acc + 1 else acc)
@@ -197,7 +204,7 @@ let test_at_most_at_least () =
   let am1 = Option.get (Cardinality.at_most c 1) in
   let al3 = Option.get (Cardinality.at_least c 3) in
   Alcotest.(check bool) "contradiction" false
-    (Solver.solve ~assumptions:[ am1; al3 ] s)
+    (sat ~assumptions:[ am1; al3 ] s)
 
 let prop_totalizer_bounds =
   let gen =
@@ -223,7 +230,7 @@ let prop_totalizer_bounds =
       let expected = popcount force n <= k in
       match Cardinality.at_most c k with
       | None -> expected
-      | Some b -> Solver.solve ~assumptions:(b :: assumptions) s = expected)
+      | Some b -> sat ~assumptions:(b :: assumptions) s = expected)
 
 let test_weighted_totalizer () =
   let s = Solver.create () in
@@ -231,7 +238,7 @@ let test_weighted_totalizer () =
   let c = Cardinality.totalizer_weighted s [ (a, 2); (b, 3) ] in
   Alcotest.(check int) "size 5" 5 (Cardinality.size c);
   let check assumptions expected_count =
-    Alcotest.(check bool) "sat" true (Solver.solve ~assumptions s);
+    Alcotest.(check bool) "sat" true (sat ~assumptions s);
     Array.iteri
       (fun i o ->
         Alcotest.(check bool)
@@ -265,8 +272,8 @@ let test_sequential_matches_totalizer () =
         in
         Alcotest.(check bool)
           (Printf.sprintf "n=%d k=%d mask=%d" n k mask)
-          (Solver.solve ~assumptions:(asm lits1) s1)
-          (Solver.solve ~assumptions:(asm lits2) s2)
+          (sat ~assumptions:(asm lits1) s1)
+          (sat ~assumptions:(asm lits2) s2)
       done
     done
   done
@@ -297,7 +304,7 @@ let test_bound_difference () =
           Alcotest.(check bool)
             (Printf.sprintf "k=%d l=%d r=%d" k ml mr)
             (popcount ml n - popcount mr n <= k)
-            (Solver.solve ~assumptions:asm s)
+            (sat ~assumptions:asm s)
         done
       done)
     [ 0; 1; 2 ]
@@ -322,20 +329,20 @@ let test_parity_miter_stress () =
   let enc = Tseitin.create m in
   let s = Tseitin.solver enc in
   ignore (Solver.add_clause s [ Tseitin.lit_of enc miter ]);
-  Alcotest.(check bool) "equivalent" false (Solver.solve s);
+  Alcotest.(check bool) "equivalent" false (sat s);
   (* negating one leaf makes them differ everywhere *)
   let broken = Aig.xor_ m linear (Aig.not_ tree) in
   let enc2 = Tseitin.create m in
   let s2 = Tseitin.solver enc2 in
   ignore (Solver.add_clause s2 [ Tseitin.lit_of enc2 broken ]);
-  Alcotest.(check bool) "distinguishable" true (Solver.solve s2)
+  Alcotest.(check bool) "distinguishable" true (sat s2)
 
 let test_at_most_one () =
   let s = Solver.create () in
   let lits = List.init 4 (fun _ -> Lit.pos (Solver.new_var s)) in
   Cardinality.add_at_most_one s lits;
   Cardinality.add_at_least_one s lits;
-  Alcotest.(check bool) "sat" true (Solver.solve s);
+  Alcotest.(check bool) "sat" true (sat s);
   let count =
     List.fold_left
       (fun acc l -> if Solver.model_value s l then acc + 1 else acc)
@@ -346,7 +353,7 @@ let test_at_most_one () =
   match lits with
   | a :: b :: _ ->
       Alcotest.(check bool) "two true unsat" false
-        (Solver.solve ~assumptions:[ a; b ] s)
+        (sat ~assumptions:[ a; b ] s)
   | _ -> assert false
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)

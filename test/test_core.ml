@@ -148,9 +148,9 @@ let test_or_decomposable_planted () =
   List.iter
     (fun gate ->
       let p, part = planted_problem gate 7 in
-      Alcotest.(check (option bool))
+      Alcotest.(check bool)
         (Gate.to_string gate ^ " planted decomposable")
-        (Some true)
+        true
         (Check.decomposable p gate part))
     Gate.all
 
@@ -160,10 +160,10 @@ let test_xor_parity_fully_decomposable () =
   let xs = List.init 5 (fun _ -> Aig.fresh_input m) in
   let p = Problem.of_edge m (Aig.xor_list m xs) in
   let part = Partition.make ~xa:[ 0; 1 ] ~xb:[ 2; 3; 4 ] ~xc:[] in
-  Alcotest.(check (option bool)) "xor" (Some true)
+  Alcotest.(check bool) "xor" true
     (Check.decomposable p Gate.Xor_gate part);
   (* but not OR-decomposable: parity has no OR decomposition *)
-  Alcotest.(check (option bool)) "or" (Some false)
+  Alcotest.(check bool) "or" false
     (Check.decomposable p Gate.Or_gate part)
 
 let test_exhaustive_equal_size_swaps () =
@@ -198,9 +198,9 @@ let test_mg_finds_planted () =
       match r.Mg.partition with
       | None -> Alcotest.fail (Gate.to_string gate ^ ": MG found nothing")
       | Some part ->
-          Alcotest.(check (option bool))
+          Alcotest.(check bool)
             (Gate.to_string gate ^ " MG partition valid")
-            (Some true)
+            true
             (Check.decomposable p gate part))
     Gate.all
 
@@ -212,9 +212,9 @@ let test_ljh_finds_planted () =
       match r.Ljh.partition with
       | None -> Alcotest.fail (Gate.to_string gate ^ ": LJH found nothing")
       | Some part ->
-          Alcotest.(check (option bool))
+          Alcotest.(check bool)
             (Gate.to_string gate ^ " LJH partition valid")
-            (Some true)
+            true
             (Check.decomposable p gate part))
     Gate.all
 
@@ -495,7 +495,7 @@ let test_pipeline_small_circuit () =
           match po.Engine.partition with
           | Some part ->
               let p = Problem.of_edge m (Circuit.find_output c po.Engine.po_name) in
-              Alcotest.(check (option bool)) "valid" (Some true)
+              Alcotest.(check bool) "valid" true
                 (Check.decomposable p Gate.Or_gate part)
           | None -> ())
         r.Engine.per_po)
@@ -528,7 +528,7 @@ let prop_sat_check_matches_semantic =
       | None -> true
       | Some (e, g, part) ->
           let p = problem_of_expr n_prop_vars e in
-          Check.decomposable p g part = Some (Check.decomposable_semantic p g part))
+          Check.decomposable p g part = Check.decomposable_semantic p g part)
 
 let prop_extract_verifies =
   QCheck2.Test.make ~count:120
@@ -542,7 +542,7 @@ let prop_extract_verifies =
       | None -> true
       | Some (e, g, part) ->
           let p = problem_of_expr n_prop_vars e in
-          if Check.decomposable p g part <> Some true then true
+          if not (Check.decomposable p g part) then true
           else begin
             let q = Extract.run ~engine:Extract.Quantify p g part in
             let i = Extract.run ~engine:Extract.Interpolate p g part in
@@ -562,7 +562,7 @@ let prop_mg_partitions_valid =
         | None -> true
         | Some part ->
             (not (Partition.is_trivial part))
-            && Check.decomposable p g part = Some true)
+            && Check.decomposable p g part)
 
 let prop_qbf_optimal_vs_exhaustive =
   QCheck2.Test.make ~count:40 ~name:"QBF disjointness optimum is exact"
@@ -578,7 +578,7 @@ let prop_qbf_optimal_vs_exhaustive =
         | Some qp, Some ep ->
             o.Qbf_model.optimal
             && Partition.disjointness_k qp = Partition.disjointness_k ep
-            && Check.decomposable p g qp = Some true
+            && Check.decomposable p g qp
         | None, None -> true
         | Some _, None | None, Some _ -> false
       end)
@@ -597,9 +597,9 @@ let prop_recursive_rebuild_equivalent =
 
 (* ---------- method dispatch ---------- *)
 
-(* Recursive reaches the solvers through the one dispatcher,
-   Method.find_partition: QB and QDB must deliver their own target's
-   optimum there, as checked against exhaustive search. *)
+(* Recursive reaches the solvers through the one method kernel,
+   Method.run: QB and QDB must deliver their own target's optimum
+   there, as checked against exhaustive search. *)
 let dispatch_objective = function
   | Method.Qb -> Partition.balancedness_k
   | Method.Qdb -> fun part -> Partition.combined_k (Partition.canonical part)
@@ -973,8 +973,52 @@ let test_mg_budget_bounds_mus () =
       if r.Mg.cpu > budget +. 0.05 then
         Alcotest.failf "returned %.3f fake s after a %.3f s budget" r.Mg.cpu
           budget;
-      Alcotest.(check (option bool)) "partition still valid" (Some true)
+      Alcotest.(check bool) "partition still valid" true
         (Check.decomposable p g part))
+
+(* LJH's SAT checks run under its budget too. The problem is the OR of
+   two 6x6-multiplier bit-5 cones on interleaved inputs, so LJH's first
+   seed (the first two support inputs, one per cone) is decomposable and
+   its check is a long search. The clock is a fake that advances 1 ms
+   per read; the budget is half of what that check takes alone, so it
+   expires mid-check: the find must return within a few clock reads of
+   it, with no partition. *)
+let test_ljh_budget_bounds_checks () =
+  let mult = Step_circuits.Generators.multiplier 6 in
+  let m = Aig.create () in
+  let xs =
+    Array.init (2 * Circuit.n_inputs mult) (fun _ -> Aig.fresh_input m)
+  in
+  let cone off =
+    Aig.import m ~src:mult.Circuit.aig
+      ~map_input:(fun i -> xs.((2 * i) + off))
+      (Circuit.output mult 5)
+  in
+  let p = Problem.of_edge m (Aig.or_ m (cone 0) (cone 1)) in
+  let g = Gate.Or_gate in
+  let t = ref 0.0 in
+  Step_obs.Clock.set_source (fun () ->
+      t := !t +. 0.001;
+      !t);
+  Fun.protect ~finally:Step_obs.Clock.use_wall_clock (fun () ->
+      let seed =
+        match p.Problem.support with
+        | u :: v :: rest -> Partition.make ~xa:[ u ] ~xb:[ v ] ~xc:rest
+        | _ -> Alcotest.fail "support too small"
+      in
+      let t0 = Step_obs.Clock.now () in
+      Alcotest.(check bool) "first seed decomposable" true
+        (Copies.check (Copies.create p g) seed = Step_sat.Solver.Unsat);
+      let first = Step_obs.Clock.elapsed_since t0 in
+      if first < 0.01 then
+        Alcotest.failf "first seed check took only %.3f fake s" first;
+      let budget = first /. 2.0 in
+      let r = Ljh.find ~time_budget:budget p g in
+      if r.Ljh.cpu > budget +. 0.005 then
+        Alcotest.failf "returned %.3f fake s after a %.3f s budget" r.Ljh.cpu
+          budget;
+      Alcotest.(check bool) "cut short in the first seed check" true
+        (r.Ljh.partition = None))
 
 (* ---------- screened MG seed scan ---------- *)
 
@@ -1030,7 +1074,7 @@ let reference_scan (p : Problem.t) g =
     | (u, v) :: rest -> (
         let r = refutes u v in
         match
-          Step_sat.Solver.solve_limited ~assumptions:(assumptions u v)
+          Step_sat.Solver.solve ~assumptions:(assumptions u v)
             (Copies.solver c)
         with
         | Step_sat.Solver.Sat ->
@@ -1177,7 +1221,10 @@ let test_mg_mus_hook () =
                   if not (scaffold_witness p g side) then
                     Alcotest.fail (label "refutes a set with no witness");
                   let hard = [ beta u; alpha v ] in
-                  match Copies.solve_assuming c (hard @ sels) with
+                  match
+                    Step_sat.Solver.solve ~assumptions:(hard @ sels)
+                      (Copies.solver c)
+                  with
                   | Step_sat.Solver.Sat -> ()
                   | Step_sat.Solver.Unsat | Step_sat.Solver.Unknown ->
                       Alcotest.fail (label "refutes an unsat set")
@@ -1280,6 +1327,8 @@ let () =
             test_mg_qbf_share_screen;
           Alcotest.test_case "mg budget bounds the mus" `Quick
             test_mg_budget_bounds_mus;
+          Alcotest.test_case "ljh budget bounds the checks" `Quick
+            test_ljh_budget_bounds_checks;
           Alcotest.test_case "mg mus hook has witnesses" `Quick
             test_mg_mus_hook;
           Alcotest.test_case "side-3 tuple never banked" `Quick

@@ -73,10 +73,10 @@ let test_all_partitions_valid () =
                        (Gate.to_string gate) (Method.to_string m)
                        po.Engine.po_name)
                     false (Partition.is_trivial part);
-                  Alcotest.(check (option bool))
+                  Alcotest.(check bool)
                     (Printf.sprintf "%s/%s/%s valid" (Gate.to_string gate)
                        (Method.to_string m) po.Engine.po_name)
-                    (Some true)
+                    true
                     (Check.decomposable p gate part))
             r.Engine.per_po)
         methods)

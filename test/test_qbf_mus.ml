@@ -67,10 +67,9 @@ let test_budget () =
 let test_deadline_recheck () =
   (* Swap in a fake clock that advances 1s on every read: the 3.5s budget
      is over within a handful of clock reads, long before any solve could
-     "finish". Every deadline check (loop head, the re-check between the
-     abstraction and verification solves, and the solver-internal budget)
-     reads the same clock, so the solve must come back Unknown after at
-     most one refinement instead of looping. *)
+     "finish". Every deadline check (the loop head and each SAT call's
+     own) reads the same clock, so the solve must come back Unknown after
+     at most one refinement instead of looping. *)
   let t = ref 0.0 in
   Step_obs.Clock.set_source (fun () ->
       t := !t +. 1.0;
@@ -264,6 +263,28 @@ let test_qdimacs_budget () =
   | Qdimacs.True | Qdimacs.False ->
       Alcotest.fail "expected Unknown at zero budget"
 
+(* The budget bounds every prefix, the single-level ones (one SAT call)
+   as well as the two-level ones. The fake clock advances 1 s per read,
+   so a 0.5 s budget has run out by the first check. *)
+let test_qdimacs_single_level_budget () =
+  let t = ref 0.0 in
+  Step_obs.Clock.set_source (fun () ->
+      t := !t +. 1.0;
+      !t);
+  Fun.protect ~finally:Step_obs.Clock.use_wall_clock (fun () ->
+      List.iter
+        (fun (label, text) ->
+          match Qdimacs.solve ~time_budget:0.5 (Qdimacs.parse_string text) with
+          | Qdimacs.Unknown -> ()
+          | Qdimacs.True | Qdimacs.False ->
+              Alcotest.failf "%s: expected Unknown past the budget" label)
+        [
+          ("propositional", "p cnf 2 2\n1 2 0\n-1 2 0\n");
+          ("exists", "p cnf 2 2\ne 1 2 0\n1 2 0\n-1 2 0\n");
+          ("forall", "p cnf 2 1\na 1 2 0\n1 2 0\n");
+          ("exists-forall", "p cnf 2 1\ne 1 0\na 2 0\n1 2 0\n");
+        ])
+
 let test_qdimacs_three_blocks_rejected () =
   let q =
     Qdimacs.parse_string "p cnf 3 1\ne 1 0\na 2 0\ne 3 0\n1 2 3 0\n"
@@ -374,8 +395,8 @@ let test_mus_with_hard () =
 
 let test_mus_deadline_passed () =
   (* a deadline already passed: the working set is all the selectors,
-     which is still unsatisfiable, and no budget is left armed (a stale
-     one would make [is_minimal]'s plain solves raise) *)
+     which is still unsatisfiable, and [is_minimal]'s solves, which carry
+     no deadline, still decide it *)
   let solver = Solver.create () in
   let sel () = Lit.pos (Solver.new_var solver) in
   let s1 = sel () and s2 = sel () and s3 = sel () in
@@ -389,7 +410,7 @@ let test_mus_deadline_passed () =
   in
   Alcotest.(check (list int)) "working set" [ s1; s2; s3 ]
     (List.sort compare set);
-  Alcotest.(check bool) "not minimal, budget cleared" false
+  Alcotest.(check bool) "not minimal" false
     (Mus.is_minimal solver set)
 
 let prop_mus_minimal =
@@ -526,7 +547,7 @@ let prop_mus_complete_hook =
       let f = group_cnf seed in
       let core =
         match
-          Solver.solve_limited ~assumptions:(f.g_hard @ f.g_selectors)
+          Solver.solve ~assumptions:(f.g_hard @ f.g_selectors)
             f.g_solver
         with
         | Solver.Unsat ->
@@ -604,8 +625,8 @@ let prop_mus_deadline_in_proof =
               ~selectors:g.g_selectors
           in
           let unsat =
-            not
-              (Solver.solve ~assumptions:(g.g_hard @ r.Mus.mus) g.g_solver)
+            Solver.solve ~assumptions:(g.g_hard @ r.Mus.mus) g.g_solver
+            = Solver.Unsat
           in
           unsat
           && List.for_all (fun l -> List.mem l g.g_selectors) r.Mus.mus
@@ -675,6 +696,8 @@ let () =
           Alcotest.test_case "parse/roundtrip" `Quick test_qdimacs_parse;
           Alcotest.test_case "solve cases" `Quick test_qdimacs_solve_cases;
           Alcotest.test_case "budget" `Quick test_qdimacs_budget;
+          Alcotest.test_case "single-level budget" `Quick
+            test_qdimacs_single_level_budget;
           Alcotest.test_case "three blocks rejected" `Quick
             test_qdimacs_three_blocks_rejected;
           Alcotest.test_case "clean" `Quick test_qdm_clean;

@@ -5,6 +5,13 @@ module Lit = Step_sat.Lit
 module Solver = Step_sat.Solver
 module Dimacs = Step_sat.Dimacs
 
+(* The verdict of a solve with no deadline, which cannot be [Unknown]. *)
+let sat ?assumptions s =
+  match Solver.solve ?assumptions s with
+  | Solver.Sat -> true
+  | Solver.Unsat -> false
+  | Solver.Unknown -> Alcotest.fail "Unknown from a solve with no deadline"
+
 let pos = Lit.pos
 let neg = Lit.neg_of_var
 
@@ -54,17 +61,17 @@ let print_cnf (n, clauses) =
 let test_empty_clause () =
   let s = Solver.create () in
   ignore (Solver.add_clause s []);
-  Alcotest.(check bool) "unsat" false (Solver.solve s)
+  Alcotest.(check bool) "unsat" false (sat s)
 
 let test_trivial_sat () =
   let s = solver_of [ [ pos 0 ]; [ neg 1 ] ] in
-  Alcotest.(check bool) "sat" true (Solver.solve s);
+  Alcotest.(check bool) "sat" true (sat s);
   Alcotest.(check bool) "x0" true (Solver.var_value s 0);
   Alcotest.(check bool) "x1" false (Solver.var_value s 1)
 
 let test_contradictory_units () =
   let s = solver_of [ [ pos 0 ]; [ neg 0 ] ] in
-  Alcotest.(check bool) "unsat" false (Solver.solve s)
+  Alcotest.(check bool) "unsat" false (sat s)
 
 let test_chain_propagation () =
   (* x0 and a chain of implications forcing x9 *)
@@ -73,7 +80,7 @@ let test_chain_propagation () =
     :: List.init 9 (fun i -> [ neg i; pos (i + 1) ])
   in
   let s = solver_of clauses in
-  Alcotest.(check bool) "sat" true (Solver.solve s);
+  Alcotest.(check bool) "sat" true (sat s);
   Alcotest.(check bool) "x9 forced" true (Solver.var_value s 9)
 
 let test_pigeonhole_3_2 () =
@@ -91,7 +98,7 @@ let test_pigeonhole_3_2 () =
       [ 0; 1 ]
   in
   let s = solver_of (at_least @ at_most) in
-  Alcotest.(check bool) "unsat" false (Solver.solve s)
+  Alcotest.(check bool) "unsat" false (sat s)
 
 let test_pigeonhole_proof_mode () =
   let v i h = (2 * i) + h in
@@ -107,7 +114,7 @@ let test_pigeonhole_proof_mode () =
       [ 0; 1 ]
   in
   let s = solver_of ~proof:true (at_least @ at_most) in
-  Alcotest.(check bool) "unsat" false (Solver.solve s);
+  Alcotest.(check bool) "unsat" false (sat s);
   let steps, empty = Solver.proof_of_unsat s in
   Alcotest.(check bool)
     "empty chain has premises" true
@@ -123,50 +130,50 @@ let test_pigeonhole_proof_mode () =
 let test_assumptions_sat_unsat () =
   let s = solver_of [ [ pos 0; pos 1 ] ] in
   Alcotest.(check bool) "sat under a" true
-    (Solver.solve ~assumptions:[ neg 0 ] s);
+    (sat ~assumptions:[ neg 0 ] s);
   Alcotest.(check bool) "x1 forced" true (Solver.var_value s 1);
   Alcotest.(check bool) "unsat under both" false
-    (Solver.solve ~assumptions:[ neg 0; neg 1 ] s);
+    (sat ~assumptions:[ neg 0; neg 1 ] s);
   let core = Solver.unsat_core s in
   Alcotest.(check bool) "core nonempty" true (core <> []);
   Alcotest.(check bool) "core subset of assumptions" true
     (List.for_all (fun l -> List.mem l [ neg 0; neg 1 ]) core);
   (* the core itself must suffice *)
-  Alcotest.(check bool) "core unsat" false (Solver.solve ~assumptions:core s)
+  Alcotest.(check bool) "core unsat" false (sat ~assumptions:core s)
 
 let test_assumption_of_fresh_var () =
   let s = solver_of [ [ pos 0 ] ] in
-  Alcotest.(check bool) "sat" true (Solver.solve ~assumptions:[ pos 5 ] s);
+  Alcotest.(check bool) "sat" true (sat ~assumptions:[ pos 5 ] s);
   Alcotest.(check bool) "assumed value" true (Solver.var_value s 5)
 
 let test_contradictory_assumptions () =
   let s = solver_of [ [ pos 0; pos 1 ] ] in
   Alcotest.(check bool) "p and not p" false
-    (Solver.solve ~assumptions:[ pos 2; neg 2 ] s);
+    (sat ~assumptions:[ pos 2; neg 2 ] s);
   let core = Solver.unsat_core s in
   Alcotest.(check bool) "core mentions var 2" true
     (List.for_all (fun l -> Lit.var l = 2) core && core <> [])
 
 let test_incremental () =
   let s = solver_of [ [ pos 0; pos 1 ] ] in
-  Alcotest.(check bool) "sat" true (Solver.solve s);
+  Alcotest.(check bool) "sat" true (sat s);
   ignore (Solver.add_clause s [ neg 0 ]);
-  Alcotest.(check bool) "still sat" true (Solver.solve s);
+  Alcotest.(check bool) "still sat" true (sat s);
   Alcotest.(check bool) "x1" true (Solver.var_value s 1);
   ignore (Solver.add_clause s [ neg 1 ]);
-  Alcotest.(check bool) "now unsat" false (Solver.solve s);
+  Alcotest.(check bool) "now unsat" false (sat s);
   Alcotest.(check bool) "okay false" false (Solver.okay s)
 
 let test_tautology_ignored () =
   let s = Solver.create () in
   let id = Solver.add_clause s [ pos 0; neg 0 ] in
   Alcotest.(check int) "discarded" (-1) id;
-  Alcotest.(check bool) "sat" true (Solver.solve s)
+  Alcotest.(check bool) "sat" true (sat s)
 
 let test_duplicate_literals () =
   let s = Solver.create () in
   ignore (Solver.add_clause s [ pos 0; pos 0; pos 0 ]);
-  Alcotest.(check bool) "sat" true (Solver.solve s);
+  Alcotest.(check bool) "sat" true (sat s);
   Alcotest.(check bool) "forced" true (Solver.var_value s 0)
 
 (* Pigeonhole [n_p] -> [n_h] over vars [i * n_h + h], every clause
@@ -187,17 +194,23 @@ let pigeonhole ?(guard = []) n_p n_h =
   done;
   List.rev !clauses
 
-let test_conflict_budget () =
-  (* pigeonhole 6->5 takes more than 1 conflict *)
-  let s = solver_of (pigeonhole 6 5) in
-  Solver.set_conflict_budget s 1;
-  (match Solver.solve_limited s with
+let test_deadline () =
+  (* pigeonhole 9->8 guarded by [a]: refuting it under [a] takes seconds,
+     far past the 50 ms deadline *)
+  let a = 72 in
+  let s = solver_of (pigeonhole ~guard:[ neg a ] 9 8) in
+  let deadline = Step_obs.Clock.now () +. 0.05 in
+  (match Solver.solve ~assumptions:[ pos a ] ~deadline s with
   | Solver.Unknown -> ()
-  | Solver.Sat | Solver.Unsat -> Alcotest.fail "expected Unknown on budget");
-  Solver.set_conflict_budget s (-1);
-  (match Solver.solve_limited s with
-  | Solver.Unsat -> ()
-  | Solver.Sat | Solver.Unknown -> Alcotest.fail "expected Unsat unbounded")
+  | Solver.Sat | Solver.Unsat -> Alcotest.fail "expected Unknown at deadline");
+  (* no budget survives the call: a solve with no deadline (and no
+     assumptions) runs to its answer. The unit [-a] keeps that answer
+     quick: the saved phase of [a] is the assumption's, so a plain
+     re-solve would first refute the pigeonhole under [a]. *)
+  ignore (Solver.add_clause s [ neg a ]);
+  match Solver.solve s with
+  | Solver.Sat -> ()
+  | Solver.Unsat | Solver.Unknown -> Alcotest.fail "expected Sat unbounded"
 
 let test_dimacs_roundtrip () =
   let text = "c comment\np cnf 3 2\n1 -2 0\n2 3 0\n" in
@@ -308,10 +321,10 @@ let test_sanitizer_solve () =
       done
     done
   done;
-  Alcotest.(check bool) "unsat under sanitizer" false (Solver.solve s);
+  Alcotest.(check bool) "unsat under sanitizer" false (sat s);
   let s2 = solver_of [ [ pos 0; pos 1 ]; [ neg 0; pos 2 ]; [ neg 1; neg 2 ] ] in
   Solver.set_sanitize s2 true;
-  Alcotest.(check bool) "sat under sanitizer" true (Solver.solve s2);
+  Alcotest.(check bool) "sat under sanitizer" true (sat s2);
   Alcotest.(check int) "audit clean" 0 (List.length (Solver.audit s2))
 
 let test_sanitizer_audit_fresh () =
@@ -340,7 +353,7 @@ let test_large_random_sat () =
     in
     ignore (Solver.add_clause s c)
   done;
-  Alcotest.(check bool) "sat" true (Solver.solve s)
+  Alcotest.(check bool) "sat" true (sat s)
 
 (* ---------- epoch scratch maps ---------- *)
 
@@ -371,7 +384,7 @@ let test_compact_preserves_ids () =
   let a = 30 in
   let s = solver_of (pigeonhole ~guard:[ neg a ] 6 5) in
   Alcotest.(check bool) "unsat under a" false
-    (Solver.solve ~assumptions:[ pos a ] s);
+    (sat ~assumptions:[ pos a ] s);
   let live0 = Solver.n_live_clauses s in
   (* the database reduction leaves dead learnt blocks for the gc to move *)
   Solver.reduce_learnts s;
@@ -392,7 +405,7 @@ let test_compact_preserves_ids () =
         (Array.to_list lits)
         (Array.to_list (Solver.clause_lits s id)))
     before;
-  Alcotest.(check bool) "still sat" true (Solver.solve s)
+  Alcotest.(check bool) "still sat" true (sat s)
 
 (* ---------- property tests ---------- *)
 
@@ -401,7 +414,7 @@ let prop_matches_brute_force =
     ~print:print_cnf gen_cnf (fun (n, clauses) ->
       let expected = brute_force_sat n clauses <> None in
       let s = solver_of clauses in
-      let got = Solver.solve s in
+      let got = sat s in
       if got && expected then
         (* model must satisfy every clause *)
         List.for_all
@@ -414,18 +427,18 @@ let prop_proof_mode_agrees =
     ~print:print_cnf gen_cnf (fun (_, clauses) ->
       let s1 = solver_of clauses in
       let s2 = solver_of ~proof:true clauses in
-      Solver.solve s1 = Solver.solve s2)
+      sat s1 = sat s2)
 
 let prop_core_sufficient =
   QCheck2.Test.make ~count:200 ~name:"unsat cores are sufficient"
     ~print:print_cnf gen_cnf (fun (n, clauses) ->
       let s = solver_of clauses in
       let assumptions = List.init n (fun v -> Lit.of_var (v mod 2 = 0) v) in
-      if Solver.solve ~assumptions s then true
+      if sat ~assumptions s then true
       else begin
         let core = Solver.unsat_core s in
         List.for_all (fun l -> List.mem l assumptions) core
-        && not (Solver.solve ~assumptions:core s)
+        && not (sat ~assumptions:core s)
       end)
 
 let prop_model_complete =
@@ -433,7 +446,7 @@ let prop_model_complete =
     ~print:print_cnf gen_cnf (fun (n, clauses) ->
       let s = solver_of clauses in
       Solver.ensure_var s (n - 1);
-      if not (Solver.solve s) then true
+      if not (sat s) then true
       else
         List.init n (fun v ->
             Solver.model_value s (pos v) <> Solver.model_value s (neg v))
@@ -463,7 +476,7 @@ let () =
           Alcotest.test_case "tautology" `Quick test_tautology_ignored;
           Alcotest.test_case "duplicate literals" `Quick
             test_duplicate_literals;
-          Alcotest.test_case "conflict budget" `Quick test_conflict_budget;
+          Alcotest.test_case "deadline" `Quick test_deadline;
           Alcotest.test_case "large planted instance" `Quick
             test_large_random_sat;
         ] );
