@@ -56,10 +56,12 @@ psmoke:
 
 # Decomposition-cache smoke: a warm run against a persisted cache dir
 # must report hits and stay byte-identical to the cold run (modulo CPU
-# timings and the cache hit counts).
+# timings and the cache hit counts). The certified leg does the same
+# under -g auto --certify: both runs must pass every certificate, and
+# the kept gate's certificate must be persisted with its entry.
 cachesmoke:
 	dune build bin/step.exe
-	rm -rf cachesmoke_dir
+	rm -rf cachesmoke_dir cachesmoke_cert
 	dune exec --no-build bin/step.exe -- generate -k decoder -n 3 \
 	  -o cachesmoke.blif
 	dune exec --no-build bin/step.exe -- decompose cachesmoke.blif -g and \
@@ -72,8 +74,21 @@ cachesmoke:
 	grep -v '^cache:' cachesmoke_cold.txt > cachesmoke_cold.body
 	grep -v '^cache:' cachesmoke_warm.txt > cachesmoke_warm.body
 	diff cachesmoke_cold.body cachesmoke_warm.body
-	rm -rf cachesmoke_dir cachesmoke.blif cachesmoke_cold.txt \
-	  cachesmoke_warm.txt cachesmoke_cold.body cachesmoke_warm.body
+	dune exec --no-build bin/step.exe -- decompose cachesmoke.blif -g auto \
+	  -m qd --certify --cache-dir cachesmoke_cert \
+	  | sed -E 's/[0-9]+\.[0-9]+s?/TIME/g' > cachesmoke_cold.txt
+	dune exec --no-build bin/step.exe -- decompose cachesmoke.blif -g auto \
+	  -m qd --certify --cache-dir cachesmoke_cert \
+	  | sed -E 's/[0-9]+\.[0-9]+s?/TIME/g' > cachesmoke_warm.txt
+	grep -E '^cert: checked=[1-9][0-9]* failed=0' cachesmoke_cold.txt
+	grep -E '^cert: checked=[1-9][0-9]* failed=0' cachesmoke_warm.txt
+	grep -l '"cert": *{' cachesmoke_cert/*.json
+	grep -v '^cache:' cachesmoke_cold.txt > cachesmoke_cold.body
+	grep -v '^cache:' cachesmoke_warm.txt > cachesmoke_warm.body
+	diff cachesmoke_cold.body cachesmoke_warm.body
+	rm -rf cachesmoke_dir cachesmoke_cert cachesmoke.blif \
+	  cachesmoke_cold.txt cachesmoke_warm.txt cachesmoke_cold.body \
+	  cachesmoke_warm.body
 
 # Fault-injection smoke: under a fixed STEP_FAULTS schedule every output
 # still ends in a definite state (ok / degraded / failed), the process

@@ -352,7 +352,3 @@ let import dst ~src ~map_input e =
       end
   done;
   map.(top) lxor (e land 1)
-
-let pp_stats fmt m =
-  Format.fprintf fmt "inputs=%d ands=%d nodes=%d" (n_inputs m) (n_ands m)
-    (n_nodes m)

@@ -101,8 +101,6 @@ val xor_list : t -> lit list -> lit
 val support : t -> lit -> int list
 (** Indices of the inputs the edge structurally depends on, ascending. *)
 
-val support_of_list : t -> lit list -> int list
-
 val cone_size : t -> lit -> int
 (** Number of AND nodes in the transitive fanin cone. *)
 
@@ -117,9 +115,6 @@ val eval : t -> (int -> bool) -> lit -> bool
 
 val sim64 : t -> (int -> int64) -> lit -> int64
 (** 64 parallel evaluations: each input is a 64-bit pattern vector. *)
-
-val sim64_many : t -> (int -> int64) -> lit list -> int64 list
-(** Shared-cone batch version of {!sim64}. *)
 
 (* Transformations *)
 
@@ -145,5 +140,3 @@ exception Blowup
 val import : t -> src:t -> map_input:(int -> lit) -> lit -> lit
 (** Copies the cone of an edge of [src] into the destination manager,
     sending input [i] of [src] to the destination edge [map_input i]. *)
-
-val pp_stats : Format.formatter -> t -> unit

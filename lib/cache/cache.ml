@@ -1,7 +1,9 @@
 module Diag = Step_lint.Diag
 module Json = Step_obs.Json
 module Metrics = Step_obs.Metrics
+module Obs = Step_obs.Obs
 module Partition = Step_core.Partition
+module Certify = Step_core.Certify
 module Cert = Step_cert.Cert
 
 (* process-wide counters, merged across every cache and worker domain *)
@@ -17,7 +19,7 @@ type entry = {
   proven_optimal : bool;
   timed_out : bool;
   counters : (string * int) list;
-  cert : Cert.t option;
+  cert : (Cert.t * Certify.t) option;
 }
 
 type slot = Ready of entry | Pending
@@ -26,6 +28,8 @@ type t = {
   mu : Mutex.t;
   changed : Condition.t;
   tbl : (string, slot) Hashtbl.t;
+  certifying : (string, unit) Hashtbl.t;
+      (* keys whose certificate is being made: {!certify} callers wait *)
   dir : string option;
   mutable hits : int;
   mutable misses : int;
@@ -52,6 +56,7 @@ let create ?dir () : t =
     mu = Mutex.create ();
     changed = Condition.create ();
     tbl = Hashtbl.create 64;
+    certifying = Hashtbl.create 8;
     dir;
     hits = 0;
     misses = 0;
@@ -119,7 +124,8 @@ let entry_to_json ~key e =
       ("partition", partition);
       ("optimal", Json.Bool e.proven_optimal);
       ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) e.counters));
-      ("cert", match e.cert with None -> Json.Null | Some c -> Cert.to_json c);
+      ( "cert",
+        match e.cert with None -> Json.Null | Some (c, _) -> Cert.to_json c );
     ]
 
 let decode_ints j =
@@ -211,24 +217,27 @@ let load_disk t ~key ~n_inputs =
                          checker on every load, and cross-check the
                          certified partition against the entry's own, so
                          a tampered entry is rejected (and recomputed)
-                         rather than served. *)
+                         rather than served. The checked summary stays
+                         with the entry, so no hit checks it again. *)
                       let reject msg =
                         Metrics.inc m_cert_rejected;
                         skip "CSH006"
                           ("cached certificate rejected, entry skipped: " ^ msg)
                       in
+                      let entry cert =
+                        Some
+                          {
+                            partition;
+                            proven_optimal =
+                              Json.member "optimal" j = Json.Bool true;
+                            timed_out = false;
+                            counters =
+                              decode_counters (Json.member "counters" j);
+                            cert;
+                          }
+                      in
                       match Json.member "cert" j with
-                      | Json.Null ->
-                          Some
-                            {
-                              partition;
-                              proven_optimal =
-                                Json.member "optimal" j = Json.Bool true;
-                              timed_out = false;
-                              counters =
-                                decode_counters (Json.member "counters" j);
-                              cert = None;
-                            }
+                      | Json.Null -> entry None
                       | cj -> (
                           match Cert.of_json cj with
                           | Error msg -> reject msg
@@ -246,25 +255,16 @@ let load_disk t ~key ~n_inputs =
                                   "certified partition differs from the \
                                    entry's partition"
                               else
-                                let cdiags = Cert.check ~file c in
-                                if Diag.has_errors cdiags then
+                                let summary =
+                                  Obs.span "cert.check" (fun () ->
+                                      Certify.of_cert ~file c)
+                                in
+                                if not summary.Certify.ok then
                                   reject
-                                    (match cdiags with
+                                    (match summary.Certify.diags with
                                     | d :: _ -> d.Diag.message
                                     | [] -> "proof check failed")
-                                else
-                                  Some
-                                    {
-                                      partition;
-                                      proven_optimal =
-                                        Json.member "optimal" j
-                                        = Json.Bool true;
-                                      timed_out = false;
-                                      counters =
-                                        decode_counters
-                                          (Json.member "counters" j);
-                                      cert = Some c;
-                                    })))
+                                else entry (Some (c, summary)))))
       end
 
 (* Atomic publish: write to a temp file in the same directory, rename
@@ -360,3 +360,41 @@ let find_or_compute t ~key ~n_inputs compute =
         store_disk t ~key e;
         (e, false)
       end
+
+let certify t ~key make =
+  let decision =
+    Mutex.protect t.mu (fun () ->
+        let rec go () =
+          match Hashtbl.find_opt t.tbl key with
+          | Some (Ready { cert = Some c; _ }) -> `Have c
+          | _ when Hashtbl.mem t.certifying key ->
+              Condition.wait t.changed t.mu;
+              go ()
+          | _ ->
+              Hashtbl.replace t.certifying key ();
+              `Make
+        in
+        go ())
+  in
+  match decision with
+  | `Have c -> Some c
+  | `Make ->
+      let settle cert =
+        Mutex.protect t.mu (fun () ->
+            Hashtbl.remove t.certifying key;
+            Condition.broadcast t.changed;
+            match (cert, Hashtbl.find_opt t.tbl key) with
+            | Some c, Some (Ready e) ->
+                let e = { e with cert = Some c } in
+                Hashtbl.replace t.tbl key (Ready e);
+                Some e
+            | _ -> None)
+      in
+      let cert =
+        try make ()
+        with ex ->
+          ignore (settle None);
+          raise ex
+      in
+      Option.iter (store_disk t ~key) (settle cert);
+      cert

@@ -28,9 +28,13 @@ type entry = {
   proven_optimal : bool;
   timed_out : bool;  (** Never [true] for a stored entry. *)
   counters : (string * int) list;
-  cert : Step_cert.Cert.t option;
+  cert : (Step_cert.Cert.t * Step_core.Certify.t) option;
       (** Proof-carrying certificate for the answer (canonical input
-          indices), persisted with the entry and re-checked on load. *)
+          indices) with the summary of its one run of the independent
+          checker: at generation, or at the disk load that rehydrated it.
+          Hits reuse the summary and run no checker. Only the body is
+          persisted. [None] until a certified run reports the entry:
+          see {!certify}. *)
 }
 
 type t
@@ -47,6 +51,18 @@ val find_or_compute : t -> key:string -> n_inputs:int -> (unit -> entry) -> entr
     with [false]. [n_inputs] bounds the indices a disk-loaded partition
     may mention. Concurrent callers with the same key block until the
     first one finishes; if it fails or times out, one of them recomputes. *)
+
+val certify :
+  t ->
+  key:string ->
+  (unit -> (Step_cert.Cert.t * Step_core.Certify.t) option) ->
+  (Step_cert.Cert.t * Step_core.Certify.t) option
+(** [certify t ~key make] returns the certificate of the resident entry
+    for [key], running [make] when it has none. [make] runs once per key:
+    concurrent callers wait for it and reuse its result. The certificate
+    is attached to the entry, which is republished to the cache
+    directory, so later hits, in this process or a later one, reuse it.
+    If [make] raises, the next caller runs it again. *)
 
 type stats = { hits : int; misses : int; entries : int }
 (** [entries] counts distinct keys resident in memory. *)

@@ -59,8 +59,8 @@ val equivalence_obligation :
     @raise Refuted when the miter is satisfiable. *)
 
 val of_cert : ?file:string -> Step_cert.Cert.t -> t
-(** Checks a bare certificate (e.g. one rehydrated from a cache entry)
-    with the independent checker; [gen_s] is 0. *)
+(** Checks a bare certificate (e.g. one loaded from a cache entry on
+    disk) with the independent checker; [gen_s] is 0. *)
 
 val add_obligation : t -> po:string -> Step_cert.Cert.obligation -> t
 (** [add_obligation t ~po ob] checks [ob] on its own and folds the

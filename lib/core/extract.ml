@@ -8,6 +8,8 @@ type engine = Quantify | Interpolate
 
 type result = { fa : Aig.lit; fb : Aig.lit }
 
+exception Timeout
+
 let cofactor_all aig vars value e =
   List.fold_left (fun e v -> Aig.cofactor aig v value e) e vars
 
@@ -35,7 +37,8 @@ let quantify_engine ?max_nodes (p : Problem.t) g (part : Partition.t) =
      A = [f_pos ∧ ¬f_pos_primed]   (prime copy on [primed_vars])
      B = [¬f_pos]                  (with [b_copy_vars] freshly copied)
    over the shared inputs (support minus b_copy_vars). *)
-let interpolate_once aig ~f_a1 ~f_a2_neg ~f_b_neg ~support ~b_copy_vars =
+let interpolate_once ~deadline aig ~f_a1 ~f_a2_neg ~f_b_neg ~support
+    ~b_copy_vars =
   let solver = Solver.create ~proof:true () in
   let enc_a = Tseitin.create ~solver aig in
   let enc_b = Tseitin.create ~solver aig in
@@ -55,8 +58,11 @@ let interpolate_once aig ~f_a1 ~f_a2_neg ~f_b_neg ~support ~b_copy_vars =
     (fun i -> Tseitin.bind_input enc_b i (Tseitin.lit_of_input enc_a i))
     shared_vars;
   Tseitin.add_clause enc_b [ Tseitin.lit_of enc_b f_b_neg ];
-  if Solver.solve solver = Solver.Sat then
-    failwith "Extract: partition does not decompose the function";
+  (match Solver.solve ~deadline solver with
+  | Solver.Sat ->
+      failwith "Extract: partition does not decompose the function"
+  | Solver.Unknown -> raise Timeout
+  | Solver.Unsat -> ());
   let edge_of_var = Hashtbl.create 16 in
   List.iter
     (fun i ->
@@ -68,7 +74,7 @@ let interpolate_once aig ~f_a1 ~f_a2_neg ~f_b_neg ~support ~b_copy_vars =
     ~var_edge:(fun v -> Hashtbl.find_opt edge_of_var v)
     ~aig
 
-let interpolate_or (p : Problem.t) (part : Partition.t) =
+let interpolate_or ~deadline (p : Problem.t) (part : Partition.t) =
   let aig = p.Problem.aig in
   let f = p.Problem.f in
   let support = p.Problem.support in
@@ -80,25 +86,25 @@ let interpolate_or (p : Problem.t) (part : Partition.t) =
   (* fA over XA ∪ XC: A = f(X) ∧ ¬f(X'|XA), B = ¬f(X''|XB) *)
   let f_primed_a = copy part.Partition.xa in
   let fa =
-    interpolate_once aig ~f_a1:f ~f_a2_neg:(Aig.not_ f_primed_a)
+    interpolate_once ~deadline aig ~f_a1:f ~f_a2_neg:(Aig.not_ f_primed_a)
       ~f_b_neg:(Aig.not_ f) ~support ~b_copy_vars:part.Partition.xb
   in
   (* fB over XB ∪ XC: A = f ∧ ¬fA, B = ¬f(X'''|XA) *)
   let fb =
-    interpolate_once aig ~f_a1:f ~f_a2_neg:(Aig.not_ fa) ~f_b_neg:(Aig.not_ f)
-      ~support ~b_copy_vars:part.Partition.xa
+    interpolate_once ~deadline aig ~f_a1:f ~f_a2_neg:(Aig.not_ fa)
+      ~f_b_neg:(Aig.not_ f) ~support ~b_copy_vars:part.Partition.xa
   in
   { fa; fb }
 
-let interpolate_engine (p : Problem.t) g part =
+let interpolate_engine ~deadline (p : Problem.t) g part =
   match g with
-  | Gate.Or_gate -> interpolate_or p part
+  | Gate.Or_gate -> interpolate_or ~deadline p part
   | Gate.And_gate ->
-      let r = interpolate_or (Problem.negate p) part in
+      let r = interpolate_or ~deadline (Problem.negate p) part in
       { fa = Aig.not_ r.fa; fb = Aig.not_ r.fb }
   | Gate.Xor_gate -> quantify_engine p g part
 
-let run ?(engine = Quantify) ?max_nodes p g part =
+let run ?(engine = Quantify) ?max_nodes ?(deadline = infinity) p g part =
   match engine with
   | Quantify -> quantify_engine ?max_nodes p g part
-  | Interpolate -> interpolate_engine p g part
+  | Interpolate -> interpolate_engine ~deadline p g part

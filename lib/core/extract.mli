@@ -22,13 +22,22 @@ type engine = Quantify | Interpolate
 
 type result = { fa : Step_aig.Aig.lit; fb : Step_aig.Aig.lit }
 
+exception Timeout
+(** The [deadline] passed during an interpolation refutation. *)
+
 val run :
   ?engine:engine ->
   ?max_nodes:int ->
+  ?deadline:float ->
   Problem.t ->
   Gate.t ->
   Partition.t ->
   result
-(** @raise Step_aig.Aig.Blowup when quantification exceeds [max_nodes].
+(** [deadline] (an absolute {!Step_obs.Clock} time, default [infinity])
+    bounds the SAT calls of the [Interpolate] engine; quantification
+    takes none.
+    @raise Step_aig.Aig.Blowup when quantification exceeds [max_nodes].
     @raise Failure if the partition does not decompose the function (the
-    interpolation refutation does not exist). *)
+    interpolation refutation does not exist).
+    @raise Timeout when [deadline] passes during an interpolation
+    refutation. *)

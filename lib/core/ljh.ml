@@ -76,9 +76,17 @@ let find ?time_budget (p : Problem.t) g =
         Hashtbl.replace placed u ();
         Hashtbl.replace placed v ();
         let rest = List.filter (fun i -> i <> u && i <> v) p.Problem.support in
+        (* once the deadline has passed, every variable left goes to XC
+           with no further clock read or check *)
+        let expired = ref false in
+        let shared i = xc := i :: !xc in
+        let expire i =
+          expired := true;
+          shared i
+        in
         let try_move i =
           Hashtbl.replace placed i ();
-          if Clock.now () > deadline then xc := i :: !xc
+          if !expired || Clock.now () > deadline then expire i
           else begin
             (* variables not yet decided stay shared for this probe *)
             let unplaced =
@@ -89,10 +97,12 @@ let find ?time_budget (p : Problem.t) g =
             in
             match check (part_with (i :: !xa) !xb) with
             | Solver.Unsat -> xa := i :: !xa
-            | Solver.Sat | Solver.Unknown -> begin
+            | Solver.Unknown -> expire i
+            | Solver.Sat -> begin
                 match check (part_with !xa (i :: !xb)) with
                 | Solver.Unsat -> xb := i :: !xb
-                | Solver.Sat | Solver.Unknown -> xc := i :: !xc
+                | Solver.Unknown -> expire i
+                | Solver.Sat -> shared i
               end
           end
         in
@@ -100,9 +110,11 @@ let find ?time_budget (p : Problem.t) g =
         let partition = Partition.make ~xa:!xa ~xb:!xb ~xc:!xc in
         (* Bi-dec is a complete decomposition tool: it derives the
            functions fA/fB by interpolation as part of every run, so the
-           extraction cost belongs to LJH's measured time. *)
+           extraction cost belongs to LJH's measured time. It runs under
+           the same deadline; the partition stands either way. *)
         (try
-           ignore (Extract.run ~engine:Extract.Interpolate p g partition)
-         with Failure _ | Step_aig.Aig.Blowup -> ());
+           ignore
+             (Extract.run ~engine:Extract.Interpolate ~deadline p g partition)
+         with Failure _ | Step_aig.Aig.Blowup | Extract.Timeout -> ());
         finish (Some partition) !sat_calls
   end

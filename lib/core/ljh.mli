@@ -24,4 +24,6 @@ val find : ?time_budget:float -> Problem.t -> Gate.t -> result
     [time_budget] sets one deadline for the scan and every SAT check. A
     seed check it cuts short ends the scan with no partition; a growth
     check it cuts short leaves its variable (and every later one) in
-    [XC], so the partition is still valid. *)
+    [XC], so the partition is still valid. The closing fA/fB
+    interpolation runs under the same deadline; when it is cut short the
+    partition is returned without it. *)

@@ -30,17 +30,12 @@ val of_string : string -> t
 
 val pp : Format.formatter -> t -> unit
 
-val qbf_target : t -> Qbf_model.target
-(** The optimum a QBF method searches for: [Qd] → disjointness, [Qb] →
-    balancedness, [Qdb] → combined cost.
-
-    @raise Invalid_argument for the heuristics [Ljh] and [Mg], which
-    have no QBF model. *)
-
 type outcome = {
   partition : Partition.t option;
       (** [None] = not decomposable, or nothing found within budget. *)
-  optimal : bool;  (** Proven optimal for the method's {!qbf_target}. *)
+  optimal : bool;
+      (** Proven optimal for the method's QBF target: [Qd] → disjointness,
+          [Qb] → balancedness, [Qdb] → combined cost. *)
   timed_out : bool;  (** No partition, and the budget ran out. *)
   counters : (string * int) list;
       (** The method's work counters ([sat_calls], [seeds_tried],
@@ -51,6 +46,6 @@ val run : time_budget:float -> t -> Problem.t -> Gate.t -> outcome
 (** The one method kernel: a partition search on one problem within
     [time_budget] seconds. [Ljh] and [Mg] run {!Ljh.find} and {!Mg.find}.
     [Qd], [Qb] and [Qdb] bootstrap with STEP-MG on a quarter of the
-    budget, then run {!Qbf_model.optimize} on {!qbf_target} with what is
-    left, on the same {!Copies} scaffold, as the paper does. The engine
+    budget, then run {!Qbf_model.optimize} on the method's target with
+    what is left, on the same {!Copies} scaffold, as the paper does. The engine
     and {!Recursive} both search through it. *)

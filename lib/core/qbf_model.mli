@@ -57,15 +57,8 @@ type outcome = {
   cpu : float;
 }
 
-val target_name : target -> string
-(** Stable lowercase label, used in span attributes and reports. *)
-
 val target_k : target -> Partition.t -> int
 (** The integer the target bounds, for a canonicalized partition. *)
-
-val default_strategy : target -> strategy
-(** What the paper found best: Composite for disjointness and the
-    combined cost, MI for balancedness. *)
 
 val optimize :
   ?copies:Copies.t ->
@@ -81,8 +74,9 @@ val optimize :
 (** Runs the optimum search. [bootstrap] (typically the STEP-MG partition)
     provides the initial upper bound; without it the search first decides
     plain decomposability at the loosest bound. [symmetry_breaking]
-    defaults to [true]. With a [bootstrap], the result is never worse than
-    it (mirroring the paper's setup).
+    defaults to [true]. [strategy] defaults to what the paper found
+    best: [Composite], or [Mi] for [Balancedness]. With a [bootstrap],
+    the result is never worse than it (mirroring the paper's setup).
 
     Just before its first bound query, the search seeds the abstraction
     with both clauses of every pair of the pair graph ({!Screen.pairs} on

@@ -4,11 +4,6 @@
     support containment of [fA]/[fB] in their partition blocks and
     SAT-based equivalence of [f] with [fA <OP> fB] (a miter refutation). *)
 
-val supports_ok :
-  Problem.t -> Partition.t -> fa:Step_aig.Aig.lit -> fb:Step_aig.Aig.lit -> bool
-(** [fA] must structurally depend only on [XA ∪ XC], [fB] only on
-    [XB ∪ XC]. *)
-
 val equivalent :
   Problem.t -> Gate.t -> fa:Step_aig.Aig.lit -> fb:Step_aig.Aig.lit -> bool
 (** SAT check that [f ⊕ (fA <OP> fB)] is unsatisfiable. *)
@@ -20,4 +15,5 @@ val decomposition :
   fa:Step_aig.Aig.lit ->
   fb:Step_aig.Aig.lit ->
   bool
-(** Conjunction of {!supports_ok} and {!equivalent}. *)
+(** [fA] structurally depends only on [XA ∪ XC], [fB] only on
+    [XB ∪ XC], and {!equivalent} holds. *)

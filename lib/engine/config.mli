@@ -49,14 +49,15 @@ type t = {
           shared across runs, engines and worker domains; see
           {!Step_cache.Cache} for the keying and persistence contract. *)
   certify : bool;
-      (** Produce a proof-carrying certificate for every solved output
+      (** Produce a proof-carrying certificate for every reported answer
           ({!Step_core.Certify}) and re-validate it with the independent
           checker before reporting (default off — certification re-solves
           each answer with proof logging on, roughly doubling solve
-          cost). Certificates ride along with cache entries and are
-          re-checked on every disk rehydration. A result keeps only the
-          checked summary; the certificate itself is written to
-          [cert_dir] or dropped. *)
+          cost). Under the auto gate only the kept gate is certified.
+          Certificates ride along with cache entries with their checked
+          summaries, which hits reuse, and are re-checked on every disk
+          rehydration. A result keeps only the checked summary; the
+          certificate itself is written to [cert_dir] or dropped. *)
   cert_dir : string option;
       (** Directory (created by [Engine.create]) where each output's
           certificate is saved as [<po>.cert.json]

@@ -119,9 +119,18 @@ let timeout_stub ~method_ name =
    left of the total budget. [circuit] is the job's private compacted
    copy — the QBF methods add copy inputs and scratch nodes to its
    manager. Cache keys use the configured [cfg.per_po_budget], never the
-   clamped [budget]. Returns the row and the certificate body, which the
-   row does not keep (see [supervise_job]). *)
-let decompose_kernel (cfg : Config.t) ~budget circuit i gate method_ =
+   clamped [budget].
+
+   Solving and certifying are two steps. The kernel solves and returns
+   the row, with no certificate, and its certify step. [certify ()]
+   returns the row with its certificate's checked summary and the step's
+   time added to [cpu], and the certificate body, which the row does not
+   keep (see [supervise_job]); without [cfg.certify], or for a timeout,
+   it returns the row unchanged and no body. The fixed-gate path is
+   [eager]: the kernel runs the step itself, inside its span, returns
+   the certified row, and the step only hands the result back. The auto
+   path is not, and runs the step for the gate it keeps only. *)
+let decompose_kernel (cfg : Config.t) ~budget ~eager circuit i gate method_ =
   let name = Circuit.output_name circuit i in
   Obs.span
     ~attrs:
@@ -135,8 +144,7 @@ let decompose_kernel (cfg : Config.t) ~budget circuit i gate method_ =
   let t0 = Clock.now () in
   let p = Problem.of_output circuit i in
   let n = Problem.n_vars p in
-  let finish ?cache_hit ?certificate ?(counters = []) partition proven_optimal
-      timed_out =
+  let finish ?cache_hit ?(counters = []) partition proven_optimal timed_out =
     let partition = Option.map Partition.canonical partition in
     let diags =
       match partition with
@@ -144,8 +152,6 @@ let decompose_kernel (cfg : Config.t) ~budget circuit i gate method_ =
           Partition.lint ~name ~support:p.Problem.support part
       | _ -> []
     in
-    let cpu = Clock.elapsed_since t0 in
-    Metrics.observe h_po cpu;
     let row =
       {
         (timeout_stub ~method_ name) with
@@ -154,10 +160,9 @@ let decompose_kernel (cfg : Config.t) ~budget circuit i gate method_ =
         proven_optimal;
         timed_out;
         cache_hit;
-        cpu;
+        cpu = Clock.elapsed_since t0;
         counters;
         diags;
-        certificate;
       }
     in
     Obs.add_attr "n" (Json.Int n);
@@ -174,89 +179,102 @@ let decompose_kernel (cfg : Config.t) ~budget circuit i gate method_ =
   (* Certificates re-solve the answer with proof logging on, so they are
      only built when asked for, and never for timeouts (a timeout is not
      a claim — there is nothing to certify). Body and checked summary. *)
-  let mk_cert problem partition timed_out =
-    if cfg.certify && not timed_out then
-      Obs.span "cert.generate" (fun () ->
-          Certify.for_po ~po:name ~method_name:(Method.to_string method_)
-            problem gate partition)
-    else None
+  let wanted timed_out = cfg.certify && not timed_out in
+  let mk_cert problem partition =
+    Obs.span "cert.generate" (fun () ->
+        Certify.for_po ~po:name ~method_name:(Method.to_string method_)
+          problem gate partition)
   in
-  if n < max 2 cfg.min_support then (finish None true false, None)
-  else begin
-    match cfg.cache with
-    | None ->
-        let { Method.partition; optimal; timed_out; counters } =
-          Method.run ~time_budget:budget method_ p gate
-        in
-        let cert = mk_cert p partition timed_out in
-        ( finish ?certificate:(Option.map snd cert) ~counters partition optimal
-            timed_out,
-          Option.map fst cert )
-    | Some cache ->
-        (* Canonicalize the cone; on a miss solve the canonical rebuild,
-           not the original, so the stored entry is a pure function of
-           the key (two isomorphic cones would otherwise race to publish
-           their own numbering's solution, making warm results depend on
-           scheduling). On a hit rehydrate through the input mapping. *)
-        let cone =
-          Obs.span "cache.extract" (fun () ->
-              Cone.extract circuit.Circuit.aig (Circuit.output circuit i))
-        in
-        let key =
-          cache_key ~gate ~method_ ~budget:cfg.per_po_budget
-            ~min_support:cfg.min_support cone
-        in
-        (* the canonical rebuild serves both the miss solve and any
-           certificate work; built at most once per call *)
-        let canonical_problem =
-          lazy
-            (let cm, croot = Cone.build cone in
-             Problem.of_edge cm croot)
-        in
-        let compute () =
-          let cp = Lazy.force canonical_problem in
-          let budget = Float.max 0.0 (budget -. Clock.elapsed_since t0) in
+  let row, cert =
+    if n < max 2 cfg.min_support then (finish None true false, fun () -> None)
+    else
+      match cfg.cache with
+      | None ->
           let { Method.partition; optimal; timed_out; counters } =
-            Method.run ~time_budget:budget method_ cp gate
+            Method.run ~time_budget:budget method_ p gate
           in
-          (* certify on the canonical problem, so the stored certificate
-             is — like the entry itself — a pure function of the key and
-             speaks in canonical input indices *)
-          let cert = Option.map fst (mk_cert cp partition timed_out) in
-          {
-            Cache.partition;
-            proven_optimal = optimal;
-            timed_out;
-            counters;
-            cert;
-          }
-        in
-        let entry, hit =
-          Cache.find_or_compute cache ~key ~n_inputs:(Cone.n_inputs cone)
-            compute
-        in
-        let cert =
-          if not cfg.certify || entry.Cache.timed_out then None
-          else
-            match entry.Cache.cert with
-            | Some c ->
-                Some (c, Obs.span "cert.check" (fun () -> Certify.of_cert c))
-            | None ->
-                (* warm entry from an uncertified run: generate fresh *)
-                mk_cert
-                  (Lazy.force canonical_problem)
-                  entry.Cache.partition entry.Cache.timed_out
-        in
-        let rehydrate part =
-          let mapv = List.map (fun k -> cone.Cone.inputs.(k)) in
-          Partition.make ~xa:(mapv part.Partition.xa)
-            ~xb:(mapv part.Partition.xb) ~xc:(mapv part.Partition.xc)
-        in
-        ( finish ~cache_hit:hit ?certificate:(Option.map snd cert)
-            ~counters:entry.Cache.counters
-            (Option.map rehydrate entry.Cache.partition)
-            entry.Cache.proven_optimal entry.Cache.timed_out,
-          Option.map fst cert )
+          ( finish ~counters partition optimal timed_out,
+            fun () -> if wanted timed_out then mk_cert p partition else None )
+      | Some cache ->
+          (* Canonicalize the cone; on a miss solve the canonical rebuild,
+             not the original, so the stored entry is a pure function of
+             the key (two isomorphic cones would otherwise race to publish
+             their own numbering's solution, making warm results depend on
+             scheduling). On a hit rehydrate through the input mapping. *)
+          let cone =
+            Obs.span "cache.extract" (fun () ->
+                Cone.extract circuit.Circuit.aig (Circuit.output circuit i))
+          in
+          let key =
+            cache_key ~gate ~method_ ~budget:cfg.per_po_budget
+              ~min_support:cfg.min_support cone
+          in
+          (* the canonical rebuild serves both the miss solve and any
+             certificate work; built at most once per call *)
+          let canonical_problem =
+            lazy
+              (let cm, croot = Cone.build cone in
+               Problem.of_edge cm croot)
+          in
+          let compute () =
+            let cp = Lazy.force canonical_problem in
+            let budget = Float.max 0.0 (budget -. Clock.elapsed_since t0) in
+            let { Method.partition; optimal; timed_out; counters } =
+              Method.run ~time_budget:budget method_ cp gate
+            in
+            {
+              Cache.partition;
+              proven_optimal = optimal;
+              timed_out;
+              counters;
+              cert = None;
+            }
+          in
+          let entry, hit =
+            Cache.find_or_compute cache ~key ~n_inputs:(Cone.n_inputs cone)
+              compute
+          in
+          (* An entry is solved with no certificate, and certified once,
+             the first time a certified run reports it. The certificate
+             speaks for the canonical problem, so — like the entry
+             itself — it is a pure function of the key, in canonical
+             input indices. *)
+          let cert () =
+            if not (wanted entry.Cache.timed_out) then None
+            else
+              Cache.certify cache ~key (fun () ->
+                  mk_cert (Lazy.force canonical_problem) entry.Cache.partition)
+          in
+          let rehydrate part =
+            let mapv = List.map (fun k -> cone.Cone.inputs.(k)) in
+            Partition.make ~xa:(mapv part.Partition.xa)
+              ~xb:(mapv part.Partition.xb) ~xc:(mapv part.Partition.xc)
+          in
+          ( finish ~cache_hit:hit ~counters:entry.Cache.counters
+              (Option.map rehydrate entry.Cache.partition)
+              entry.Cache.proven_optimal entry.Cache.timed_out,
+            cert )
+  in
+  let certify () =
+    let t1 = Clock.now () in
+    match cert () with
+    | None -> (row, None)
+    | Some (body, summary) ->
+        ( {
+            row with
+            certificate = Some summary;
+            cpu = row.cpu +. Clock.elapsed_since t1;
+          },
+          Some body )
+  in
+  if eager then begin
+    let ((r, _) as certified) = certify () in
+    Metrics.observe h_po r.cpu;
+    (r, fun () -> certified)
+  end
+  else begin
+    Metrics.observe h_po row.cpu;
+    (row, certify)
   end
 
 let score (r : po_result) =
@@ -267,15 +285,19 @@ let score (r : po_result) =
 (* Auto-gate kernel: tries the three gates on one output. Each gate's
    slice is an even share of the budget *still unspent*, so a gate that
    finishes early (tiny support, fast UNSAT) hands its slack to the
-   remaining gates instead of wasting it. *)
+   remaining gates instead of wasting it. The gates are scored with no
+   certificates; only the kept one is certified. *)
 let decompose_auto_kernel cfg ~budget circuit i method_ =
   let _, rev_candidates =
     List.fold_left
       (fun (remaining, acc) gate ->
         let gates_left = List.length Gate.all - List.length acc in
         let slice = remaining /. float_of_int gates_left in
-        let r, body = decompose_kernel cfg ~budget:slice circuit i gate method_ in
-        (Float.max 0.0 (remaining -. r.cpu), (gate, r, body) :: acc))
+        let r, certify =
+          decompose_kernel cfg ~budget:slice ~eager:false circuit i gate
+            method_
+        in
+        (Float.max 0.0 (remaining -. r.cpu), (gate, r, certify) :: acc))
       (budget, []) Gate.all
   in
   let candidates = List.rev rev_candidates in
@@ -287,15 +309,18 @@ let decompose_auto_kernel cfg ~budget circuit i method_ =
         | Some (_, br, _) -> if score r < score br then Some c else acc)
       None candidates
   in
-  (* the row reports the time of every gate tried, not just the winner's *)
-  let cpu =
-    List.fold_left (fun acc (_, r, _) -> acc +. r.cpu) 0.0 candidates
-  in
   match best with
-  | Some (gate, r, body) when r.partition <> None ->
-      (Some gate, { r with cpu }, body)
-  | Some (_, r, body) -> (None, { r with cpu }, body)
   | None -> assert false
+  | Some (gate, best_r, certify) ->
+      let r, body = certify () in
+      (* the row reports the time of every gate tried, not just the
+         winner's, plus the winner's certificate *)
+      let cpu =
+        List.fold_left (fun acc (_, c, _) -> acc +. c.cpu) 0.0 candidates
+        +. (r.cpu -. best_r.cpu)
+      in
+      let gate = if r.partition <> None then Some gate else None in
+      (gate, { r with cpu }, body)
 
 type t = { circuit : Circuit.t; config : Config.t }
 
@@ -362,8 +387,10 @@ let po_scope i = "po:" ^ string_of_int i
    of every ladder rung — runs inside one Fault scope named after the
    output index, so injected-fault ordinals are deterministic at any
    [jobs]. [job method_ i] returns an auxiliary value (the chosen gate
-   for the auto path, unit otherwise), the row and its certificate body;
-   [no_aux] is what a failed output reports for the first.
+   for the auto path, unit otherwise), the certified row and its
+   certificate body (the job has already run the kernel's certify step,
+   for the kept gate only under auto); [no_aux] is what a failed output
+   reports for the first.
 
    The flow: the configured method runs under the retry policy
    (transient failures back off and retry, deterministic ones do not);
@@ -453,9 +480,11 @@ let supervise_job eng ~no_aux ~job i =
 
 let run_job eng ~deadline i =
   let kernel cfg ~budget circuit i method_ =
-    let r, body =
-      decompose_kernel cfg ~budget circuit i cfg.Config.gate method_
+    let _, certify =
+      decompose_kernel cfg ~budget ~eager:true circuit i cfg.Config.gate
+        method_
     in
+    let r, body = certify () in
     ((), r, body)
   in
   snd

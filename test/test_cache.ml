@@ -277,6 +277,100 @@ let test_disk_tampered_cert_rejected () =
       check_stats "healed" c2 ~hits:8 ~misses:0;
       Alcotest.(check bool) "no further diags" true (Cache.diags c2 = []))
 
+(* ---------- certificates: checked once, reused on every hit ---------- *)
+
+let checked () =
+  Step_obs.Metrics.value (Step_obs.Metrics.counter "cert.checked")
+
+(* [f ()] with the number of cert.generate spans it opened *)
+let count_generated f =
+  let n = ref 0 in
+  let sink =
+    Step_obs.Obs.callback_sink (fun r ->
+        if r.Step_obs.Obs.r_name = "cert.generate" then incr n)
+  in
+  let x = Step_obs.Obs.with_sink sink f in
+  (x, !n)
+
+let all_certs_ok (r : Engine.circuit_result) =
+  Array.for_all
+    (fun po ->
+      match po.Engine.certificate with
+      | Some c -> c.Step_core.Certify.ok
+      | None -> false)
+    r.Engine.per_po
+
+(* The decoder's 8 outputs share one cone: the miss builds and checks the
+   one certificate, every in-memory hit reuses its checked summary. A
+   second run on the same cache checks nothing. *)
+let test_memory_hit_reuses_summary () =
+  let c = Cache.create () in
+  let before = checked () in
+  let cold = run_decoder ~cache:c ~certify:true () in
+  Alcotest.(check int) "cold run checks once" 1 (checked () - before);
+  Alcotest.(check bool) "cold summaries ok" true (all_certs_ok cold);
+  let before = checked () in
+  let warm = run_decoder ~cache:c ~certify:true () in
+  check_stats "after two runs" c ~hits:15 ~misses:1;
+  Alcotest.(check int) "hits run no checker" 0 (checked () - before);
+  Alcotest.(check bool) "warm summaries ok" true (all_certs_ok warm)
+
+(* A disk hit checks the stored certificate once, at load; the hits that
+   follow reuse that summary. *)
+let test_disk_hit_checked_once () =
+  with_temp_dir (fun dir ->
+      ignore (run_decoder ~cache:(Cache.create ~dir ()) ~certify:true ());
+      let warm_cache = Cache.create ~dir () in
+      let before = checked () in
+      let warm, generated =
+        count_generated (fun () ->
+            run_decoder ~cache:warm_cache ~certify:true ())
+      in
+      check_stats "warm" warm_cache ~hits:8 ~misses:0;
+      Alcotest.(check int) "no certificate built" 0 generated;
+      Alcotest.(check int) "one check, at the load" 1 (checked () - before);
+      Alcotest.(check bool) "summaries ok" true (all_certs_ok warm))
+
+(* -g auto certifies the gate it keeps after the cache stored its entry
+   without a certificate; the certificate is attached and republished,
+   so a fresh cache on the same directory serves it from disk. *)
+let test_auto_winner_cert_persisted () =
+  let auto cache =
+    let config =
+      decoder_config ~cache ~certify:true () |> Config.with_gate Gate.Or_gate
+    in
+    Engine.run_auto (Engine.create ~config (Generators.decoder 3))
+  in
+  let ok results =
+    Array.for_all
+      (fun (_, (r : Engine.po_result)) ->
+        match r.Engine.certificate with
+        | Some c -> c.Step_core.Certify.ok
+        | None -> false)
+      results
+  in
+  with_temp_dir (fun dir ->
+      let cold = auto (Cache.create ~dir ()) in
+      Alcotest.(check bool) "cold summaries ok" true (ok cold);
+      let has_cert f =
+        let j =
+          Step_obs.Json.of_string
+            (In_channel.with_open_text (Filename.concat dir f)
+               In_channel.input_all)
+        in
+        Step_obs.Json.member "cert" j <> Step_obs.Json.Null
+      in
+      Alcotest.(check bool) "an entry file carries a certificate" true
+        (Array.exists has_cert (Sys.readdir dir));
+      let before = checked () in
+      let warm, generated =
+        count_generated (fun () -> auto (Cache.create ~dir ()))
+      in
+      Alcotest.(check int) "no certificate built" 0 generated;
+      Alcotest.(check int) "the winner's certificate checked once" 1
+        (checked () - before);
+      Alcotest.(check bool) "warm summaries ok" true (ok warm))
+
 (* ---------- direct api: dedup, versioning, validation ---------- *)
 
 let entry_file dir key =
@@ -301,6 +395,40 @@ let test_compute_called_once () =
   Alcotest.(check bool) "first is a miss" false hit1;
   Alcotest.(check bool) "second is a hit" true hit2;
   Alcotest.(check bool) "same entry" true (e1 = e2)
+
+(* A second caller that arrives while the first is certifying the same
+   key waits for it and reuses its certificate: the certificate is made
+   once per key. Later callers find it attached to the entry. *)
+let test_certify_once_per_key () =
+  let c = Cache.create () in
+  ignore (Cache.find_or_compute c ~key:"k" ~n_inputs:2 (fun () -> some_entry));
+  let m = Aig.create () in
+  let x0 = Aig.fresh_input m and x1 = Aig.fresh_input m in
+  let p = Step_core.Problem.of_edge m (Aig.and_ m x0 x1) in
+  let part = Partition.make ~xa:[ 0 ] ~xb:[ 1 ] ~xc:[] in
+  let made = Atomic.make 0 and started = Atomic.make false in
+  let make () =
+    Atomic.incr made;
+    Atomic.set started true;
+    Unix.sleepf 0.05;
+    Step_core.Certify.for_po ~po:"k" ~method_name:"test" p Gate.And_gate
+      (Some part)
+  in
+  let first = Domain.spawn (fun () -> Cache.certify c ~key:"k" make) in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let second = Cache.certify c ~key:"k" make in
+  let first = Domain.join first in
+  Alcotest.(check int) "made once" 1 (Atomic.get made);
+  Alcotest.(check bool) "both callers got it" true
+    (first <> None && first = second);
+  ignore (Cache.certify c ~key:"k" make);
+  Alcotest.(check int) "attached to the entry" 1 (Atomic.get made);
+  let e, _ =
+    Cache.find_or_compute c ~key:"k" ~n_inputs:2 (fun () -> some_entry)
+  in
+  Alcotest.(check bool) "entry carries it" true (e.Cache.cert = first)
 
 let test_timed_out_never_cached () =
   let c = Cache.create () in
@@ -382,6 +510,12 @@ let () =
             test_disk_corrupt_entry_skipped;
           Alcotest.test_case "tampered cert rejected" `Quick
             test_disk_tampered_cert_rejected;
+          Alcotest.test_case "memory hit reuses the summary" `Quick
+            test_memory_hit_reuses_summary;
+          Alcotest.test_case "disk hit checked once" `Quick
+            test_disk_hit_checked_once;
+          Alcotest.test_case "auto winner certificate persisted" `Quick
+            test_auto_winner_cert_persisted;
         ] );
       ( "api",
         [
@@ -389,6 +523,8 @@ let () =
             test_compute_called_once;
           Alcotest.test_case "timed out never cached" `Quick
             test_timed_out_never_cached;
+          Alcotest.test_case "certify once per key" `Quick
+            test_certify_once_per_key;
           Alcotest.test_case "version mismatch skipped" `Quick
             test_version_mismatch_skipped;
           Alcotest.test_case "invalid partition skipped" `Quick

@@ -1020,6 +1020,29 @@ let test_ljh_budget_bounds_checks () =
       Alcotest.(check bool) "cut short in the first seed check" true
         (r.Ljh.partition = None))
 
+(* LJH's closing fA/fB interpolation runs under its budget too. The
+   clock is a fake that advances 1 ms per read. On outputs 0-5 of C7552
+   under OR, each budget is a tenth of the unbudgeted run: the find must
+   return within 5 clock reads of it, whether the deadline passes in the
+   seed scan, in the growth or in the interpolation. *)
+let test_ljh_budget_bounds_extraction () =
+  let c = Step_circuits.Suite.by_name "C7552" in
+  let g = Gate.Or_gate in
+  let t = ref 0.0 in
+  Step_obs.Clock.set_source (fun () ->
+      t := !t +. 0.001;
+      !t);
+  Fun.protect ~finally:Step_obs.Clock.use_wall_clock (fun () ->
+      for po = 0 to 5 do
+        let p = Problem.of_output c po in
+        let full = Ljh.find p g in
+        let budget = full.Ljh.cpu /. 10.0 in
+        let r = Ljh.find ~time_budget:budget p g in
+        if r.Ljh.cpu > budget +. 0.005 then
+          Alcotest.failf "po %d: returned %.3f fake s after a %.3f s budget"
+            po r.Ljh.cpu budget
+      done)
+
 (* ---------- screened MG seed scan ---------- *)
 
 (* Seeded planted cones (decomposable under their own gate, mostly not
@@ -1329,6 +1352,8 @@ let () =
             test_mg_budget_bounds_mus;
           Alcotest.test_case "ljh budget bounds the checks" `Quick
             test_ljh_budget_bounds_checks;
+          Alcotest.test_case "ljh budget bounds the extraction" `Quick
+            test_ljh_budget_bounds_extraction;
           Alcotest.test_case "mg mus hook has witnesses" `Quick
             test_mg_mus_hook;
           Alcotest.test_case "side-3 tuple never banked" `Quick

@@ -216,6 +216,56 @@ let test_auto_cpu_sums_gates () =
       (r.Engine.cpu <= total && r.Engine.cpu >= (0.9 *. total) -. 1e-4)
   done
 
+(* -g auto scores the three gates with no certificates and certifies only
+   the one it keeps: each output builds exactly one certificate (one
+   cert.generate span, one run of the checker), its summary is ok, and
+   --cert-dir holds the kept gate's body. *)
+let test_auto_certifies_kept_gate_only () =
+  let module Cert = Step_cert.Cert in
+  let module Metrics = Step_obs.Metrics in
+  let dir = Filename.temp_dir "step-auto-cert" "" in
+  let config =
+    Config.default |> Config.with_certify true
+    |> Config.with_cert_dir (Some dir)
+  in
+  let eng = Engine.create ~config (toy_circuit ()) in
+  let generated = ref 0 in
+  let sink =
+    Step_obs.Obs.callback_sink (fun r ->
+        if r.Step_obs.Obs.r_name = "cert.generate" then incr generated)
+  in
+  let checked () = Metrics.value (Metrics.counter "cert.checked") in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      for i = 0 to Circuit.n_outputs (Engine.circuit eng) - 1 do
+        generated := 0;
+        let before = checked () in
+        let gate, r =
+          Step_obs.Obs.with_sink sink (fun () -> Engine.decompose_po_auto eng i)
+        in
+        let po = r.Engine.po_name in
+        Alcotest.(check int) (po ^ ": one certificate built") 1 !generated;
+        Alcotest.(check int) (po ^ ": one certificate checked") 1
+          (checked () - before);
+        Alcotest.(check bool) (po ^ ": summary ok") true
+          (match r.Engine.certificate with
+          | Some c -> c.Step_core.Certify.ok
+          | None -> false);
+        match Cert.load (Cert.file ~dir po) with
+        | Error msg -> Alcotest.failf "%s: %s" po msg
+        | Ok c ->
+            let kept = Option.value gate ~default:Gate.Or_gate in
+            Alcotest.(check string) (po ^ ": saved body is the kept gate's")
+              (Gate.to_string kept) c.Cert.gate;
+            Alcotest.(check bool) (po ^ ": saved body claims the row's answer")
+              (r.Engine.partition <> None) (c.Cert.partition <> None)
+      done)
+
 let test_session_does_not_pollute () =
   let c = toy_circuit () in
   let before = Aig.n_nodes c.Circuit.aig in
@@ -493,6 +543,8 @@ let () =
             test_auto_parallel_matches_sequential;
           Alcotest.test_case "auto cpu sums the gates" `Quick
             test_auto_cpu_sums_gates;
+          Alcotest.test_case "auto certifies the kept gate only" `Quick
+            test_auto_certifies_kept_gate_only;
           Alcotest.test_case "session circuit untouched" `Quick
             test_session_does_not_pollute;
           Alcotest.test_case "total budget cancels" `Quick
