@@ -174,10 +174,13 @@ certfuzz:
 # the plain solver (reference); with a guarded pigeonhole formula added,
 # under a random assumption and under the guard (which learns clauses),
 # followed by a forced DB reduction that must delete learnts, arena
-# compaction and a re-solve; and in proof mode the pigeonhole formula
+# compaction and a re-solve; in proof mode the pigeonhole formula
 # alone, solved under the guard, reduced (deleting learnts) and
 # compacted, then the CNF added and solved, then refuted with the guard
-# asserted, whose LRAT/DRAT certificates must still check.
+# asserted, whose LRAT/DRAT certificates must still check; and split
+# into eager and hidden clauses, the hidden ones handed over by the
+# solve's model hook, with and without a random assumption set, whose
+# verdicts must match the plain solver's.
 arenasmoke:
 	dune build bin/fuzz.exe
 	dune exec --no-build bin/fuzz.exe -- --arena --rounds 120 --vars 12 \

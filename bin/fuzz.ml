@@ -433,16 +433,18 @@ let proof_round round st =
   end
 
 (* --arena mode: differential fuzzing of the arena-based solver paths.
-   Every round solves the same random CNF three ways — the plain solver
+   Every round solves the same random CNF four ways — the plain solver
    (reference); with a guarded pigeonhole formula added, a solve under a
    random assumption and one under the guard (which learns clauses), then
    a forced DB reduction and compaction, then a re-solve without
-   assumptions; and proof-logged, the pigeonhole formula alone solved
-   under the guard, reduced and compacted, then the CNF added and
-   solved, then refuted with the guard asserted — and demands identical
-   verdicts, satisfying models, clean invariant audits, and LRAT/DRAT
-   certificates that still check after the arena has moved every
-   clause. *)
+   assumptions; proof-logged, the pigeonhole formula alone solved under
+   the guard, reduced and compacted, then the CNF added and solved, then
+   refuted with the guard asserted; and split into eager clauses and
+   hidden ones that an [on_model] hook adds inside the search, with and
+   without a random assumption set — and demands identical verdicts,
+   satisfying models, cores within the assumptions, clean invariant
+   audits, and LRAT/DRAT certificates that still check after the arena
+   has moved every clause. *)
 
 (* Pigeonhole [n_h + 1] -> [n_h] over DIMACS vars from [first], every
    clause prefixed with [-g]: unsatisfiable under the assumption [g],
@@ -567,7 +569,54 @@ let arena_round round st =
     Diag.has_errors
       (Cert.check_lrat ~item:"arena-lrat" ~n_vars:e.Lrat.n_vars
          ~cnf:(Cert.pack_cnf e.Lrat.cnf) ~proof:e.Lrat.proof ())
-  then fail round "LRAT rejected after arena compaction"
+  then fail round "LRAT rejected after arena compaction";
+  (* hook leg, sanitized: the CNF split into eager clauses and hidden
+     ones that the on_model hook hands over, the first one each model
+     falsifies. The verdict must be the reference's, a model must satisfy
+     the whole CNF, a refutation must leave the solver not okay, and a
+     plain re-solve must agree. Then the same on a fresh split solver
+     under a random assumption set, against the reference under those
+     assumptions, with the core within them. *)
+  let eager, hidden = List.partition (fun _ -> Random.State.bool st) cnf in
+  let hooked s () =
+    let value v = Solver.var_value s (v - 1) in
+    match List.find_opt (fun c -> not (eval_dimacs [ c ] value)) hidden with
+    | None -> Solver.Accept
+    | Some c -> Solver.Refine (List.map Lit.of_dimacs c)
+  in
+  let sh = mk eager in
+  Solver.set_sanitize sh true;
+  let rh = Solver.solve ~on_model:(hooked sh) sh = Solver.Sat in
+  if rh <> r0 then
+    fail round
+      (Printf.sprintf "hook verdict %b disagrees with reference %b" rh r0);
+  if rh then check_model "hook" sh
+  else if Solver.okay sh then fail round "hook refutation left the solver okay";
+  check_audit "hook" sh;
+  if (Solver.solve sh = Solver.Sat) <> rh then
+    fail round "plain re-solve after the hook changed the verdict";
+  let assumptions =
+    List.init
+      (1 + Random.State.int st 3)
+      (fun _ -> Lit.of_var (Random.State.bool st) (Random.State.int st n))
+  in
+  let ra = Solver.solve ~assumptions base = Solver.Sat in
+  let sa = mk eager in
+  Solver.set_sanitize sa true;
+  let rha = Solver.solve ~assumptions ~on_model:(hooked sa) sa = Solver.Sat in
+  if rha <> ra then
+    fail round
+      (Printf.sprintf "assumed hook verdict %b disagrees with reference %b" rha
+         ra);
+  if rha then begin
+    check_model "assumed hook" sa;
+    if not (List.for_all (Solver.model_value sa) assumptions) then
+      fail round "assumed hook model falsifies an assumption"
+  end
+  else if
+    not (List.for_all (fun l -> List.mem l assumptions) (Solver.unsat_core sa))
+  then fail round "assumed hook core is not within the assumptions";
+  check_audit "assumed hook" sa
 
 let () =
   let arena = ref false and optimum = ref false in

@@ -67,53 +67,6 @@ let totalizer_weighted solver weighted =
 
 let add_at_least_one solver lits = ignore (Solver.add_clause solver lits)
 
-let add_at_most_one solver lits =
-  let rec go = function
-    | [] -> ()
-    | l :: rest ->
-        List.iter
-          (fun l' ->
-            ignore (Solver.add_clause solver [ Lit.negate l; Lit.negate l' ]))
-          rest;
-        go rest
-  in
-  go lits
-
-(* Sinz's LT-SEQ encoding: registers s_{i,j} meaning "at least j of the
-   first i+1 literals are true"; overflow of the k-th register is
-   forbidden. *)
-let add_sequential_at_most solver lits k =
-  if k < 0 then invalid_arg "Cardinality.add_sequential_at_most";
-  let lits = Array.of_list lits in
-  let n = Array.length lits in
-  if k >= n then ()
-  else if k = 0 then
-    Array.iter
-      (fun l -> ignore (Solver.add_clause solver [ Lit.negate l ]))
-      lits
-  else begin
-    let reg =
-      Array.init (n - 1) (fun _ ->
-          Array.init k (fun _ -> Lit.pos (Solver.new_var solver)))
-    in
-    let add c = ignore (Solver.add_clause solver c) in
-    (* x_0 -> s_{0,1} *)
-    add [ Lit.negate lits.(0); reg.(0).(0) ];
-    for j = 1 to k - 1 do
-      add [ Lit.negate reg.(0).(j) ]
-    done;
-    for i = 1 to n - 2 do
-      add [ Lit.negate lits.(i); reg.(i).(0) ];
-      add [ Lit.negate reg.(i - 1).(0); reg.(i).(0) ];
-      for j = 1 to k - 1 do
-        add [ Lit.negate lits.(i); Lit.negate reg.(i - 1).(j - 1); reg.(i).(j) ];
-        add [ Lit.negate reg.(i - 1).(j); reg.(i).(j) ]
-      done;
-      add [ Lit.negate lits.(i); Lit.negate reg.(i - 1).(k - 1) ]
-    done;
-    add [ Lit.negate lits.(n - 1); Lit.negate reg.(n - 2).(k - 1) ]
-  end
-
 let add_bound_difference solver ~left ~right ~k ~activator =
   if k < 0 then invalid_arg "Cardinality.add_bound_difference";
   let nl = size left and nr = size right in

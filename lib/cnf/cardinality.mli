@@ -37,17 +37,6 @@ val totalizer_weighted :
 val add_at_least_one : Step_sat.Solver.t -> Step_sat.Lit.t list -> unit
 (** Plain clause [l_1 ∨ ... ∨ l_n]. *)
 
-val add_at_most_one : Step_sat.Solver.t -> Step_sat.Lit.t list -> unit
-(** Pairwise encoding; quadratic, fine for small groups. *)
-
-val add_sequential_at_most :
-  Step_sat.Solver.t -> Step_sat.Lit.t list -> int -> unit
-(** Sinz's sequential-counter encoding of the static constraint
-    "at most [k] of the literals are true". Unlike {!totalizer} outputs the
-    bound cannot be changed afterwards; used as an alternative encoding in
-    the ablation benches.
-    @raise Invalid_argument if [k < 0]. *)
-
 val add_bound_difference :
   Step_sat.Solver.t -> left:counter -> right:counter -> k:int ->
   activator:Step_sat.Lit.t -> unit

@@ -229,12 +229,12 @@ let partition_of_side abs side =
   in
   Partition.make ~xa:(block 0) ~xb:(block 1) ~xc:(block 2)
 
-(* The one clause builder, for refinements and pairs alike: excludes
-   every candidate that admits the screen's current tuple — each input
-   where x' differs must be in XA, each input where x'' differs must be
-   in XB. An empty clause would make the abstraction Unsat and report a
-   false "indecomposable", so it is an error, not an assertion that
-   -noassert would drop. *)
+(* The one clause builder, for refinements and pairs alike: the clause
+   that excludes every candidate admitting the screen's current tuple —
+   each input where x' differs must be in XA, each input where x''
+   differs must be in XB. An empty clause would make the abstraction
+   Unsat and report a false "indecomposable", so it is an error, not an
+   assertion that -noassert would drop. *)
 let exclude_tuple abs screen =
   let clause = ref [] in
   Screen.iter_diff screen
@@ -244,58 +244,64 @@ let exclude_tuple abs screen =
     failwith
       "Qbf_model: counterexample tuple with no differing input gives an \
        empty clause";
-  ignore (Solver.add_clause abs.solver !clause)
+  !clause
 
+(* One bound query is one abstraction solve. Its model hook screens each
+   candidate, then verifies it on the copies; a counterexample, simulated
+   or from SAT, is shrunk and its clause goes into the running search
+   (the clause is false under the candidate, which the tuple admits). *)
 let query abs copies screen side target k ~deadline ~refinement_cap
     ~refinements ~qbf_queries =
   incr qbf_queries;
   Metrics.inc m_queries;
   let t_query = Clock.now () in
   let assumptions = bound_assumptions abs target k in
+  let valid = ref None in
   (* the single refinement path, for simulated and SAT counterexamples
      alike: shrink the screen's current tuple, then exclude it *)
   let refine () =
     Metrics.add m_shrunk_lits (Screen.shrink screen);
-    exclude_tuple abs screen;
     incr refinements;
-    Metrics.inc m_refinements
+    Metrics.inc m_refinements;
+    Solver.Refine (exclude_tuple abs screen)
   in
-  let rec loop () =
+  let on_model () =
     if Clock.now () > deadline || !refinements >= refinement_cap then
-      Q_unknown
-    else
-      match
-        Obs.span "sat.abstraction" (fun () ->
-            Solver.solve ~assumptions ~deadline abs.solver)
-      with
-      | Solver.Unknown -> Q_unknown
-      | Solver.Unsat -> Q_invalid
-      | Solver.Sat ->
-          read_side abs side;
-          if Screen.refute screen side then begin
-            Metrics.inc m_screened;
-            refine ();
-            loop ()
-          end
-          else
-            let partition = partition_of_side abs side in
-            match
-              Obs.span "sat.verify" (fun () ->
-                  Copies.check ~deadline copies partition)
-            with
-            | Solver.Unsat -> Q_valid partition
-            | Solver.Unknown -> Q_unknown
-            | Solver.Sat ->
-                let x, x1, x2 = Copies.model_points copies in
-                if not (Screen.load screen ~x ~x1 ~x2) then
-                  failwith
-                    "Qbf_model.query: SAT counterexample does not violate \
-                     the gate condition under simulation";
-                refine ();
-                loop ()
+      Solver.Stop
+    else begin
+      read_side abs side;
+      if Screen.refute screen side then begin
+        Metrics.inc m_screened;
+        refine ()
+      end
+      else
+        let partition = partition_of_side abs side in
+        match
+          Obs.span "sat.verify" (fun () ->
+              Copies.check ~deadline copies partition)
+        with
+        | Solver.Unsat ->
+            valid := Some partition;
+            Solver.Accept
+        | Solver.Unknown -> Solver.Stop
+        | Solver.Sat ->
+            let x, x1, x2 = Copies.model_points copies in
+            if not (Screen.load screen ~x ~x1 ~x2) then
+              failwith
+                "Qbf_model.query: SAT counterexample does not violate the \
+                 gate condition under simulation";
+            refine ()
+    end
   in
   let answer =
-    Obs.span ~attrs:[ ("k", Step_obs.Json.Int k) ] "qbf.query" loop
+    Obs.span ~attrs:[ ("k", Step_obs.Json.Int k) ] "qbf.query" @@ fun () ->
+    match
+      Obs.span "sat.abstraction" (fun () ->
+          Solver.solve ~assumptions ~deadline ~on_model abs.solver)
+    with
+    | Solver.Sat -> Q_valid (Option.get !valid)
+    | Solver.Unsat -> Q_invalid
+    | Solver.Unknown -> Q_unknown
   in
   Metrics.observe h_query (Clock.elapsed_since t_query);
   answer
@@ -364,7 +370,7 @@ let optimize ?copies ?(symmetry_breaking = true) ?strategy ?bootstrap
       if not !seeded then begin
         seeded := true;
         Screen.pairs screen (fun () ->
-            exclude_tuple abs screen;
+            ignore (Solver.add_clause abs.solver (exclude_tuple abs screen));
             incr pairs;
             Metrics.inc m_pairs)
       end;

@@ -21,7 +21,10 @@
       the single refinement clause [∨_{i ∈ D1} ¬αᵢ ∨ ∨_{i ∈ D2} ¬βᵢ],
       where [D1]/[D2] are the inputs on which the copies [x']/[x'']
       differ from [x]. Refinements are valid for every bound [k], so
-      they accumulate across the whole optimum search.
+      they accumulate across the whole optimum search;
+    - a bound query is one abstraction solve: screening, verification
+      and refinement run in its model hook ([Solver.solve ~on_model]),
+      and each refinement clause joins the running search.
 
     The target integer [k] instantiates the paper's constraints:
     (5) [|XC| ≤ k] for disjointness, (6) [0 ≤ |XA| − |XB| ≤ k] for
@@ -53,7 +56,7 @@ type outcome = {
       (** The partition provably attains the optimum [k] for the target. *)
   best_k : int option; (** Target value of the best partition. *)
   refinements : int; (** CEGAR counterexamples processed. *)
-  qbf_queries : int; (** Bounded queries (abstraction solve batches). *)
+  qbf_queries : int; (** Bounded queries, one abstraction solve each. *)
   cpu : float;
 }
 

@@ -128,8 +128,9 @@ let timeout_stub ~method_ name =
    keep (see [supervise_job]); without [cfg.certify], or for a timeout,
    it returns the row unchanged and no body. The fixed-gate path is
    [eager]: the kernel runs the step itself, inside its span, returns
-   the certified row, and the step only hands the result back. The auto
-   path is not, and runs the step for the gate it keeps only. *)
+   the certified row, and the step only hands the result back; it also
+   observes [engine.po_s]. The auto path is not, runs the step for the
+   gate it keeps only, and observes [engine.po_s] once per output. *)
 let decompose_kernel (cfg : Config.t) ~budget ~eager circuit i gate method_ =
   let name = Circuit.output_name circuit i in
   Obs.span
@@ -272,10 +273,7 @@ let decompose_kernel (cfg : Config.t) ~budget ~eager circuit i gate method_ =
     Metrics.observe h_po r.cpu;
     (r, fun () -> certified)
   end
-  else begin
-    Metrics.observe h_po row.cpu;
-    (row, certify)
-  end
+  else (row, certify)
 
 let score (r : po_result) =
   match r.partition with
@@ -319,6 +317,7 @@ let decompose_auto_kernel cfg ~budget circuit i method_ =
         List.fold_left (fun acc (_, c, _) -> acc +. c.cpu) 0.0 candidates
         +. (r.cpu -. best_r.cpu)
       in
+      Metrics.observe h_po cpu;
       let gate = if r.partition <> None then Some gate else None in
       (gate, { r with cpu }, body)
 

@@ -78,6 +78,8 @@ let dummy_step = { Proof.premises = [||]; pivots = [||] }
 
 type result = Sat | Unsat | Unknown
 
+type verdict = Accept | Stop | Refine of Lit.t list
+
 exception Sanitizer_violation of Diag.t list
 
 type t = {
@@ -495,6 +497,8 @@ let record_empty_chain s confl_r =
 
 (* ---------- clause addition ---------- *)
 
+exception Done of result
+
 let add_clause_a s lits =
   Array.iter (fun l -> ensure_var s (Lit.var l)) lits;
   if not s.ok then -1
@@ -611,6 +615,64 @@ let add_clause_a s lits =
   end
 
 let add_clause s lits = add_clause_a s (Array.of_list lits)
+
+(* A clause from the [on_model] hook, false under the full assignment on
+   the trail. It is stored as a problem clause and placed like a learnt
+   one: slot 0 holds a highest-level literal, slot 1 the highest of the
+   rest. False at level 0, it refutes the clause set. With one literal on
+   the top level it asserts that literal after a backjump to the level of
+   slot 1, and -1 is returned; with two or more the search backjumps to
+   the top level and gets the clause back, to analyse as a conflict. *)
+let add_refinement s clause =
+  let lits = Array.of_list clause in
+  Array.iter
+    (fun l ->
+      if l < 0 || Lit.var l >= s.nvars || not (lit_false s l) then
+        invalid_arg "Solver.solve: on_model clause is not false under the model")
+    lits;
+  Array.sort (fun (a : int) b -> compare a b) lits;
+  let n = ref 0 in
+  Array.iter
+    (fun l ->
+      if !n = 0 || l <> lits.(!n - 1) then begin
+        lits.(!n) <- l;
+        incr n
+      end)
+    lits;
+  let n = !n in
+  let lvl i = s.level.(Lit.var lits.(i)) in
+  let swap i j =
+    let t = lits.(i) in
+    lits.(i) <- lits.(j);
+    lits.(j) <- t
+  in
+  for i = 1 to n - 1 do
+    if lvl i > lvl 0 then swap 0 i
+  done;
+  for i = 2 to n - 1 do
+    if lvl i > lvl 1 then swap 1 i
+  done;
+  let top = if n = 0 then 0 else lvl 0 in
+  let id, r = alloc_clause s lits n false in
+  s.n_problem <- s.n_problem + 1;
+  if n >= 2 then attach s r;
+  if top = 0 then begin
+    if n > 0 then record_empty_chain s r
+    else if s.proof_mode then
+      s.empty_chain <- Some { Proof.premises = [| id |]; pivots = [||] };
+    s.ok <- false;
+    s.core <- [];
+    raise (Done Unsat)
+  end
+  else if n >= 2 && lvl 1 = top then begin
+    cancel_until s top;
+    r
+  end
+  else begin
+    cancel_until s (if n >= 2 then lvl 1 else 0);
+    enqueue s lits.(0) r;
+    -1
+  end
 
 (* ---------- conflict analysis ---------- *)
 
@@ -1102,38 +1164,13 @@ let luby y x =
   let _, seq = descend sz seq x in
   y ** float_of_int seq
 
-exception Done of result
-
 (* One restart-bounded search episode. *)
-let search s assumptions deadline nof_conflicts =
+let search s assumptions deadline on_model nof_conflicts =
   let conflict_c = ref 0 in
   let n_assumps = Array.length assumptions in
   let rec loop () =
     let confl = propagate s in
-    if confl >= 0 then begin
-      s.conflicts <- s.conflicts + 1;
-      incr conflict_c;
-      if decision_level s = 0 then begin
-        record_empty_chain s confl;
-        s.ok <- false;
-        s.core <- [];
-        raise (Done Unsat)
-      end;
-      if s.conflicts land 1023 = 0 && Clock.now () > deadline then
-        raise (Done Unknown);
-      let bt, step = analyze s confl in
-      let lbd = lbd_of s s.tmp_learnt in
-      if Metrics.deep () then begin
-        Metrics.observe h_lbd (float_of_int lbd);
-        Metrics.observe h_learnt_len (float_of_int (Veci.length s.tmp_learnt))
-      end;
-      cancel_until s bt;
-      let id, r = learn_clause s lbd in
-      if s.proof_mode then push_chain s id step;
-      enqueue s (Veci.get s.tmp_learnt 0) r;
-      var_decay s;
-      loop ()
-    end
+    if confl >= 0 then conflict confl
     else begin
       if !conflict_c >= nof_conflicts then begin
         cancel_until s 0;
@@ -1168,22 +1205,57 @@ let search s assumptions deadline nof_conflicts =
       else begin
         let v = pick_branch s in
         if v < 0 then begin
-          (* model found *)
-          s.model <- Bytes.sub s.assign 0 s.nvars;
-          raise (Done Sat)
-        end;
-        if s.sanitize then sanitize_checkpoint s;
-        s.decisions <- s.decisions + 1;
-        new_decision_level s;
-        let phase = Bytes.get s.polarity v = '\001' in
-        enqueue s (Lit.of_var phase v) (-1);
-        loop ()
+          (* model found: kept in a buffer reused across models *)
+          if Bytes.length s.model <> s.nvars then
+            s.model <- Bytes.create s.nvars;
+          Bytes.blit s.assign 0 s.model 0 s.nvars;
+          match on_model with
+          | None -> raise (Done Sat)
+          | Some hook -> (
+              match hook () with
+              | Accept -> raise (Done Sat)
+              | Stop -> raise (Done Unknown)
+              | Refine clause ->
+                  let confl = add_refinement s clause in
+                  if confl >= 0 then conflict confl else loop ())
+        end
+        else begin
+          if s.sanitize then sanitize_checkpoint s;
+          s.decisions <- s.decisions + 1;
+          new_decision_level s;
+          let phase = Bytes.get s.polarity v = '\001' in
+          enqueue s (Lit.of_var phase v) (-1);
+          loop ()
+        end
       end
     end
+  and conflict confl =
+    s.conflicts <- s.conflicts + 1;
+    incr conflict_c;
+    if decision_level s = 0 then begin
+      record_empty_chain s confl;
+      s.ok <- false;
+      s.core <- [];
+      raise (Done Unsat)
+    end;
+    if s.conflicts land 1023 = 0 && Clock.now () > deadline then
+      raise (Done Unknown);
+    let bt, step = analyze s confl in
+    let lbd = lbd_of s s.tmp_learnt in
+    if Metrics.deep () then begin
+      Metrics.observe h_lbd (float_of_int lbd);
+      Metrics.observe h_learnt_len (float_of_int (Veci.length s.tmp_learnt))
+    end;
+    cancel_until s bt;
+    let id, r = learn_clause s lbd in
+    if s.proof_mode then push_chain s id step;
+    enqueue s (Veci.get s.tmp_learnt 0) r;
+    var_decay s;
+    loop ()
   in
   loop ()
 
-let solve_call s assumptions deadline =
+let solve_call s assumptions deadline on_model =
   Step_fault.Fault.hit "solver.solve";
   List.iter (fun l -> ensure_var s (Lit.var l)) assumptions;
   if not s.ok then begin
@@ -1214,9 +1286,9 @@ let solve_call s assumptions deadline =
             Fun.protect
               ~finally:(fun () ->
                 Metrics.observe h_episode (Clock.elapsed_since e0))
-              (fun () -> search s assumptions deadline bound)
+              (fun () -> search s assumptions deadline on_model bound)
           end
-          else search s assumptions deadline bound;
+          else search s assumptions deadline on_model bound;
           Metrics.inc m_restarts;
           incr restarts;
           s.max_learnts <- s.max_learnts *. 1.05;
@@ -1225,7 +1297,12 @@ let solve_call s assumptions deadline =
           maybe_collect s
         done;
         assert false
-      with Done r -> r
+      with
+      | Done r -> r
+      | e ->
+          (* a raising hook or sanitizer leaves the solver at level 0 *)
+          cancel_until s 0;
+          raise e
     in
     cancel_until s 0;
     if s.sanitize then sanitize_boundary s;
@@ -1250,9 +1327,9 @@ let solve_call s assumptions deadline =
 
 (* A deadline that has already passed answers before the fault site and
    the counters, so [sat.calls] counts only the calls that search. *)
-let solve ?(assumptions = []) ?(deadline = infinity) s =
+let solve ?(assumptions = []) ?(deadline = infinity) ?on_model s =
   if deadline < infinity && Clock.now () >= deadline then Unknown
-  else solve_call s assumptions deadline
+  else solve_call s assumptions deadline on_model
 
 let model_value s l =
   let v = Lit.var l in

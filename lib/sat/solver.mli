@@ -7,8 +7,8 @@
     (used by {!Step_interp} to compute Craig interpolants).
 
     Variables are 0-based integers created by {!new_var}; literals follow
-    the {!Lit} encoding. Clauses may only be added at decision level 0
-    (i.e. between [solve] calls). There is one entry point, {!solve}; a
+    the {!Lit} encoding. {!add_clause} only adds at decision level 0
+    (i.e. between [solve] calls); a [solve] hook adds inside the search. There is one entry point, {!solve}; a
     time limit is its [deadline] argument, so the solver keeps no budget
     from one call to the next. *)
 
@@ -66,18 +66,47 @@ val add_clause : t -> Lit.t list -> int
     kept and recorded as the refutation. Variables are allocated on
     demand. *)
 
-val solve : ?assumptions:Lit.t list -> ?deadline:float -> t -> result
+type verdict =
+  | Accept  (** The model stands: [solve] answers [Sat]. *)
+  | Stop  (** Give up: [solve] answers [Unknown]. *)
+  | Refine of Lit.t list
+      (** Add this clause and search on. It must be false under the
+          model. *)
+(** What an [on_model] hook of {!solve} makes of a model. *)
+
+val solve :
+  ?assumptions:Lit.t list ->
+  ?deadline:float ->
+  ?on_model:(unit -> verdict) ->
+  t ->
+  result
 (** [solve s] decides the clause set under the given assumptions.
     [deadline] is an absolute {!Step_obs.Clock} time (default [infinity]).
     The search checks it at restart boundaries and every 1024 conflicts,
     and answers [Unknown] once it has passed. A deadline that has passed
     before the call answers [Unknown] at once, with no search, no
     [solver.solve] fault hit and no [sat.*] counter change. The deadline
-    belongs to this call only: no budget survives it. *)
+    belongs to this call only: no budget survives it.
+
+    [on_model] is called each time the search assigns every variable,
+    with the model already readable through {!model_value}; without it
+    the first model answers [Sat]. A [Refine] clause joins the clause set
+    for good, as a problem clause with its own id (in proof mode too),
+    and the search goes on from where it stands: with one literal on the
+    highest level of the clause it backjumps and asserts that literal,
+    with two or more it analyses the clause as a conflict, and a clause
+    false at level 0 makes the set unsatisfiable ({!okay} turns
+    [false]). The hook must not call back into [s].
+    @raise Invalid_argument if a [Refine] clause has a literal that is
+    not false under the model; the solver is then back at level 0 with
+    nothing added. Any exception the hook raises leaves it the same
+    way. *)
 
 val model_value : t -> Lit.t -> bool
-(** Value of a literal in the model of the last [Sat] answer. Literals over
-    variables created after the last solve evaluate as unassigned-false. *)
+(** Value of a literal in the last model the search found: that of the
+    last [Sat] answer, or inside an [on_model] hook the model it is
+    judging. Literals over variables created after the last solve
+    evaluate as unassigned-false. *)
 
 val var_value : t -> int -> bool
 (** Model value of a variable (last [Sat] answer). *)

@@ -252,28 +252,27 @@ let test_weighted_totalizer () =
   check [ Lit.negate a; b ] 3;
   check [ a; b ] 5
 
-let test_sequential_matches_totalizer () =
-  (* both encodings must accept exactly the same input assignments *)
+let test_totalizer_matches_popcount () =
+  (* the asserted bound must accept exactly the input assignments with
+     at most k true *)
   for n = 1 to 6 do
     for k = 0 to n do
-      let s1 = Solver.create () and s2 = Solver.create () in
-      let lits1 = List.init n (fun _ -> Lit.pos (Solver.new_var s1)) in
-      let lits2 = List.init n (fun _ -> Lit.pos (Solver.new_var s2)) in
-      Cardinality.add_sequential_at_most s1 lits1 k;
-      let c2 = Cardinality.totalizer s2 lits2 in
-      (match Cardinality.at_most c2 k with
-      | Some l -> ignore (Solver.add_clause s2 [ l ])
+      let s = Solver.create () in
+      let lits = List.init n (fun _ -> Lit.pos (Solver.new_var s)) in
+      let c = Cardinality.totalizer s lits in
+      (match Cardinality.at_most c k with
+      | Some l -> ignore (Solver.add_clause s [ l ])
       | None -> ());
       for mask = 0 to (1 lsl n) - 1 do
-        let asm lits =
+        let assumptions =
           List.mapi
             (fun i l -> if env_of_mask mask i then l else Lit.negate l)
             lits
         in
         Alcotest.(check bool)
           (Printf.sprintf "n=%d k=%d mask=%d" n k mask)
-          (sat ~assumptions:(asm lits1) s1)
-          (sat ~assumptions:(asm lits2) s2)
+          (popcount mask n <= k)
+          (sat ~assumptions s)
       done
     done
   done
@@ -337,25 +336,6 @@ let test_parity_miter_stress () =
   ignore (Solver.add_clause s2 [ Tseitin.lit_of enc2 broken ]);
   Alcotest.(check bool) "distinguishable" true (sat s2)
 
-let test_at_most_one () =
-  let s = Solver.create () in
-  let lits = List.init 4 (fun _ -> Lit.pos (Solver.new_var s)) in
-  Cardinality.add_at_most_one s lits;
-  Cardinality.add_at_least_one s lits;
-  Alcotest.(check bool) "sat" true (sat s);
-  let count =
-    List.fold_left
-      (fun acc l -> if Solver.model_value s l then acc + 1 else acc)
-      0 lits
-  in
-  Alcotest.(check int) "exactly one" 1 count;
-  (* forcing two distinct to true is unsat *)
-  match lits with
-  | a :: b :: _ ->
-      Alcotest.(check bool) "two true unsat" false
-        (sat ~assumptions:[ a; b ] s)
-  | _ -> assert false
-
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -375,12 +355,11 @@ let () =
           Alcotest.test_case "at_most/at_least" `Quick test_at_most_at_least;
           Alcotest.test_case "weighted totalizer" `Quick
             test_weighted_totalizer;
-          Alcotest.test_case "sequential = totalizer" `Quick
-            test_sequential_matches_totalizer;
+          Alcotest.test_case "totalizer = popcount" `Quick
+            test_totalizer_matches_popcount;
           Alcotest.test_case "bound difference" `Quick test_bound_difference;
           Alcotest.test_case "parity miter stress" `Quick
             test_parity_miter_stress;
-          Alcotest.test_case "at_most_one" `Quick test_at_most_one;
         ] );
       qsuite "properties" [ prop_tseitin_equisat; prop_totalizer_bounds ];
     ]

@@ -919,6 +919,34 @@ let test_qbf_pairs_seeded () =
   Alcotest.(check int) "no query, no sweep" 0 n;
   Alcotest.(check int) "no query" 0 o.Qbf_model.qbf_queries
 
+(* A bound query is one abstraction solve: its refinements go into the
+   running search through the model hook, so a planted OR cone that
+   needs refinements opens exactly one sat.abstraction span per
+   qbf.query span, under every target. *)
+let test_qbf_one_solve_per_query () =
+  let module G = Step_circuits.Generators in
+  let pl = G.planted_cone ~seed:5 ~na:5 ~nb:5 ~nc:4 Gate.Or_gate in
+  let p = Problem.of_output pl.G.circuit 0 in
+  List.iter
+    (fun target ->
+      let queries = ref 0 and solves = ref 0 in
+      let sink =
+        Step_obs.Obs.callback_sink (fun r ->
+            match r.Step_obs.Obs.r_name with
+            | "qbf.query" -> incr queries
+            | "sat.abstraction" -> incr solves
+            | _ -> ())
+      in
+      let o =
+        Step_obs.Obs.with_sink sink (fun () ->
+            Qbf_model.optimize p Gate.Or_gate target)
+      in
+      Alcotest.(check bool) "refined" true (o.Qbf_model.refinements > 0);
+      Alcotest.(check bool) "optimal" true o.Qbf_model.optimal;
+      Alcotest.(check int) "queries counted" o.Qbf_model.qbf_queries !queries;
+      Alcotest.(check int) "one abstraction solve per query" !queries !solves)
+    [ Qbf_model.Disjointness; Qbf_model.Balancedness; Qbf_model.Combined ]
+
 (* MG and the QBF search it bootstraps read one pair graph: the screen of
    their shared scaffold, whose every pair optimize seeds as two
    clauses. *)
@@ -1346,6 +1374,8 @@ let () =
             test_mg_copies_mismatch_rejected;
           Alcotest.test_case "bootstrap never worse" `Quick
             test_qbf_bootstrap_never_worse;
+          Alcotest.test_case "qbf one abstraction solve per query" `Quick
+            test_qbf_one_solve_per_query;
           Alcotest.test_case "mg and qbf share one screen" `Quick
             test_mg_qbf_share_screen;
           Alcotest.test_case "mg budget bounds the mus" `Quick

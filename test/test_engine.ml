@@ -216,6 +216,19 @@ let test_auto_cpu_sums_gates () =
       (r.Engine.cpu <= total && r.Engine.cpu >= (0.9 *. total) -. 1e-4)
   done
 
+(* engine.po_s is a per-output histogram: -g auto tries three gates on
+   each output but observes it once, with the row's total cpu. *)
+let test_auto_po_s_once_per_output () =
+  let h = Step_obs.Metrics.histogram "engine.po_s" in
+  let count () = (Step_obs.Metrics.stats h).Step_obs.Metrics.count in
+  let eng = Engine.create (toy_circuit ()) in
+  let k = Circuit.n_outputs (Engine.circuit eng) in
+  let before = count () in
+  for i = 0 to k - 1 do
+    ignore (Engine.decompose_po_auto eng i)
+  done;
+  Alcotest.(check int) "one sample per output" k (count () - before)
+
 (* -g auto scores the three gates with no certificates and certifies only
    the one it keeps: each output builds exactly one certificate (one
    cert.generate span, one run of the checker), its summary is ok, and
@@ -545,6 +558,8 @@ let () =
             test_auto_cpu_sums_gates;
           Alcotest.test_case "auto certifies the kept gate only" `Quick
             test_auto_certifies_kept_gate_only;
+          Alcotest.test_case "auto observes po_s once per output" `Quick
+            test_auto_po_s_once_per_output;
           Alcotest.test_case "session circuit untouched" `Quick
             test_session_does_not_pollute;
           Alcotest.test_case "total budget cancels" `Quick

@@ -407,6 +407,175 @@ let test_compact_preserves_ids () =
     before;
   Alcotest.(check bool) "still sat" true (sat s)
 
+(* ---------- the on_model hook ---------- *)
+
+let conflicts () =
+  Step_obs.Metrics.value (Step_obs.Metrics.counter "sat.conflicts")
+
+(* The literal over [v] that the model under judgement makes false. *)
+let false_lit s v = Lit.of_var (not (Solver.var_value s v)) v
+
+let satisfied s clause = List.exists (Solver.model_value s) clause
+
+(* A hook refining with [pick ()] until it answers [None], then
+   accepting. Every model it sees must satisfy the clauses it gave
+   before; [given] lists them, newest first. *)
+let refining s pick =
+  let given = ref [] in
+  let hook () =
+    if not (List.for_all (satisfied s) !given) then
+      Alcotest.fail "a model falsifies an earlier refinement";
+    match pick () with
+    | None -> Solver.Accept
+    | Some c ->
+        given := c :: !given;
+        Solver.Refine c
+  in
+  (hook, given)
+
+let once clause =
+  let fired = ref false in
+  fun () ->
+    if !fired then None
+    else begin
+      fired := true;
+      Some (clause ())
+    end
+
+let check_audit s =
+  Alcotest.(check (list string)) "audit clean" []
+    (List.map Step_lint.Diag.to_text (Solver.audit s))
+
+(* With no clauses every variable is a decision on its own level, so a
+   clause over two of them has one literal on its highest level: it
+   asserts that literal, and the search needs no conflict. *)
+let test_hook_asserting () =
+  let s = Solver.create () in
+  Solver.set_sanitize s true;
+  Solver.ensure_var s 3;
+  let hook, given =
+    refining s (once (fun () -> [ false_lit s 0; false_lit s 1 ]))
+  in
+  let c0 = conflicts () in
+  Alcotest.(check bool) "sat" true (Solver.solve ~on_model:hook s = Solver.Sat);
+  Alcotest.(check int) "one refinement" 1 (List.length !given);
+  Alcotest.(check int) "asserted without a conflict" 0 (conflicts () - c0);
+  Alcotest.(check int) "kept as a problem clause" 1 (Solver.n_clauses s);
+  check_audit s
+
+(* x0 <-> x1: whichever is decided first propagates the other on its
+   level, so a clause over both has two literals on its highest level
+   and is analysed as one conflict. *)
+let test_hook_conflicting () =
+  let s = solver_of [ [ neg 0; pos 1 ]; [ pos 0; neg 1 ] ] in
+  Solver.set_sanitize s true;
+  Solver.ensure_var s 3;
+  let hook, given =
+    refining s (once (fun () -> [ false_lit s 0; false_lit s 1 ]))
+  in
+  let c0 = conflicts () in
+  Alcotest.(check bool) "sat" true (Solver.solve ~on_model:hook s = Solver.Sat);
+  Alcotest.(check int) "one refinement" 1 (List.length !given);
+  Alcotest.(check int) "analysed as one conflict" 1 (conflicts () - c0);
+  Alcotest.(check bool) "final model satisfies it" true
+    (List.for_all (satisfied s) !given);
+  check_audit s
+
+(* A clause false at level 0 refutes the clause set for good. *)
+let test_hook_level_zero () =
+  let s = solver_of [ [ pos 0 ]; [ neg 1 ] ] in
+  Solver.set_sanitize s true;
+  Solver.ensure_var s 3;
+  let hook, _ = refining s (once (fun () -> [ neg 0; pos 1 ])) in
+  Alcotest.(check bool) "unsat" true
+    (Solver.solve ~on_model:hook s = Solver.Unsat);
+  Alcotest.(check bool) "okay false" false (Solver.okay s);
+  Alcotest.(check int) "no core" 0 (List.length (Solver.unsat_core s));
+  Alcotest.(check bool) "stays unsat" false (sat s);
+  check_audit s
+
+(* A clause the model satisfies is refused, and leaves nothing behind. *)
+let test_hook_not_false () =
+  let s = solver_of [ [ pos 0; pos 1 ] ] in
+  Solver.set_sanitize s true;
+  let hook () =
+    Solver.Refine [ Lit.negate (false_lit s 0); false_lit s 1 ]
+  in
+  (match Solver.solve ~on_model:hook s with
+  | _ -> Alcotest.fail "a clause true under the model was accepted"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "nothing added" 1 (Solver.n_clauses s);
+  check_audit s;
+  ignore (Solver.add_clause s [ neg 0 ]);
+  Alcotest.(check bool) "usable at level 0" true (sat s);
+  Alcotest.(check bool) "x1" true (Solver.var_value s 1)
+
+let test_hook_stop () =
+  let s = solver_of [ [ pos 0; pos 1 ]; [ neg 0; neg 1 ] ] in
+  Solver.set_sanitize s true;
+  let calls = ref 0 in
+  let hook () =
+    incr calls;
+    if not (satisfied s [ pos 0; pos 1 ] && satisfied s [ neg 0; neg 1 ]) then
+      Alcotest.fail "the hook reads a model that falsifies the clauses";
+    Solver.Stop
+  in
+  Alcotest.(check bool) "unknown" true
+    (Solver.solve ~on_model:hook s = Solver.Unknown);
+  Alcotest.(check int) "one model judged" 1 !calls;
+  Alcotest.(check bool) "okay" true (Solver.okay s);
+  check_audit s;
+  Alcotest.(check bool) "plain solve sat" true (sat s)
+
+(* Under the assumptions x0 and x1 the hook excludes every value of
+   (x2, x3) alongside x0, so the search learns ~x0: the answer is Unsat
+   with the core {x0}, and the clause set itself stays satisfiable. *)
+let test_hook_assumptions () =
+  let s = Solver.create () in
+  Solver.set_sanitize s true;
+  Solver.ensure_var s 4;
+  let assumptions = [ pos 0; pos 1 ] in
+  let hook, given =
+    refining s (fun () -> Some [ neg 0; false_lit s 2; false_lit s 3 ])
+  in
+  Alcotest.(check bool) "unsat under the assumptions" true
+    (Solver.solve ~assumptions ~on_model:hook s = Solver.Unsat);
+  Alcotest.(check int) "every (x2, x3) excluded" 4 (List.length !given);
+  let core = Solver.unsat_core s in
+  Alcotest.(check bool) "core within the assumptions" true
+    (core <> [] && List.for_all (fun l -> List.mem l assumptions) core);
+  Alcotest.(check bool) "okay" true (Solver.okay s);
+  check_audit s;
+  Alcotest.(check bool) "core suffices" false (sat ~assumptions:core s);
+  Alcotest.(check bool) "sat without them" true (sat s);
+  Alcotest.(check bool) "x0 false" false (Solver.var_value s 0)
+
+(* Pigeonhole 3 -> 2 with its at-most-one clauses handed over by the
+   hook: the refutation uses them as input clauses, and the LRAT
+   certificate must check. *)
+let test_hook_proof () =
+  let module Cert = Step_cert.Cert in
+  let module Lrat = Step_sat.Lrat in
+  let clauses = pigeonhole 3 2 in
+  let eager, hidden = List.partition (List.for_all Lit.is_pos) clauses in
+  let s = solver_of ~proof:true eager in
+  Solver.set_sanitize s true;
+  Solver.ensure_var s 5;
+  let hook, given =
+    refining s (fun () ->
+        List.find_opt (fun c -> not (satisfied s c)) hidden)
+  in
+  Alcotest.(check bool) "unsat" true
+    (Solver.solve ~on_model:hook s = Solver.Unsat);
+  Alcotest.(check bool) "refined" true (!given <> []);
+  Alcotest.(check bool) "refutation" true (Solver.has_refutation s);
+  check_audit s;
+  let e = Lrat.export s in
+  Alcotest.(check (list string)) "LRAT checks" []
+    (List.map Step_lint.Diag.to_text
+       (Cert.check_lrat ~item:"hook" ~n_vars:e.Lrat.n_vars
+          ~cnf:(Cert.pack_cnf e.Lrat.cnf) ~proof:e.Lrat.proof ()))
+
 (* ---------- property tests ---------- *)
 
 let prop_matches_brute_force =
@@ -451,6 +620,34 @@ let prop_model_complete =
         List.init n (fun v ->
             Solver.model_value s (pos v) <> Solver.model_value s (neg v))
         |> List.for_all Fun.id)
+
+(* The hook hands over the hidden half of a random CNF one falsified
+   clause at a time: the verdict must match brute force on the whole
+   CNF, with a model that satisfies all of it, and so must a solve
+   under assumptions (checked against the CNF plus the assumptions). *)
+let prop_hook_matches_brute_force =
+  QCheck2.Test.make ~count:300 ~name:"hook refinement agrees with brute force"
+    ~print:print_cnf gen_cnf (fun (n, clauses) ->
+      let eager = List.filteri (fun i _ -> i mod 2 = 0) clauses
+      and hidden = List.filteri (fun i _ -> i mod 2 = 1) clauses in
+      let s = solver_of eager in
+      Solver.ensure_var s (n - 1);
+      let hook () =
+        match List.find_opt (fun c -> not (satisfied s c)) hidden with
+        | None -> Solver.Accept
+        | Some c -> Solver.Refine c
+      in
+      let agrees assumptions =
+        let units = List.map (fun l -> [ l ]) assumptions in
+        let expected = brute_force_sat n (units @ clauses) <> None in
+        match Solver.solve ~assumptions ~on_model:hook s with
+        | Solver.Sat ->
+            expected && List.for_all (satisfied s) (units @ clauses)
+        | Solver.Unsat -> not expected
+        | Solver.Unknown -> false
+      in
+      let assumptions = List.init (n / 2) (fun v -> Lit.of_var (v mod 3 = 0) v) in
+      agrees assumptions && agrees [] && Solver.audit s = [])
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -517,11 +714,22 @@ let () =
           Alcotest.test_case "compact preserves ids" `Quick
             test_compact_preserves_ids;
         ] );
+      ( "hook",
+        [
+          Alcotest.test_case "asserting clause" `Quick test_hook_asserting;
+          Alcotest.test_case "conflicting clause" `Quick test_hook_conflicting;
+          Alcotest.test_case "level-0 clause" `Quick test_hook_level_zero;
+          Alcotest.test_case "clause not false" `Quick test_hook_not_false;
+          Alcotest.test_case "stop" `Quick test_hook_stop;
+          Alcotest.test_case "assumptions" `Quick test_hook_assumptions;
+          Alcotest.test_case "proof mode" `Quick test_hook_proof;
+        ] );
       qsuite "properties"
         [
           prop_matches_brute_force;
           prop_proof_mode_agrees;
           prop_core_sufficient;
           prop_model_complete;
+          prop_hook_matches_brute_force;
         ];
     ]
