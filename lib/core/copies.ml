@@ -2,20 +2,43 @@ module Aig = Step_aig.Aig
 module Solver = Step_sat.Solver
 module Lit = Step_sat.Lit
 module Tseitin = Step_cnf.Tseitin
+module Mus = Step_mus.Mus
+
+(* The selector scaffold: the copies encoded once on the problem's AIG,
+   their input literals by support position. *)
+type scaffold = {
+  enc : Tseitin.t;
+  orig_lit : Lit.t array;
+  copy1_lit : Lit.t array;
+  copy2_lit : Lit.t array;
+}
+
+(* XOR's four-point miter: f's cone on a manager of its own, whose input
+   j is support position j, imported four times per check. *)
+type miter = {
+  cone : Aig.t;
+  root : Aig.lit;
+  mutable last_unsat : int array; (* side array of the last Unsat *)
+  mutable points : bool array * bool array * bool array; (* last Sat *)
+}
 
 type t = {
   problem : Problem.t;
   gate : Gate.t;
-  enc : Tseitin.t;
-  orig_lit : (int, Lit.t) Hashtbl.t; (* input idx -> SAT lit of x_i *)
-  copy1_lit : (int, Lit.t) Hashtbl.t; (* -> SAT lit of x'_i *)
-  copy2_lit : (int, Lit.t) Hashtbl.t; (* -> SAT lit of x''_i *)
   sel_alpha : (int, Lit.t) Hashtbl.t;
   sel_beta : (int, Lit.t) Hashtbl.t;
+  code : (Lit.t, int) Hashtbl.t; (* selector -> 2 * position + (0 α | 1 β) *)
+  scaffold : scaffold option; (* None for a plain XOR t *)
+  miter : miter option; (* Some exactly for XOR *)
   screen : Screen.t Lazy.t;
 }
 
-let solver c = Tseitin.solver c.enc
+let scaffold c =
+  match c.scaffold with
+  | Some s -> s
+  | None -> invalid_arg "Copies.solver: a plain XOR check has no scaffold"
+
+let solver c = Tseitin.solver (scaffold c).enc
 
 let screen c = Lazy.force c.screen
 
@@ -31,7 +54,9 @@ let fresh_copy aig support tag =
 
 let substitution tbl i = Hashtbl.find_opt tbl i
 
-let create ?(proof = false) (p : Problem.t) gate_ =
+(* The selector encoding: every copy on the problem's AIG, one solver,
+   and per input the two selectors with the equalities they carry. *)
+let build_scaffold ~proof (p : Problem.t) gate_ =
   let aig = p.Problem.aig in
   let support = p.Problem.support in
   let c1 = fresh_copy aig support "cpyA" in
@@ -56,18 +81,17 @@ let create ?(proof = false) (p : Problem.t) gate_ =
   let solver = Tseitin.solver enc in
   ignore (Solver.add_clause solver [ Tseitin.lit_of enc matrix ]);
   let input_lit tbl i = Tseitin.lit_of enc (Hashtbl.find tbl i) in
-  let orig_lit = Hashtbl.create 16 in
-  let copy1_lit = Hashtbl.create 16 in
-  let copy2_lit = Hashtbl.create 16 in
-  let copy3_lit = Hashtbl.create 16 in
-  List.iter
-    (fun i ->
-      Hashtbl.replace orig_lit i (Tseitin.lit_of_input enc i);
-      Hashtbl.replace copy1_lit i (input_lit c1 i);
-      Hashtbl.replace copy2_lit i (input_lit c2 i);
-      match c3 with
-      | Some c3 -> Hashtbl.replace copy3_lit i (input_lit c3 i)
-      | None -> ())
+  let n = List.length support in
+  let orig_lit = Array.make n 0 in
+  let copy1_lit = Array.make n 0 in
+  let copy2_lit = Array.make n 0 in
+  let copy3_lit = Array.make n 0 in
+  List.iteri
+    (fun j i ->
+      orig_lit.(j) <- Tseitin.lit_of_input enc i;
+      copy1_lit.(j) <- input_lit c1 i;
+      copy2_lit.(j) <- input_lit c2 i;
+      match c3 with Some c3 -> copy3_lit.(j) <- input_lit c3 i | None -> ())
     support;
   (* sel → (a ≡ b) for each equality pair carried by the selector *)
   let equal_under sel a b =
@@ -75,40 +99,73 @@ let create ?(proof = false) (p : Problem.t) gate_ =
     ignore (Solver.add_clause solver [ Lit.negate sel; a; Lit.negate b ])
   in
   let mk_selectors pairs_of =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun i ->
+    Array.init n (fun j ->
         let s = Tseitin.fresh enc in
-        List.iter (fun (a, b) -> equal_under s a b) (pairs_of i);
-        Hashtbl.replace tbl i s)
-      support;
-    tbl
+        List.iter (fun (a, b) -> equal_under s a b) (pairs_of j);
+        s)
   in
-  let x i = Hashtbl.find orig_lit i in
-  let x1 i = Hashtbl.find copy1_lit i in
-  let x2 i = Hashtbl.find copy2_lit i in
-  let x3 i = Hashtbl.find copy3_lit i in
-  let sel_alpha, sel_beta =
+  let x j = orig_lit.(j) and x1 j = copy1_lit.(j) in
+  let x2 j = copy2_lit.(j) and x3 j = copy3_lit.(j) in
+  let alpha, beta =
     match gate_ with
     | Gate.Or_gate | Gate.And_gate ->
-        ( mk_selectors (fun i -> [ (x i, x1 i) ]),
-          mk_selectors (fun i -> [ (x i, x2 i) ]) )
+        ( mk_selectors (fun j -> [ (x j, x1 j) ]),
+          mk_selectors (fun j -> [ (x j, x2 j) ]) )
     | Gate.Xor_gate ->
         (* the fourth point reuses the primed values: pinning i outside XA
            forces x ≡ x' and x''' ≡ x''; outside XB forces x ≡ x'' and
            x''' ≡ x'; both together collapse all four points *)
-        ( mk_selectors (fun i -> [ (x i, x1 i); (x3 i, x2 i) ]),
-          mk_selectors (fun i -> [ (x i, x2 i); (x3 i, x1 i) ]) )
+        ( mk_selectors (fun j -> [ (x j, x1 j); (x3 j, x2 j) ]),
+          mk_selectors (fun j -> [ (x j, x2 j); (x3 j, x1 j) ]) )
   in
+  ({ enc; orig_lit; copy1_lit; copy2_lit }, alpha, beta)
+
+(* f's cone alone, input j standing for support position j *)
+let build_miter (p : Problem.t) =
+  let cone = Aig.create () in
+  let edge = Hashtbl.create 16 in
+  List.iter
+    (fun i -> Hashtbl.replace edge i (Aig.fresh_input cone))
+    p.Problem.support;
+  let root =
+    Aig.import cone ~src:p.Problem.aig ~map_input:(Hashtbl.find edge)
+      p.Problem.f
+  in
+  { cone; root; last_unsat = [||]; points = ([||], [||], [||]) }
+
+let create ?(proof = false) (p : Problem.t) gate_ =
+  let n = Problem.n_vars p in
+  let scaffold, alpha, beta =
+    match gate_ with
+    | Gate.Xor_gate when not proof ->
+        (* the selectors only name sides, so any distinct literals do *)
+        ( None,
+          Array.init n (fun j -> Lit.pos (2 * j)),
+          Array.init n (fun j -> Lit.pos ((2 * j) + 1)) )
+    | Gate.Or_gate | Gate.And_gate | Gate.Xor_gate ->
+        let s, alpha, beta = build_scaffold ~proof p gate_ in
+        (Some s, alpha, beta)
+  in
+  let sel_alpha = Hashtbl.create 16 and sel_beta = Hashtbl.create 16 in
+  let code = Hashtbl.create (4 * n) in
+  List.iteri
+    (fun j i ->
+      Hashtbl.replace sel_alpha i alpha.(j);
+      Hashtbl.replace sel_beta i beta.(j);
+      Hashtbl.replace code alpha.(j) (2 * j);
+      Hashtbl.replace code beta.(j) ((2 * j) + 1))
+    p.Problem.support;
   {
     problem = p;
     gate = gate_;
-    enc;
-    orig_lit;
-    copy1_lit;
-    copy2_lit;
     sel_alpha;
     sel_beta;
+    code;
+    scaffold;
+    miter =
+      (match gate_ with
+      | Gate.Xor_gate -> Some (build_miter p)
+      | Gate.Or_gate | Gate.And_gate -> None);
     screen = lazy (Screen.create p gate_);
   }
 
@@ -129,6 +186,86 @@ let resolve ~caller copies (p : Problem.t) g =
 let alpha_selector c i = Hashtbl.find c.sel_alpha i
 
 let beta_selector c i = Hashtbl.find c.sel_beta i
+
+let sides c sels =
+  let n = Problem.n_vars c.problem in
+  let free = Array.make (2 * n) true in
+  List.iter (fun l -> free.(Hashtbl.find c.code l) <- false) sels;
+  Array.init n (fun j ->
+      match (free.(2 * j), free.((2 * j) + 1)) with
+      | true, false -> 0
+      | false, true -> 1
+      | false, false -> 2
+      | true, true -> 3)
+
+(* The four points by substitution: per support position, the inputs of
+   the new manager that x, x', x'' and x''' read. A pinned input is one
+   input of all four, so the structural hash merges every node outside
+   the fanout of the free ones. *)
+let miter_check ?deadline m side =
+  let aig = Aig.create () in
+  let n = Array.length side in
+  let pts = Array.make_matrix 4 n Aig.f in
+  let set j a b c d =
+    pts.(0).(j) <- a;
+    pts.(1).(j) <- b;
+    pts.(2).(j) <- c;
+    pts.(3).(j) <- d
+  in
+  let fresh () = Aig.fresh_input aig in
+  for j = 0 to n - 1 do
+    let a = fresh () in
+    match side.(j) with
+    | 0 ->
+        let a' = fresh () in
+        set j a a' a a'
+    | 1 ->
+        let a'' = fresh () in
+        set j a a a'' a''
+    | 2 -> set j a a a a
+    | _ ->
+        let b = fresh () in
+        let c = fresh () in
+        set j a b c (fresh ())
+  done;
+  let point k =
+    Aig.import aig ~src:m.cone ~map_input:(fun j -> pts.(k).(j)) m.root
+  in
+  let miter = Aig.xor_list aig (List.map point [ 0; 1; 2; 3 ]) in
+  if miter = Aig.f then Solver.Unsat
+  else begin
+    let enc = Tseitin.create aig in
+    let s = Tseitin.solver enc in
+    ignore (Solver.add_clause s [ Tseitin.lit_of enc miter ]);
+    let r = Solver.solve ?deadline s in
+    if r = Solver.Sat then begin
+      (* an input outside the miter's cone reads false *)
+      let read k =
+        Array.map
+          (fun e ->
+            Solver.model_value s
+              (Tseitin.lit_of_input enc (Aig.input_index aig e)))
+          pts.(k)
+      in
+      m.points <- (read 0, read 1, read 2)
+    end;
+    r
+  end
+
+let decide ?deadline c sels =
+  match c.miter with
+  | Some m ->
+      let side = sides c sels in
+      if side = m.last_unsat then Mus.Unsat sels
+      else begin
+        match miter_check ?deadline m side with
+        | Solver.Unsat ->
+            m.last_unsat <- side;
+            Mus.Unsat sels
+        | Solver.Sat -> Mus.Sat
+        | Solver.Unknown -> Mus.Unknown
+      end
+  | None -> Mus.solver_oracle ?deadline (solver c) sels
 
 let assumptions c (p : Partition.t) =
   let support = c.problem.Problem.support in
@@ -156,14 +293,16 @@ let assumptions c (p : Partition.t) =
   !asm
 
 let check ?deadline c p =
-  Solver.solve ~assumptions:(assumptions c p) ?deadline (solver c)
+  match decide ?deadline c (assumptions c p) with
+  | Mus.Sat -> Solver.Sat
+  | Mus.Unsat _ -> Solver.Unsat
+  | Mus.Unknown -> Solver.Unknown
 
 let model_points c =
-  let s = solver c in
-  let read tbl =
-    Array.of_list
-      (List.map
-         (fun i -> Solver.model_value s (Hashtbl.find tbl i))
-         c.problem.Problem.support)
-  in
-  (read c.orig_lit, read c.copy1_lit, read c.copy2_lit)
+  match c.miter with
+  | Some m -> m.points
+  | None ->
+      let sc = scaffold c in
+      let s = Tseitin.solver sc.enc in
+      let read lits = Array.map (Solver.model_value s) lits in
+      (read sc.orig_lit, read sc.copy1_lit, read sc.copy2_lit)

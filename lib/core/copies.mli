@@ -1,83 +1,128 @@
-(** The multi-copy satisfiability scaffold behind all decomposition checks.
+(** The multi-copy decision behind all decomposition checks.
 
     For OR bi-decomposition the paper's Proposition 1 asks whether
 
     [f(X) ∧ ¬f(X') ∧ ¬f(X'')]
 
     is unsatisfiable, where copy [X'] may differ from [X] only on [XA] and
-    copy [X''] only on [XB]. This module encodes the copies {e once}, with
-    two {e selector} literals per variable: assuming [sᵢ] states "[i] is
-    not in [XA]", assuming [tᵢ] states "[i] is not in [XB]" (assuming both
-    puts [i] in [XC]). A partition is then just an assumption set, so
-    checking another partition, extracting MUSes over the selectors, or
-    validating QBF candidates all reuse the same learned clauses.
+    copy [X''] only on [XB]. Each input [i] has two {e selectors}: [αᵢ]
+    states "[i] is not in [XA]" (copy 1 is pinned to [X] there), [βᵢ]
+    states "[i] is not in [XB]" (copy 2 is pinned); both put [i] in [XC].
+    A partition is a selector set, and so is every state of STEP-MG's
+    seed scan and group MUS. {!decide} is the one check of a selector
+    set. Per support position it means a {e side}:
+    - 0: only [αᵢ] dropped, [i] free on copy 1 ([XA]);
+    - 1: only [βᵢ] dropped, [i] free on copy 2 ([XB]);
+    - 2: both kept, [i] pinned ([XC]);
+    - 3: both dropped, [i] free on both copies. For XOR all four points
+      then take independent values there. No partition has side 3; it is
+      a state of the group MUS ({!Mg.mus_hook}).
 
-    Per gate, the asserted matrix and the equalities carried by the
-    selectors are:
-
-    - OR: [f ∧ ¬f' ∧ ¬f'']; [sᵢ ⇒ (xᵢ ≡ x'ᵢ)], [tᵢ ⇒ (xᵢ ≡ x''ᵢ)].
+    {b OR and AND} are decided on a {e selector scaffold}, encoded once
+    on the problem's AIG: the copies with the asserted matrix, and per
+    input two selector literals, each carrying its equality. A selector
+    set is an assumption set, so checking another partition, extracting
+    MUSes or validating QBF candidates all reuse the same learnt clauses.
+    - OR: [f ∧ ¬f' ∧ ¬f'']; [αᵢ ⇒ (xᵢ ≡ x'ᵢ)], [βᵢ ⇒ (xᵢ ≡ x''ᵢ)].
     - AND: dual on [¬f]: [¬f ∧ f' ∧ f'']; same selector equalities.
-    - XOR: four copies and the four-point condition
-      [f(X) ⊕ f(X') ⊕ f(X'') ⊕ f(X''')] asserted (satisfiable = not
-      decomposable), where the fourth point must combine the primed values:
-      [x'''ᵢ = x'ᵢ] on [XA], [x''ᵢ] on [XB], [xᵢ] on [XC]. This is captured
-      monotonically by letting each selector carry {e two} equalities:
-      [sᵢ ⇒ (xᵢ ≡ x'ᵢ) ∧ (x'''ᵢ ≡ x''ᵢ)] and
-      [tᵢ ⇒ (xᵢ ≡ x''ᵢ) ∧ (x'''ᵢ ≡ x'ᵢ)].
 
-    [Unsat] under a partition's assumptions means the function is
+    {b XOR} asks for the four-point condition
+    [f(X) ⊕ f(X') ⊕ f(X'') ⊕ f(X''') = 0], where the fourth point
+    combines the primed values: [x'''ᵢ = x'ᵢ] on [XA], [x''ᵢ] on [XB],
+    [xᵢ] on [XC]. The selector form of it needs a third copy and two
+    equalities per selector ([αᵢ ⇒ (xᵢ ≡ x'ᵢ) ∧ (x'''ᵢ ≡ x''ᵢ)],
+    [βᵢ ⇒ (xᵢ ≡ x''ᵢ) ∧ (x'''ᵢ ≡ x'ᵢ)]), and its refutations are slow:
+    four cone copies tied on all but a few inputs compute equal values
+    at most internal nodes, and CDCL learns each such equality one
+    conflict at a time. So XOR is decided by {e substitution} instead.
+    Each check builds the four points in a fresh AIG manager, importing
+    f's cone four times with a pinned input mapped to one shared input
+    of all four. The structural hash then merges every node outside the
+    fanout of the free inputs, and the XOR of the four copies, solved on
+    a fresh solver, is a small, easy instance. A [Sat] answer refutes the
+    selector set; the answer's core is the set asked, as a miter has no
+    selector core. One entry remembers the side array of the last
+    [Unsat], which answers a repeat (the group MUS's first call asks
+    what the seed scan has just refuted) with no solve.
+
+    [Unsat] under a partition's selectors means the function is
     bi-decomposable with that gate and partition.
 
-    A scaffold also carries the one simulation {!Screen} of its problem
-    and gate, built on first use. STEP-MG and the QBF search that it
-    bootstraps share a scaffold, so they read one pair graph and the
-    search reuses MG's learnt clauses. *)
+    The selector form of XOR is built only with [~proof:true], for
+    {!Certify}: a certificate is an assumption-free refutation of the
+    scaffold, so the independent checker never relies on the miter. A
+    plain XOR [t] has selectors only as names.
+
+    A [t] also carries the one simulation {!Screen} of its problem and
+    gate, built on first use. STEP-MG and the QBF search that it
+    bootstraps share a [t], so they read one pair graph, and for OR and
+    AND the search reuses MG's learnt clauses. *)
 
 type t
 
 val create : ?proof:bool -> Problem.t -> Gate.t -> t
-(** With [~proof:true] the underlying solver logs resolution chains, so a
+(** With [~proof:true] the scaffold's solver logs resolution chains, so a
     refutation obtained {e without assumptions} (e.g. with a partition's
     selector assumptions added as unit clauses, see {!Certify}) can be
-    exported as a DRAT/LRAT certificate. Default [false]: proof logging
-    disables clause minimization and keeps deleted clause literals, so it
-    is never turned on for the hot solve path. *)
+    exported as a DRAT/LRAT certificate; for XOR only then is the
+    scaffold built. Default [false]: proof logging disables clause
+    minimization and keeps deleted clause literals, so it is never
+    turned on for the hot solve path. {!decide} never uses a proof
+    scaffold for XOR. *)
 
 val resolve : caller:string -> t option -> Problem.t -> Gate.t -> t
-(** [resolve ~caller copies p g] is the given scaffold, or a fresh one for
+(** [resolve ~caller copies p g] is the given [t], or a fresh one for
     [p] and [g] when there is none.
     @raise Invalid_argument, with a message that starts with [caller],
-    if the given scaffold was built for another problem or gate (it names
+    if the given [t] was built for another problem or gate (it names
     both gates). *)
 
 val solver : t -> Step_sat.Solver.t
-(** The underlying solver, for selector-set searches (MUS, seed scans)
-    that assume more than one partition's selectors. *)
+(** The scaffold's solver, whose assumptions are selector literals.
+    @raise Invalid_argument on a plain (not proof) XOR [t], which has no
+    scaffold. *)
 
 val screen : t -> Screen.t
-(** The scaffold's screen, built on first use: a scaffold that never asks
-    for it (a certificate's, an LJH probe's) compiles no simulator. *)
+(** The screen, built on first use: a [t] that never asks for it (a
+    certificate's, an LJH probe's) compiles no simulator. *)
 
 val alpha_selector : t -> int -> Step_sat.Lit.t
-(** [alpha_selector c i]: assuming it keeps [i] out of [XA].
+(** [alpha_selector c i]: asking it keeps [i] out of [XA].
     @raise Not_found if [i] is not in the support. *)
 
 val beta_selector : t -> int -> Step_sat.Lit.t
-(** Assuming it keeps [i] out of [XB]. *)
+(** Asking it keeps [i] out of [XB]. *)
+
+val sides : t -> Step_sat.Lit.t list -> int array
+(** [sides c sels]: the side of each support position (in the order of
+    [Problem.support]) under the selector set [sels], as listed above.
+    @raise Not_found if [sels] has a literal that is no selector of [c]. *)
 
 val assumptions : t -> Partition.t -> Step_sat.Lit.t list
-(** Selector assumptions encoding the partition: [sᵢ] for [i ∉ XA] and
-    [tᵢ] for [i ∉ XB].
+(** The selector set of a partition: [αᵢ] for [i ∉ XA] and [βᵢ] for
+    [i ∉ XB].
     @raise Invalid_argument if the partition does not cover the support. *)
 
+val decide : ?deadline:float -> t -> Step_sat.Lit.t list -> Step_mus.Mus.answer
+(** [decide c sels] is the check of a selector set, in the oracle form
+    of {!Step_mus.Mus.minimize}. [Unsat] means the gate condition holds
+    under [sels]; [Sat] gives a counterexample ({!model_points});
+    [Unknown] means the absolute {!Step_obs.Clock} [deadline] (default
+    none) passed. OR and AND solve the scaffold under the assumptions
+    [sels], in their order, with {!Step_sat.Solver.unsat_core} as the
+    core. XOR solves the four-point miter of [sides c sels], with [sels]
+    as the core.
+    @raise Not_found as {!sides} does. *)
+
 val check : ?deadline:float -> t -> Partition.t -> Step_sat.Solver.result
-(** [Unsat] = decomposable; [Sat] = not decomposable (a counterexample is
-    then available via {!model_points}); [Unknown] = the absolute
-    {!Step_obs.Clock} [deadline] (default none) passed. *)
+(** [decide] on the partition's {!assumptions}: [Unsat] = decomposable;
+    [Sat] = not decomposable (a counterexample is then available via
+    {!model_points}); [Unknown] = the deadline passed. *)
 
 val model_points : t -> bool array * bool array * bool array
 (** After a [Sat] answer: the model's points [(x, x', x'')] over the
-    support positions (the order of [Problem.support]). Under a
-    partition's assumptions [x'] differs from [x] only on XA and [x'']
-    only on XB, and for XOR the fourth copy is [x ⊕ x' ⊕ x''], so the
-    three points are the whole counterexample (see {!Screen.load}). *)
+    support positions (the order of [Problem.support]). On sides 0–2
+    [x'] differs from [x] only on XA and [x''] only on XB, and for XOR
+    the fourth point is [x ⊕ x' ⊕ x''], so the three points are the whole
+    counterexample (see {!Screen.load}). After a set with side 3 the XOR
+    fourth point is not among them. *)

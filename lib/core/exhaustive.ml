@@ -1,7 +1,7 @@
 module Solver = Step_sat.Solver
 
 (* Enumerates the 3^n sort assignments of support variables into A/B/C,
-   skipping trivial ones, and checks each with the shared scaffold. *)
+   skipping trivial ones, and checks each on one Copies.t. *)
 let partitions (p : Problem.t) =
   let support = Array.of_list p.Problem.support in
   let n = Array.length support in

@@ -1,4 +1,3 @@
-module Solver = Step_sat.Solver
 module Mus = Step_mus.Mus
 module Obs = Step_obs.Obs
 module Clock = Step_obs.Clock
@@ -59,44 +58,27 @@ let partition_of_selectors (p : Problem.t) ~u ~v ~mus ~alpha_sel ~beta_sel =
   Partition.make ~xa:!xa ~xb:!xb ~xc:!xc
 
 (* A MUS state drops some of the selectors of the inputs other than u
-   and v. Input i is free on copy 1 when α_i is dropped and on copy 2
-   when β_i is; side 3 is free on both. *)
+   and v; {!Copies.sides} reads it as a side array. Input j is free on
+   copy 1 on sides 0 and 3, and on copy 2 on sides 1 and 3. *)
 let mus_hook c (p : Problem.t) ~u ~v =
   let screen = Copies.screen c in
-  let support = Array.of_list p.Problem.support in
-  let n = Array.length support in
-  (* selector -> 2 * position + copy (0 for α, 1 for β) *)
-  let code = Hashtbl.create (4 * n) in
-  Array.iteri
-    (fun j i ->
-      Hashtbl.replace code (Copies.alpha_selector c i) (2 * j);
-      Hashtbl.replace code (Copies.beta_selector c i) ((2 * j) + 1))
-    support;
+  let n = Problem.n_vars p in
   let hard = [ Copies.beta_selector c u; Copies.alpha_selector c v ] in
-  let free = Array.make (2 * n) true and side = Array.make n 0 in
   let exists_pos f =
     let rec go j = j < n && (f j || go (j + 1)) in
     go 0
   in
   fun sels ->
-    Array.fill free 0 (2 * n) true;
-    List.iter (fun l -> free.(Hashtbl.find code l) <- false) hard;
-    List.iter (fun l -> free.(Hashtbl.find code l) <- false) sels;
-    for j = 0 to n - 1 do
-      side.(j) <-
-        (match (free.(2 * j), free.((2 * j) + 1)) with
-        | true, false -> 0
-        | false, true -> 1
-        | false, false -> 2
-        | true, true -> 3)
-    done;
+    let side = Copies.sides c (hard @ sels) in
     (* an input f depends on, free on both copies *)
     exists_pos (fun j -> side.(j) = 3 && Screen.depends screen j)
     (* a conflicting pair, i free on copy 1 and j on copy 2 *)
     || exists_pos (fun i ->
-           free.(2 * i)
+           (side.(i) = 0 || side.(i) = 3)
            && exists_pos (fun j ->
-                  j <> i && free.((2 * j) + 1) && Screen.conflict screen i j))
+                  j <> i
+                  && (side.(j) = 1 || side.(j) = 3)
+                  && Screen.conflict screen i j))
     || Screen.refute screen side
 
 let guess_name = function
@@ -118,8 +100,9 @@ let seed_mus c (p : Problem.t) ~u ~v ~deadline =
       p.Problem.support
   in
   let r =
-    Mus.minimize ~hard ~deadline ~refute:(mus_hook c p ~u ~v)
-      (Copies.solver c) ~selectors
+    Mus.minimize ~refute:(mus_hook c p ~u ~v)
+      (fun sels -> Copies.decide ~deadline c (hard @ sels))
+      ~selectors
   in
   Metrics.add m_mus_sat_calls r.Mus.sat_calls;
   Metrics.add m_mus_screened r.Mus.screened;
@@ -151,7 +134,6 @@ let find ?copies ?time_budget (p : Problem.t) g =
   if n < 2 then finish None 0 0
   else begin
     let c = Copies.resolve ~caller:"Mg.find" copies p g in
-    let solver = Copies.solver c in
     let deadline =
       match time_budget with Some b -> t0 +. b | None -> infinity
     in
@@ -187,12 +169,10 @@ let find ?copies ?time_budget (p : Problem.t) g =
         | (u, v) :: rest when conflict u v -> scan rest (tried + 1)
         | (u, v) :: rest -> begin
             incr sat_calls;
-            match
-              Solver.solve ~assumptions:(seed_assumptions u v) ~deadline solver
-            with
-            | Solver.Sat -> scan rest (tried + 1)
-            | Solver.Unknown -> (None, tried + 1)
-            | Solver.Unsat ->
+            match Copies.decide ~deadline c (seed_assumptions u v) with
+            | Mus.Sat -> scan rest (tried + 1)
+            | Mus.Unknown -> (None, tried + 1)
+            | Mus.Unsat _ ->
                 (* decomposable under the seed: minimize the equality set *)
                 let mus = seed_mus c p ~u ~v ~deadline in
                 ( Some

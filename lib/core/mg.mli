@@ -20,9 +20,11 @@
     are those of the unscreened scan. A QBF search on the same scaffold
     reads the same graph.
 
+    The seed scan and the group MUS ask one check, {!Copies.decide}: an
+    assumption solve on the OR/AND scaffold, a four-point miter for XOR.
     The group MUS is screened too ({!mus_hook}): a necessary selector
     answers [Sat], which simulation can often show, so deletion tests
-    skip their SAT call and one call proves an optimistic guess of the
+    skip their check and one call proves an optimistic guess of the
     whole MUS ({!Step_mus.Mus.minimize}). *)
 
 type result = {
@@ -54,10 +56,11 @@ val mus_hook :
   Copies.t -> Problem.t -> u:int -> v:int -> Step_sat.Lit.t list -> bool
 (** [mus_hook c p ~u ~v] is the refutation hook {!find} gives
     {!Step_mus.Mus.minimize} for the seed [(u, v)]: [hook sels] is true
-    only if the hard assumptions [[β_u; α_v]] and [sels] are satisfiable
-    on [c]. A selector set frees input [i] on copy 1 when [α_i] is
-    absent and on copy 2 when [β_i] is; an input free on both copies
-    (both dropped) is side 3 of {!Screen.refute}. The hook answers true
+    only if {!Copies.decide} answers [Sat] on the hard selectors
+    [[β_u; α_v]] and [sels]. A selector set frees input [i] on copy 1
+    when [α_i] is absent and on copy 2 when [β_i] is; an input free on
+    both copies (both dropped) is side 3 of {!Copies.sides} and
+    {!Screen.refute}. The hook answers true
     when the scaffold's screen shows a counterexample:
     - an input free on both copies that f depends on ({!Screen.depends});
     - a conflicting pair ({!Screen.conflict}), [i] free on copy 1 and

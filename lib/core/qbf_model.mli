@@ -15,8 +15,9 @@
       the same CNF;
     - a candidate is first screened by simulation ({!Screen}); only
       when no violating point tuple turns up is it {e verified} by one
-      incremental SAT call on the shared {!Copies} scaffold, and it is
-      accepted only on [Unsat];
+      {!Copies.check}: an incremental SAT call on the shared OR/AND
+      scaffold, or the XOR four-point miter; it is accepted only on
+      [Unsat];
     - a counterexample, simulated or from SAT, is shrunk and then yields
       the single refinement clause [∨_{i ∈ D1} ¬αᵢ ∨ ∨_{i ∈ D2} ¬βᵢ],
       where [D1]/[D2] are the inputs on which the copies [x']/[x'']

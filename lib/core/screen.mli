@@ -75,8 +75,8 @@ val refute : t -> int array -> bool
     violating tuple was found; it becomes the current tuple.
 
     Side 3 frees an input on both copies: [x'] and [x''] both draw their
-    own bits there, and for XOR so does the fourth point, as the
-    {!Copies} scaffold leaves all four points free on an input whose two
+    own bits there, and for XOR so does the fourth point, as
+    {!Copies.decide} leaves all four points free on an input whose two
     selectors are both dropped. That is a state of STEP-MG's group MUS,
     not a partition, and only the answer is used ({!Mg.mus_hook}). Its
     tuple may differ from [x] in both copies on one input, so it must

@@ -1,6 +1,8 @@
 module Solver = Step_sat.Solver
 module Lit = Step_sat.Lit
 
+type answer = Sat | Unsat of Lit.t list | Unknown
+
 type guess = Confirmed | Fallback | No_guess
 
 type result = {
@@ -10,17 +12,19 @@ type result = {
   guess : guess;
 }
 
-let minimize ?(hard = []) ?(deadline = infinity) ?refute solver ~selectors =
+let solver_oracle ?(hard = []) ?(deadline = infinity) solver sels =
+  match Solver.solve ~assumptions:(hard @ sels) ~deadline solver with
+  | Solver.Sat -> Sat
+  | Solver.Unsat -> Unsat (Solver.unsat_core solver)
+  | Solver.Unknown -> Unknown
+
+let minimize ?refute oracle ~selectors =
   let sat_calls = ref 0 and screened = ref 0 in
-  (* Some sat, or None once the deadline has passed *)
-  let solve sels =
+  let ask sels =
     incr sat_calls;
-    match Solver.solve ~assumptions:(hard @ sels) ~deadline solver with
-    | Solver.Sat -> Some true
-    | Solver.Unsat -> Some false
-    | Solver.Unknown -> None
+    oracle sels
   in
-  (* true only if [hard @ sels] is satisfiable *)
+  (* true only if [sels] is satisfiable *)
   let refuted sels =
     match refute with
     | Some r when r sels ->
@@ -33,15 +37,14 @@ let minimize ?(hard = []) ?(deadline = infinity) ?refute solver ~selectors =
     | [] -> List.rev needed
     | c :: rest as candidates -> (
         let test = needed @ rest in
-        match if refuted test then Some true else solve test with
-        | Some true ->
+        match if refuted test then Sat else ask test with
+        | Sat ->
             (* satisfiable without [c]: the group is necessary *)
             shrink (c :: needed) rest
-        | Some false ->
+        | Unsat core ->
             (* still unsatisfiable: drop [c]; shrink to the new core *)
-            let core = Solver.unsat_core solver in
             shrink needed (List.filter (fun l -> List.mem l core) rest)
-        | None -> List.rev_append needed candidates)
+        | Unknown -> List.rev_append needed candidates)
   in
   (* The optimistic pass keeps what the hook shows necessary and drops
      the rest untested; each kept [c] has a model of a superset of the
@@ -53,13 +56,11 @@ let minimize ?(hard = []) ?(deadline = infinity) ?refute solver ~selectors =
         else optimistic needed rest
   in
   let mus, guess =
-    match solve selectors with
-    | Some true ->
-        invalid_arg "Mus.minimize: initial selector set is satisfiable"
-    | None -> (selectors, No_guess)
-    | Some false -> (
+    match ask selectors with
+    | Sat -> invalid_arg "Mus.minimize: initial selector set is satisfiable"
+    | Unknown -> (selectors, No_guess)
+    | Unsat core -> (
         (* start from the first core *)
-        let core = Solver.unsat_core solver in
         let core = List.filter (fun l -> List.mem l core) selectors in
         match refute with
         | None -> (shrink [] core, No_guess)
@@ -67,21 +68,17 @@ let minimize ?(hard = []) ?(deadline = infinity) ?refute solver ~selectors =
             let needed = optimistic [] core in
             if List.length needed = List.length core then (core, Confirmed)
             else
-              match solve needed with
-              | Some false -> (needed, Confirmed)
-              | Some true ->
+              match ask needed with
+              | Unsat _ -> (needed, Confirmed)
+              | Sat ->
                   (* some drop was wrong, so the marks were tested with a
                      necessary selector free: start over from the core *)
                   (shrink [] core, Fallback)
-              | None -> (core, No_guess)))
+              | Unknown -> (core, No_guess)))
   in
   { mus; sat_calls = !sat_calls; screened = !screened; guess }
 
-let is_minimal ?(hard = []) solver set =
-  let solve sels =
-    Solver.solve ~assumptions:(hard @ sels) solver = Solver.Sat
-  in
-  (not (solve set))
-  && List.for_all
-       (fun c -> solve (List.filter (fun l -> l <> c) set))
-       set
+let is_minimal oracle set =
+  let unsat sels = match oracle sels with Unsat _ -> true | _ -> false in
+  let sat sels = oracle sels = Sat in
+  unsat set && List.for_all (fun c -> sat (List.filter (( <> ) c) set)) set

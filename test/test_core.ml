@@ -703,6 +703,100 @@ let tuple_within (x, x1, x2) ~allowed_a ~allowed_b =
     x;
   !ok
 
+(* XOR is decided on a four-point miter built by substitution. On random
+   cones of at most 8 inputs and random side arrays (side 3 included) it
+   must answer as the selector scaffold of a proof [Copies.t] does on the
+   same selector set, and, with no side 3, as the truth table does on the
+   partition. Every Sat answer's points must stay within the sides and,
+   completed by a fourth point on the side-3 inputs, violate the
+   four-point condition under Aig.eval. *)
+let gen_xor_miter_case =
+  let open QCheck2.Gen in
+  let* n = int_range 2 8 in
+  let* e = gen_expr n in
+  let+ sides = array_size (pure n) (int_range 0 3) in
+  (n, e, sides)
+
+let prop_xor_miter_matches_scaffold =
+  QCheck2.Test.make ~count:300
+    ~name:"XOR miter = selector scaffold = truth table"
+    ~print:(fun (n, e, sides) ->
+      Printf.sprintf "n=%d %s sides=[%s]" n (pp_expr e)
+        (String.concat ";" (Array.to_list (Array.map string_of_int sides))))
+    gen_xor_miter_case
+    (fun (n, e, sides) ->
+      let p = problem_of_expr n e in
+      let g = Gate.Xor_gate in
+      let support = p.Problem.support in
+      let side = Array.of_list (List.map (fun i -> sides.(i)) support) in
+      (* α_i keeps i out of XA (sides 1, 2), β_i out of XB (sides 0, 2) *)
+      let selectors c =
+        List.concat_map
+          (fun i ->
+            match sides.(i) with
+            | 0 -> [ Copies.beta_selector c i ]
+            | 1 -> [ Copies.alpha_selector c i ]
+            | 2 -> [ Copies.alpha_selector c i; Copies.beta_selector c i ]
+            | _ -> [])
+          support
+      in
+      let miter = Copies.create p g in
+      let proof = Copies.create ~proof:true p g in
+      let verdict = Copies.decide miter (selectors miter) in
+      let scaffold_unsat =
+        Step_sat.Solver.solve ~assumptions:(selectors proof)
+          (Copies.solver proof)
+        = Step_sat.Solver.Unsat
+      in
+      let unsat =
+        match verdict with Step_mus.Mus.Unsat _ -> true | _ -> false
+      in
+      let semantic_ok =
+        Array.mem 3 side
+        ||
+        let pick k = List.filter (fun i -> sides.(i) = k) support in
+        unsat
+        = Check.decomposable_semantic p g
+            (Partition.make ~xa:(pick 0) ~xb:(pick 1) ~xc:(pick 2))
+      in
+      let points_ok () =
+        let x, x1, x2 = Copies.model_points miter in
+        let within =
+          tuple_within (x, x1, x2)
+            ~allowed_a:(fun j -> side.(j) = 0 || side.(j) = 3)
+            ~allowed_b:(fun j -> side.(j) = 1 || side.(j) = 3)
+        in
+        (* the fourth point: x' on XA, x'' on XB, x on XC, free on side 3 *)
+        let free =
+          List.filter
+            (fun j -> side.(j) = 3)
+            (List.init (Array.length side) Fun.id)
+        in
+        let base =
+          Array.mapi
+            (fun j xj ->
+              match side.(j) with 0 -> x1.(j) | 1 -> x2.(j) | _ -> xj)
+            x
+        in
+        let pos = Array.make (Aig.n_inputs p.Problem.aig) 0 in
+        List.iteri (fun j i -> pos.(i) <- j) support;
+        let f pt =
+          Aig.eval p.Problem.aig (fun i -> pt.(pos.(i))) p.Problem.f
+        in
+        let violated_by x3 = f x <> f x1 <> f x2 <> f x3 in
+        let rec some_fourth pt = function
+          | [] -> violated_by pt
+          | j :: rest ->
+              let flipped = Array.copy pt in
+              flipped.(j) <- not pt.(j);
+              some_fourth pt rest || some_fourth flipped rest
+        in
+        within && some_fourth base free
+      in
+      verdict <> Step_mus.Mus.Unknown
+      && unsat = scaffold_unsat && semantic_ok
+      && (unsat || points_ok ()))
+
 let prop_screen_clauses_backed =
   QCheck2.Test.make ~count:250
     ~name:"screen and shrink clauses are backed by violating tuples"
@@ -1124,16 +1218,13 @@ let reference_scan (p : Problem.t) g =
     | _ when tried >= limit -> (tried, refuted, false)
     | (u, v) :: rest -> (
         let r = refutes u v in
-        match
-          Step_sat.Solver.solve ~assumptions:(assumptions u v)
-            (Copies.solver c)
-        with
-        | Step_sat.Solver.Sat ->
+        match Copies.decide c (assumptions u v) with
+        | Step_mus.Mus.Sat ->
             go (tried + 1) (if r then refuted + 1 else refuted) rest
-        | Step_sat.Solver.Unsat ->
+        | Step_mus.Mus.Unsat _ ->
             if r then Alcotest.fail "a conflicting pair's seed answers Unsat";
             (tried + 1, refuted, true)
-        | Step_sat.Solver.Unknown -> Alcotest.fail "reference scan: Unknown")
+        | Step_mus.Mus.Unknown -> Alcotest.fail "reference scan: Unknown")
   in
   go 0 0 (Mg.seeds p)
 
@@ -1212,8 +1303,8 @@ let scaffold_witness (p : Problem.t) g side =
 
 (* Every true answer of MG's MUS hook, on random selector sets of the
    first seeds, has an exhaustive witness under the scaffold's semantics
-   and a model on the scaffold itself; some answers free an input on both
-   copies. *)
+   and a Sat answer from Copies.decide; some answers free an input on
+   both copies. *)
 let test_mg_mus_hook () =
   let st = Random.State.make [| 23 |] in
   List.iter
@@ -1272,12 +1363,9 @@ let test_mg_mus_hook () =
                   if not (scaffold_witness p g side) then
                     Alcotest.fail (label "refutes a set with no witness");
                   let hard = [ beta u; alpha v ] in
-                  match
-                    Step_sat.Solver.solve ~assumptions:(hard @ sels)
-                      (Copies.solver c)
-                  with
-                  | Step_sat.Solver.Sat -> ()
-                  | Step_sat.Solver.Unsat | Step_sat.Solver.Unknown ->
+                  match Copies.decide c (hard @ sels) with
+                  | Step_mus.Mus.Sat -> ()
+                  | Step_mus.Mus.Unsat _ | Step_mus.Mus.Unknown ->
                       Alcotest.fail (label "refutes an unsat set")
                 end
               done)
@@ -1419,6 +1507,7 @@ let () =
           prop_qbf_optimal_vs_exhaustive;
           prop_sim_matches_eval;
           prop_screen_clauses_backed;
+          prop_xor_miter_matches_scaffold;
           prop_recursive_rebuild_equivalent;
         ];
     ]

@@ -360,17 +360,19 @@ let test_mus_simple () =
   selector_clause () solver s1 [ x ];
   selector_clause () solver s2 [ Lit.negate x ];
   selector_clause () solver s3 [ y ];
-  let mus = (Mus.minimize solver ~selectors:[ s1; s2; s3 ]).Mus.mus in
+  let oracle = Mus.solver_oracle solver in
+  let mus = (Mus.minimize oracle ~selectors:[ s1; s2; s3 ]).Mus.mus in
   Alcotest.(check (list int)) "mus = {s1,s2}" (List.sort compare [ s1; s2 ])
     (List.sort compare mus);
-  Alcotest.(check bool) "is minimal" true (Mus.is_minimal solver mus)
+  Alcotest.(check bool) "is minimal" true (Mus.is_minimal oracle mus)
 
 let test_mus_requires_unsat () =
   let solver = Solver.create () in
   let s1 = Lit.pos (Solver.new_var solver) in
   let x = Lit.pos (Solver.new_var solver) in
   selector_clause () solver s1 [ x ];
-  match (Mus.minimize solver ~selectors:[ s1 ]).Mus.mus with
+  let oracle = Mus.solver_oracle solver in
+  match (Mus.minimize oracle ~selectors:[ s1 ]).Mus.mus with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument on satisfiable input"
 
@@ -388,7 +390,9 @@ let test_mus_with_hard () =
   selector_clause () solver s2 [ Lit.negate y ];
   selector_clause () solver s3 [ z ];
   let mus =
-    (Mus.minimize ~hard:[ h ] solver ~selectors:[ s1; s2; s3 ]).Mus.mus
+    (Mus.minimize (Mus.solver_oracle ~hard:[ h ] solver)
+       ~selectors:[ s1; s2; s3 ])
+      .Mus.mus
   in
   Alcotest.(check (list int)) "mus" (List.sort compare [ s1; s2 ])
     (List.sort compare mus)
@@ -406,12 +410,14 @@ let test_mus_deadline_passed () =
   selector_clause () solver s3 [ x ];
   let deadline = Step_obs.Clock.now () -. 1.0 in
   let set =
-    (Mus.minimize ~deadline solver ~selectors:[ s1; s2; s3 ]).Mus.mus
+    (Mus.minimize (Mus.solver_oracle ~deadline solver)
+       ~selectors:[ s1; s2; s3 ])
+      .Mus.mus
   in
   Alcotest.(check (list int)) "working set" [ s1; s2; s3 ]
     (List.sort compare set);
   Alcotest.(check bool) "not minimal" false
-    (Mus.is_minimal solver set)
+    (Mus.is_minimal (Mus.solver_oracle solver) set)
 
 let prop_mus_minimal =
   (* random unsatisfiable group structure: groups of unit clauses over few
@@ -452,8 +458,9 @@ let prop_mus_minimal =
       ignore (Solver.add_clause solver [ Lit.negate sa; Lit.pos base.(0) ]);
       ignore (Solver.add_clause solver [ Lit.negate sb; Lit.neg_of_var base.(0) ]);
       let selectors = sa :: sb :: selectors in
-      let mus = (Mus.minimize solver ~selectors).Mus.mus in
-      Mus.is_minimal solver mus
+      let oracle = Mus.solver_oracle solver in
+      let mus = (Mus.minimize oracle ~selectors).Mus.mus in
+      Mus.is_minimal oracle mus
       && List.for_all (fun l -> List.mem l selectors) mus)
 
 (* ---------- screened mus ---------- *)
@@ -524,6 +531,13 @@ let group_cnf seed =
 
 let gen_seed = QCheck2.Gen.int_range 0 1_000_000
 
+(* The solver oracle of a group CNF, its hard selectors always assumed. *)
+let solver_of g = Mus.solver_oracle ~hard:g.g_hard g.g_solver
+
+(* An oracle with no core: the brute-force answer, and on Unsat the set
+   asked. *)
+let coreless g sels = if g.g_sat sels then Mus.Sat else Mus.Unsat sels
+
 (* The deletion walk of the optimistic pass under a complete oracle:
    keep [c] exactly when [needed @ rest] is satisfiable. *)
 let oracle_walk sat core =
@@ -540,8 +554,7 @@ let prop_mus_complete_hook =
     ~print:string_of_int gen_seed (fun seed ->
       let g = group_cnf seed in
       let r =
-        Mus.minimize ~hard:g.g_hard ~refute:g.g_sat g.g_solver
-          ~selectors:g.g_selectors
+        Mus.minimize ~refute:g.g_sat (solver_of g) ~selectors:g.g_selectors
       in
       (* the same first call on an identically built fresh solver *)
       let f = group_cnf seed in
@@ -556,13 +569,13 @@ let prop_mus_complete_hook =
         | Solver.Sat | Solver.Unknown -> failwith "group CNF is satisfiable"
       in
       let plain =
-        Mus.minimize ~hard:f.g_hard f.g_solver ~selectors:f.g_selectors
+        Mus.minimize (solver_of f) ~selectors:f.g_selectors
       in
       r.Mus.guess = Mus.Confirmed
       && r.Mus.sat_calls <= 2
       && r.Mus.mus = oracle_walk g.g_sat core
-      && Mus.is_minimal ~hard:g.g_hard g.g_solver r.Mus.mus
-      && Mus.is_minimal ~hard:f.g_hard f.g_solver plain.Mus.mus
+      && Mus.is_minimal (solver_of g) r.Mus.mus
+      && Mus.is_minimal (solver_of f) plain.Mus.mus
       && plain.Mus.screened = 0 && plain.Mus.guess = Mus.No_guess)
 
 (* A sound but partial hook: it refutes a seeded half of the satisfiable
@@ -576,11 +589,37 @@ let prop_mus_partial_hook =
     ~print:string_of_int gen_seed (fun seed ->
       let g = group_cnf seed in
       let r =
-        Mus.minimize ~hard:g.g_hard ~refute:(partial_hook seed g) g.g_solver
+        Mus.minimize ~refute:(partial_hook seed g) (solver_of g)
           ~selectors:g.g_selectors
       in
-      Mus.is_minimal ~hard:g.g_hard g.g_solver r.Mus.mus
+      Mus.is_minimal (solver_of g) r.Mus.mus
       && List.for_all (fun l -> List.mem l g.g_selectors) r.Mus.mus)
+
+(* An oracle without cores: the MUS is minimal, with no hook and with a
+   partial one, and a complete hook still proves it in at most two
+   oracle calls, the first core being the whole selector set. *)
+let prop_mus_coreless =
+  QCheck2.Test.make ~count:300 ~name:"mus over a core-less oracle"
+    ~print:string_of_int gen_seed (fun seed ->
+      let g = group_cnf seed in
+      let oracle = coreless g in
+      let plain = Mus.minimize oracle ~selectors:g.g_selectors in
+      let partial =
+        Mus.minimize ~refute:(partial_hook seed g) oracle
+          ~selectors:g.g_selectors
+      in
+      let complete =
+        Mus.minimize ~refute:g.g_sat oracle ~selectors:g.g_selectors
+      in
+      List.for_all
+        (fun r ->
+          Mus.is_minimal oracle r.Mus.mus
+          && Mus.is_minimal (solver_of g) r.Mus.mus
+          && List.for_all (fun l -> List.mem l g.g_selectors) r.Mus.mus)
+        [ plain; partial; complete ]
+      && complete.Mus.guess = Mus.Confirmed
+      && complete.Mus.sat_calls <= 2
+      && complete.Mus.mus = oracle_walk g.g_sat g.g_selectors)
 
 (* The fallback path is taken, and its answer is minimal although the
    optimistic marks it discarded were tested with a necessary selector
@@ -590,7 +629,7 @@ let test_mus_fallback () =
   for seed = 0 to 499 do
     let g = group_cnf seed in
     let r =
-      Mus.minimize ~hard:g.g_hard ~refute:(partial_hook seed g) g.g_solver
+      Mus.minimize ~refute:(partial_hook seed g) (solver_of g)
         ~selectors:g.g_selectors
     in
     (match r.Mus.guess with
@@ -598,7 +637,7 @@ let test_mus_fallback () =
     | Mus.Confirmed -> incr confirmed
     | Mus.No_guess ->
         Alcotest.failf "seed %d: no guess without a deadline" seed);
-    if not (Mus.is_minimal ~hard:g.g_hard g.g_solver r.Mus.mus) then
+    if not (Mus.is_minimal (solver_of g) r.Mus.mus) then
       Alcotest.failf "seed %d: %s result is not minimal" seed
         (if r.Mus.guess = Mus.Fallback then "fallback" else "confirmed")
   done;
@@ -621,7 +660,8 @@ let prop_mus_deadline_in_proof =
             g.g_sat sels
           in
           let r =
-            Mus.minimize ~hard:g.g_hard ~deadline:10.0 ~refute g.g_solver
+            Mus.minimize ~refute
+              (Mus.solver_oracle ~hard:g.g_hard ~deadline:10.0 g.g_solver)
               ~selectors:g.g_selectors
           in
           let unsat =
@@ -726,6 +766,7 @@ let () =
           prop_mus_minimal;
           prop_mus_complete_hook;
           prop_mus_partial_hook;
+          prop_mus_coreless;
           prop_mus_deadline_in_proof;
         ];
     ]
