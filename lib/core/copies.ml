@@ -187,16 +187,25 @@ let alpha_selector c i = Hashtbl.find c.sel_alpha i
 
 let beta_selector c i = Hashtbl.find c.sel_beta i
 
+let fill_sides c sels side =
+  Array.fill side 0 (Array.length side) 3;
+  List.iter
+    (fun l ->
+      let k = Hashtbl.find c.code l in
+      let j = k / 2 in
+      (* α pins copy 1: 3 -> 1, 0 -> 2; β pins copy 2: 3 -> 0, 1 -> 2 *)
+      side.(j) <-
+        (match (side.(j), k land 1) with
+        | 3, 0 -> 1
+        | 3, _ -> 0
+        | 0, 0 | 1, 1 -> 2
+        | s, _ -> s))
+    sels
+
 let sides c sels =
-  let n = Problem.n_vars c.problem in
-  let free = Array.make (2 * n) true in
-  List.iter (fun l -> free.(Hashtbl.find c.code l) <- false) sels;
-  Array.init n (fun j ->
-      match (free.(2 * j), free.((2 * j) + 1)) with
-      | true, false -> 0
-      | false, true -> 1
-      | false, false -> 2
-      | true, true -> 3)
+  let side = Array.make (Problem.n_vars c.problem) 3 in
+  fill_sides c sels side;
+  side
 
 (* The four points by substitution: per support position, the inputs of
    the new manager that x, x', x'' and x''' read. A pinned input is one

@@ -93,9 +93,10 @@ val alpha_selector : t -> int -> Step_sat.Lit.t
 val beta_selector : t -> int -> Step_sat.Lit.t
 (** Asking it keeps [i] out of [XB]. *)
 
-val sides : t -> Step_sat.Lit.t list -> int array
-(** [sides c sels]: the side of each support position (in the order of
-    [Problem.support]) under the selector set [sels], as listed above.
+val fill_sides : t -> Step_sat.Lit.t list -> int array -> unit
+(** [fill_sides c sels side] writes into [side] (one cell per support
+    position, in the order of [Problem.support]) the side of each
+    position under the selector set [sels], as listed above.
     @raise Not_found if [sels] has a literal that is no selector of [c]. *)
 
 val assumptions : t -> Partition.t -> Step_sat.Lit.t list
@@ -110,9 +111,9 @@ val decide : ?deadline:float -> t -> Step_sat.Lit.t list -> Step_mus.Mus.answer
     [Unknown] means the absolute {!Step_obs.Clock} [deadline] (default
     none) passed. OR and AND solve the scaffold under the assumptions
     [sels], in their order, with {!Step_sat.Solver.unsat_core} as the
-    core. XOR solves the four-point miter of [sides c sels], with [sels]
-    as the core.
-    @raise Not_found as {!sides} does. *)
+    core. XOR solves the four-point miter of the sides of [sels]
+    ({!fill_sides}), with [sels] as the core.
+    @raise Not_found as {!fill_sides} does. *)
 
 val check : ?deadline:float -> t -> Partition.t -> Step_sat.Solver.result
 (** [decide] on the partition's {!assumptions}: [Unsat] = decomposable;

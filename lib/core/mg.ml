@@ -58,18 +58,20 @@ let partition_of_selectors (p : Problem.t) ~u ~v ~mus ~alpha_sel ~beta_sel =
   Partition.make ~xa:!xa ~xb:!xb ~xc:!xc
 
 (* A MUS state drops some of the selectors of the inputs other than u
-   and v; {!Copies.sides} reads it as a side array. Input j is free on
-   copy 1 on sides 0 and 3, and on copy 2 on sides 1 and 3. *)
+   and v; {!Copies.fill_sides} reads it as a side array, into one buffer
+   for every deletion test. Input j is free on copy 1 on sides 0 and 3,
+   and on copy 2 on sides 1 and 3. *)
 let mus_hook c (p : Problem.t) ~u ~v =
   let screen = Copies.screen c in
   let n = Problem.n_vars p in
   let hard = [ Copies.beta_selector c u; Copies.alpha_selector c v ] in
+  let side = Array.make n 3 in
   let exists_pos f =
     let rec go j = j < n && (f j || go (j + 1)) in
     go 0
   in
   fun sels ->
-    let side = Copies.sides c (hard @ sels) in
+    Copies.fill_sides c (hard @ sels) side;
     (* an input f depends on, free on both copies *)
     exists_pos (fun j -> side.(j) = 3 && Screen.depends screen j)
     (* a conflicting pair, i free on copy 1 and j on copy 2 *)

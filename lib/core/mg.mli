@@ -59,7 +59,7 @@ val mus_hook :
     only if {!Copies.decide} answers [Sat] on the hard selectors
     [[β_u; α_v]] and [sels]. A selector set frees input [i] on copy 1
     when [α_i] is absent and on copy 2 when [β_i] is; an input free on
-    both copies (both dropped) is side 3 of {!Copies.sides} and
+    both copies (both dropped) is side 3 of {!Copies.fill_sides} and
     {!Screen.refute}. The hook answers true
     when the scaffold's screen shows a counterexample:
     - an input free on both copies that f depends on ({!Screen.depends});

@@ -12,8 +12,8 @@ type result = {
   guess : guess;
 }
 
-let solver_oracle ?(hard = []) ?(deadline = infinity) solver sels =
-  match Solver.solve ~assumptions:(hard @ sels) ~deadline solver with
+let solver_oracle ?(deadline = infinity) solver sels =
+  match Solver.solve ~assumptions:sels ~deadline solver with
   | Solver.Sat -> Sat
   | Solver.Unsat -> Unsat (Solver.unsat_core solver)
   | Solver.Unknown -> Unknown

@@ -31,15 +31,12 @@ type answer =
   | Unknown  (** The oracle gave up, e.g. at a deadline. *)
 
 val solver_oracle :
-  ?hard:Step_sat.Lit.t list ->
-  ?deadline:float ->
-  Step_sat.Solver.t ->
-  Step_sat.Lit.t list ->
-  answer
-(** [solver_oracle ~hard ~deadline solver sels] solves under the
-    assumptions [hard @ sels] ({!Step_sat.Solver.solve}, with the
-    absolute {!Step_obs.Clock} [deadline], default none) and answers
-    [Unsat] with {!Step_sat.Solver.unsat_core}. *)
+  ?deadline:float -> Step_sat.Solver.t -> Step_sat.Lit.t list -> answer
+(** [solver_oracle ~deadline solver sels] solves under the assumptions
+    [sels] ({!Step_sat.Solver.solve}, with the absolute
+    {!Step_obs.Clock} [deadline], default none) and answers [Unsat] with
+    {!Step_sat.Solver.unsat_core}. Constraints every set carries are the
+    caller's to prepend. *)
 
 type guess =
   | Confirmed  (** The optimistic pass's set was proved unsatisfiable. *)

@@ -390,7 +390,8 @@ let test_mus_with_hard () =
   selector_clause () solver s2 [ Lit.negate y ];
   selector_clause () solver s3 [ z ];
   let mus =
-    (Mus.minimize (Mus.solver_oracle ~hard:[ h ] solver)
+    (Mus.minimize
+       (fun sels -> Mus.solver_oracle solver (h :: sels))
        ~selectors:[ s1; s2; s3 ])
       .Mus.mus
   in
@@ -532,7 +533,7 @@ let group_cnf seed =
 let gen_seed = QCheck2.Gen.int_range 0 1_000_000
 
 (* The solver oracle of a group CNF, its hard selectors always assumed. *)
-let solver_of g = Mus.solver_oracle ~hard:g.g_hard g.g_solver
+let solver_of g sels = Mus.solver_oracle g.g_solver (g.g_hard @ sels)
 
 (* An oracle with no core: the brute-force answer, and on Unsat the set
    asked. *)
@@ -661,7 +662,8 @@ let prop_mus_deadline_in_proof =
           in
           let r =
             Mus.minimize ~refute
-              (Mus.solver_oracle ~hard:g.g_hard ~deadline:10.0 g.g_solver)
+              (fun sels ->
+                Mus.solver_oracle ~deadline:10.0 g.g_solver (g.g_hard @ sels))
               ~selectors:g.g_selectors
           in
           let unsat =
