@@ -196,12 +196,10 @@ arenasmoke:
 # pairwise sweep reports. Every STEP-MG partition (all three gates) must
 # decompose, and moving any one of its XC inputs to XA or to XB must
 # give a partition exhaustive enumeration finds not decomposable (the
-# group MUS is irredundant). The XOR leg: exhaustive enumeration decides
-# XOR on the four-point miter, so on XOR rounds its set of decomposable
-# partitions must equal the set of non-trivial partitions, canonicalized,
-# that the truth table (Check.decomposable_semantic) accepts, a reference
-# that shares no code with the miter. It prints the pairs, MG partitions
-# and XOR partition sets checked.
+# group MUS is irredundant). Exhaustive enumeration decides every gate
+# on f's truth table (Check.decomposable_semantic), a reference that
+# shares no code with the SAT checks it judges. It prints the pairs and
+# MG partitions checked.
 optsmoke:
 	dune build bin/fuzz.exe
 	dune exec --no-build bin/fuzz.exe -- --optimum --rounds 40 --vars 8 \

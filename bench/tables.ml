@@ -433,15 +433,14 @@ let ablation_extract config =
     "%s\nABLATION A3: extraction engines (quantification vs interpolation)\n" hr;
   let problems = sample_problems config Gate.Or_gate 25 in
   List.iter
-    (fun (label, engine, post) ->
+    (fun (label, engine) ->
       let t0 = Unix.gettimeofday () in
       let nodes = ref 0 and verified = ref 0 in
       List.iter
         (fun ((p : Problem.t), part) ->
           match Extract.run ~engine p Gate.Or_gate part with
-          | r ->
+          | { Extract.fa; fb } ->
               let aig = p.Problem.aig in
-              let fa = post aig r.Extract.fa and fb = post aig r.Extract.fb in
               nodes := !nodes + Aig.cone_size aig fa + Aig.cone_size aig fb;
               if Verify.decomposition p Gate.Or_gate part ~fa ~fb then
                 incr verified
@@ -451,12 +450,4 @@ let ablation_extract config =
         label
         (Unix.gettimeofday () -. t0)
         !nodes !verified (List.length problems))
-    [
-      ("quantify", Extract.Quantify, fun _ e -> e);
-      ("interpolate", Extract.Interpolate, fun _ e -> e);
-      ( "interpolate+simplify",
-        Extract.Interpolate,
-        fun aig e ->
-          Step_aig.Rewrite.balance aig (Step_aig.Rewrite.simplify_fixpoint aig e)
-      );
-    ]
+    [ ("quantify", Extract.Quantify); ("interpolate", Extract.Interpolate) ]

@@ -19,14 +19,12 @@
    [--vars]) and runs STEP-QD, QB and QDB on all three gates, with and
    without an MG bootstrap on a shared scaffold as the engine does. The
    optimum k and the "indecomposable" verdicts must match an exhaustive
-   enumeration of every partition (Step_core.Exhaustive). Every pair the
+   enumeration of every partition (Step_core.Exhaustive), which decides
+   each on f's truth table with no SAT call. Every pair the
    screen's pairwise sweep reports (Step_core.Screen.pairs) must have a
    witness point found by enumerating the cone's inputs. Every STEP-MG
    partition must decompose with an irredundant XC: moving any one XC
    input to XA or to XB must give a partition the enumeration rejects.
-   Under XOR, which the enumeration decides on the four-point miter, its
-   set of decomposable partitions must equal the truth table's
-   (Step_core.Check.decomposable_semantic over every partition).
 
    Exit code 0 when every round agrees; 1 with a reproducer seed printed
    otherwise. Usage:
@@ -218,10 +216,7 @@ let optimum_problem st n =
         List.filter_map (fun (b, v) -> if b = k then Some v else None) block
       in
       let g = tree (side 0 @ side 2) and h = tree (side 1 @ side 2) in
-      match gate_of st with
-      | Gate.Or_gate -> Aig.or_ m g h
-      | Gate.And_gate -> Aig.and_ m g h
-      | Gate.Xor_gate -> Aig.xor_ m g h
+      Gate.edge m (gate_of st) g h
     end
   in
   Problem.of_edge m f
@@ -313,40 +308,6 @@ let check_mg round (p : Problem.t) g all =
             fail round (Printf.sprintf "%s: XC input %d is redundant" what i))
         q.xc
 
-let xor_checked = ref 0
-
-(* Exhaustive decides XOR on the four-point miter. Its set of decomposable
-   partitions must be the truth table's: every non-trivial partition
-   Check.decomposable_semantic accepts, canonicalized, enumerated here
-   with no code of Exhaustive's. *)
-let check_xor_semantic round (p : Problem.t) all =
-  incr xor_checked;
-  let decomposes = Check.decomposable_semantic p Gate.Xor_gate in
-  let rec sorts = function
-    | [] -> [ ([], [], []) ]
-    | v :: rest ->
-        List.concat_map
-          (fun (xa, xb, xc) ->
-            [ (v :: xa, xb, xc); (xa, v :: xb, xc); (xa, xb, v :: xc) ])
-          (sorts rest)
-  in
-  let semantic =
-    List.filter_map
-      (fun (xa, xb, xc) ->
-        let q = Partition.make ~xa ~xb ~xc in
-        if xa <> [] && xb <> [] && decomposes q then
-          Some (Partition.canonical q)
-        else None)
-      (sorts p.Problem.support)
-    |> List.sort_uniq compare
-  in
-  if semantic <> all then
-    fail round
-      (Printf.sprintf
-         "XOR: Exhaustive finds %d decomposable partitions, the truth table \
-          %d"
-         (List.length all) (List.length semantic))
-
 let optimum_round round st =
   let p = optimum_problem st (2 + Random.State.int st (!n_vars - 1)) in
   if List.length p.Problem.support >= 2 then
@@ -354,7 +315,6 @@ let optimum_round round st =
       (fun g ->
         check_pairs round p g;
         let all = Exhaustive.all_decomposable p g in
-        if g = Gate.Xor_gate then check_xor_semantic round p all;
         check_mg round p g all;
         List.iter
           (fun (label, target) ->
@@ -698,8 +658,7 @@ let () =
     !rounds !failures
     (if !optimum then
        Printf.sprintf
-         ", %d pairs checked, %d MG partitions checked, %d XOR partition \
-          sets checked"
-         !pairs_checked !mg_checked !xor_checked
+         ", %d pairs checked, %d MG partitions checked" !pairs_checked
+         !mg_checked
      else "");
   exit (if !failures = 0 then 0 else 1)

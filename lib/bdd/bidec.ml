@@ -91,43 +91,3 @@ let extract ?max_nodes p g part =
             | exception Bdd.Blowup -> None
           end
     end
-
-let best_partition ?max_nodes (p : Problem.t) g =
-  match build ?max_nodes p with
-  | exception Bdd.Blowup -> None
-  | man, f ->
-      let support = Array.of_list p.Problem.support in
-      let n = Array.length support in
-      let best = ref None in
-      let consider part =
-        let better =
-          match !best with
-          | None -> true
-          | Some b ->
-              Partition.disjointness_k part < Partition.disjointness_k b
-        in
-        if better then begin
-          match halves man f g part with
-          | exception Bdd.Blowup -> ()
-          | fa, fb -> begin
-              match combine man g fa fb = f with
-              | true -> best := Some part
-              | false -> ()
-              | exception Bdd.Blowup -> ()
-            end
-        end
-      in
-      let rec enumerate i xa xb xc =
-        if i >= n then begin
-          if xa <> [] && xb <> [] then
-            consider (Partition.make ~xa ~xb ~xc)
-        end
-        else begin
-          let v = support.(i) in
-          enumerate (i + 1) (v :: xa) xb xc;
-          enumerate (i + 1) xa (v :: xb) xc;
-          enumerate (i + 1) xa xb (v :: xc)
-        end
-      in
-      enumerate 0 [] [] [];
-      !best

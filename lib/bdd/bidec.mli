@@ -27,13 +27,3 @@ val extract :
     edges of the problem's manager ([None] on blowup or when not
     decomposable). The results satisfy [f = fA <OP> fB] and depend only on
     their partition blocks, like {!Step_core.Extract}. *)
-
-val best_partition :
-  ?max_nodes:int ->
-  Step_core.Problem.t ->
-  Step_core.Gate.t ->
-  Step_core.Partition.t option
-(** Exhaustive-over-partitions optimum disjointness via BDD checks — the
-    brute-force enumeration whose cost the paper's Section I calls
-    prohibitive. Only sensible for small supports; [None] when not
-    decomposable or on blowup. *)

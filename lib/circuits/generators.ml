@@ -275,12 +275,7 @@ let planted_cone ~seed ~na ~nb ~nc gate =
   let edges l = List.map (fun i -> xs.(i)) l in
   let g = random_tree_on st m (edges xa @ edges xc) in
   let h = random_tree_on st m (edges xb @ edges xc) in
-  let f =
-    match gate with
-    | Gate.Or_gate -> Aig.or_ m g h
-    | Gate.And_gate -> Aig.and_ m g h
-    | Gate.Xor_gate -> Aig.xor_ m g h
-  in
+  let f = Gate.edge m gate g h in
   {
     circuit = Circuit.make ~name:(Printf.sprintf "planted%d" seed) m [ ("f", f) ];
     truth = Partition.make ~xa ~xb ~xc;

@@ -97,18 +97,12 @@ let witness_obligation p gate =
         }
   end
 
-let gate_edge aig g a b =
-  match g with
-  | Gate.Or_gate -> Aig.or_ aig a b
-  | Gate.And_gate -> Aig.and_ aig a b
-  | Gate.Xor_gate -> Aig.xor_ aig a b
-
 (* Equivalence of f with fA <gate> fB, as a proof-carrying miter
    refutation. [None] when the miter folds to constant false (nothing to
    prove: the equivalence is structural). *)
 let equivalence_obligation (p : Problem.t) g ~fa ~fb =
   let aig = p.Problem.aig in
-  let miter = Aig.xor_ aig p.Problem.f (gate_edge aig g fa fb) in
+  let miter = Aig.xor_ aig p.Problem.f (Gate.edge aig g fa fb) in
   if miter = Aig.f then None
   else begin
     let solver = Solver.create ~proof:true () in

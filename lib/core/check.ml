@@ -3,62 +3,61 @@ module Aig = Step_aig.Aig
 let decomposable p g partition =
   Copies.check (Copies.create p g) partition = Step_sat.Solver.Unsat
 
-(* Truth-table reference. Assignments are bit masks over the support list
-   (bit j = value of the j-th support variable). *)
+(* Truth-table reference. Bit j of an assignment index is the value of
+   the j-th support variable, so a block is a bit mask. *)
 let decomposable_semantic (p : Problem.t) g =
   let support = Array.of_list p.Problem.support in
   let n = Array.length support in
-  assert (n <= 20);
+  if n > 20 then
+    invalid_arg
+      (Printf.sprintf "Check.decomposable_semantic: %d inputs, at most 20" n);
   let pos = Hashtbl.create 16 in
   Array.iteri (fun j i -> Hashtbl.replace pos i j) support;
-  let value mask i =
-    match Hashtbl.find_opt pos i with
-    | Some j -> (mask lsr j) land 1 = 1
-    | None -> false
-  in
+  let size = 1 lsl n in
   (* the truth table, once for every partition asked *)
-  let table =
-    Array.init (1 lsl n) (fun mask ->
-        Aig.eval p.Problem.aig (value mask) p.Problem.f)
+  let f =
+    Array.init size (fun x ->
+        Aig.eval p.Problem.aig
+          (fun i ->
+            match Hashtbl.find_opt pos i with
+            | Some j -> (x lsr j) land 1 = 1
+            | None -> false)
+          p.Problem.f)
   in
-  let eval mask = table.(mask) in
+  (* f quantified over the inputs of a mask, ∀ for OR and ∃ for AND: the
+     table of the mask less its lowest bit, quantified over that bit *)
+  let quantified = Hashtbl.create 64 in
+  Hashtbl.replace quantified 0 f;
+  let join = if g = Gate.And_gate then ( || ) else ( && ) in
+  let rec quantify mask =
+    match Hashtbl.find_opt quantified mask with
+    | Some t -> t
+    | None ->
+        let bit = mask land (-mask) in
+        let t = quantify (mask lxor bit) in
+        let q =
+          Array.init size (fun x -> join t.(x land lnot bit) t.(x lor bit))
+        in
+        Hashtbl.replace quantified mask q;
+        q
+  in
+  let mask_of =
+    List.fold_left (fun m i -> m lor (1 lsl Hashtbl.find pos i)) 0
+  in
   fun (partition : Partition.t) ->
-    let bits_of vars = List.map (fun i -> Hashtbl.find pos i) vars in
-    let a_bits = bits_of partition.Partition.xa in
-    let b_bits = bits_of partition.Partition.xb in
-    (* enumerate sub-assignments of a set of bit positions applied to mask *)
-    let sub_assignments bits mask =
-      let base =
-        List.fold_left (fun m j -> m land lnot (1 lsl j)) mask bits
-      in
-      let k = List.length bits in
-      List.init (1 lsl k) (fun sel ->
-          List.fold_left
-            (fun (m, idx) j ->
-              ( (if (sel lsr idx) land 1 = 1 then m lor (1 lsl j) else m),
-                idx + 1 ))
-            (base, 0) bits
-          |> fst)
-    in
-    let clear bits mask =
-      List.fold_left (fun m j -> m land lnot (1 lsl j)) mask bits
-    in
-    let fa, fb =
+    let a = mask_of partition.Partition.xa
+    and b = mask_of partition.Partition.xb in
+    let holds =
       match g with
-      | Gate.Or_gate ->
-          ( (fun mask -> List.for_all eval (sub_assignments b_bits mask)),
-            fun mask -> List.for_all eval (sub_assignments a_bits mask) )
-      | Gate.And_gate ->
-          ( (fun mask -> List.exists eval (sub_assignments b_bits mask)),
-            fun mask -> List.exists eval (sub_assignments a_bits mask) )
+      | Gate.Or_gate | Gate.And_gate ->
+          (* OR: f = ∀XB.f ∨ ∀XA.f; AND: f = ∃XB.f ∧ ∃XA.f *)
+          let fa = quantify b and fb = quantify a in
+          fun x -> f.(x) = Gate.apply g fa.(x) fb.(x)
       | Gate.Xor_gate ->
-          ( (fun mask -> eval (clear b_bits mask)),
-            fun mask ->
-              eval (clear a_bits mask)
-              <> eval (clear a_bits (clear b_bits mask)) )
+          (* the four-point condition, with XA and XB cleared *)
+          fun x ->
+            f.(x) = (f.(x land lnot b) <> f.(x land lnot a)
+                     <> f.(x land lnot (a lor b)))
     in
-    let ok = ref true in
-    for mask = 0 to (1 lsl n) - 1 do
-      if eval mask <> Gate.apply g (fa mask) (fb mask) then ok := false
-    done;
-    !ok
+    let rec all x = x >= size || (holds x && all (x + 1)) in
+    all 0

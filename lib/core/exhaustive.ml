@@ -1,7 +1,5 @@
-module Solver = Step_sat.Solver
-
 (* Enumerates the 3^n sort assignments of support variables into A/B/C,
-   skipping trivial ones, and checks each on one Copies.t. *)
+   skipping trivial ones, and decides each on f's truth table. *)
 let partitions (p : Problem.t) =
   let support = Array.of_list p.Problem.support in
   let n = Array.length support in
@@ -17,10 +15,8 @@ let partitions (p : Problem.t) =
   build 0 [] [] [] []
 
 let all_decomposable p g =
-  let copies = Copies.create p g in
-  let decomposable part = Copies.check copies part = Solver.Unsat in
   partitions p
-  |> List.filter decomposable
+  |> List.filter (Check.decomposable_semantic p g)
   |> List.map Partition.canonical
   |> List.sort_uniq compare
 

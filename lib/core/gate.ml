@@ -26,3 +26,9 @@ let apply g a b =
   | Or_gate -> a || b
   | And_gate -> a && b
   | Xor_gate -> a <> b
+
+let edge aig g a b =
+  match g with
+  | Or_gate -> Step_aig.Aig.or_ aig a b
+  | And_gate -> Step_aig.Aig.and_ aig a b
+  | Xor_gate -> Step_aig.Aig.xor_ aig a b

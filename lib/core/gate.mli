@@ -20,3 +20,8 @@ val pp : Format.formatter -> t -> unit
 
 val apply : t -> bool -> bool -> bool
 (** Boolean semantics of the gate. *)
+
+val edge :
+  Step_aig.Aig.t -> t -> Step_aig.Aig.lit -> Step_aig.Aig.lit ->
+  Step_aig.Aig.lit
+(** [edge aig g a b] is the AIG edge of [a <g> b] in [aig]. *)

@@ -65,13 +65,7 @@ let decompose ?(config = default_config) (p : Problem.t) =
 
 let rec rebuild aig = function
   | Leaf f -> f
-  | Node (g, _, a, b) -> begin
-      let ea = rebuild aig a and eb = rebuild aig b in
-      match g with
-      | Gate.Or_gate -> Aig.or_ aig ea eb
-      | Gate.And_gate -> Aig.and_ aig ea eb
-      | Gate.Xor_gate -> Aig.xor_ aig ea eb
-    end
+  | Node (g, _, a, b) -> Gate.edge aig g (rebuild aig a) (rebuild aig b)
 
 let stats_of aig tree =
   let rec go = function

@@ -12,15 +12,9 @@ let supports_ok (p : Problem.t) (part : Partition.t) ~fa ~fb =
   subset (Aig.support aig fa) (part.Partition.xa @ part.Partition.xc)
   && subset (Aig.support aig fb) (part.Partition.xb @ part.Partition.xc)
 
-let gate_edge aig g a b =
-  match g with
-  | Gate.Or_gate -> Aig.or_ aig a b
-  | Gate.And_gate -> Aig.and_ aig a b
-  | Gate.Xor_gate -> Aig.xor_ aig a b
-
 let equivalent (p : Problem.t) g ~fa ~fb =
   let aig = p.Problem.aig in
-  let miter = Aig.xor_ aig p.Problem.f (gate_edge aig g fa fb) in
+  let miter = Aig.xor_ aig p.Problem.f (Gate.edge aig g fa fb) in
   if miter = Aig.f then true
   else begin
     let enc = Tseitin.create aig in

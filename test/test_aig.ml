@@ -289,72 +289,6 @@ let test_aag_roundtrip () =
     Alcotest.(check bool) "h" (Aig.eval m env h) (Aig.eval c2.Circuit.aig env h2)
   done
 
-(* ---------- rewriting ---------- *)
-
-module Rewrite = Step_aig.Rewrite
-
-let test_simplify_rules () =
-  let m = Aig.create () in
-  let a = Aig.fresh_input m and b = Aig.fresh_input m in
-  let ab = Aig.and_ m a b in
-  (* (a&b)&a = a&b *)
-  Alcotest.(check int) "absorption" ab (Rewrite.simplify m (Aig.and_ m ab a));
-  (* (a&b)&!a = 0 *)
-  Alcotest.(check int) "contradiction" Aig.f
-    (Rewrite.simplify m (Aig.and_ m ab (Aig.not_ a)));
-  (* a & !(a&b) = a & !b *)
-  Alcotest.(check int) "substitution"
-    (Aig.and_ m a (Aig.not_ b))
-    (Rewrite.simplify m (Aig.and_ m a (Aig.not_ ab)));
-  (* !(a&b) & !a = !a *)
-  Alcotest.(check int) "covered complement" (Aig.not_ a)
-    (Rewrite.simplify m (Aig.and_ m (Aig.not_ ab) (Aig.not_ a)))
-
-let test_balance_chain () =
-  let m = Aig.create () in
-  let xs = List.init 16 (fun _ -> Aig.fresh_input m) in
-  let chain = Aig.and_list m xs in
-  Alcotest.(check int) "chain depth" 15 (Aig.depth m chain);
-  let bal = Rewrite.balance m chain in
-  Alcotest.(check int) "balanced depth" 4 (Aig.depth m bal);
-  (* same semantics on a few masks *)
-  List.iter
-    (fun mask ->
-      let env i = (mask lsr i) land 1 = 1 in
-      Alcotest.(check bool) "semantics" (Aig.eval m env chain)
-        (Aig.eval m env bal))
-    [ 0; 0xffff; 0x1234; 0xfffe ]
-
-let test_balance_preserves_sharing () =
-  let m = Aig.create () in
-  let xs = Array.init 6 (fun _ -> Aig.fresh_input m) in
-  let shared = Aig.and_list m [ xs.(0); xs.(1); xs.(2) ] in
-  let f = Aig.and_ m (Aig.and_ m shared xs.(3)) (Aig.and_ m shared xs.(4)) in
-  let bal = Rewrite.balance m f in
-  (* shared chain must not be duplicated: size must not grow *)
-  Alcotest.(check bool) "no blowup" true
-    (Aig.cone_size m bal <= Aig.cone_size m f + 1)
-
-let prop_rewrite_preserves_semantics =
-  QCheck2.Test.make ~count:200 ~name:"simplify/balance preserve semantics"
-    ~print:pp_expr (gen_expr n_test_vars) (fun e ->
-      let m, edge = with_expr_aig e in
-      let s = Rewrite.simplify m edge in
-      let b = Rewrite.balance m edge in
-      let sf = Rewrite.simplify_fixpoint m edge in
-      List.for_all
-        (fun mask ->
-          let env = env_of_mask mask in
-          let v = Aig.eval m env edge in
-          Aig.eval m env s = v && Aig.eval m env b = v && Aig.eval m env sf = v)
-        all_masks)
-
-let prop_simplify_never_grows =
-  QCheck2.Test.make ~count:200 ~name:"simplify never grows the cone"
-    ~print:pp_expr (gen_expr n_test_vars) (fun e ->
-      let m, edge = with_expr_aig e in
-      Aig.cone_size m (Rewrite.simplify m edge) <= Aig.cone_size m edge)
-
 (* ---------- truth tables ---------- *)
 
 module Truth = Step_aig.Truth
@@ -740,13 +674,6 @@ let () =
           Alcotest.test_case "cofactor/depends" `Quick
             test_truth_cofactor_depends;
         ] );
-      ( "rewrite",
-        [
-          Alcotest.test_case "simplify rules" `Quick test_simplify_rules;
-          Alcotest.test_case "balance chain" `Quick test_balance_chain;
-          Alcotest.test_case "balance preserves sharing" `Quick
-            test_balance_preserves_sharing;
-        ] );
       qsuite "properties"
         [
           prop_eval_matches_interp;
@@ -758,8 +685,6 @@ let () =
           prop_aag_roundtrip;
           prop_truth_matches_eval;
           prop_truth_seven_vars;
-          prop_rewrite_preserves_semantics;
-          prop_simplify_never_grows;
           prop_aig_bin_matches_aag;
         ];
     ]

@@ -8,7 +8,6 @@ module Gate = Step_core.Gate
 module Partition = Step_core.Partition
 module Problem = Step_core.Problem
 module Check = Step_core.Check
-module Exhaustive = Step_core.Exhaustive
 module Verify = Step_core.Verify
 
 type expr =
@@ -130,12 +129,7 @@ let planted seed gate =
     | first :: rest -> List.fold_left node first rest
   in
   let g = tree [ xs.(0); xs.(1); xs.(4) ] and h = tree [ xs.(2); xs.(3); xs.(5) ] in
-  let f =
-    match gate with
-    | Gate.Or_gate -> Aig.or_ m g h
-    | Gate.And_gate -> Aig.and_ m g h
-    | Gate.Xor_gate -> Aig.xor_ m g h
-  in
+  let f = Gate.edge m gate g h in
   ( Problem.of_edge m f,
     Partition.make ~xa:[ 0; 1 ] ~xb:[ 2; 3 ] ~xc:[ 4; 5 ] )
 
@@ -161,19 +155,6 @@ let test_bidec_extract_verified () =
             true
             (Verify.decomposition p gate part ~fa ~fb))
     Gate.all
-
-let test_bidec_best_partition () =
-  let p, _ = planted 13 Gate.Or_gate in
-  match
-    ( Bidec.best_partition p Gate.Or_gate,
-      Exhaustive.best ~objective:Partition.disjointness_k p Gate.Or_gate )
-  with
-  | Some bp, Some ep ->
-      Alcotest.(check int) "same optimum |XC|"
-        (Partition.disjointness_k ep)
-        (Partition.disjointness_k bp)
-  | None, None -> ()
-  | _, _ -> Alcotest.fail "BDD and exhaustive disagree on feasibility"
 
 (* ---------- property tests ---------- *)
 
@@ -274,8 +255,6 @@ let () =
             test_bidec_decomposable;
           Alcotest.test_case "extract verified" `Quick
             test_bidec_extract_verified;
-          Alcotest.test_case "best partition = exhaustive" `Slow
-            test_bidec_best_partition;
         ] );
       qsuite "properties"
         [

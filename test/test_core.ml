@@ -118,12 +118,7 @@ let planted_problem gate seed =
   and xb = [ inputs.(2); inputs.(3) ]
   and xc = [ inputs.(4); inputs.(5) ] in
   let g = rand_fn (xa @ xc) and h = rand_fn (xb @ xc) in
-  let f =
-    match gate with
-    | Gate.Or_gate -> Aig.or_ m g h
-    | Gate.And_gate -> Aig.and_ m g h
-    | Gate.Xor_gate -> Aig.xor_ m g h
-  in
+  let f = Gate.edge m gate g h in
   (Problem.of_edge m f, Partition.make ~xa:[ 0; 1 ] ~xb:[ 2; 3 ] ~xc:[ 4; 5 ])
 
 (* ---------- unit tests ---------- *)
@@ -165,6 +160,17 @@ let test_xor_parity_fully_decomposable () =
   (* but not OR-decomposable: parity has no OR decomposition *)
   Alcotest.(check bool) "or" false
     (Check.decomposable p Gate.Or_gate part)
+
+let test_semantic_input_limit () =
+  (* the truth-table reference refuses more than 20 inputs with an
+     exception, which -noassert cannot remove *)
+  let m = Aig.create () in
+  let xs = List.init 21 (fun _ -> Aig.fresh_input m) in
+  let p = Problem.of_edge m (Aig.xor_list m xs) in
+  match Check.decomposable_semantic p Gate.Or_gate with
+  | exception Invalid_argument _ -> ()
+  | (_ : Partition.t -> bool) ->
+      Alcotest.fail "expected Invalid_argument on 21 inputs"
 
 let test_exhaustive_equal_size_swaps () =
   (* parity of 4 inputs decomposes under all 50 ordered non-trivial
@@ -505,11 +511,11 @@ let test_pipeline_small_circuit () =
 
 let n_prop_vars = 5
 
-let gen_problem_partition_gate =
+let gen_problem_partition_gate_over n =
   let open QCheck2.Gen in
-  let* e = gen_expr n_prop_vars in
+  let* e = gen_expr n in
   let* g = gen_gate in
-  let p = problem_of_expr n_prop_vars e in
+  let p = problem_of_expr n e in
   if List.length p.Problem.support < 2 then
     let+ _ = pure () in
     None
@@ -517,17 +523,23 @@ let gen_problem_partition_gate =
     let+ part = gen_partition_of p.Problem.support in
     Some (e, g, part)
 
+let gen_problem_partition_gate = gen_problem_partition_gate_over n_prop_vars
+
+(* 2 to 8 inputs on all three gates, the sizes fuzz --optimum draws *)
 let prop_sat_check_matches_semantic =
   QCheck2.Test.make ~count:250 ~name:"Prop.1 SAT check matches truth table"
     ~print:(function
-      | None -> "trivial support"
-      | Some (e, g, part) ->
-          Printf.sprintf "%s %s %s" (pp_expr e) (Gate.to_string g)
+      | _, None -> "trivial support"
+      | n, Some (e, g, part) ->
+          Printf.sprintf "n=%d %s %s %s" n (pp_expr e) (Gate.to_string g)
             (Partition.to_string part))
-    gen_problem_partition_gate (function
-      | None -> true
-      | Some (e, g, part) ->
-          let p = problem_of_expr n_prop_vars e in
+    QCheck2.Gen.(
+      let* n = int_range 2 8 in
+      map (fun c -> (n, c)) (gen_problem_partition_gate_over n))
+    (function
+      | _, None -> true
+      | n, Some (e, g, part) ->
+          let p = problem_of_expr n e in
           Check.decomposable p g part = Check.decomposable_semantic p g part)
 
 let prop_extract_verifies =
@@ -1435,6 +1447,8 @@ let () =
             test_xor_parity_fully_decomposable;
           Alcotest.test_case "exhaustive keeps equal-size swaps" `Quick
             test_exhaustive_equal_size_swaps;
+          Alcotest.test_case "semantic check rejects 21 inputs" `Quick
+            test_semantic_input_limit;
         ] );
       ( "methods",
         [
