@@ -198,8 +198,10 @@ arenasmoke:
 # give a partition exhaustive enumeration finds not decomposable (the
 # group MUS is irredundant). Exhaustive enumeration decides every gate
 # on f's truth table (Check.decomposable_semantic), a reference that
-# shares no code with the SAT checks it judges. It prints the pairs and
-# MG partitions checked.
+# shares no code with the SAT checks it judges. On XOR the decomposable
+# partitions must be exactly those with no edge of f's exact pair graph
+# (Check.pair_graph) between XA and XB. It prints the pairs, XOR graphs
+# and MG partitions checked.
 optsmoke:
 	dune build bin/fuzz.exe
 	dune exec --no-build bin/fuzz.exe -- --optimum --rounds 40 --vars 8 \

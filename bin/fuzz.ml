@@ -22,7 +22,10 @@
    enumeration of every partition (Step_core.Exhaustive), which decides
    each on f's truth table with no SAT call. Every pair the
    screen's pairwise sweep reports (Step_core.Screen.pairs) must have a
-   witness point found by enumerating the cone's inputs. Every STEP-MG
+   witness point found by enumerating the cone's inputs. On XOR the
+   enumeration's decomposable partitions must be exactly the non-trivial
+   ones with no edge of f's exact pair graph (Check.pair_graph) between
+   XA and XB, the fact STEP-QD's separator search rests on. Every STEP-MG
    partition must decompose with an irredundant XC: moving any one XC
    input to XA or to XB must give a partition the enumeration rejects.
 
@@ -277,6 +280,34 @@ let check_pairs round (p : Problem.t) g =
   if !conflicts <> 0 then
     fail round (Gate.to_string g ^ ": pairs reports other pairs than the graph")
 
+let xor_graphs_checked = ref 0
+
+(* The XOR fact behind the separator search: the partitions enumeration
+   finds XOR-decomposable are exactly the non-trivial ones with no edge
+   of f's exact pair graph (Check.pair_graph) between XA and XB. *)
+let check_xor_graph round (p : Problem.t) all =
+  incr xor_graphs_checked;
+  let graph = Check.pair_graph p in
+  let pos = Hashtbl.create 16 in
+  List.iteri (fun j i -> Hashtbl.replace pos i j) p.Problem.support;
+  let edge i j = graph.(Hashtbl.find pos i).(Hashtbl.find pos j) in
+  let separated (q : Partition.t) =
+    List.for_all
+      (fun i -> List.for_all (fun j -> not (edge i j)) q.Partition.xb)
+      q.Partition.xa
+  in
+  let expected =
+    Exhaustive.partitions p
+    |> List.filter separated
+    |> List.map Partition.canonical
+    |> List.sort_uniq compare
+  in
+  if expected <> all then
+    fail round
+      (Printf.sprintf
+         "XOR: %d partitions decompose, %d separate the pair graph"
+         (List.length all) (List.length expected))
+
 let mg_checked = ref 0
 
 (* STEP-MG's partition must decompose, and its XC must be irredundant:
@@ -315,6 +346,7 @@ let optimum_round round st =
       (fun g ->
         check_pairs round p g;
         let all = Exhaustive.all_decomposable p g in
+        if g = Gate.Xor_gate then check_xor_graph round p all;
         check_mg round p g all;
         List.iter
           (fun (label, target) ->
@@ -658,7 +690,8 @@ let () =
     !rounds !failures
     (if !optimum then
        Printf.sprintf
-         ", %d pairs checked, %d MG partitions checked" !pairs_checked
-         !mg_checked
+         ", %d pairs checked, %d XOR graphs checked, %d MG partitions \
+          checked"
+         !pairs_checked !xor_graphs_checked !mg_checked
      else "");
   exit (if !failures = 0 then 0 else 1)

@@ -38,15 +38,20 @@ let stats c =
   Printf.sprintf "%s: #In=%d #Out=%d #InM=%d #And=%d" c.name (n_inputs c)
     (n_outputs c) (max_support c) (Aig.n_ands c.aig)
 
-let compact c =
+(* A fresh manager with every input of [c], same indices and names, and
+   the listed outputs imported into it. *)
+let rebuild c outputs =
   let fresh = Aig.create () in
   let inputs =
     Array.init (n_inputs c) (fun i ->
         Aig.fresh_input ~name:(Aig.input_name c.aig i) fresh)
   in
-  let outputs =
-    Array.to_list c.outputs
-    |> List.map (fun (name, e) ->
-           (name, Aig.import fresh ~src:c.aig ~map_input:(Array.get inputs) e))
-  in
-  make ~name:c.name fresh outputs
+  make ~name:c.name fresh
+    (List.map
+       (fun (name, e) ->
+         (name, Aig.import fresh ~src:c.aig ~map_input:(Array.get inputs) e))
+       outputs)
+
+let compact c = rebuild c (Array.to_list c.outputs)
+
+let cone c i = rebuild c [ c.outputs.(i) ]

@@ -43,3 +43,9 @@ val compact : t -> t
     cones. Input indices and names are preserved. Useful after heavy
     solver work (decomposition checks add copy inputs and scratch nodes to
     the shared manager). *)
+
+val cone : t -> int -> t
+(** [cone c i] rebuilds output [i] alone into a fresh manager: a
+    one-output circuit with every input of [c], indices and names
+    preserved, and only the nodes of that output's cone.
+    @raise Invalid_argument if [i] is out of range. *)

@@ -1,7 +1,7 @@
 (* Decomposition certificates and their independent checker.
 
    Everything here deliberately shares no code with the CDCL engine it
-   audits beyond the DIMACS-family tokenizer of Step_sat.Dimacs: clauses
+   audits beyond the DIMACS-family tokenizer of Step_util: clauses
    are plain DIMACS ints (an obligation's CNF packed into one
    0-terminated int array, 8 bytes a literal), unit propagation is a
    naive fixpoint over a private clause store, and proofs are parsed
@@ -239,7 +239,7 @@ let negated_assignment ~n_vars clause =
 (* Tokenizes one proof line with the DIMACS-family tokenizer, treating a
    lone [d] as the marker token [`D]. *)
 let tokenize line =
-  Step_sat.Dimacs.tokens line
+  Step_util.Dimacs_tokens.split line
   |> List.map (fun tok ->
          if tok = "d" then `D
          else

@@ -6,7 +6,7 @@
     partition claimed, plus a list of {e obligations} — self-contained
     CNFs (plain DIMACS ints, packed) with either an UNSAT proof (textual LRAT or
     DRAT) or a SAT model. The checker shares no code with the CDCL
-    engine beyond the DIMACS-family tokenizer ([Step_sat.Dimacs.tokens]):
+    engine beyond the DIMACS-family tokenizer ([Step_util.Dimacs_tokens]):
     it parses the proof text and replays it with a naive unit
     propagation over a private clause store, using LRAT antecedent hints
     for linear-time checking with a full RUP fallback, and evaluates SAT

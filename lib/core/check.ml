@@ -4,19 +4,17 @@ let decomposable p g partition =
   Copies.check (Copies.create p g) partition = Step_sat.Solver.Unsat
 
 (* Truth-table reference. Bit j of an assignment index is the value of
-   the j-th support variable, so a block is a bit mask. *)
-let decomposable_semantic (p : Problem.t) g =
+   the j-th support variable, so a block is a bit mask. Returns the
+   input -> support position table and f's truth table. *)
+let table ~caller (p : Problem.t) =
   let support = Array.of_list p.Problem.support in
   let n = Array.length support in
   if n > 20 then
-    invalid_arg
-      (Printf.sprintf "Check.decomposable_semantic: %d inputs, at most 20" n);
+    invalid_arg (Printf.sprintf "Check.%s: %d inputs, at most 20" caller n);
   let pos = Hashtbl.create 16 in
   Array.iteri (fun j i -> Hashtbl.replace pos i j) support;
-  let size = 1 lsl n in
-  (* the truth table, once for every partition asked *)
   let f =
-    Array.init size (fun x ->
+    Array.init (1 lsl n) (fun x ->
         Aig.eval p.Problem.aig
           (fun i ->
             match Hashtbl.find_opt pos i with
@@ -24,6 +22,32 @@ let decomposable_semantic (p : Problem.t) g =
             | None -> false)
           p.Problem.f)
   in
+  (pos, f)
+
+let pair_graph p =
+  let _, f = table ~caller:"pair_graph" p in
+  let n = Problem.n_vars p in
+  let g = Array.make_matrix n n false in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let ei = 1 lsl i and ej = 1 lsl j in
+      let rec edge x =
+        x < Array.length f
+        && (f.(x) <> f.(x lxor ei) <> f.(x lxor ej) <> f.(x lxor ei lxor ej)
+           || edge (x + 1))
+      in
+      if edge 0 then begin
+        g.(i).(j) <- true;
+        g.(j).(i) <- true
+      end
+    done
+  done;
+  g
+
+let decomposable_semantic p g =
+  (* the truth table, once for every partition asked *)
+  let pos, f = table ~caller:"decomposable_semantic" p in
+  let size = Array.length f in
   (* f quantified over the inputs of a mask, ∀ for OR and ∃ for AND: the
      table of the mask less its lowest bit, quantified over that bit *)
   let quantified = Hashtbl.create 64 in

@@ -4,7 +4,8 @@
     {!decomposable_semantic} decides the same question on f's truth
     table, with no SAT call and no code of {!Copies} or {!Screen}: it is
     the reference that {!Exhaustive} enumerates and the tests compare the
-    SAT path with. It is exponential in the support size. *)
+    SAT path with. {!pair_graph} reads the XOR pair graph off the same
+    table. Both are exponential in the support size. *)
 
 val decomposable : Problem.t -> Gate.t -> Partition.t -> bool
 (** Decomposability, decided by {!Copies.check} on a fresh [Copies.t]
@@ -17,4 +18,12 @@ val decomposable_semantic : Problem.t -> Gate.t -> Partition.t -> bool
     point [x]. Applied to a problem and a gate alone, it tabulates f once
     and answers every partition then asked from that table, keeping the
     quantified table of each block it has met.
+    @raise Invalid_argument when the support has more than 20 inputs. *)
+
+val pair_graph : Problem.t -> bool array array
+(** The exact pair graph of f, on its truth table: [g.(i).(j)] for
+    support positions [i <> j] when [D_i D_j f(x) = 1] at some point [x],
+    that is [f(x) ⊕ f(x ⊕ e_i) ⊕ f(x ⊕ e_j) ⊕ f(x ⊕ e_i ⊕ e_j) = 1].
+    Symmetric, false on the diagonal. f is an XOR of [fA(XA, XC)] and
+    [fB(XB, XC)] exactly when no edge joins XA to XB.
     @raise Invalid_argument when the support has more than 20 inputs. *)

@@ -17,6 +17,11 @@ val best :
     partitions; ties broken arbitrarily. [None] when the function is not
     bi-decomposable with this gate. *)
 
+val partitions : Problem.t -> Partition.t list
+(** Every non-trivial partition of the support, as [Partition.make]
+    builds it: [3^n] minus the trivial ones, neither canonicalized nor
+    deduplicated. *)
+
 val all_decomposable : Problem.t -> Gate.t -> Partition.t list
 (** Every decomposable non-trivial partition, canonicalized by
     {!Partition.canonical} and deduplicated. A partition with

@@ -110,7 +110,9 @@ let or_model ?k ?(target = Qbf_model.Disjointness) (p : Problem.t) =
         | Some no -> add [ Lit.negate s_t; no ]
         | None -> add [ Lit.negate s_t ]
       end
-  | Qbf_model.Weighted _ -> assert false);
+  | Qbf_model.Weighted _ ->
+      (* rejected on entry; an assertion would vanish under -noassert *)
+      invalid_arg "Qbf_export.or_model: weighted targets not supported");
   (* assemble QDIMACS: the paper's symmetry-breaking optimization is kept
      out of the export so external solvers see the plain model *)
   let universal =

@@ -160,7 +160,10 @@ let bound_assumptions abs target k =
   match target with
   | Disjointness -> begin
       match abs.cnt_shared with
-      | None -> assert false
+      | None ->
+          invalid_arg
+            "Qbf_model.bound_assumptions: a disjointness abstraction \
+             without its shared-input counter"
       | Some c -> begin
           match Cardinality.at_most c k with
           | Some l -> [ l ]
@@ -223,9 +226,9 @@ let read_side abs side =
        else 2)
   done
 
-let partition_of_side abs side =
+let partition_of_side support side =
   let block b =
-    List.filteri (fun j _ -> side.(j) = b) (Array.to_list abs.support)
+    List.filteri (fun j _ -> side.(j) = b) (Array.to_list support)
   in
   Partition.make ~xa:(block 0) ~xb:(block 1) ~xc:(block 2)
 
@@ -275,7 +278,7 @@ let query abs copies screen side target k ~deadline ~refinement_cap
         refine ()
       end
       else
-        let partition = partition_of_side abs side in
+        let partition = partition_of_side abs.support side in
         match
           Obs.span "sat.verify" (fun () ->
               Copies.check ~deadline copies partition)
@@ -306,7 +309,210 @@ let query abs copies screen side target k ~deadline ~refinement_cap
   Metrics.observe h_query (Clock.elapsed_since t_query);
   answer
 
-(* ---------- optimum search strategies ---------- *)
+(* ---------- XOR disjointness: a separator of the pair graph ---------- *)
+
+(* f = fA(XA, XC) ⊕ fB(XB, XC) exactly when no edge of f's pair graph,
+   a pair (i, j) with D_i D_j f ≢ 0, joins XA to XB; so the optimum XC is
+   a minimum vertex separator of that graph. Every edge this search knows
+   has a witness, so the least separator of the known graph is a lower
+   bound, and it is optimal once one Copies.check shows it decomposes.
+   Otherwise the check's counterexample walks down to an edge across the
+   candidate (Screen.walk), and every edge visible at the walk's point
+   joins the graph (Screen.harvest); each such step is one refinement.
+   The graph starts from the screen's sampled pairs, read only when a
+   query is due: a bootstrap with an empty XC needs none. *)
+let separate (p : Problem.t) copies ~bootstrap ~deadline ~refinement_cap
+    ~refinements ~qbf_queries ~pairs =
+  let support = Array.of_list p.Problem.support in
+  let n = Array.length support in
+  (* the |XC| a candidate must beat; n - 1 admits every separator *)
+  let bound = function
+    | Some q -> Partition.disjointness_k q
+    | None -> n - 1
+  in
+  if bound bootstrap <= 0 then (bootstrap, true)
+  else begin
+    let screen = Copies.screen copies in
+    let adj = Array.make_matrix n n false in
+    for i = 0 to n - 2 do
+      for j = i + 1 to n - 1 do
+        if Screen.conflict screen i j then begin
+          adj.(i).(j) <- true;
+          adj.(j).(i) <- true;
+          incr pairs;
+          Metrics.inc m_pairs
+        end
+      done
+    done;
+    let adjacent i j = adj.(i).(j) in
+    (* the edge of the screen's current tuple, two single flips *)
+    let connect () =
+      let i = ref (-1) and j = ref (-1) in
+      Screen.iter_diff screen ~xa:(fun k -> i := k) ~xb:(fun k -> j := k);
+      adj.(!i).(!j) <- true;
+      adj.(!j).(!i) <- true
+    in
+    let rec loop best =
+      if Clock.now () > deadline || !refinements >= refinement_cap then
+        (best, false)
+      else begin
+        incr qbf_queries;
+        Metrics.inc m_queries;
+        let t_query = Clock.now () in
+        let below = bound best in
+        let answer =
+          Obs.span ~attrs:[ ("k", Step_obs.Json.Int (below - 1)) ] "qbf.query"
+          @@ fun () ->
+          match Separator.minimum n adjacent ~below with
+          | None -> `Optimal
+          | Some side -> (
+              let partition = partition_of_side support side in
+              match
+                Obs.span "sat.verify" (fun () ->
+                    Copies.check ~deadline copies partition)
+              with
+              | Solver.Unsat -> `Found partition
+              | Solver.Unknown -> `Unknown
+              | Solver.Sat ->
+                  let x, x1, x2 = Copies.model_points copies in
+                  if not (Screen.load screen ~x ~x1 ~x2) then
+                    failwith
+                      "Qbf_model.separate: SAT counterexample does not \
+                       violate the gate condition under simulation";
+                  Metrics.add m_shrunk_lits (Screen.walk screen);
+                  connect ();
+                  Screen.harvest screen ~known:adjacent connect;
+                  incr refinements;
+                  Metrics.inc m_refinements;
+                  `Refined)
+        in
+        Metrics.observe h_query (Clock.elapsed_since t_query);
+        match answer with
+        | `Optimal -> (best, true)
+        | `Found partition -> (Some partition, true)
+        | `Unknown -> (best, false)
+        | `Refined -> loop best
+      end
+    in
+    loop bootstrap
+  end
+
+(* ---------- optimum search on the SAT abstraction ---------- *)
+
+let abstraction_search (p : Problem.t) copies target ~symmetry_breaking
+    ~strategy ~bootstrap ~deadline ~max_refinements ~refinements
+    ~qbf_queries ~pairs =
+  let n = Problem.n_vars p in
+  let strategy =
+    match strategy with Some s -> s | None -> default_strategy target
+  in
+  let abs = make_abstraction p ~symmetry_breaking target in
+  let screen = Copies.screen copies in
+  let side = Array.make n 0 in
+  let k_max =
+    match target with
+    | Weighted { wd; wb } -> (wd + wb) * (n - 2)
+    | Disjointness | Balancedness | Combined -> n - 2
+  in
+  (* Seeds the abstraction with both clauses of every pair of the
+     screen's graph (which an Mg.find on the same scaffold has already
+     drawn) just before the first query, so an optimize that issues
+     none (a bootstrap already at the floor) pays nothing. Pair tuples
+     are already minimal, so they are not shrunk or banked, and they
+     are not refinements. *)
+  let seeded = ref false in
+  let ask k =
+    if not !seeded then begin
+      seeded := true;
+      Screen.pairs screen (fun () ->
+          ignore (Solver.add_clause abs.solver (exclude_tuple abs screen));
+          incr pairs;
+          Metrics.inc m_pairs)
+    end;
+    query abs copies screen side target k ~deadline
+      ~refinement_cap:max_refinements ~refinements ~qbf_queries
+  in
+  (* best-so-far; queries with k < best are the only ones issued *)
+  let best = ref bootstrap in
+  let best_k () =
+    match !best with Some p -> target_k target p | None -> k_max + 1
+  in
+  (* establish an upper bound when no bootstrap is available *)
+  let feasible =
+    match !best with
+    | Some _ -> `Yes
+    | None -> begin
+        match ask k_max with
+        | Q_valid part ->
+            best := Some part;
+            `Yes
+        | Q_invalid -> `No (* proven not bi-decomposable *)
+        | Q_unknown -> `Budget
+      end
+  in
+  match feasible with
+  | `No -> (None, true)
+  | `Budget -> (None, false)
+  | `Yes -> begin
+    (* invariant: everything strictly below [floor] is known Invalid *)
+    let floor = ref 0 in
+    let unknown = ref false in
+    let md_steps budget =
+      (* monotonically decreasing: probe best-1 repeatedly *)
+      let steps = ref 0 in
+      let continue_ = ref true in
+      while !continue_ && !steps < budget && best_k () > !floor do
+        incr steps;
+        match ask (best_k () - 1) with
+        | Q_valid part -> best := Some part
+        | Q_invalid ->
+            floor := best_k ();
+            continue_ := false
+        | Q_unknown ->
+            unknown := true;
+            continue_ := false
+      done
+    in
+    let mi_steps () =
+      (* monotonically increasing from the known floor *)
+      let continue_ = ref true in
+      while !continue_ && !floor < best_k () do
+        match ask !floor with
+        | Q_valid part ->
+            best := Some part;
+            continue_ := false
+        | Q_invalid -> incr floor
+        | Q_unknown ->
+            unknown := true;
+            continue_ := false
+      done
+    in
+    let bin_steps ~stop_width =
+      let continue_ = ref true in
+      while !continue_ && best_k () - !floor > stop_width do
+        let mid = (!floor + best_k () - 1) / 2 in
+        match ask mid with
+        | Q_valid part -> best := Some part
+        | Q_invalid -> floor := mid + 1
+        | Q_unknown ->
+            unknown := true;
+            continue_ := false
+      done
+    in
+    (match strategy with
+    | Mi -> mi_steps ()
+    | Md -> md_steps max_int
+    | Bin -> bin_steps ~stop_width:0
+    | Composite ->
+        (* the paper's MD -> Bin -> MI with heuristic iteration counts *)
+        md_steps 2;
+        if (not !unknown) && best_k () > !floor then begin
+          bin_steps ~stop_width:4;
+          if (not !unknown) && best_k () > !floor then mi_steps ()
+        end);
+    let optimal = (not !unknown) && best_k () <= !floor in
+    (!best, optimal)
+  end
 
 let target_name = function
   | Disjointness -> "disjointness"
@@ -345,117 +551,21 @@ let optimize ?copies ?(symmetry_breaking = true) ?strategy ?bootstrap
   if n < 2 then finish None true
   else begin
     let copies = Copies.resolve ~caller:"Qbf_model.optimize" copies p g in
-    let strategy =
-      match strategy with Some s -> s | None -> default_strategy target
-    in
     let deadline =
       match time_budget with Some b -> t0 +. b | None -> infinity
     in
-    let abs = make_abstraction p ~symmetry_breaking target in
-    let screen = Copies.screen copies in
-    let side = Array.make n 0 in
-    let k_max =
-      match target with
-      | Weighted { wd; wb } -> (wd + wb) * (n - 2)
-      | Disjointness | Balancedness | Combined -> n - 2
-    in
-    (* Seeds the abstraction with both clauses of every pair of the
-       screen's graph (which an Mg.find on the same scaffold has already
-       drawn) just before the first query, so an optimize that issues
-       none (a bootstrap already at the floor) pays nothing. Pair tuples
-       are already minimal, so they are not shrunk or banked, and they
-       are not refinements. *)
-    let seeded = ref false in
-    let ask k =
-      if not !seeded then begin
-        seeded := true;
-        Screen.pairs screen (fun () ->
-            ignore (Solver.add_clause abs.solver (exclude_tuple abs screen));
-            incr pairs;
-            Metrics.inc m_pairs)
-      end;
-      query abs copies screen side target k ~deadline
-        ~refinement_cap:max_refinements ~refinements ~qbf_queries
-    in
-    (* best-so-far; queries with k < best are the only ones issued *)
-    let best = ref bootstrap in
-    let best_k () =
-      match !best with Some p -> target_k target p | None -> k_max + 1
-    in
-    (* establish an upper bound when no bootstrap is available *)
-    let feasible =
-      match !best with
-      | Some _ -> `Yes
-      | None -> begin
-          match ask k_max with
-          | Q_valid part ->
-              best := Some part;
-              `Yes
-          | Q_invalid -> `No (* proven not bi-decomposable *)
-          | Q_unknown -> `Budget
-        end
-    in
-    match feasible with
-    | `No -> finish None true
-    | `Budget -> finish None false
-    | `Yes -> begin
-      (* invariant: everything strictly below [floor] is known Invalid *)
-      let floor = ref 0 in
-      let unknown = ref false in
-      let md_steps budget =
-        (* monotonically decreasing: probe best-1 repeatedly *)
-        let steps = ref 0 in
-        let continue_ = ref true in
-        while !continue_ && !steps < budget && best_k () > !floor do
-          incr steps;
-          match ask (best_k () - 1) with
-          | Q_valid part -> best := Some part
-          | Q_invalid ->
-              floor := best_k ();
-              continue_ := false
-          | Q_unknown ->
-              unknown := true;
-              continue_ := false
-        done
-      in
-      let mi_steps () =
-        (* monotonically increasing from the known floor *)
-        let continue_ = ref true in
-        while !continue_ && !floor < best_k () do
-          match ask !floor with
-          | Q_valid part ->
-              best := Some part;
-              continue_ := false
-          | Q_invalid -> incr floor
-          | Q_unknown ->
-              unknown := true;
-              continue_ := false
-        done
-      in
-      let bin_steps ~stop_width =
-        let continue_ = ref true in
-        while !continue_ && best_k () - !floor > stop_width do
-          let mid = (!floor + best_k () - 1) / 2 in
-          match ask mid with
-          | Q_valid part -> best := Some part
-          | Q_invalid -> floor := mid + 1
-          | Q_unknown ->
-              unknown := true;
-              continue_ := false
-        done
-      in
-      (match strategy with
-      | Mi -> mi_steps ()
-      | Md -> md_steps max_int
-      | Bin -> bin_steps ~stop_width:0
-      | Composite ->
-          (* the paper's MD -> Bin -> MI with heuristic iteration counts *)
-          md_steps 2;
-          if (not !unknown) && best_k () > !floor then begin
-            bin_steps ~stop_width:4;
-            if (not !unknown) && best_k () > !floor then mi_steps ()
-          end);
-        let optimal = (not !unknown) && best_k () <= !floor in
-        finish !best optimal
-      end
+    match (g, target) with
+    | Gate.Xor_gate, Disjointness ->
+        let partition, optimal =
+          separate p copies ~bootstrap ~deadline
+            ~refinement_cap:max_refinements ~refinements ~qbf_queries ~pairs
+        in
+        finish partition optimal
+    | _ ->
+        let partition, optimal =
+          abstraction_search p copies target ~symmetry_breaking ~strategy
+            ~bootstrap ~deadline ~max_refinements ~refinements ~qbf_queries
+            ~pairs
+        in
+        finish partition optimal
   end

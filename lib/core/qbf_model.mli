@@ -27,6 +27,25 @@
       and refinement run in its model hook ([Solver.solve ~on_model]),
       and each refinement clause joins the running search.
 
+    {b XOR disjointness} is not searched on the abstraction. For XOR,
+    [f = fA(XA, XC) ⊕ fB(XB, XC)] holds exactly when no edge of f's pair
+    graph (the pairs [(i, j)] with [D_i D_j f ≢ 0], see {!Screen.walk})
+    joins XA to XB, so the optimum XC is a minimum vertex separator of
+    that graph. The search keeps the edges it has witnessed, starting
+    from the screen's sampled pairs ({!Screen.conflict}), and loops:
+    - a bound query takes a minimum separator of the known graph with
+      both sides non-empty and [|XC|] below the best so far
+      ({!Separator.minimum}); the known edges are true ones, so none
+      means the best so far is optimal, and with no best at all (no
+      bootstrap) it means "indecomposable";
+    - one {!Copies.check}, the four-point miter, decides the candidate:
+      [Unsat] proves it optimal;
+    - on [Sat] the counterexample walks down to an edge across the
+      candidate ({!Screen.walk}), every edge visible at the walk's point
+      joins the graph ({!Screen.harvest}), and the next query follows.
+      Each counterexample is one refinement.
+    No abstraction solver, totalizer or clause is built on this path.
+
     The target integer [k] instantiates the paper's constraints:
     (5) [|XC| ≤ k] for disjointness, (6) [0 ≤ |XA| − |XB| ≤ k] for
     balancedness, (8) [|XC| + |XA| − |XB| ≤ k] for the combined cost —
@@ -56,8 +75,12 @@ type outcome = {
   optimal : bool;
       (** The partition provably attains the optimum [k] for the target. *)
   best_k : int option; (** Target value of the best partition. *)
-  refinements : int; (** CEGAR counterexamples processed. *)
-  qbf_queries : int; (** Bounded queries, one abstraction solve each. *)
+  refinements : int;
+      (** CEGAR counterexamples processed; for XOR disjointness, the
+          counterexamples walked down to a new edge. *)
+  qbf_queries : int;
+      (** Bounded queries: one abstraction solve each, or for XOR
+          disjointness one separator and at most one check. *)
   cpu : float;
 }
 
@@ -91,4 +114,10 @@ val optimize :
     the bootstrap already meets the floor, adds none. [copies] must be
     built for the same problem and gate ({!Copies.resolve}).
     [time_budget] sets one deadline that every abstraction and
-    verification call of the search runs under. *)
+    verification call of the search runs under.
+
+    On XOR with [Disjointness] the search is the separator loop above:
+    [symmetry_breaking] and [strategy] do not apply to it, the sampled
+    pairs start its graph instead of seeding clauses (one [qbf.pairs]
+    per pair), and [max_refinements] caps the counterexamples it walks.
+    Every other gate and target runs on the abstraction. *)

@@ -458,6 +458,143 @@ let pairs t f =
     done
   done
 
+(* ---------- the edge walk and the harvest (XOR) ---------- *)
+
+(* Lanes [l] and up, none when [l] is past the last lane. *)
+let from l = if l >= lanes then 0 else all_lanes lsl l
+
+(* Walks copy [c] of the current violating XOR tuple down to one flip.
+   With u the copy's difference from x and v the other copy's, the tuple
+   violates when D_u D_v f(x) = 1. For u = e_d1 ⊕ … ⊕ e_dm the
+   derivative telescopes, D_u g(x) = ⊕_l D_{e_d(l+1)} g(x ⊕ e_d1 ⊕ … ⊕
+   e_dl), so some term violates: the tuple on base x ⊕ e_d1 ⊕ … ⊕ e_dl
+   whose copy [c] flips d(l+1) alone and whose other copy is the base
+   ⊕ v. Lane l of a batch is term l. The copy's own point x ⊕ u is the
+   same in every term, so a batch with no violating lane moves only x
+   and the other copy on, by the batch's flips. Returns the flips the
+   copy dropped. *)
+let walk_copy t c =
+  let tm, tother, wm, wother =
+    if c = 1 then (t.t1, t.t2, t.w1, t.w2) else (t.t2, t.t1, t.w2, t.w1)
+  in
+  let m = ref 0 in
+  for j = 0 to t.n - 1 do
+    if tm.(j) <> t.tx.(j) then begin
+      t.items.(!m) <- j;
+      incr m
+    end
+  done;
+  let m = !m in
+  let start = ref 0 and found = ref false in
+  while not !found do
+    if !start >= m then
+      invalid_arg "Screen.walk: the current tuple does not violate";
+    let cnt = min lanes (m - !start) in
+    broadcast t;
+    for i = !start + cnt to m - 1 do
+      let j = t.items.(i) in
+      wm.(j) <- t.wx.(j)
+    done;
+    for i = 0 to cnt - 1 do
+      let j = t.items.(!start + i) in
+      let x = t.wx.(j) in
+      (* the base has flipped j from lane i + 1 on, the copy from lane i *)
+      t.wx.(j) <- x lxor from (i + 1);
+      wother.(j) <- t.wx.(j);
+      wm.(j) <- x lxor from i
+    done;
+    let v = violations t land lnot (from cnt) in
+    if v = 0 then begin
+      for i = !start to !start + cnt - 1 do
+        let j = t.items.(i) in
+        t.tx.(j) <- not t.tx.(j);
+        tother.(j) <- not tother.(j)
+      done;
+      start := !start + cnt
+    end
+    else begin
+      load_lane t (lowest_lane v);
+      found := true
+    end
+  done;
+  m - 1
+
+let walk t =
+  if t.gate <> Gate.Xor_gate then invalid_arg "Screen.walk: XOR only";
+  for j = 0 to t.n - 1 do
+    if t.t1.(j) <> t.tx.(j) && t.t2.(j) <> t.tx.(j) then
+      invalid_arg "Screen.walk: copies differ on the same input"
+  done;
+  let d1 = walk_copy t 1 in
+  d1 + walk_copy t 2
+
+(* Every pair visible at the current base point z, D_k D_l f(z) = 1:
+   f(z), the n single flips and the double flips of the pairs asked,
+   each point one lane of a simulated word. *)
+let harvest t ~known f =
+  if t.gate <> Gate.Xor_gate then invalid_arg "Screen.harvest: XOR only";
+  let n = t.n in
+  let z = Array.copy t.tx and t1 = Array.copy t.t1 and t2 = Array.copy t.t2 in
+  let load_z () =
+    for j = 0 to n - 1 do
+      t.wx.(j) <- (if z.(j) then all_lanes else 0)
+    done
+  in
+  load_z ();
+  let fz = bit (run t.sim t.wx) 0 in
+  let single = Array.make n false in
+  let k0 = ref 0 in
+  while !k0 < n do
+    let cnt = min lanes (n - !k0) in
+    load_z ();
+    for l = 0 to cnt - 1 do
+      let k = !k0 + l in
+      t.wx.(k) <- t.wx.(k) lxor (1 lsl l)
+    done;
+    let r = run t.sim t.wx in
+    for l = 0 to cnt - 1 do
+      single.(!k0 + l) <- bit r l
+    done;
+    k0 := !k0 + cnt
+  done;
+  let ks = Array.make lanes 0 and ls = Array.make lanes 0 in
+  let cnt = ref 0 in
+  let report k l =
+    Array.blit z 0 t.t1 0 n;
+    Array.blit z 0 t.t2 0 n;
+    t.t1.(k) <- not z.(k);
+    t.t2.(l) <- not z.(l);
+    f ()
+  in
+  let flush () =
+    load_z ();
+    for lane = 0 to !cnt - 1 do
+      let m = 1 lsl lane in
+      t.wx.(ks.(lane)) <- t.wx.(ks.(lane)) lxor m;
+      t.wx.(ls.(lane)) <- t.wx.(ls.(lane)) lxor m
+    done;
+    let r = run t.sim t.wx in
+    let batch = !cnt in
+    cnt := 0;
+    for lane = 0 to batch - 1 do
+      let k = ks.(lane) and l = ls.(lane) in
+      if fz <> single.(k) <> single.(l) <> bit r lane then report k l
+    done
+  in
+  for k = 0 to n - 2 do
+    for l = k + 1 to n - 1 do
+      if not (known k l) then begin
+        ks.(!cnt) <- k;
+        ls.(!cnt) <- l;
+        incr cnt;
+        if !cnt = lanes then flush ()
+      end
+    done
+  done;
+  if !cnt > 0 then flush ();
+  Array.blit t1 0 t.t1 0 n;
+  Array.blit t2 0 t.t2 0 n
+
 let iter_diff t ~xa ~xb =
   for j = 0 to t.n - 1 do
     if t.t1.(j) <> t.tx.(j) then xa j;

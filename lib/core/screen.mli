@@ -40,8 +40,10 @@
     seeds [{u | v | rest}] of conflicting pairs and screens its group
     MUS with it ({!Mg.mus_hook}, with {!depends} and side 3 of
     {!refute}), and {!Qbf_model.optimize} adds both clauses of every
-    pair before its first bound query. A pair the sample misses is still
-    found by a SAT call or the CEGAR loop. *)
+    pair before its first bound query, or, for XOR disjointness, starts
+    its separator graph from the pairs. A pair the sample misses is still
+    found by a SAT call or the CEGAR loop; on XOR such a counterexample
+    becomes edges through {!walk} and {!harvest}. *)
 
 (** {2 Compiled cone simulator} *)
 
@@ -126,6 +128,39 @@ val pairs : t -> (unit -> unit) -> unit
     are already minimal: reverting either flip makes two points coincide,
     so {!shrink} would revert nothing. [f] may call {!iter_diff},
     {!tuple} and {!shrink}. *)
+
+(** {2 Edges of the XOR pair graph}
+
+    For XOR the pair graph has an exact meaning: [(i, j)] is an edge
+    when [D_i D_j f(z) = 1] at some point [z], that is
+    [f(z) ⊕ f(z ⊕ e_i) ⊕ f(z ⊕ e_j) ⊕ f(z ⊕ e_i ⊕ e_j) = 1], and
+    [f = fA(XA, XC) ⊕ fB(XB, XC)] holds exactly when no edge joins XA
+    to XB. {!Qbf_model.optimize} searches XOR partitions of least [|XC|]
+    as separators of the edges it knows ({!Separator}), and turns each
+    counterexample into edges with the two calls below. *)
+
+val walk : t -> int
+(** Walks the current violating XOR tuple [(x, x', x'')] down to one
+    flip per copy: it makes [(z, z ⊕ e_i, z ⊕ e_j)] current, a violating
+    tuple with [i] among the inputs where [x'] differed from [x] and [j]
+    among those where [x''] did, so [(i, j)] is an edge with witness
+    [z]. The path is the telescoping identity
+    [D_{u⊕v} g(x) = D_u g(x) ⊕ D_v g(x ⊕ u)], applied to one copy and
+    then the other, 63 of its terms per simulated word. Returns the
+    number of flips dropped. Leaves the bank unchanged.
+    @raise Invalid_argument if the gate is not XOR, if the current
+    tuple does not violate, or if both copies differ from [x] on the
+    same input. *)
+
+val harvest : t -> known:(int -> int -> bool) -> (unit -> unit) -> unit
+(** [harvest t ~known f] reports every edge visible at the current
+    tuple's base point [z]: for each pair [k < l] of support positions
+    with [known k l] false and [D_k D_l f(z) = 1], it makes
+    [(z, z ⊕ e_k, z ⊕ e_l)] current and calls [f ()], which may read it
+    with {!iter_diff} or {!tuple}. The n single flips and the double
+    flips of the pairs asked are simulated 63 to a word. Afterwards the
+    current tuple is what it was before.
+    @raise Invalid_argument if the gate is not XOR. *)
 
 val iter_diff : t -> xa:(int -> unit) -> xb:(int -> unit) -> unit
 (** Support positions where the current tuple's [x'] (passed to [xa]) or

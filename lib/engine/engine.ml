@@ -116,8 +116,8 @@ let timeout_stub ~method_ name =
 
 (* The single-output kernel: output [i] of [circuit] under the job's
    config, with [budget] the per-PO budget already clamped by what is
-   left of the total budget. [circuit] is the job's private compacted
-   copy — the QBF methods add copy inputs and scratch nodes to its
+   left of the total budget. [circuit] is the job's private copy of the
+   output's cone — the QBF methods add copy inputs and scratch nodes to its
    manager. Cache keys use the configured [cfg.per_po_budget], never the
    clamped [budget].
 
@@ -359,8 +359,9 @@ let po_failure_of (f : Retry.failure) =
     transient = f.Retry.classification = Retry.Transient;
   }
 
-(* Runs [kernel] for output [i] as one job: on a private compacted copy
-   of the session circuit, so solver work pollutes the copy's manager,
+(* Runs [kernel] for output [i] as one job: on a private copy of that
+   output's cone alone ({!Circuit.cone}, a one-output circuit whose
+   output 0 is output [i]), so solver work pollutes the copy's manager,
    never the session's, and every job — on any domain, in any order —
    sees the same input (that is what makes results independent of
    [jobs]); with the per-PO budget clamped by what is left before
@@ -373,7 +374,7 @@ let method_job eng ~deadline ~no_aux kernel method_ i =
   else
     kernel cfg
       ~budget:(Float.min cfg.Config.per_po_budget remaining)
-      (Circuit.compact eng.circuit) i method_
+      (Circuit.cone eng.circuit i) 0 method_
 
 (* A result a degradation rung may stand on: either a partition was
    found or the method reached a real verdict (indecomposable). A

@@ -3,10 +3,10 @@
     An {!t} is a decomposition session: a circuit plus a validated
     {!Config.t}. {!run} decomposes every primary output, fanning the
     per-output jobs over [config.jobs] OCaml domains through a work
-    queue; each job solves on a private compacted copy of the circuit
-    (solver scaffolding never touches the session circuit), so the
-    result array is deterministic and identically ordered for any
-    [jobs] value.
+    queue; each job solves on a private copy of its output's cone
+    ({!Step_aig.Circuit.cone}; solver scaffolding never touches the
+    session circuit), so the result array is deterministic and
+    identically ordered for any [jobs] value.
 
     {[
       let eng =

@@ -2,15 +2,6 @@ module Diag = Step_lint.Diag
 
 type cnf = { num_vars : int; clauses : Lit.t list list }
 
-(* The one DIMACS-family tokenizer (CNF, QDIMACS, DRAT, LRAT): the line
-   is trimmed, then space, tab and carriage return all separate tokens
-   (files written on Windows or with tab-aligned clauses are valid). *)
-let tokens line =
-  String.split_on_char ' ' (String.trim line)
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.concat_map (String.split_on_char '\r')
-  |> List.filter (fun s -> s <> "")
-
 type quantifier = Exists | Forall
 
 type scan = {
@@ -140,7 +131,7 @@ let scan ?file ~qdimacs text =
   List.iteri
     (fun i text ->
       let line = i + 1 in
-      match tokens text with
+      match Step_util.Dimacs_tokens.split text with
       | [] -> ()
       | tok :: _ when tok.[0] = 'c' -> ()
       | "p" :: rest -> header_line line rest

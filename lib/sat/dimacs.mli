@@ -12,11 +12,6 @@ type cnf = { num_vars : int; clauses : Lit.t list list }
     keeps going after a defect and reports every finding of the CNF and
     QDM rule families (docs/LINT.md). *)
 
-val tokens : string -> string list
-(** The DIMACS-family tokenizer, shared with the QDIMACS reader and the
-    DRAT/LRAT parser of [Step_cert]: the line is trimmed, then spaces,
-    tabs and carriage returns all separate tokens. *)
-
 type quantifier = Exists | Forall
 
 type scan = {

@@ -258,7 +258,7 @@ let test_circuit_compact () =
   let keep = Aig.xor_ m a b in
   (* garbage not in the output cone *)
   let _junk1 = Aig.fresh_input m in
-  let _junk2 = Aig.and_ m keep (Aig.fresh_input m) in
+  let junk2 = Aig.and_ m keep (Aig.fresh_input m) in
   let c = Circuit.make ~name:"t" m [ ("f", keep) ] in
   let c2 = Circuit.compact c in
   Alcotest.(check int) "only used inputs kept via names" 4 (Circuit.n_inputs c);
@@ -273,6 +273,23 @@ let test_circuit_compact () =
       (Printf.sprintf "mask %d" mask)
       (Aig.eval m env keep)
       (Aig.eval c2.Circuit.aig env f2)
+  done;
+  (* one output's cone alone: every input kept, no other output's node *)
+  let both = Circuit.make ~name:"t" m [ ("g", junk2); ("f", keep) ] in
+  let cone = Circuit.cone both 1 in
+  Alcotest.(check int) "one output" 1 (Circuit.n_outputs cone);
+  Alcotest.(check string) "its name" "f" (Circuit.output_name cone 0);
+  Alcotest.(check int) "every input" 4 (Circuit.n_inputs cone);
+  Alcotest.(check string) "input names kept" "b"
+    (Aig.input_name cone.Circuit.aig 1);
+  Alcotest.(check int) "the cone's nodes only" (Aig.n_ands c2.Circuit.aig)
+    (Aig.n_ands cone.Circuit.aig);
+  for mask = 0 to 3 do
+    let env = env_of_mask mask in
+    Alcotest.(check bool)
+      (Printf.sprintf "cone mask %d" mask)
+      (Aig.eval m env keep)
+      (Aig.eval cone.Circuit.aig env (Circuit.output cone 0))
   done
 
 let test_aag_roundtrip () =

@@ -15,6 +15,7 @@ module Ljh = Step_core.Ljh
 module Qbf_model = Step_core.Qbf_model
 module Extract = Step_core.Extract
 module Screen = Step_core.Screen
+module Separator = Step_core.Separator
 module Verify = Step_core.Verify
 module Certify = Step_core.Certify
 module Engine = Step_engine.Engine
@@ -1428,6 +1429,249 @@ let test_side3_not_banked () =
     (pair_cones ());
   Alcotest.(check bool) "some side-3 tuples rejected" true (!rejected > 0)
 
+(* ---------- XOR disjointness as a vertex separator ---------- *)
+
+(* The least |XC| of a separator by enumerating all 3^n side arrays
+   with both sides non-empty, or None for a complete graph. *)
+let brute_separator n adj =
+  let side = Array.make n 0 in
+  let best = ref None in
+  let rec go j =
+    if j = n then begin
+      let has s = Array.exists (( = ) s) side in
+      let crosses = ref false in
+      for a = 0 to n - 1 do
+        for b = 0 to n - 1 do
+          if side.(a) = 0 && side.(b) = 1 && adj.(a).(b) then crosses := true
+        done
+      done;
+      if has 0 && has 1 && not !crosses then begin
+        let c = Array.fold_left (fun k s -> if s = 2 then k + 1 else k) 0 side in
+        match !best with Some b when b <= c -> () | _ -> best := Some c
+      end
+    end
+    else
+      for s = 0 to 2 do
+        side.(j) <- s;
+        go (j + 1)
+      done
+  in
+  go 0;
+  !best
+
+let random_graph st n density =
+  let adj = Array.make_matrix n n false in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if Random.State.float st 1.0 < density then begin
+        adj.(i).(j) <- true;
+        adj.(j).(i) <- true
+      end
+    done
+  done;
+  adj
+
+(* On random graphs of up to 9 vertices, Even's search finds a separator
+   of the brute-force minimum size, with no edge across and both sides
+   non-empty; it finds none for a complete graph or under a cap the
+   minimum does not beat. *)
+let test_separator_vs_brute_force () =
+  let st = Random.State.make [| 41 |] in
+  for _ = 1 to 300 do
+    let n = 1 + Random.State.int st 9 in
+    let adj = random_graph st n (Random.State.float st 1.0) in
+    let adjacent i j = adj.(i).(j) in
+    let brute = brute_separator n adj in
+    match (Separator.minimum n adjacent ~below:n, brute) with
+    | None, None -> ()
+    | None, Some b -> Alcotest.failf "n=%d: no separator, brute force %d" n b
+    | Some _, None -> Alcotest.failf "n=%d: a separator where none exists" n
+    | Some side, Some b ->
+        let count s = Array.fold_left (fun k x -> if x = s then k + 1 else k) 0 side in
+        Alcotest.(check int) "minimum size" b (count 2);
+        Alcotest.(check bool) "XA non-empty" true (count 0 > 0);
+        Alcotest.(check bool) "XB non-empty" true (count 1 > 0);
+        Array.iteri
+          (fun a sa ->
+            Array.iteri
+              (fun c sc ->
+                if sa = 0 && sc = 1 && adj.(a).(c) then
+                  Alcotest.failf "edge (%d, %d) joins XA to XB" a c)
+              side)
+          side;
+        Alcotest.(check bool) "nothing beats the minimum" true
+          (Separator.minimum n adjacent ~below:b = None)
+  done;
+  let complete = Array.init 6 (fun i -> Array.init 6 (fun j -> i <> j)) in
+  Alcotest.(check bool) "complete graph" true
+    (Separator.minimum 6 (fun i j -> complete.(i).(j)) ~below:6 = None)
+
+(* XOR cones of up to 8 inputs: unstructured; a product of all inputs
+   combined with an unstructured cone, whose edges have few witness
+   points, so the screen's sample can miss them; and planted as
+   g(XA, XC) ⊕ h(XB, XC). *)
+let gen_xor_cone =
+  let open QCheck2.Gen in
+  let module G = Step_circuits.Generators in
+  oneof
+    [
+      (let* n = int_range 2 8 in
+       let+ e = gen_expr n in
+       (pp_expr e, problem_of_expr n e));
+      (let* n = int_range 5 8 in
+       let* signs = list_size (pure n) bool in
+       let* e = gen_expr n in
+       let+ op = oneofl [ (fun a b -> And (a, b)); (fun a b -> Or (a, b));
+                          (fun a b -> Xor (a, b)) ] in
+       let lit i s = if s then Var i else Not (Var i) in
+       let product =
+         List.fold_left
+           (fun acc (i, s) -> And (acc, lit i s))
+           (lit 0 (List.hd signs))
+           (List.tl (List.mapi (fun i s -> (i, s)) signs))
+       in
+       let e = op product e in
+       (pp_expr e, problem_of_expr n e));
+      (let* seed = int_range 0 1_000_000 in
+       let* na = int_range 1 3 and* nb = int_range 1 3 in
+       let+ nc = int_range 0 (8 - na - nb) in
+       let pl = G.planted_cone ~seed ~na ~nb ~nc Gate.Xor_gate in
+       ( Printf.sprintf "planted seed=%d %d/%d/%d" seed na nb nc,
+         Problem.of_output pl.G.circuit 0 ));
+    ]
+
+(* STEP-QD on XOR, plain and bootstrapped from MG on a shared scaffold,
+   reaches the enumerated optimum with a proof, and any partition it
+   returns decomposes. *)
+let prop_xor_separator_optimum =
+  QCheck2.Test.make ~count:150 ~name:"XOR QD separator optimum is exact"
+    ~print:fst gen_xor_cone (fun (_, p) ->
+      if Problem.n_vars p < 2 then true
+      else begin
+        let g = Gate.Xor_gate in
+        let expected =
+          Option.map Partition.disjointness_k (Exhaustive.best p g)
+        in
+        let exact (o : Qbf_model.outcome) =
+          o.Qbf_model.optimal
+          && Option.map Partition.disjointness_k o.Qbf_model.partition
+             = expected
+          &&
+          match o.Qbf_model.partition with
+          | Some q -> Check.decomposable_semantic p g q
+          | None -> true
+        in
+        let copies = Copies.create p g in
+        let bootstrap = (Mg.find ~copies p g).Mg.partition in
+        exact (Qbf_model.optimize p g Qbf_model.Disjointness)
+        && exact
+             (Qbf_model.optimize ~copies ?bootstrap p g Qbf_model.Disjointness)
+      end)
+
+(* D_i D_j f(z) by plain AIG evaluation, z over support positions *)
+let second_derivative (p : Problem.t) z i j =
+  let pos = Array.make (Aig.n_inputs p.Problem.aig) 0 in
+  List.iteri (fun k v -> pos.(v) <- k) p.Problem.support;
+  let f flip =
+    Aig.eval p.Problem.aig
+      (fun v -> z.(pos.(v)) <> List.mem pos.(v) flip)
+      p.Problem.f
+  in
+  f [] <> f [ i ] <> f [ j ] <> f [ i; j ]
+
+(* Every edge the separator search learns has a witness: a counterexample
+   of a random partition walks down to a pair (i, j) across it with
+   D_i D_j f(z) = 1 under Aig.eval, and the harvest at z reports exactly
+   the pairs with D_k D_l f(z) = 1, each with z as its witness. *)
+let prop_xor_edges_witnessed =
+  QCheck2.Test.make ~count:150 ~name:"XOR learned edges are witnessed"
+    ~print:(fun ((what, _), _) -> what)
+    QCheck2.Gen.(pair gen_xor_cone (int_range 0 1_000_000))
+    (fun ((_, p), seed) ->
+      let n = Problem.n_vars p in
+      if n < 2 then true
+      else begin
+        let g = Gate.Xor_gate in
+        let st = Random.State.make [| seed |] in
+        let copies = Copies.create p g in
+        let screen = Copies.screen copies in
+        let ok = ref true in
+        let expect b = if not b then ok := false in
+        for _ = 1 to 8 do
+          let part =
+            QCheck2.Gen.generate1 ~rand:st (gen_partition_of p.Problem.support)
+          in
+          if Copies.check copies part = Step_sat.Solver.Sat then begin
+            let x, x1, x2 = Copies.model_points copies in
+            expect (Screen.load screen ~x ~x1 ~x2);
+            let flips = ref 0 in
+            Array.iteri
+              (fun k xk ->
+                if x1.(k) <> xk then incr flips;
+                if x2.(k) <> xk then incr flips)
+              x;
+            expect (Screen.walk screen = !flips - 2);
+            let z, z1, z2 = Screen.tuple screen in
+            let pos = Array.of_list p.Problem.support in
+            let i = ref (-1) and j = ref (-1) in
+            Array.iteri
+              (fun k zk ->
+                if z1.(k) <> zk then i := k;
+                if z2.(k) <> zk then j := k)
+              z;
+            expect (List.mem pos.(!i) part.Partition.xa);
+            expect (List.mem pos.(!j) part.Partition.xb);
+            expect (second_derivative p z !i !j);
+            let reported = ref [] in
+            Screen.harvest screen ~known:(fun _ _ -> false) (fun () ->
+                let w, w1, w2 = Screen.tuple screen in
+                expect (w = z);
+                let k = ref (-1) and l = ref (-1) in
+                Screen.iter_diff screen
+                  ~xa:(fun a -> k := a)
+                  ~xb:(fun b -> l := b);
+                expect (w1.(!k) <> z.(!k) && w2.(!l) <> z.(!l));
+                reported := (!k, !l) :: !reported);
+            expect (Screen.tuple screen = (z, z1, z2));
+            for k = 0 to n - 2 do
+              for l = k + 1 to n - 1 do
+                expect
+                  (List.mem (k, l) !reported = second_derivative p z k l)
+              done
+            done
+          end
+        done;
+        !ok
+      end)
+
+(* XOR QD runs no abstraction solve: each query is one separator and at
+   most one sat.verify check, and the refinements it counts are edges. *)
+let test_xor_qd_no_abstraction () =
+  let module G = Step_circuits.Generators in
+  let pl = G.planted_cone ~seed:5 ~na:4 ~nb:4 ~nc:3 Gate.Xor_gate in
+  let p = Problem.of_output pl.G.circuit 0 in
+  let spans = Hashtbl.create 8 in
+  let sink =
+    Step_obs.Obs.callback_sink (fun r ->
+        let name = r.Step_obs.Obs.r_name in
+        Hashtbl.replace spans name
+          (1 + Option.value ~default:0 (Hashtbl.find_opt spans name)))
+  in
+  let o =
+    Step_obs.Obs.with_sink sink (fun () ->
+        Qbf_model.optimize p Gate.Xor_gate Qbf_model.Disjointness)
+  in
+  let count name = Option.value ~default:0 (Hashtbl.find_opt spans name) in
+  Alcotest.(check bool) "optimal" true o.Qbf_model.optimal;
+  Alcotest.(check int) "no abstraction solve" 0 (count "sat.abstraction");
+  Alcotest.(check int) "queries counted" o.Qbf_model.qbf_queries
+    (count "qbf.query");
+  Alcotest.(check bool) "at most one check per query" true
+    (count "sat.verify" <= count "qbf.query");
+  Alcotest.(check int) "every check but the last refines"
+    o.Qbf_model.refinements
+    (count "sat.verify" - if o.Qbf_model.partition = None then 0 else 1)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -1490,6 +1734,10 @@ let () =
             test_mg_mus_hook;
           Alcotest.test_case "side-3 tuple never banked" `Quick
             test_side3_not_banked;
+          Alcotest.test_case "separator = brute force" `Quick
+            test_separator_vs_brute_force;
+          Alcotest.test_case "xor qd has no abstraction solve" `Quick
+            test_xor_qd_no_abstraction;
         ] );
       ( "extract",
         [
@@ -1522,6 +1770,8 @@ let () =
           prop_sim_matches_eval;
           prop_screen_clauses_backed;
           prop_xor_miter_matches_scaffold;
+          prop_xor_separator_optimum;
+          prop_xor_edges_witnessed;
           prop_recursive_rebuild_equivalent;
         ];
     ]
