@@ -2,12 +2,15 @@
 
    Default mode regenerates every table and figure of the paper's
    evaluation (plus the DESIGN.md ablations) and prints them. Timing
-   measurements live in bench/perf (sh bench/perf/bench.sh).
+   measurements live in bench/perf (sh bench/perf/bench.sh). Ablation
+   A4, the weighted-cost sweep, is retired: Definition 4's cost is
+   reachable only as STEP-QDB (unit weights), which tables 2-4 run.
 
    Usage:
      dune exec bench/main.exe                 # all tables + figure + ablations
      dune exec bench/main.exe -- --quick      # reduced circuit set
-     dune exec bench/main.exe -- --table 3    # one artifact (1..4, fig, a1..a6)
+     dune exec bench/main.exe -- --table 3    # one artifact: 1..4, fig,
+                                              # a1..a3, a5, a6
      dune exec bench/main.exe -- --budget 5.0 # per-PO time budget (seconds)
 *)
 
@@ -15,7 +18,7 @@ let usage () =
   prerr_endline
     "usage: main.exe [--quick] [--budget SECONDS] [--scale S] [--jobs N] \
      [--cache] [--cache-dir DIR] [--certify] \
-     [--table 1|2|3|4|fig|a1|a2|a3|a4|a5|a6]";
+     [--table 1|2|3|4|fig|a1|a2|a3|a5|a6]";
   exit 2
 
 type selection =
@@ -67,7 +70,6 @@ let () =
       ("a1", "a1", fun () -> Tables.ablation_symmetry config);
       ("a2", "a2", fun () -> Tables.ablation_strategy config);
       ("a3", "a3", fun () -> Tables.ablation_extract config);
-      ("a4", "a4", fun () -> Tables.ablation_weights config);
       ("a5", "a5", fun () -> Tables.ablation_bdd config);
       ("a6", "a6", fun () -> Tables.ablation_depth config);
     ]

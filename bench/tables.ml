@@ -288,36 +288,6 @@ let ablation_strategy config =
       ("balancedness/Composite", Qbf_model.Composite, Qbf_model.Balancedness);
     ]
 
-let ablation_weights config =
-  Printf.printf
-    "%s\nABLATION A4: weighted cost functions (Definition 4, wd:wb sweep)\n" hr;
-  let problems = sample_problems config Gate.Or_gate 30 in
-  List.iter
-    (fun (wd, wb) ->
-      let t0 = Unix.gettimeofday () in
-      let sum_d = ref 0 and sum_b = ref 0 and found = ref 0 in
-      List.iter
-        (fun (p, bootstrap) ->
-          let o =
-            Qbf_model.optimize ~bootstrap ~time_budget:1.0 p Gate.Or_gate
-              (Qbf_model.Weighted { wd; wb })
-          in
-          match o.Qbf_model.partition with
-          | Some part ->
-              incr found;
-              sum_d := !sum_d + Partition.disjointness_k part;
-              sum_b := !sum_b + Partition.balancedness_k (Partition.canonical part)
-          | None -> ())
-        problems;
-      Printf.printf
-        "wd=%d wb=%d   total |XC|=%-4d total ||XA|-|XB||=%-4d  (%d POs, %.3fs)\n"
-        wd wb !sum_d !sum_b !found
-        (Unix.gettimeofday () -. t0))
-    [ (1, 0); (4, 1); (1, 1); (1, 4); (0, 1) ];
-  Printf.printf
-    "(increasing wb shifts the optimum from disjoint toward balanced, as \
-     Definition 4 intends)\n"
-
 let ablation_bdd config =
   Printf.printf
     "%s\nABLATION A5: BDD-based vs SAT-based decomposability checks\n" hr;

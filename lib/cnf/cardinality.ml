@@ -58,13 +58,6 @@ let at_least c k =
   if k > size c then invalid_arg "Cardinality.at_least";
   if k <= 0 then None else Some c.outputs.(k - 1)
 
-let totalizer_weighted solver weighted =
-  let expand (l, w) =
-    if w < 0 then invalid_arg "Cardinality.totalizer_weighted: negative weight";
-    List.init w (fun _ -> l)
-  in
-  totalizer solver (List.concat_map expand weighted)
-
 let add_at_least_one solver lits = ignore (Solver.add_clause solver lits)
 
 let add_bound_difference solver ~left ~right ~k ~activator =

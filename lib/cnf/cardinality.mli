@@ -25,15 +25,6 @@ val at_least : counter -> int -> Step_sat.Lit.t option
 
 val size : counter -> int
 
-val totalizer_weighted :
-  Step_sat.Solver.t -> (Step_sat.Lit.t * int) list -> counter
-(** Weighted unary counter: [outputs.(i)] is true iff the weight-sum of the
-    true inputs is at least [i + 1]. Encoded by repeating each literal
-    [weight] times in the totalizer, so it is only meant for small weights
-    (the cost-function weights of the paper's Definition 4).
-    @raise Invalid_argument on a negative weight; zero-weight literals are
-    dropped. *)
-
 val add_at_least_one : Step_sat.Solver.t -> Step_sat.Lit.t list -> unit
 (** Plain clause [l_1 ∨ ... ∨ l_n]. *)
 
@@ -42,5 +33,5 @@ val add_bound_difference :
   activator:Step_sat.Lit.t -> unit
 (** Clauses asserting, once [activator] is assumed, that
     [count(left) − count(right) ≤ k]: for every [j ≥ 1],
-    [left ≥ k + j ⇒ right ≥ j]. This is the building block of the
-    balancedness and weighted-cost targets. *)
+    [left ≥ k + j ⇒ right ≥ j]. This is the bound of the balancedness
+    target, [|XA| − |XB| ≤ k]. *)

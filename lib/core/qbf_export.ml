@@ -17,10 +17,6 @@ let or_model ?k ?(target = Qbf_model.Disjointness) (p : Problem.t) =
   let support = p.Problem.support in
   let n = List.length support in
   if n < 2 then invalid_arg "Qbf_export.or_model: support too small";
-  (match target with
-  | Qbf_model.Weighted _ ->
-      invalid_arg "Qbf_export.or_model: weighted targets not supported"
-  | Qbf_model.Disjointness | Qbf_model.Balancedness | Qbf_model.Combined -> ());
   let k = match k with Some k -> k | None -> n - 2 in
   let solver = Solver.create () in
   let add c = ignore (Solver.add_clause solver c) in
@@ -109,10 +105,7 @@ let or_model ?k ?(target = Qbf_model.Disjointness) (p : Problem.t) =
         match Cardinality.at_most cb (lb - 1) with
         | Some no -> add [ Lit.negate s_t; no ]
         | None -> add [ Lit.negate s_t ]
-      end
-  | Qbf_model.Weighted _ ->
-      (* rejected on entry; an assertion would vanish under -noassert *)
-      invalid_arg "Qbf_export.or_model: weighted targets not supported");
+      end);
   (* assemble QDIMACS: the paper's symmetry-breaking optimization is kept
      out of the export so external solvers see the plain model *)
   let universal =

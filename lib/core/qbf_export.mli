@@ -26,8 +26,7 @@ val or_model :
 (** QDIMACS text of model (9) for OR bi-decomposition of the given
     function with target bound [k] (default: the loosest non-trivial
     bound, [n − 2], with [target] defaulting to [Disjointness]).
-    @raise Invalid_argument if the support has fewer than 2 variables or
-    the target is [Weighted] (not supported in the export). *)
+    @raise Invalid_argument if the support has fewer than 2 variables. *)
 
 val parse_answer : expected_decomposable:bool -> Step_qbf.Qdimacs.answer -> bool option
 (** Interprets a QBF solver's verdict on an exported instance:

@@ -19,11 +19,7 @@ let m_optimize = Metrics.counter "qbf.optimize_calls"
 
 let h_query = Metrics.histogram "qbf.query_s"
 
-type target =
-  | Disjointness
-  | Balancedness
-  | Combined
-  | Weighted of { wd : int; wb : int }
+type target = Disjointness | Balancedness | Combined
 
 type strategy = Mi | Md | Bin | Composite
 
@@ -42,11 +38,9 @@ let target_k target p =
   | Disjointness -> Partition.disjointness_k p
   | Balancedness -> Partition.balancedness_k p
   | Combined -> Partition.combined_k p
-  | Weighted { wd; wb } ->
-      (wd * Partition.disjointness_k p) + (wb * Partition.balancedness_k p)
 
 let default_strategy = function
-  | Disjointness | Combined | Weighted _ -> Composite
+  | Disjointness | Combined -> Composite
   | Balancedness -> Mi
 
 (* ---------- the abstraction over the control variables ---------- *)
@@ -56,13 +50,7 @@ type abstraction = {
   support : int array;
   alpha : Lit.t array; (* per support position *)
   beta : Lit.t array;
-  shared : Lit.t array; (* c_i <-> ~alpha_i /\ ~beta_i *)
-  mutable cnt_shared : Cardinality.counter option;
-  mutable cnt_a : Cardinality.counter option;
-  mutable cnt_b : Cardinality.counter option;
-  mutable cnt_wleft : Cardinality.counter option; (* wd·XC + wb·XA *)
-  mutable cnt_wright : Cardinality.counter option; (* wb·XB *)
-  mutable bound_acts : (int, Lit.t) Hashtbl.t; (* k -> activation literal *)
+  bound : int -> Lit.t list; (* assumptions encoding fT at bound k *)
 }
 
 let make_abstraction (p : Problem.t) ~symmetry_breaking target =
@@ -77,7 +65,8 @@ let make_abstraction (p : Problem.t) ~symmetry_breaking target =
     (* exclude (1,1): each variable sits in exactly one of XA/XB/XC *)
     ignore
       (Solver.add_clause solver [ Lit.negate alpha.(j); Lit.negate beta.(j) ]);
-    (* c_j <-> ~alpha_j /\ ~beta_j *)
+    (* c_j <-> ~alpha_j /\ ~beta_j, for every target; only Disjointness
+       counts them *)
     ignore
       (Solver.add_clause solver [ shared.(j); alpha.(j); beta.(j) ]);
     ignore
@@ -88,133 +77,47 @@ let make_abstraction (p : Problem.t) ~symmetry_breaking target =
   (* fN: non-trivial partitions *)
   Cardinality.add_at_least_one solver (Array.to_list alpha);
   Cardinality.add_at_least_one solver (Array.to_list beta);
-  let abs =
-    {
-      solver;
-      support;
-      alpha;
-      beta;
-      shared;
-      cnt_shared = None;
-      cnt_a = None;
-      cnt_b = None;
-      cnt_wleft = None;
-      cnt_wright = None;
-      bound_acts = Hashtbl.create 8;
-    }
-  in
-  let counter_a () =
-    match abs.cnt_a with
-    | Some c -> c
-    | None ->
-        let c = Cardinality.totalizer solver (Array.to_list alpha) in
-        abs.cnt_a <- Some c;
-        c
-  in
-  let counter_b () =
-    match abs.cnt_b with
-    | Some c -> c
-    | None ->
-        let c = Cardinality.totalizer solver (Array.to_list beta) in
-        abs.cnt_b <- Some c;
-        c
-  in
-  (* |XA| >= |XB| is required by the balancedness-style targets (their
-     constraint (6)/(8) derivations assume it) and is an optional
-     symmetry-breaking optimization for pure disjointness *)
-  let needs_counters =
-    match target with
-    | Balancedness | Combined | Weighted _ -> true
-    | Disjointness -> symmetry_breaking
-  in
-  if needs_counters then begin
-    let ca = counter_a () and cb = counter_b () in
+  (* the XA and XB counters with |XA| >= |XB|: required by the
+     balancedness-style targets (their constraint (6)/(8) derivations
+     assume it), an optional symmetry breaking for pure disjointness *)
+  let ordered_counters () =
+    let ca = Cardinality.totalizer solver (Array.to_list alpha) in
+    let cb = Cardinality.totalizer solver (Array.to_list beta) in
     for j = 1 to n do
       match (Cardinality.at_least cb j, Cardinality.at_least ca j) with
       | Some ob, Some oa ->
           ignore (Solver.add_clause solver [ Lit.negate ob; oa ])
       | _, _ -> ()
-    done
-  end;
-  (match target with
-  | Disjointness ->
-      abs.cnt_shared <-
-        Some (Cardinality.totalizer solver (Array.to_list shared))
-  | Weighted { wd; wb } ->
-      let weighted side =
-        Cardinality.totalizer_weighted solver side
-      in
-      let left =
-        List.map (fun c -> (c, wd)) (Array.to_list shared)
-        @ List.map (fun a -> (a, wb)) (Array.to_list alpha)
-      in
-      let right = List.map (fun b -> (b, wb)) (Array.to_list beta) in
-      abs.cnt_wleft <- Some (weighted left);
-      abs.cnt_wright <- Some (weighted right)
-  | Balancedness | Combined -> ());
-  abs
-
-(* assumption literals encoding fT for a given bound k *)
-let bound_assumptions abs target k =
-  let n = Array.length abs.support in
-  match target with
-  | Disjointness -> begin
-      match abs.cnt_shared with
-      | None ->
-          invalid_arg
-            "Qbf_model.bound_assumptions: a disjointness abstraction \
-             without its shared-input counter"
-      | Some c -> begin
-          match Cardinality.at_most c k with
-          | Some l -> [ l ]
-          | None -> []
-        end
-    end
-  | Balancedness -> begin
-      (* |XA| - |XB| <= k, given |XA| >= |XB| *)
-      match Hashtbl.find_opt abs.bound_acts k with
-      | Some act -> [ act ]
-      | None ->
-          let act = Lit.pos (Solver.new_var abs.solver) in
-          Cardinality.add_bound_difference abs.solver
-            ~left:(Option.get abs.cnt_a) ~right:(Option.get abs.cnt_b) ~k
-            ~activator:act;
-          Hashtbl.replace abs.bound_acts k act;
-          [ act ]
-    end
-  | Weighted _ -> begin
-      (* wd·|XC| + wb·|XA| − wb·|XB| <= k over the weighted counters *)
-      match Hashtbl.find_opt abs.bound_acts k with
-      | Some act -> [ act ]
-      | None ->
-          let act = Lit.pos (Solver.new_var abs.solver) in
-          Cardinality.add_bound_difference abs.solver
-            ~left:(Option.get abs.cnt_wleft) ~right:(Option.get abs.cnt_wright)
-            ~k ~activator:act;
-          Hashtbl.replace abs.bound_acts k act;
-          [ act ]
-    end
-  | Combined -> begin
-      (* |XC| + |XA| - |XB| = n - 2|XB| <= k  <=>  |XB| >= ceil((n-k)/2) *)
-      let lb = (n - k + 1) / 2 in
-      let cb = Option.get abs.cnt_b in
-      if lb <= 0 then []
-      else
-        match Cardinality.at_least cb lb with
-        | Some l -> [ l ]
-        | None ->
-            (* lb > n: unsatisfiable bound; encode with a fresh false lit *)
-            let l = Lit.pos (Solver.new_var abs.solver) in
-            ignore (Solver.add_clause abs.solver [ Lit.negate l ]);
-            [ l ]
-    end
-
-(* ---------- CEGAR query for a fixed bound ---------- *)
-
-type query_answer =
-  | Q_valid of Partition.t
-  | Q_invalid
-  | Q_unknown
+    done;
+    (ca, cb)
+  in
+  let bound =
+    match target with
+    | Disjointness ->
+        if symmetry_breaking then ignore (ordered_counters ());
+        let c = Cardinality.totalizer solver (Array.to_list shared) in
+        fun k -> Option.to_list (Cardinality.at_most c k)
+    | Balancedness ->
+        (* |XA| - |XB| <= k, given |XA| >= |XB|: one activation literal
+           per k, its clauses added on the first query at that k *)
+        let ca, cb = ordered_counters () in
+        let acts = Hashtbl.create 8 in
+        (fun k ->
+          match Hashtbl.find_opt acts k with
+          | Some act -> [ act ]
+          | None ->
+              let act = fresh () in
+              Cardinality.add_bound_difference solver ~left:ca ~right:cb ~k
+                ~activator:act;
+              Hashtbl.replace acts k act;
+              [ act ])
+    | Combined ->
+        (* |XC| + |XA| - |XB| = n - 2|XB| <= k  <=>  |XB| >= ceil((n-k)/2),
+           a bound of at most n for every k >= 0, so at_least never raises *)
+        let _, cb = ordered_counters () in
+        fun k -> Option.to_list (Cardinality.at_least cb ((n - k + 1) / 2))
+  in
+  { solver; support; alpha; beta; bound }
 
 (* The candidate's block per support position: 0 XA, 1 XB, 2 XC. The
    abstraction excludes (1,1), so alpha and beta never both hold. *)
@@ -226,11 +129,48 @@ let read_side abs side =
        else 2)
   done
 
+(* ---------- what both searches share ---------- *)
+
 let partition_of_side support side =
   let block b =
     List.filteri (fun j _ -> side.(j) = b) (Array.to_list support)
   in
   Partition.make ~xa:(block 0) ~xb:(block 1) ~xc:(block 2)
+
+(* The one candidate check: a Copies.check of the partition. [Unsat]
+   proves it decomposes; on [Sat] the counterexample is the screen's
+   current tuple. A counterexample the simulation does not confirm would
+   feed a wrong refinement, so it is an error. *)
+let check_candidate copies screen ~deadline partition =
+  let result =
+    Obs.span "sat.verify" (fun () -> Copies.check ~deadline copies partition)
+  in
+  (if result = Solver.Sat then
+     let x, x1, x2 = Copies.model_points copies in
+     if not (Screen.load screen ~x ~x1 ~x2) then
+       failwith
+         "Qbf_model: SAT counterexample does not violate the gate condition \
+          under simulation");
+  result
+
+(* The one query wrapper: a bound query at [k] runs in its qbf.query
+   span, counted and timed. *)
+let bound_query ~qbf_queries k run =
+  incr qbf_queries;
+  Metrics.inc m_queries;
+  let t_query = Clock.now () in
+  let answer =
+    Obs.span ~attrs:[ ("k", Step_obs.Json.Int k) ] "qbf.query" run
+  in
+  Metrics.observe h_query (Clock.elapsed_since t_query);
+  answer
+
+(* ---------- CEGAR query for a fixed bound ---------- *)
+
+type query_answer =
+  | Q_valid of Partition.t
+  | Q_invalid
+  | Q_unknown
 
 (* The one clause builder, for refinements and pairs alike: the clause
    that excludes every candidate admitting the screen's current tuple —
@@ -253,13 +193,12 @@ let exclude_tuple abs screen =
    candidate, then verifies it on the copies; a counterexample, simulated
    or from SAT, is shrunk and its clause goes into the running search
    (the clause is false under the candidate, which the tuple admits). *)
-let query abs copies screen side target k ~deadline ~refinement_cap
-    ~refinements ~qbf_queries =
-  incr qbf_queries;
-  Metrics.inc m_queries;
-  let t_query = Clock.now () in
-  let assumptions = bound_assumptions abs target k in
-  let valid = ref None in
+let query abs copies screen side k ~deadline ~refinement_cap ~refinements
+    ~qbf_queries =
+  bound_query ~qbf_queries k @@ fun () ->
+  let assumptions = abs.bound k in
+  (* set with the hook's Accept, the only way the solve answers Sat *)
+  let answer = ref Q_unknown in
   (* the single refinement path, for simulated and SAT counterexamples
      alike: shrink the screen's current tuple, then exclude it *)
   let refine () =
@@ -279,35 +218,21 @@ let query abs copies screen side target k ~deadline ~refinement_cap
       end
       else
         let partition = partition_of_side abs.support side in
-        match
-          Obs.span "sat.verify" (fun () ->
-              Copies.check ~deadline copies partition)
-        with
+        match check_candidate copies screen ~deadline partition with
         | Solver.Unsat ->
-            valid := Some partition;
+            answer := Q_valid partition;
             Solver.Accept
         | Solver.Unknown -> Solver.Stop
-        | Solver.Sat ->
-            let x, x1, x2 = Copies.model_points copies in
-            if not (Screen.load screen ~x ~x1 ~x2) then
-              failwith
-                "Qbf_model.query: SAT counterexample does not violate the \
-                 gate condition under simulation";
-            refine ()
+        | Solver.Sat -> refine ()
     end
   in
-  let answer =
-    Obs.span ~attrs:[ ("k", Step_obs.Json.Int k) ] "qbf.query" @@ fun () ->
-    match
-      Obs.span "sat.abstraction" (fun () ->
-          Solver.solve ~assumptions ~deadline ~on_model abs.solver)
-    with
-    | Solver.Sat -> Q_valid (Option.get !valid)
-    | Solver.Unsat -> Q_invalid
-    | Solver.Unknown -> Q_unknown
-  in
-  Metrics.observe h_query (Clock.elapsed_since t_query);
-  answer
+  match
+    Obs.span "sat.abstraction" (fun () ->
+        Solver.solve ~assumptions ~deadline ~on_model abs.solver)
+  with
+  | Solver.Sat -> !answer
+  | Solver.Unsat -> Q_invalid
+  | Solver.Unknown -> Q_unknown
 
 (* ---------- XOR disjointness: a separator of the pair graph ---------- *)
 
@@ -356,29 +281,17 @@ let separate (p : Problem.t) copies ~bootstrap ~deadline ~refinement_cap
       if Clock.now () > deadline || !refinements >= refinement_cap then
         (best, false)
       else begin
-        incr qbf_queries;
-        Metrics.inc m_queries;
-        let t_query = Clock.now () in
         let below = bound best in
         let answer =
-          Obs.span ~attrs:[ ("k", Step_obs.Json.Int (below - 1)) ] "qbf.query"
-          @@ fun () ->
+          bound_query ~qbf_queries (below - 1) @@ fun () ->
           match Separator.minimum n adjacent ~below with
           | None -> `Optimal
           | Some side -> (
               let partition = partition_of_side support side in
-              match
-                Obs.span "sat.verify" (fun () ->
-                    Copies.check ~deadline copies partition)
-              with
+              match check_candidate copies screen ~deadline partition with
               | Solver.Unsat -> `Found partition
               | Solver.Unknown -> `Unknown
               | Solver.Sat ->
-                  let x, x1, x2 = Copies.model_points copies in
-                  if not (Screen.load screen ~x ~x1 ~x2) then
-                    failwith
-                      "Qbf_model.separate: SAT counterexample does not \
-                       violate the gate condition under simulation";
                   Metrics.add m_shrunk_lits (Screen.walk screen);
                   connect ();
                   Screen.harvest screen ~known:adjacent connect;
@@ -386,7 +299,6 @@ let separate (p : Problem.t) copies ~bootstrap ~deadline ~refinement_cap
                   Metrics.inc m_refinements;
                   `Refined)
         in
-        Metrics.observe h_query (Clock.elapsed_since t_query);
         match answer with
         | `Optimal -> (best, true)
         | `Found partition -> (Some partition, true)
@@ -409,11 +321,7 @@ let abstraction_search (p : Problem.t) copies target ~symmetry_breaking
   let abs = make_abstraction p ~symmetry_breaking target in
   let screen = Copies.screen copies in
   let side = Array.make n 0 in
-  let k_max =
-    match target with
-    | Weighted { wd; wb } -> (wd + wb) * (n - 2)
-    | Disjointness | Balancedness | Combined -> n - 2
-  in
+  let k_max = n - 2 in
   (* Seeds the abstraction with both clauses of every pair of the
      screen's graph (which an Mg.find on the same scaffold has already
      drawn) just before the first query, so an optimize that issues
@@ -429,7 +337,7 @@ let abstraction_search (p : Problem.t) copies target ~symmetry_breaking
           incr pairs;
           Metrics.inc m_pairs)
     end;
-    query abs copies screen side target k ~deadline
+    query abs copies screen side k ~deadline
       ~refinement_cap:max_refinements ~refinements ~qbf_queries
   in
   (* best-so-far; queries with k < best are the only ones issued *)
@@ -518,7 +426,6 @@ let target_name = function
   | Disjointness -> "disjointness"
   | Balancedness -> "balancedness"
   | Combined -> "combined"
-  | Weighted { wd; wb } -> Printf.sprintf "weighted:%d:%d" wd wb
 
 let optimize ?copies ?(symmetry_breaking = true) ?strategy ?bootstrap
     ?(max_refinements = 100_000) ?time_budget (p : Problem.t) g target =

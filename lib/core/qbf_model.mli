@@ -46,20 +46,23 @@
       Each counterexample is one refinement.
     No abstraction solver, totalizer or clause is built on this path.
 
-    The target integer [k] instantiates the paper's constraints:
-    (5) [|XC| ≤ k] for disjointness, (6) [0 ≤ |XA| − |XB| ≤ k] for
-    balancedness, (8) [|XC| + |XA| − |XB| ≤ k] for the combined cost —
-    the latter implemented through the identity
-    [|XC| + |XA| − |XB| = n − 2·|XB|]. *)
+    The target integer [k] instantiates the paper's constraints, one
+    target each; the abstraction is built whole for its target, with
+    the counters that target reads and a bound that maps [k] to
+    assumption literals. *)
 
 type target =
   | Disjointness
+      (** STEP-QD, constraint (5): [|XC| ≤ k], on a totalizer over the
+          shared inputs (on XOR, the separator search above). *)
   | Balancedness
+      (** STEP-QB, constraint (6): [0 ≤ |XA| − |XB| ≤ k], on the XA and
+          XB totalizers, with one activation literal per bound [k]. *)
   | Combined
-  | Weighted of { wd : int; wb : int }
-      (** Definition 4 with arbitrary non-negative integer weights:
-          minimizes [wd·|XC| + wb·(|XA| − |XB|)] under [|XA| ≥ |XB|].
-          [Combined] is the normalized special case [wd = wb = 1]. *)
+      (** STEP-QDB, constraint (8): [|XC| + |XA| − |XB| ≤ k], through the
+          identity [|XC| + |XA| − |XB| = n − 2·|XB|] as a lower bound on
+          the XB totalizer. This is Definition 4's cost with unit
+          weights. *)
 
 type strategy =
   | Mi  (** Monotonically increasing [k]. *)

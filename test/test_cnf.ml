@@ -232,26 +232,6 @@ let prop_totalizer_bounds =
       | None -> expected
       | Some b -> sat ~assumptions:(b :: assumptions) s = expected)
 
-let test_weighted_totalizer () =
-  let s = Solver.create () in
-  let a = Lit.pos (Solver.new_var s) and b = Lit.pos (Solver.new_var s) in
-  let c = Cardinality.totalizer_weighted s [ (a, 2); (b, 3) ] in
-  Alcotest.(check int) "size 5" 5 (Cardinality.size c);
-  let check assumptions expected_count =
-    Alcotest.(check bool) "sat" true (sat ~assumptions s);
-    Array.iteri
-      (fun i o ->
-        Alcotest.(check bool)
-          (Printf.sprintf "o%d" i)
-          (expected_count >= i + 1)
-          (Solver.model_value s o))
-      c.Cardinality.outputs
-  in
-  check [ Lit.negate a; Lit.negate b ] 0;
-  check [ a; Lit.negate b ] 2;
-  check [ Lit.negate a; b ] 3;
-  check [ a; b ] 5
-
 let test_totalizer_matches_popcount () =
   (* the asserted bound must accept exactly the input assignments with
      at most k true *)
@@ -353,8 +333,6 @@ let () =
         [
           Alcotest.test_case "totalizer exact" `Quick test_totalizer_exact;
           Alcotest.test_case "at_most/at_least" `Quick test_at_most_at_least;
-          Alcotest.test_case "weighted totalizer" `Quick
-            test_weighted_totalizer;
           Alcotest.test_case "totalizer = popcount" `Quick
             test_totalizer_matches_popcount;
           Alcotest.test_case "bound difference" `Quick test_bound_difference;

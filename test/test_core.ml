@@ -272,27 +272,6 @@ let test_qbf_combined_optimum () =
         (Partition.combined_k (Partition.canonical qp))
   | _, _ -> Alcotest.fail "expected partitions on planted instance"
 
-let test_qbf_weighted_optimum () =
-  (* weighted cost wd=2, wb=1 checked against exhaustive search *)
-  let p, _ = planted_problem Gate.Or_gate 53 in
-  let target = Qbf_model.Weighted { wd = 2; wb = 1 } in
-  let o = Qbf_model.optimize p Gate.Or_gate target in
-  let objective part = Qbf_model.target_k target part in
-  let e = Exhaustive.best ~objective p Gate.Or_gate in
-  match (o.Qbf_model.partition, e) with
-  | Some qp, Some ep ->
-      Alcotest.(check bool) "optimal" true o.Qbf_model.optimal;
-      Alcotest.(check int) "weighted optimum" (objective ep) (objective qp)
-  | _, _ -> Alcotest.fail "expected partitions on planted instance"
-
-let test_qbf_weighted_matches_combined () =
-  (* unit weights must agree with the Combined target *)
-  let p, _ = planted_problem Gate.Or_gate 59 in
-  let w = Qbf_model.optimize p Gate.Or_gate (Qbf_model.Weighted { wd = 1; wb = 1 }) in
-  let c = Qbf_model.optimize p Gate.Or_gate Qbf_model.Combined in
-  Alcotest.(check (option int)) "same optimum" c.Qbf_model.best_k
-    w.Qbf_model.best_k
-
 let test_strategies_agree () =
   let p, _ = planted_problem Gate.Or_gate 31 in
   let ks =
@@ -577,20 +556,31 @@ let prop_mg_partitions_valid =
             (not (Partition.is_trivial part))
             && Check.decomposable p g part)
 
+(* Every gate with every target: STEP-QD, QB and QDB against the
+   truth-table optimum of the same objective. *)
 let prop_qbf_optimal_vs_exhaustive =
-  QCheck2.Test.make ~count:40 ~name:"QBF disjointness optimum is exact"
-    ~print:(fun (e, _) -> pp_expr e)
-    QCheck2.Gen.(pair (gen_expr n_prop_vars) gen_gate)
-    (fun (e, g) ->
+  let targets =
+    [
+      ("QD", Qbf_model.Disjointness);
+      ("QB", Qbf_model.Balancedness);
+      ("QDB", Qbf_model.Combined);
+    ]
+  in
+  QCheck2.Test.make ~count:150 ~name:"QBF optimum is exact"
+    ~print:(fun (e, g, (name, _)) ->
+      Printf.sprintf "%s, %s, %s" (pp_expr e) (Gate.to_string g) name)
+    QCheck2.Gen.(triple (gen_expr n_prop_vars) gen_gate (oneofl targets))
+    (fun (e, g, (_, target)) ->
       let p = problem_of_expr n_prop_vars e in
       if List.length p.Problem.support < 2 then true
       else begin
-        let o = Qbf_model.optimize p g Qbf_model.Disjointness in
-        let ex = Exhaustive.best ~objective:Partition.disjointness_k p g in
+        let o = Qbf_model.optimize p g target in
+        let objective = Qbf_model.target_k target in
+        let ex = Exhaustive.best ~objective p g in
         match (o.Qbf_model.partition, ex) with
         | Some qp, Some ep ->
             o.Qbf_model.optimal
-            && Partition.disjointness_k qp = Partition.disjointness_k ep
+            && objective qp = objective ep
             && Check.decomposable p g qp
         | None, None -> true
         | Some _, None | None, Some _ -> false
@@ -1704,10 +1694,6 @@ let () =
             test_qbf_balancedness_optimum;
           Alcotest.test_case "qbf combined optimum" `Quick
             test_qbf_combined_optimum;
-          Alcotest.test_case "qbf weighted optimum" `Quick
-            test_qbf_weighted_optimum;
-          Alcotest.test_case "weighted(1,1) = combined" `Quick
-            test_qbf_weighted_matches_combined;
           Alcotest.test_case "strategies agree" `Quick test_strategies_agree;
           Alcotest.test_case "copies mismatch rejected" `Quick
             test_qbf_copies_mismatch_rejected;
