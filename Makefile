@@ -1,7 +1,7 @@
 # Convenience targets; dune is the real build system.
 
 .PHONY: all check test smoke psmoke cachesmoke faultsmoke profsmoke \
-  certsmoke certfuzz arenasmoke optsmoke servesmoke bench lint \
+  certsmoke certfuzz arenasmoke optsmoke qbffuzz servesmoke bench lint \
   clean
 
 all:
@@ -21,6 +21,7 @@ check:
 	$(MAKE) certfuzz
 	$(MAKE) arenasmoke
 	$(MAKE) optsmoke
+	$(MAKE) qbffuzz
 	$(MAKE) servesmoke
 
 # Static lint of the shipped artifacts + the whole suite under the
@@ -198,14 +199,27 @@ arenasmoke:
 # give a partition exhaustive enumeration finds not decomposable (the
 # group MUS is irredundant). Exhaustive enumeration decides every gate
 # on f's truth table (Check.decomposable_semantic), a reference that
-# shares no code with the SAT checks it judges. On XOR the decomposable
-# partitions must be exactly those with no edge of f's exact pair graph
-# (Check.pair_graph) between XA and XB. It prints the pairs, XOR graphs
-# and MG partitions checked.
+# shares no code with the SAT checks it judges. On f's exact pair graph
+# for each gate (Check.pair_graph), the decomposable seeds {i | j | rest}
+# must be exactly the non-edges, and every pair Screen.harvest learns
+# from a seed's SAT counterexample must be an edge; on XOR the
+# decomposable partitions must be exactly those with no edge between XA
+# and XB. It prints the pairs, pair graphs, harvested pairs and MG
+# partitions checked.
 optsmoke:
 	dune build bin/fuzz.exe
 	dune exec --no-build bin/fuzz.exe -- --optimum --rounds 40 --vars 8 \
 	  --seed 3
+
+# QDIMACS differential fuzzing: random CNFs of at most 8 variables under
+# the prefixes ∃, ∀, ∃∀ and ∀∃ are printed, parsed back and solved by
+# Qdimacs.solve (SAT for one level, the CEGAR engine for two); every
+# verdict must match brute-force evaluation (Step_qbf.Naive). It prints
+# how many formulas were true and false.
+qbffuzz:
+	dune build bin/fuzz.exe
+	dune exec --no-build bin/fuzz.exe -- --qbf --rounds 300 --vars 8 \
+	  --seed 7
 
 # Serve-mode smoke: scripted JSON-lines sessions against `step serve` —
 # warm-cache hits across clients, admission rejection, metrics

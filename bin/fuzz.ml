@@ -22,18 +22,26 @@
    enumeration of every partition (Step_core.Exhaustive), which decides
    each on f's truth table with no SAT call. Every pair the
    screen's pairwise sweep reports (Step_core.Screen.pairs) must have a
-   witness point found by enumerating the cone's inputs. On XOR the
+   witness point found by enumerating the cone's inputs. On f's exact
+   pair graph for the gate (Check.pair_graph), the seeds {i | j | rest}
+   the enumeration finds decomposable must be exactly the non-edges, the
+   fact STEP-MG's seed skip rests on, and every pair Screen.harvest
+   learns from a seed's SAT counterexample must be an edge. On XOR the
    enumeration's decomposable partitions must be exactly the non-trivial
-   ones with no edge of f's exact pair graph (Check.pair_graph) between
-   XA and XB, the fact STEP-QD's separator search rests on. Every STEP-MG
+   ones with no edge between XA and XB, the fact STEP-QD's separator
+   search rests on. Every STEP-MG
    partition must decompose with an irredundant XC: moving any one XC
    input to XA or to XB must give a partition the enumeration rejects.
+
+   With [--qbf] each round draws a random QDIMACS formula of at most
+   min(V, 8) variables under the prefix ∃, ∀, ∃∀ or ∀∃ and compares
+   Step_qbf.Qdimacs.solve with brute-force evaluation (Step_qbf.Naive).
 
    Exit code 0 when every round agrees; 1 with a reproducer seed printed
    otherwise. Usage:
 
      dune exec bin/fuzz.exe -- [--rounds N] [--seed S] [--vars V]
-       [--proofs | --arena | --optimum]
+       [--proofs | --arena | --optimum | --qbf]
 *)
 
 module Aig = Step_aig.Aig
@@ -55,6 +63,8 @@ module Drat = Step_sat.Drat
 module Lrat = Step_sat.Lrat
 module Cert = Step_cert.Cert
 module Diag = Step_lint.Diag
+module Qdimacs = Step_qbf.Qdimacs
+module Naive = Step_qbf.Naive
 
 let rounds = ref 200
 let seed = ref 1
@@ -280,33 +290,71 @@ let check_pairs round (p : Problem.t) g =
   if !conflicts <> 0 then
     fail round (Gate.to_string g ^ ": pairs reports other pairs than the graph")
 
-let xor_graphs_checked = ref 0
+let pair_graphs_checked = ref 0
+let harvested_checked = ref 0
 
-(* The XOR fact behind the separator search: the partitions enumeration
-   finds XOR-decomposable are exactly the non-trivial ones with no edge
-   of f's exact pair graph (Check.pair_graph) between XA and XB. *)
-let check_xor_graph round (p : Problem.t) all =
-  incr xor_graphs_checked;
-  let graph = Check.pair_graph p in
+(* The facts behind STEP-MG's seed scan and the separator search, on f's
+   exact pair graph (Check.pair_graph) for the gate:
+   - the seeds {i | j | rest} that enumeration finds decomposable are
+     exactly the non-edges, so f is indecomposable exactly when the
+     graph is complete;
+   - every pair Screen.harvest reports at the base point of a seed's SAT
+     counterexample, as STEP-MG learns it, is an edge;
+   - on XOR, the decomposable partitions are exactly the non-trivial ones
+     with no edge between XA and XB. *)
+let check_pair_graph round (p : Problem.t) g all =
+  incr pair_graphs_checked;
+  let graph = Check.pair_graph p g in
   let pos = Hashtbl.create 16 in
   List.iteri (fun j i -> Hashtbl.replace pos i j) p.Problem.support;
   let edge i j = graph.(Hashtbl.find pos i).(Hashtbl.find pos j) in
-  let separated (q : Partition.t) =
-    List.for_all
-      (fun i -> List.for_all (fun j -> not (edge i j)) q.Partition.xb)
-      q.Partition.xa
+  let what = Gate.to_string g in
+  let seed u v =
+    Partition.make ~xa:[ u ] ~xb:[ v ]
+      ~xc:(List.filter (fun i -> i <> u && i <> v) p.Problem.support)
   in
-  let expected =
-    Exhaustive.partitions p
-    |> List.filter separated
-    |> List.map Partition.canonical
-    |> List.sort_uniq compare
-  in
-  if expected <> all then
-    fail round
-      (Printf.sprintf
-         "XOR: %d partitions decompose, %d separate the pair graph"
-         (List.length all) (List.length expected))
+  let copies = Copies.create p g in
+  let screen = Copies.screen copies in
+  List.iter
+    (fun (u, v) ->
+      if List.mem (Partition.canonical (seed u v)) all = edge u v then
+        fail round
+          (Printf.sprintf "%s: seed {%d | %d | rest} %s, pair graph edge %b"
+             what u v
+             (if edge u v then "decomposes" else "does not decompose")
+             (edge u v));
+      if Copies.check copies (seed u v) = Solver.Sat then begin
+        let x, x1, x2 = Copies.model_points copies in
+        if not (Screen.load screen ~x ~x1 ~x2) then
+          fail round (what ^ ": seed counterexample does not violate");
+        Screen.harvest screen ~known:(fun _ _ -> false) (fun () ->
+            incr harvested_checked;
+            let i = ref (-1) and j = ref (-1) in
+            Screen.iter_diff screen ~xa:(fun k -> i := k) ~xb:(fun k -> j := k);
+            if not graph.(!i).(!j) then
+              fail round
+                (Printf.sprintf "%s: harvested pair (%d, %d) is no edge" what
+                   !i !j))
+      end)
+    (Mg.seeds p);
+  if g = Gate.Xor_gate then begin
+    let separated (q : Partition.t) =
+      List.for_all
+        (fun i -> List.for_all (fun j -> not (edge i j)) q.Partition.xb)
+        q.Partition.xa
+    in
+    let expected =
+      Exhaustive.partitions p
+      |> List.filter separated
+      |> List.map Partition.canonical
+      |> List.sort_uniq compare
+    in
+    if expected <> all then
+      fail round
+        (Printf.sprintf
+           "XOR: %d partitions decompose, %d separate the pair graph"
+           (List.length all) (List.length expected))
+  end
 
 let mg_checked = ref 0
 
@@ -346,7 +394,7 @@ let optimum_round round st =
       (fun g ->
         check_pairs round p g;
         let all = Exhaustive.all_decomposable p g in
-        if g = Gate.Xor_gate then check_xor_graph round p all;
+        check_pair_graph round p g all;
         check_mg round p g all;
         List.iter
           (fun (label, target) ->
@@ -648,8 +696,89 @@ let arena_round round st =
   then fail round "assumed hook core is not within the assumptions";
   check_audit "assumed hook" sa
 
+(* --qbf mode: the QDIMACS path against brute force. Each round draws a
+   random CNF over at most 8 variables under one of the prefixes ∃, ∀,
+   ∃∀ and ∀∃, prints it as QDIMACS, parses it back (which must give the
+   same formula) and solves it with Qdimacs.solve: SAT for one level,
+   the CEGAR engine for two. Step_qbf.Naive evaluates the same quantified
+   matrix by enumeration, on an AIG built here. Variables the prefix
+   leaves out are free, bound existentially outermost as QDIMACS
+   prescribes; under ∀∃ every variable is bound, since a free one would
+   make a third level. *)
+
+let qbf_true = ref 0
+let qbf_false = ref 0
+
+let qbf_round round st =
+  let n = 1 + Random.State.int st (min 8 !n_vars) in
+  let kind = Random.State.int st 4 in
+  let name = [| "E"; "A"; "EA"; "AE" |].(kind) in
+  (* per variable: 0 free, 1 in the ∃ block, 2 in the ∀ block *)
+  let block =
+    Array.init n (fun _ ->
+        match kind with
+        | 0 -> Random.State.int st 2
+        | 1 -> 2 * Random.State.int st 2
+        | 2 -> Random.State.int st 3
+        | _ -> 1 + Random.State.int st 2)
+  in
+  let vars b = List.filter (fun v -> block.(v) = b) (List.init n Fun.id) in
+  let free = vars 0 and ex = vars 1 and fa = vars 2 in
+  let prefix =
+    (match kind with
+     | 0 -> [ (Qdimacs.Exists, ex) ]
+     | 1 -> [ (Qdimacs.Forall, fa) ]
+     | 2 -> [ (Qdimacs.Exists, ex); (Qdimacs.Forall, fa) ]
+     | _ -> [ (Qdimacs.Forall, fa); (Qdimacs.Exists, ex) ])
+    |> List.filter (fun (_, vs) -> vs <> [])
+  in
+  let clauses =
+    List.init
+      (1 + Random.State.int st (2 * n))
+      (fun _ ->
+        List.init
+          (1 + Random.State.int st 4)
+          (fun _ ->
+            let v = 1 + Random.State.int st n in
+            if Random.State.bool st then v else -v))
+  in
+  let q = { Qdimacs.num_vars = n; prefix; clauses } in
+  let what = Printf.sprintf "%s over %d variables" name n in
+  let text = Qdimacs.to_string q in
+  let parsed = Qdimacs.parse_string text in
+  if parsed <> q then
+    fail round (what ^ ": QDIMACS text does not parse back:\n" ^ text);
+  let m = Aig.create () in
+  let inputs = Array.init n (fun _ -> Aig.fresh_input m) in
+  let matrix =
+    Aig.and_list m
+      (List.map
+         (fun c ->
+           Aig.or_list m
+             (List.map
+                (fun l ->
+                  let e = inputs.(abs l - 1) in
+                  if l > 0 then e else Aig.not_ e)
+                c))
+         clauses)
+  in
+  let expected =
+    if kind = 3 then
+      Naive.forall_exists m ~matrix ~forall_vars:fa ~exists_vars:ex
+    else
+      Naive.exists_forall m ~matrix ~exists_vars:(free @ ex) ~forall_vars:fa
+  in
+  incr (if expected then qbf_true else qbf_false);
+  match Qdimacs.solve parsed with
+  | Qdimacs.Unknown -> fail round (what ^ ": Qdimacs.solve gave up")
+  | answer ->
+      if (answer = Qdimacs.True) <> expected then
+        fail round
+          (Printf.sprintf "%s: Qdimacs.solve says %b, enumeration %b:\n%s"
+             what (not expected) expected text)
+
 let () =
-  let arena = ref false and optimum = ref false in
+  let arena = ref false and optimum = ref false and qbf = ref false in
   let rec parse = function
     | [] -> ()
     | "--rounds" :: v :: rest ->
@@ -670,6 +799,9 @@ let () =
     | "--optimum" :: rest ->
         optimum := true;
         parse rest
+    | "--qbf" :: rest ->
+        qbf := true;
+        parse rest
     | other :: _ ->
         Printf.eprintf "unknown argument %S\n" other;
         exit 2
@@ -679,19 +811,23 @@ let () =
     let st = Random.State.make [| !seed; round |] in
     if !arena then arena_round round st
     else if !optimum then optimum_round round st
+    else if !qbf then qbf_round round st
     else if !proofs then proof_round round st
     else round_check round st
   done;
   Printf.printf "fuzz%s: %d rounds, %d failures%s\n"
     (if !arena then " (arena)"
      else if !optimum then " (optimum)"
+     else if !qbf then " (qbf)"
      else if !proofs then " (proofs)"
      else "")
     !rounds !failures
     (if !optimum then
        Printf.sprintf
-         ", %d pairs checked, %d XOR graphs checked, %d MG partitions \
-          checked"
-         !pairs_checked !xor_graphs_checked !mg_checked
+         ", %d pairs checked, %d pair graphs checked, %d harvested pairs \
+          checked, %d MG partitions checked"
+         !pairs_checked !pair_graphs_checked !harvested_checked !mg_checked
+     else if !qbf then
+       Printf.sprintf ", %d true, %d false" !qbf_true !qbf_false
      else "");
   exit (if !failures = 0 then 0 else 1)

@@ -24,25 +24,31 @@ let table ~caller (p : Problem.t) =
   in
   (pos, f)
 
-let pair_graph p =
+let pair_graph p g =
   let _, f = table ~caller:"pair_graph" p in
   let n = Problem.n_vars p in
-  let g = Array.make_matrix n n false in
+  let graph = Array.make_matrix n n false in
+  (* (x, x ⊕ e_i, x ⊕ e_j) violates the gate condition *)
+  let violates x ei ej =
+    let fx = f.(x) and fi = f.(x lxor ei) and fj = f.(x lxor ej) in
+    match g with
+    | Gate.Or_gate -> fx && (not fi) && not fj
+    | Gate.And_gate -> (not fx) && fi && fj
+    | Gate.Xor_gate -> fx <> fi <> fj <> f.(x lxor ei lxor ej)
+  in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       let ei = 1 lsl i and ej = 1 lsl j in
       let rec edge x =
-        x < Array.length f
-        && (f.(x) <> f.(x lxor ei) <> f.(x lxor ej) <> f.(x lxor ei lxor ej)
-           || edge (x + 1))
+        x < Array.length f && (violates x ei ej || edge (x + 1))
       in
       if edge 0 then begin
-        g.(i).(j) <- true;
-        g.(j).(i) <- true
+        graph.(i).(j) <- true;
+        graph.(j).(i) <- true
       end
     done
   done;
-  g
+  graph
 
 let decomposable_semantic p g =
   (* the truth table, once for every partition asked *)

@@ -4,7 +4,7 @@
     {!decomposable_semantic} decides the same question on f's truth
     table, with no SAT call and no code of {!Copies} or {!Screen}: it is
     the reference that {!Exhaustive} enumerates and the tests compare the
-    SAT path with. {!pair_graph} reads the XOR pair graph off the same
+    SAT path with. {!pair_graph} reads a gate's pair graph off the same
     table. Both are exponential in the support size. *)
 
 val decomposable : Problem.t -> Gate.t -> Partition.t -> bool
@@ -20,10 +20,18 @@ val decomposable_semantic : Problem.t -> Gate.t -> Partition.t -> bool
     quantified table of each block it has met.
     @raise Invalid_argument when the support has more than 20 inputs. *)
 
-val pair_graph : Problem.t -> bool array array
-(** The exact pair graph of f, on its truth table: [g.(i).(j)] for
-    support positions [i <> j] when [D_i D_j f(x) = 1] at some point [x],
-    that is [f(x) ⊕ f(x ⊕ e_i) ⊕ f(x ⊕ e_j) ⊕ f(x ⊕ e_i ⊕ e_j) = 1].
-    Symmetric, false on the diagonal. f is an XOR of [fA(XA, XC)] and
-    [fB(XB, XC)] exactly when no edge joins XA to XB.
+val pair_graph : Problem.t -> Gate.t -> bool array array
+(** The exact pair graph of f for a gate, on its truth table:
+    [g.(i).(j)] for support positions [i <> j] when some point [x] makes
+    the tuple [(x, x ⊕ e_i, x ⊕ e_j)] violate the gate condition:
+    - OR: [f(x) ∧ ¬f(x ⊕ e_i) ∧ ¬f(x ⊕ e_j)];
+    - AND: [¬f(x) ∧ f(x ⊕ e_i) ∧ f(x ⊕ e_j)];
+    - XOR: [D_i D_j f(x) = 1], that is
+      [f(x) ⊕ f(x ⊕ e_i) ⊕ f(x ⊕ e_j) ⊕ f(x ⊕ e_i ⊕ e_j) = 1].
+
+    Symmetric, false on the diagonal. For every gate the seed partition
+    [{i | j | rest}] decomposes exactly when [(i, j)] is no edge, so f is
+    indecomposable exactly when the graph is complete. For XOR, more:
+    f is an XOR of [fA(XA, XC)] and [fB(XB, XC)] exactly when no edge
+    joins XA to XB.
     @raise Invalid_argument when the support has more than 20 inputs. *)

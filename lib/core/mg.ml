@@ -61,7 +61,7 @@ let partition_of_selectors (p : Problem.t) ~u ~v ~mus ~alpha_sel ~beta_sel =
    and v; {!Copies.fill_sides} reads it as a side array, into one buffer
    for every deletion test. Input j is free on copy 1 on sides 0 and 3,
    and on copy 2 on sides 1 and 3. *)
-let mus_hook c (p : Problem.t) ~u ~v =
+let mus_hook c (p : Problem.t) ~known ~u ~v =
   let screen = Copies.screen c in
   let n = Problem.n_vars p in
   let hard = [ Copies.beta_selector c u; Copies.alpha_selector c v ] in
@@ -80,7 +80,7 @@ let mus_hook c (p : Problem.t) ~u ~v =
            && exists_pos (fun j ->
                   j <> i
                   && (side.(j) = 1 || side.(j) = 3)
-                  && Screen.conflict screen i j))
+                  && known i j))
     || Screen.refute screen side
 
 let guess_name = function
@@ -91,7 +91,7 @@ let guess_name = function
 (* The group MUS over the equality selectors of every input but the seed
    (u, v), screened by [mus_hook]; still valid if the deadline cuts it
    short. *)
-let seed_mus c (p : Problem.t) ~u ~v ~deadline =
+let seed_mus c (p : Problem.t) ~known ~u ~v ~deadline =
   Obs.span "mg.mus" @@ fun () ->
   let hard = [ Copies.beta_selector c u; Copies.alpha_selector c v ] in
   let selectors =
@@ -102,7 +102,7 @@ let seed_mus c (p : Problem.t) ~u ~v ~deadline =
       p.Problem.support
   in
   let r =
-    Mus.minimize ~refute:(mus_hook c p ~u ~v)
+    Mus.minimize ~refute:(mus_hook c p ~known ~u ~v)
       (fun sels -> Copies.decide ~deadline c (hard @ sels))
       ~selectors
   in
@@ -154,29 +154,49 @@ let find ?copies ?time_budget (p : Problem.t) g =
         p.Problem.support
     in
     (* A seed {u | v | rest} fails exactly when (u, v) is a conflicting
-       pair. A pair of the screen's graph has a genuine counterexample, so
-       its seed would have answered Sat and is skipped without changing
-       the scan. *)
+       pair. A pair the scan knows has a genuine counterexample, so its
+       seed would have answered Sat and is skipped without changing the
+       scan. It knows the pairs of the screen's graph and those it
+       learns: each Sat seed's counterexample is loaded into the screen,
+       and every pair visible at its base point is harvested. *)
     let screen = Copies.screen c in
     let pos = Hashtbl.create (2 * n) in
     List.iteri (fun j i -> Hashtbl.replace pos i j) p.Problem.support;
-    let conflict u v =
-      Screen.conflict screen (Hashtbl.find pos u) (Hashtbl.find pos v)
+    let learned = Bytes.make (n * n) '\000' in
+    let was_learned i j = Bytes.get learned ((i * n) + j) = '\001' in
+    let known i j = was_learned i j || Screen.conflict screen i j in
+    let known_seed u v = known (Hashtbl.find pos u) (Hashtbl.find pos v) in
+    (* a harvested tuple flips one input per copy *)
+    let learn_pair () =
+      let i = ref (-1) and j = ref (-1) in
+      Screen.iter_diff screen ~xa:(fun k -> i := k) ~xb:(fun l -> j := l);
+      Bytes.set learned ((!i * n) + !j) '\001';
+      Bytes.set learned ((!j * n) + !i) '\001'
+    in
+    let learn () =
+      let x, x1, x2 = Copies.model_points c in
+      if not (Screen.load screen ~x ~x1 ~x2) then
+        failwith
+          "Mg.find: SAT counterexample does not violate the gate condition \
+           under simulation";
+      Screen.harvest screen ~known:was_learned learn_pair
     in
     let rec scan pairs tried =
       if tried >= limit then (None, tried)
       else
         match pairs with
         | [] -> (None, tried)
-        | (u, v) :: rest when conflict u v -> scan rest (tried + 1)
+        | (u, v) :: rest when known_seed u v -> scan rest (tried + 1)
         | (u, v) :: rest -> begin
             incr sat_calls;
             match Copies.decide ~deadline c (seed_assumptions u v) with
-            | Mus.Sat -> scan rest (tried + 1)
+            | Mus.Sat ->
+                learn ();
+                scan rest (tried + 1)
             | Mus.Unknown -> (None, tried + 1)
             | Mus.Unsat _ ->
                 (* decomposable under the seed: minimize the equality set *)
-                let mus = seed_mus c p ~u ~v ~deadline in
+                let mus = seed_mus c p ~known ~u ~v ~deadline in
                 ( Some
                     (partition_of_selectors p ~u ~v ~mus ~alpha_sel ~beta_sel),
                   tried + 1 )

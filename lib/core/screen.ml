@@ -458,7 +458,7 @@ let pairs t f =
     done
   done
 
-(* ---------- the edge walk and the harvest (XOR) ---------- *)
+(* ---------- the edge walk (XOR) and the harvest ---------- *)
 
 (* Lanes [l] and up, none when [l] is past the last lane. *)
 let from l = if l >= lanes then 0 else all_lanes lsl l
@@ -528,11 +528,11 @@ let walk t =
   let d1 = walk_copy t 1 in
   d1 + walk_copy t 2
 
-(* Every pair visible at the current base point z, D_k D_l f(z) = 1:
-   f(z), the n single flips and the double flips of the pairs asked,
-   each point one lane of a simulated word. *)
+(* Every pair visible at the current base point z, the pairs (k, l) where
+   (z, z ⊕ e_k, z ⊕ e_l) violates: f(z) and the n single flips, 63 flips
+   to a simulated word, decide them for OR and AND; XOR also simulates
+   the double flips of the pairs asked, one lane each. *)
 let harvest t ~known f =
-  if t.gate <> Gate.Xor_gate then invalid_arg "Screen.harvest: XOR only";
   let n = t.n in
   let z = Array.copy t.tx and t1 = Array.copy t.t1 and t2 = Array.copy t.t2 in
   let load_z () =
@@ -581,17 +581,28 @@ let harvest t ~known f =
       if fz <> single.(k) <> single.(l) <> bit r lane then report k l
     done
   in
-  for k = 0 to n - 2 do
-    for l = k + 1 to n - 1 do
-      if not (known k l) then begin
-        ks.(!cnt) <- k;
-        ls.(!cnt) <- l;
-        incr cnt;
-        if !cnt = lanes then flush ()
-      end
-    done
-  done;
-  if !cnt > 0 then flush ();
+  (match t.gate with
+   | Gate.Or_gate | Gate.And_gate ->
+       (* OR needs f(z) = 1, AND f(z) = 0, and both flips must leave it *)
+       if fz = (t.gate = Gate.Or_gate) then
+         for k = 0 to n - 2 do
+           if single.(k) <> fz then
+             for l = k + 1 to n - 1 do
+               if single.(l) <> fz && not (known k l) then report k l
+             done
+         done
+   | Gate.Xor_gate ->
+       for k = 0 to n - 2 do
+         for l = k + 1 to n - 1 do
+           if not (known k l) then begin
+             ks.(!cnt) <- k;
+             ls.(!cnt) <- l;
+             incr cnt;
+             if !cnt = lanes then flush ()
+           end
+         done
+       done;
+       if !cnt > 0 then flush ());
   Array.blit t1 0 t.t1 0 n;
   Array.blit t2 0 t.t2 0 n
 

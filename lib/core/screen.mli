@@ -42,8 +42,11 @@
     {!refute}), and {!Qbf_model.optimize} adds both clauses of every
     pair before its first bound query, or, for XOR disjointness, starts
     its separator graph from the pairs. A pair the sample misses is still
-    found by a SAT call or the CEGAR loop; on XOR such a counterexample
-    becomes edges through {!walk} and {!harvest}. *)
+    found by a SAT call or the CEGAR loop. Such a counterexample's base
+    point shows more pairs, which {!harvest} reports for every gate:
+    {!Mg.find} learns them from each seed that reaches SAT, and the XOR
+    separator search from each refuted candidate, after {!walk}. Neither
+    feeds them back into the sampled graph. *)
 
 (** {2 Compiled cone simulator} *)
 
@@ -129,7 +132,7 @@ val pairs : t -> (unit -> unit) -> unit
     so {!shrink} would revert nothing. [f] may call {!iter_diff},
     {!tuple} and {!shrink}. *)
 
-(** {2 Edges of the XOR pair graph}
+(** {2 Pairs at a counterexample's base point}
 
     For XOR the pair graph has an exact meaning: [(i, j)] is an edge
     when [D_i D_j f(z) = 1] at some point [z], that is
@@ -137,7 +140,10 @@ val pairs : t -> (unit -> unit) -> unit
     [f = fA(XA, XC) ⊕ fB(XB, XC)] holds exactly when no edge joins XA
     to XB. {!Qbf_model.optimize} searches XOR partitions of least [|XC|]
     as separators of the edges it knows ({!Separator}), and turns each
-    counterexample into edges with the two calls below. *)
+    counterexample into edges with {!walk} and {!harvest}. For every
+    gate, [(i, j)] is a pair of the exact graph exactly when the seed
+    [{i | j | rest}] does not decompose ({!Check.pair_graph}); {!Mg.find}
+    learns pairs with {!harvest}. *)
 
 val walk : t -> int
 (** Walks the current violating XOR tuple [(x, x', x'')] down to one
@@ -153,14 +159,20 @@ val walk : t -> int
     same input. *)
 
 val harvest : t -> known:(int -> int -> bool) -> (unit -> unit) -> unit
-(** [harvest t ~known f] reports every edge visible at the current
+(** [harvest t ~known f] reports every pair visible at the current
     tuple's base point [z]: for each pair [k < l] of support positions
-    with [known k l] false and [D_k D_l f(z) = 1], it makes
-    [(z, z ⊕ e_k, z ⊕ e_l)] current and calls [f ()], which may read it
-    with {!iter_diff} or {!tuple}. The n single flips and the double
-    flips of the pairs asked are simulated 63 to a word. Afterwards the
-    current tuple is what it was before.
-    @raise Invalid_argument if the gate is not XOR. *)
+    with [known k l] false whose tuple [(z, z ⊕ e_k, z ⊕ e_l)] violates
+    the gate condition, it makes that tuple current and calls [f ()],
+    which may read it with {!iter_diff} or {!tuple}. The pairs are
+    - OR: those of [{k | f(z ⊕ e_k) = 0}], when [f(z) = 1];
+    - AND: those of [{k | f(z ⊕ e_k) = 1}], when [f(z) = 0];
+    - XOR: those with [D_k D_l f(z) = 1].
+
+    f(z) and the n single flips are simulated 63 to a word, which
+    decides every pair for OR and AND; XOR also simulates the double
+    flips of the pairs asked, 63 to a word. Afterwards the current tuple
+    is what it was before, and the bank and the sampled graph are
+    unchanged. *)
 
 val iter_diff : t -> xa:(int -> unit) -> xb:(int -> unit) -> unit
 (** Support positions where the current tuple's [x'] (passed to [xa]) or

@@ -1257,6 +1257,27 @@ let test_mg_screened_scan () =
   Alcotest.(check bool) "some cones are indecomposable" true
     (!indecomposable > 0)
 
+(* On a wide cone where no seed within MG's 4n limit decomposes, the
+   scan learns the pairs its SAT counterexamples refute: it tries the
+   reference's seeds and finds what the reference finds, with fewer SAT
+   calls than the sampled pair graph alone leaves. *)
+let test_mg_learns_pairs () =
+  let p = Problem.of_output (Step_circuits.Suite.by_name "C7552") 4 in
+  Alcotest.(check int) "support" 32 (Problem.n_vars p);
+  List.iter
+    (fun g ->
+      let label what = Gate.to_string g ^ ": " ^ what in
+      let tried, refuted, found = reference_scan p g in
+      let r = Mg.find p g in
+      Alcotest.(check int) (label "seeds_tried") tried r.Mg.seeds_tried;
+      Alcotest.(check bool) (label "found") found (r.Mg.partition <> None);
+      if r.Mg.sat_calls >= tried - refuted then
+        Alcotest.fail
+          (label
+             (Printf.sprintf "%d sat calls, the sampled graph leaves %d"
+                r.Mg.sat_calls (tried - refuted))))
+    Gate.all
+
 (* ---------- screened MG MUS ---------- *)
 
 (* Whether the Copies scaffold has a counterexample when support position
@@ -1304,27 +1325,62 @@ let scaffold_witness (p : Problem.t) g side =
            (subsets ma))
     masks
 
+(* The pairs an MG scan learns: every pair visible at the base point of
+   each seed's SAT counterexample, harvested as Mg.find does, but from
+   every seed and with no sampled pair skipped. *)
+let learned_pairs c (p : Problem.t) =
+  let n = Problem.n_vars p in
+  let screen = Copies.screen c in
+  let learned = Array.make_matrix n n false in
+  let seed u v =
+    Partition.make ~xa:[ u ] ~xb:[ v ]
+      ~xc:(List.filter (fun i -> i <> u && i <> v) p.Problem.support)
+  in
+  List.iter
+    (fun (u, v) ->
+      if Copies.check c (seed u v) = Step_sat.Solver.Sat then begin
+        let x, x1, x2 = Copies.model_points c in
+        if not (Screen.load screen ~x ~x1 ~x2) then
+          Alcotest.fail "a seed's counterexample does not violate";
+        Screen.harvest screen ~known:(fun _ _ -> false) (fun () ->
+            let i = ref (-1) and j = ref (-1) in
+            Screen.iter_diff screen ~xa:(fun k -> i := k) ~xb:(fun l -> j := l);
+            learned.(!i).(!j) <- true;
+            learned.(!j).(!i) <- true)
+      end)
+    (Mg.seeds p);
+  learned
+
 (* Every true answer of MG's MUS hook, on random selector sets of the
    first seeds, has an exhaustive witness under the scaffold's semantics
    and a Sat answer from Copies.decide; some answers free an input on
-   both copies. *)
+   both copies. The hook reads the screen's sampled pairs, then, on its
+   own, the pairs an MG scan learns from SAT counterexamples. *)
 let test_mg_mus_hook () =
   let st = Random.State.make [| 23 |] in
   List.iter
     (fun g ->
-      let refuted = ref 0 and doubly = ref 0 in
+      let refuted = ref 0 and doubly = ref 0 and learned = ref 0 in
       List.iteri
         (fun k (p, _) ->
           let c = Copies.create p g in
           let alpha = Copies.alpha_selector c
           and beta = Copies.beta_selector c in
           let seeds = List.filteri (fun s _ -> s < 3) (Mg.seeds p) in
+          let pairs = learned_pairs c p in
+          Array.iter (Array.iter (fun e -> if e then incr learned)) pairs;
+          let knowns =
+            [
+              ("sampled", Screen.conflict (Copies.screen c));
+              ("learned", fun i j -> pairs.(i).(j));
+            ]
+          in
           List.iter
-            (fun (u, v) ->
-              let hook = Mg.mus_hook c p ~u ~v in
+            (fun ((u, v), (known_name, known)) ->
+              let hook = Mg.mus_hook c p ~known ~u ~v in
               let label what =
-                Printf.sprintf "%s cone %d seed (%d, %d): %s"
-                  (Gate.to_string g) k u v what
+                Printf.sprintf "%s cone %d seed (%d, %d), %s pairs: %s"
+                  (Gate.to_string g) k u v known_name what
               in
               for _ = 1 to 25 do
                 (* each selector of the other inputs kept with
@@ -1372,13 +1428,16 @@ let test_mg_mus_hook () =
                       Alcotest.fail (label "refutes an unsat set")
                 end
               done)
-            seeds)
+            (List.concat_map
+               (fun seed -> List.map (fun kn -> (seed, kn)) knowns)
+               seeds))
         (List.filter (fun (p, _) -> Problem.n_vars p <= 8) (pair_cones ()));
       let check what n =
         Alcotest.(check bool) (Gate.to_string g ^ ": " ^ what) true (n > 0)
       in
       check "some sets refuted" !refuted;
-      check "some with side 3" !doubly)
+      check "some with side 3" !doubly;
+      check "some pairs learned" !learned)
     Gate.all
 
 (* A side-3 refutation whose copies differ on one input is rejected by
@@ -1496,11 +1555,11 @@ let test_separator_vs_brute_force () =
   Alcotest.(check bool) "complete graph" true
     (Separator.minimum 6 (fun i j -> complete.(i).(j)) ~below:6 = None)
 
-(* XOR cones of up to 8 inputs: unstructured; a product of all inputs
-   combined with an unstructured cone, whose edges have few witness
+(* Cones of up to 8 inputs: unstructured; a product of all inputs
+   combined with an unstructured cone, whose pairs have few witness
    points, so the screen's sample can miss them; and planted as
-   g(XA, XC) ⊕ h(XB, XC). *)
-let gen_xor_cone =
+   g(XA, XC) op h(XB, XC) for [gate]. *)
+let gen_cone gate =
   let open QCheck2.Gen in
   let module G = Step_circuits.Generators in
   oneof
@@ -1525,7 +1584,7 @@ let gen_xor_cone =
       (let* seed = int_range 0 1_000_000 in
        let* na = int_range 1 3 and* nb = int_range 1 3 in
        let+ nc = int_range 0 (8 - na - nb) in
-       let pl = G.planted_cone ~seed ~na ~nb ~nc Gate.Xor_gate in
+       let pl = G.planted_cone ~seed ~na ~nb ~nc gate in
        ( Printf.sprintf "planted seed=%d %d/%d/%d" seed na nb nc,
          Problem.of_output pl.G.circuit 0 ));
     ]
@@ -1535,7 +1594,7 @@ let gen_xor_cone =
    returns decomposes. *)
 let prop_xor_separator_optimum =
   QCheck2.Test.make ~count:150 ~name:"XOR QD separator optimum is exact"
-    ~print:fst gen_xor_cone (fun (_, p) ->
+    ~print:fst (gen_cone Gate.Xor_gate) (fun (_, p) ->
       if Problem.n_vars p < 2 then true
       else begin
         let g = Gate.Xor_gate in
@@ -1558,30 +1617,29 @@ let prop_xor_separator_optimum =
              (Qbf_model.optimize ~copies ?bootstrap p g Qbf_model.Disjointness)
       end)
 
-(* D_i D_j f(z) by plain AIG evaluation, z over support positions *)
-let second_derivative (p : Problem.t) z i j =
-  let pos = Array.make (Aig.n_inputs p.Problem.aig) 0 in
-  List.iteri (fun k v -> pos.(v) <- k) p.Problem.support;
-  let f flip =
-    Aig.eval p.Problem.aig
-      (fun v -> z.(pos.(v)) <> List.mem pos.(v) flip)
-      p.Problem.f
-  in
-  f [] <> f [ i ] <> f [ j ] <> f [ i; j ]
+(* (z, z ⊕ e_i, z ⊕ e_j) violates under plain AIG evaluation, z over
+   support positions: for XOR, D_i D_j f(z) = 1 *)
+let visible (p : Problem.t) g z i j =
+  let flip k = Array.mapi (fun m b -> b <> (m = k)) z in
+  tuple_violates p g (z, flip i, flip j)
 
-(* Every edge the separator search learns has a witness: a counterexample
-   of a random partition walks down to a pair (i, j) across it with
-   D_i D_j f(z) = 1 under Aig.eval, and the harvest at z reports exactly
-   the pairs with D_k D_l f(z) = 1, each with z as its witness. *)
-let prop_xor_edges_witnessed =
-  QCheck2.Test.make ~count:150 ~name:"XOR learned edges are witnessed"
-    ~print:(fun ((what, _), _) -> what)
-    QCheck2.Gen.(pair gen_xor_cone (int_range 0 1_000_000))
-    (fun ((_, p), seed) ->
+(* Every pair a search learns from a counterexample has a witness. A
+   counterexample of a random partition has a base point z; on XOR it
+   first walks down to a pair (i, j) across the partition that is
+   visible at its own base point, D_i D_j f(z) = 1 under Aig.eval. The
+   harvest at z reports exactly the pairs visible there, each with z as
+   its witness, and leaves the tuple as it was. *)
+let prop_learned_pairs_witnessed =
+  QCheck2.Test.make ~count:150 ~name:"learned pairs are witnessed"
+    ~print:(fun (((what, _), g), _) -> Gate.to_string g ^ " " ^ what)
+    QCheck2.Gen.(
+      pair
+        (gen_gate >>= fun g -> map (fun c -> (c, g)) (gen_cone g))
+        (int_range 0 1_000_000))
+    (fun (((_, p), g), seed) ->
       let n = Problem.n_vars p in
       if n < 2 then true
       else begin
-        let g = Gate.Xor_gate in
         let st = Random.State.make [| seed |] in
         let copies = Copies.create p g in
         let screen = Copies.screen copies in
@@ -1594,24 +1652,28 @@ let prop_xor_edges_witnessed =
           if Copies.check copies part = Step_sat.Solver.Sat then begin
             let x, x1, x2 = Copies.model_points copies in
             expect (Screen.load screen ~x ~x1 ~x2);
-            let flips = ref 0 in
-            Array.iteri
-              (fun k xk ->
-                if x1.(k) <> xk then incr flips;
-                if x2.(k) <> xk then incr flips)
-              x;
-            expect (Screen.walk screen = !flips - 2);
-            let z, z1, z2 = Screen.tuple screen in
-            let pos = Array.of_list p.Problem.support in
-            let i = ref (-1) and j = ref (-1) in
-            Array.iteri
-              (fun k zk ->
-                if z1.(k) <> zk then i := k;
-                if z2.(k) <> zk then j := k)
-              z;
-            expect (List.mem pos.(!i) part.Partition.xa);
-            expect (List.mem pos.(!j) part.Partition.xb);
-            expect (second_derivative p z !i !j);
+            if g = Gate.Xor_gate then begin
+              let flips = ref 0 in
+              Array.iteri
+                (fun k xk ->
+                  if x1.(k) <> xk then incr flips;
+                  if x2.(k) <> xk then incr flips)
+                x;
+              expect (Screen.walk screen = !flips - 2);
+              let z, z1, z2 = Screen.tuple screen in
+              let pos = Array.of_list p.Problem.support in
+              let i = ref (-1) and j = ref (-1) in
+              Array.iteri
+                (fun k zk ->
+                  if z1.(k) <> zk then i := k;
+                  if z2.(k) <> zk then j := k)
+                z;
+              expect (List.mem pos.(!i) part.Partition.xa);
+              expect (List.mem pos.(!j) part.Partition.xb);
+              expect (visible p g z !i !j)
+            end;
+            let before = Screen.tuple screen in
+            let z, _, _ = before in
             let reported = ref [] in
             Screen.harvest screen ~known:(fun _ _ -> false) (fun () ->
                 let w, w1, w2 = Screen.tuple screen in
@@ -1622,11 +1684,10 @@ let prop_xor_edges_witnessed =
                   ~xb:(fun b -> l := b);
                 expect (w1.(!k) <> z.(!k) && w2.(!l) <> z.(!l));
                 reported := (!k, !l) :: !reported);
-            expect (Screen.tuple screen = (z, z1, z2));
+            expect (Screen.tuple screen = before);
             for k = 0 to n - 2 do
               for l = k + 1 to n - 1 do
-                expect
-                  (List.mem (k, l) !reported = second_derivative p z k l)
+                expect (List.mem (k, l) !reported = visible p g z k l)
               done
             done
           end
@@ -1699,6 +1760,8 @@ let () =
             test_qbf_copies_mismatch_rejected;
           Alcotest.test_case "mg screened scan = unscreened" `Quick
             test_mg_screened_scan;
+          Alcotest.test_case "mg learns refuted pairs" `Quick
+            test_mg_learns_pairs;
           Alcotest.test_case "screen pairs" `Quick test_screen_pairs;
           Alcotest.test_case "qbf pairs seeded lazily" `Quick
             test_qbf_pairs_seeded;
@@ -1757,7 +1820,7 @@ let () =
           prop_screen_clauses_backed;
           prop_xor_miter_matches_scaffold;
           prop_xor_separator_optimum;
-          prop_xor_edges_witnessed;
+          prop_learned_pairs_witnessed;
           prop_recursive_rebuild_equivalent;
         ];
     ]
