@@ -552,11 +552,18 @@ let eval_dimacs cnf value =
 let arena_round round st =
   let n = !n_vars in
   let cnf = random_cnf st n in
+  (* Past the CNF's variables, a random block of variables no clause
+     uses, and more made between clause adds: their literals are never
+     watched, so they keep the solver's shared empty watch list through
+     solving, reduction and compaction. *)
   let mk ?proof cnf =
     let s = Solver.create ?proof () in
-    Solver.ensure_var s (n - 1);
+    let top = List.fold_left (List.fold_left (fun m l -> max m (abs l))) n cnf in
+    Solver.ensure_var s (top - 1 + Random.State.int st 8);
     List.iter
-      (fun c -> ignore (Solver.add_clause s (List.map Lit.of_dimacs c)))
+      (fun c ->
+        if Random.State.int st 4 = 0 then ignore (Solver.new_var s);
+        ignore (Solver.add_clause s (List.map Lit.of_dimacs c)))
       cnf;
     s
   in

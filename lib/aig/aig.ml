@@ -96,6 +96,14 @@ let fanins m id =
   if not (is_and_node m id) then invalid_arg "Aig.fanins";
   (Veci.get m.fanin0 id, Veci.get m.fanin1 id)
 
+let fanin0 m id =
+  if not (is_and_node m id) then invalid_arg "Aig.fanin0";
+  Veci.unsafe_get m.fanin0 id
+
+let fanin1 m id =
+  if not (is_and_node m id) then invalid_arg "Aig.fanin1";
+  Veci.unsafe_get m.fanin1 id
+
 let node_kind m id =
   if id < 0 || id >= n_nodes m then invalid_arg "Aig.node_kind";
   if id = 0 then `Const

@@ -70,6 +70,17 @@ val fanins : t -> int -> lit * lit
 (** Fanin edges of an AND node id.
     @raise Invalid_argument for the constant or input nodes. *)
 
+val fanin0 : t -> int -> lit
+(** [fanin0 m id] is the first edge of [fanins m id], read without
+    building the pair: a walk that visits every node of a cone, such as
+    Tseitin encoding, allocates nothing per node. AND fanins are ordered
+    ([fanin0 m id <= fanin1 m id]).
+    @raise Invalid_argument for the constant or input nodes. *)
+
+val fanin1 : t -> int -> lit
+(** [fanin1 m id] is the second edge of [fanins m id], as {!fanin0}.
+    @raise Invalid_argument for the constant or input nodes. *)
+
 val node_kind : t -> int -> [ `Const | `Input of int | `And of lit * lit ]
 (** Structural view of a node id: the constant, an input (carrying its
     input index), or an AND with its fanin edges. This is the hook the

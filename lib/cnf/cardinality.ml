@@ -3,50 +3,60 @@ module Lit = Step_sat.Lit
 
 type counter = { outputs : Lit.t array }
 
-(* Totalizer tree: merge two sorted unary numbers [a] and [b] into [r]
-   (|r| = |a| + |b|), with both implication directions:
+(* Totalizer tree over [lits.(lo .. lo+n-1)], left half the first n/2:
+   merge two sorted unary numbers [a] and [b] into [r] (|r| = |a| + |b|),
+   with both implication directions:
      a_i ∧ b_j → r_{i+j}          ("at least" propagates up)
      ¬a_{i+1} ∧ ¬b_{j+1} → ¬r_{i+j+1}  ("at most" propagates up)
    Index convention: a_0 / b_0 / r_0 are implicit constants (true), and
-   a_{p+1} / b_{q+1} are implicit false. *)
-let rec build solver lits =
-  match lits with
-  | [] -> [||]
-  | [ l ] -> [| l |]
-  | _ ->
-      let n = List.length lits in
-      let rec split i acc = function
-        | [] -> (List.rev acc, [])
-        | x :: rest when i > 0 -> split (i - 1) (x :: acc) rest
-        | rest -> (List.rev acc, rest)
-      in
-      let left, right = split (n / 2) [] lits in
-      let a = build solver left in
-      let b = build solver right in
-      let p = Array.length a and q = Array.length b in
-      let r = Array.init (p + q) (fun _ -> Lit.pos (Solver.new_var solver)) in
-      for i = 0 to p do
-        for j = 0 to q do
-          let s = i + j in
-          if s >= 1 then begin
-            (* a_i ∧ b_j → r_s *)
-            let c1 = ref [ r.(s - 1) ] in
-            if i >= 1 then c1 := Lit.negate a.(i - 1) :: !c1;
-            if j >= 1 then c1 := Lit.negate b.(j - 1) :: !c1;
-            ignore (Solver.add_clause solver !c1)
+   a_{p+1} / b_{q+1} are implicit false. Clauses are filled into [buf]. *)
+let rec build solver buf lits lo n =
+  if n = 0 then [||]
+  else if n = 1 then [| lits.(lo) |]
+  else begin
+    let a = build solver buf lits lo (n / 2) in
+    let b = build solver buf lits (lo + (n / 2)) (n - (n / 2)) in
+    let p = Array.length a and q = Array.length b in
+    let r = Array.init (p + q) (fun _ -> Lit.pos (Solver.new_var solver)) in
+    let add k = ignore (Solver.add_clause_array solver buf k) in
+    for i = 0 to p do
+      for j = 0 to q do
+        let s = i + j in
+        if s >= 1 then begin
+          (* a_i ∧ b_j → r_s *)
+          buf.(0) <- r.(s - 1);
+          let k = ref 1 in
+          if i >= 1 then begin
+            buf.(!k) <- Lit.negate a.(i - 1);
+            incr k
           end;
-          if s < p + q then begin
-            (* ¬a_{i+1} ∧ ¬b_{j+1} → ¬r_{s+1} *)
-            let c2 = ref [ Lit.negate r.(s) ] in
-            if i < p then c2 := a.(i) :: !c2;
-            if j < q then c2 := b.(j) :: !c2;
-            ignore (Solver.add_clause solver !c2)
-          end
-        done
-      done;
-      r
+          if j >= 1 then begin
+            buf.(!k) <- Lit.negate b.(j - 1);
+            incr k
+          end;
+          add !k
+        end;
+        if s < p + q then begin
+          (* ¬a_{i+1} ∧ ¬b_{j+1} → ¬r_{s+1} *)
+          buf.(0) <- Lit.negate r.(s);
+          let k = ref 1 in
+          if i < p then begin
+            buf.(!k) <- a.(i);
+            incr k
+          end;
+          if j < q then begin
+            buf.(!k) <- b.(j);
+            incr k
+          end;
+          add !k
+        end
+      done
+    done;
+    r
+  end
 
-let totalizer solver lits = { outputs = build solver lits }
+let totalizer solver lits =
+  { outputs = build solver (Array.make 3 0) lits 0 (Array.length lits) }
 
 let size c = Array.length c.outputs
 

@@ -10,8 +10,10 @@
 type counter = { outputs : Step_sat.Lit.t array }
 (** [outputs.(i)] is true iff at least [i + 1] inputs are true. *)
 
-val totalizer : Step_sat.Solver.t -> Step_sat.Lit.t list -> counter
-(** Encodes the full (two-sided) totalizer for the given inputs. *)
+val totalizer : Step_sat.Solver.t -> Step_sat.Lit.t array -> counter
+(** Encodes the full (two-sided) totalizer for the given inputs: a tree
+    whose left subtree counts the first [n / 2] inputs. Its clauses go
+    through one scratch buffer ({!Step_sat.Solver.add_clause_array}). *)
 
 val at_most : counter -> int -> Step_sat.Lit.t option
 (** Literal asserting "at most [k] inputs are true"; [None] when the bound

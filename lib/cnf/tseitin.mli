@@ -9,6 +9,14 @@
     constructions (the [f(X) ∧ ¬f(X') ∧ ¬f(X'')] formulas of the paper)
     compact.
 
+    The encoding order is fixed. A cone is encoded in post-order from a
+    stack that takes an unencoded node's fanin0 and then its fanin1, so
+    fanin1's cone comes first. An AND node's variable comes after those
+    of its fanins (an input fanin gets its own when the node is encoded,
+    fanin0's first) and is followed by its three clauses. Searches over
+    the CNF read that order, so it is kept exactly (test_cnf compares it
+    against a reference encoder).
+
     Input variables can be pre-bound with {!bind_input} so that several
     "copies" of a function use distinct SAT variables for the same AIG
     input (see {!Step_core.Check}). *)

@@ -94,9 +94,16 @@ let build_scaffold ~proof (p : Problem.t) gate_ =
       match c3 with Some c3 -> copy3_lit.(j) <- input_lit c3 i | None -> ())
     support;
   (* sel → (a ≡ b) for each equality pair carried by the selector *)
+  let buf = Array.make 3 0 in
   let equal_under sel a b =
-    ignore (Solver.add_clause solver [ Lit.negate sel; Lit.negate a; b ]);
-    ignore (Solver.add_clause solver [ Lit.negate sel; a; Lit.negate b ])
+    buf.(0) <- Lit.negate sel;
+    buf.(1) <- Lit.negate a;
+    buf.(2) <- b;
+    ignore (Solver.add_clause_array solver buf 3);
+    buf.(0) <- Lit.negate sel;
+    buf.(1) <- a;
+    buf.(2) <- Lit.negate b;
+    ignore (Solver.add_clause_array solver buf 3)
   in
   let mk_selectors pairs_of =
     Array.init n (fun j ->

@@ -22,8 +22,8 @@ let or_model ?k ?(target = Qbf_model.Disjointness) (p : Problem.t) =
   let add c = ignore (Solver.add_clause solver c) in
   let fresh () = Lit.pos (Solver.new_var solver) in
   (* control variables *)
-  let alpha = List.map (fun _ -> fresh ()) support in
-  let beta = List.map (fun _ -> fresh ()) support in
+  let alpha = Array.init n (fun _ -> fresh ()) in
+  let beta = Array.init n (fun _ -> fresh ()) in
   (* function copies *)
   let aig = p.Problem.aig in
   let copy () =
@@ -49,7 +49,7 @@ let or_model ?k ?(target = Qbf_model.Disjointness) (p : Problem.t) =
   add [ Lit.negate s_m; Lit.negate lit_f2 ];
   List.iteri
     (fun j i ->
-      let a = List.nth alpha j and b = List.nth beta j in
+      let a = alpha.(j) and b = beta.(j) in
       add [ Lit.negate s_m; Lit.negate (x i); x1 i; a ];
       add [ Lit.negate s_m; x i; Lit.negate (x1 i); a ];
       add [ Lit.negate s_m; Lit.negate (x i); x2 i; b ];
@@ -58,14 +58,14 @@ let or_model ?k ?(target = Qbf_model.Disjointness) (p : Problem.t) =
   (* sN -> ¬fN: all α false, or all β false *)
   let s_na = fresh () and s_nb = fresh () in
   add [ Lit.negate s_n; s_na; s_nb ];
-  List.iter (fun a -> add [ Lit.negate s_na; Lit.negate a ]) alpha;
-  List.iter (fun b -> add [ Lit.negate s_nb; Lit.negate b ]) beta;
+  Array.iter (fun a -> add [ Lit.negate s_na; Lit.negate a ]) alpha;
+  Array.iter (fun b -> add [ Lit.negate s_nb; Lit.negate b ]) beta;
   (* sT -> ¬fT: the target count exceeds k *)
   (match target with
   | Qbf_model.Disjointness ->
       (* c_i ⇔ ¬α ∧ ¬β; ¬fT = (Σ c_i ≥ k+1) *)
       let shared =
-        List.map2
+        Array.map2
           (fun a b ->
             let c = fresh () in
             add [ c; a; b ];
@@ -109,7 +109,8 @@ let or_model ?k ?(target = Qbf_model.Disjointness) (p : Problem.t) =
   (* assemble QDIMACS: the paper's symmetry-breaking optimization is kept
      out of the export so external solvers see the plain model *)
   let universal =
-    List.map Lit.var alpha @ List.map Lit.var beta |> List.sort compare
+    Array.to_list (Array.map Lit.var (Array.append alpha beta))
+    |> List.sort compare
   in
   let is_universal =
     let tbl = Hashtbl.create 64 in

@@ -61,18 +61,23 @@ let make_abstraction (p : Problem.t) ~symmetry_breaking target =
   let alpha = Array.init n (fun _ -> fresh ()) in
   let beta = Array.init n (fun _ -> fresh ()) in
   let shared = Array.init n (fun _ -> fresh ()) in
+  let buf = Array.make 3 0 in
+  let add2 a b =
+    buf.(0) <- a;
+    buf.(1) <- b;
+    ignore (Solver.add_clause_array solver buf 2)
+  in
   for j = 0 to n - 1 do
     (* exclude (1,1): each variable sits in exactly one of XA/XB/XC *)
-    ignore
-      (Solver.add_clause solver [ Lit.negate alpha.(j); Lit.negate beta.(j) ]);
+    add2 (Lit.negate alpha.(j)) (Lit.negate beta.(j));
     (* c_j <-> ~alpha_j /\ ~beta_j, for every target; only Disjointness
        counts them *)
-    ignore
-      (Solver.add_clause solver [ shared.(j); alpha.(j); beta.(j) ]);
-    ignore
-      (Solver.add_clause solver [ Lit.negate shared.(j); Lit.negate alpha.(j) ]);
-    ignore
-      (Solver.add_clause solver [ Lit.negate shared.(j); Lit.negate beta.(j) ])
+    buf.(0) <- shared.(j);
+    buf.(1) <- alpha.(j);
+    buf.(2) <- beta.(j);
+    ignore (Solver.add_clause_array solver buf 3);
+    add2 (Lit.negate shared.(j)) (Lit.negate alpha.(j));
+    add2 (Lit.negate shared.(j)) (Lit.negate beta.(j))
   done;
   (* fN: non-trivial partitions *)
   Cardinality.add_at_least_one solver (Array.to_list alpha);
@@ -81,12 +86,11 @@ let make_abstraction (p : Problem.t) ~symmetry_breaking target =
      balancedness-style targets (their constraint (6)/(8) derivations
      assume it), an optional symmetry breaking for pure disjointness *)
   let ordered_counters () =
-    let ca = Cardinality.totalizer solver (Array.to_list alpha) in
-    let cb = Cardinality.totalizer solver (Array.to_list beta) in
+    let ca = Cardinality.totalizer solver alpha in
+    let cb = Cardinality.totalizer solver beta in
     for j = 1 to n do
       match (Cardinality.at_least cb j, Cardinality.at_least ca j) with
-      | Some ob, Some oa ->
-          ignore (Solver.add_clause solver [ Lit.negate ob; oa ])
+      | Some ob, Some oa -> add2 (Lit.negate ob) oa
       | _, _ -> ()
     done;
     (ca, cb)
@@ -95,7 +99,7 @@ let make_abstraction (p : Problem.t) ~symmetry_breaking target =
     match target with
     | Disjointness ->
         if symmetry_breaking then ignore (ordered_counters ());
-        let c = Cardinality.totalizer solver (Array.to_list shared) in
+        let c = Cardinality.totalizer solver shared in
         fun k -> Option.to_list (Cardinality.at_most c k)
     | Balancedness ->
         (* |XA| - |XB| <= k, given |XA| >= |XB|: one activation literal

@@ -66,7 +66,9 @@ let h_props_call = Metrics.histogram "sat.propagations_per_call"
 
    Watch lists hold (ref, blocker) pairs (stride 2); the blocker is a
    literal of the clause checked before touching the block at all.
-   Watched literals always sit in slots 0 and 1 of the block.
+   Watched literals always sit in slots 0 and 1 of the block. A literal
+   gets its own list on its first push ({!watch_list}); until then its
+   slot holds the shared [no_watches], which nothing writes.
 
    See docs/SOLVER.md for the full tour. *)
 
@@ -75,6 +77,12 @@ module Proof = struct
 end
 
 let dummy_step = { Proof.premises = [||]; pivots = [||] }
+
+(* The watch list of every literal that has never been watched. It is
+   shared by all solvers (and domains), so it is only ever read: a push
+   goes through [watch_list], and the loops that shrink or clear lists
+   skip it. *)
+let no_watches = Veci.create ~cap:1 ()
 
 type result = Sat | Unsat | Unknown
 
@@ -135,7 +143,7 @@ let create ?(proof = false) () =
       n_problem = 0;
       dead_lits = Hashtbl.create 16;
       learnts = Veci.create ();
-      watches = Array.init 32 (fun _ -> Veci.create ~cap:4 ());
+      watches = Array.make 32 no_watches;
       assign = Bytes.make 16 '\000';
       level = Array.make 16 0;
       reason = Array.make 16 (-1);
@@ -213,11 +221,8 @@ let grow_vars s n =
     in
     s.assign <- ext s.assign;
     s.polarity <- ext s.polarity;
-    let watches = Array.make (2 * cap) (Veci.create ()) in
+    let watches = Array.make (2 * cap) no_watches in
     Array.blit s.watches 0 watches 0 (Array.length s.watches);
-    for i = Array.length s.watches to (2 * cap) - 1 do
-      watches.(i) <- Veci.create ~cap:4 ()
-    done;
     s.watches <- watches;
     Epoch.ensure s.seen cap;
     Epoch.ensure s.lbd_seen cap
@@ -283,13 +288,23 @@ let alloc_clause s lits n learnt =
   Bytes.set s.cflags id (if learnt then '\001' else '\000');
   (id, r)
 
+(* The watch list of [l], to push to: its own, made on first use. *)
+let watch_list s l =
+  let w = s.watches.(l) in
+  if w != no_watches then w
+  else begin
+    let w = Veci.create ~cap:4 () in
+    s.watches.(l) <- w;
+    w
+  end
+
 let attach s r =
   let a = s.arena in
   let l0 = Arena.lit a r 0 and l1 = Arena.lit a r 1 in
-  let w0 = s.watches.(l0) in
+  let w0 = watch_list s l0 in
   Veci.push w0 r;
   Veci.push w0 l1;
-  let w1 = s.watches.(l1) in
+  let w1 = watch_list s l1 in
   Veci.push w1 r;
   Veci.push w1 l0
 
@@ -411,7 +426,7 @@ let propagate s =
             let lk = Array.unsafe_get bank (r + 3 + !k) in
             Array.unsafe_set bank (r + 4) lk;
             Array.unsafe_set bank (r + 3 + !k) false_lit;
-            let w' = s.watches.(lk) in
+            let w' = watch_list s lk in
             Veci.push w' r;
             Veci.push w' first
           end
@@ -435,7 +450,8 @@ let propagate s =
         end
       end
     done;
-    Veci.shrink w !j
+    (* an empty list may be [no_watches], which is never written *)
+    if n > 0 then Veci.shrink w !j
   done;
   !confl
 
@@ -499,122 +515,151 @@ let record_empty_chain s confl_r =
 
 exception Done of result
 
-let add_clause_a s lits =
-  Array.iter (fun l -> ensure_var s (Lit.var l)) lits;
+(* Sorts [lits.(0 .. n-1)] ascending in place: insertion sort, since
+   almost every clause is short; a long one (a DIMACS clause can have any
+   length) goes through [Array.sort], to the same order. *)
+let sort_prefix (lits : int array) n =
+  if n > 32 then begin
+    let a = Array.sub lits 0 n in
+    Array.sort (fun (x : int) y -> compare x y) a;
+    Array.blit a 0 lits 0 n
+  end
+  else
+    for i = 1 to n - 1 do
+      let l = Array.unsafe_get lits i in
+      let j = ref (i - 1) in
+      while !j >= 0 && Array.unsafe_get lits !j > l do
+        Array.unsafe_set lits (!j + 1) (Array.unsafe_get lits !j);
+        decr j
+      done;
+      Array.unsafe_set lits (!j + 1) l
+    done
+
+(* Normalises [lits.(0 .. n-1)] in place and returns the new length, or
+   -1 for a clause to discard: sorted ascending, duplicates dropped, a
+   complementary pair (adjacent once sorted) makes a tautology, and
+   outside proof mode a literal true at level 0 discards the clause and
+   one false at level 0 is dropped. *)
+let normalise s lits n =
+  sort_prefix lits n;
+  (* [prev] starts at -1, which neither a literal nor its negation is *)
+  let m = ref 0 and taut = ref false and prev = ref (-1) in
+  for i = 0 to n - 1 do
+    let l = lits.(i) in
+    if l = !prev then ()
+    else if l = Lit.negate !prev then taut := true
+    else if s.proof_mode || lit_unassigned s l then begin
+      lits.(!m) <- l;
+      incr m
+    end
+    else if lit_true s l then taut := true;
+    (* a literal false at level 0 is neither kept nor a tautology *)
+    prev := l
+  done;
+  if !taut then -1 else !m
+
+let add_clause_array s lits n =
+  if n < 0 || n > Array.length lits then invalid_arg "Solver.add_clause_array";
+  if n > 0 then begin
+    let top = ref (Lit.var lits.(0)) in
+    for i = 1 to n - 1 do
+      top := max !top (Lit.var lits.(i))
+    done;
+    ensure_var s !top
+  end;
   if not s.ok then -1
   else begin
     assert (decision_level s = 0);
-    (* sort + dedupe; detect tautologies. Sorted Lit ints put a variable's
-       two polarities next to each other, so one adjacent scan finds both
-       duplicates and complementary pairs. *)
-    let lits = Array.copy lits in
-    Array.sort (fun (a : int) b -> compare a b) lits;
-    let n = Array.length lits in
-    let out = Veci.create ~cap:(max n 1) () in
-    let taut = ref false in
-    for i = 0 to n - 1 do
-      let l = lits.(i) in
-      if i > 0 && l = lits.(i - 1) then ()
-      else if i > 0 && l = Lit.negate lits.(i - 1) then taut := true
-      else if not s.proof_mode then begin
-        (* level-0 simplification only outside proof mode *)
-        if lit_true s l then taut := true (* satisfied: treat as absorbed *)
-        else if lit_false s l then () (* drop false literal *)
-        else Veci.push out l
-      end
-      else Veci.push out l
-    done;
-    if !taut then -1
-    else begin
-      let lits = Veci.to_array out in
-      match Array.length lits with
-      | 0 when s.proof_mode ->
-          (* the empty input clause is its own refutation *)
-          let id, _ = alloc_clause s lits 0 false in
-          s.n_problem <- s.n_problem + 1;
-          s.empty_chain <- Some { Proof.premises = [| id |]; pivots = [||] };
+    match normalise s lits n with
+    | -1 -> -1
+    | 0 when s.proof_mode ->
+        (* the empty input clause is its own refutation *)
+        let id, _ = alloc_clause s lits 0 false in
+        s.n_problem <- s.n_problem + 1;
+        s.empty_chain <- Some { Proof.premises = [| id |]; pivots = [||] };
+        s.ok <- false;
+        id
+    | 0 ->
+        s.ok <- false;
+        -1
+    | 1 ->
+        let id, r = alloc_clause s lits 1 false in
+        s.n_problem <- s.n_problem + 1;
+        if lit_false s lits.(0) then begin
+          (* conflicts with current level-0 assignment *)
+          (if s.proof_mode then begin
+             (* resolvent of this unit with the reason chain of its negation *)
+             Epoch.reset s.seen;
+             let premises = Veci.create () and pivots = Veci.create () in
+             Veci.push premises id;
+             Epoch.set s.seen (Lit.var lits.(0)) 2;
+             resolve_zero s premises pivots;
+             s.empty_chain <-
+               Some
+                 {
+                   Proof.premises = Veci.to_array premises;
+                   pivots = Veci.to_array pivots;
+                 }
+           end);
           s.ok <- false;
           id
-      | 0 ->
-          s.ok <- false;
-          -1
-      | 1 ->
-          let id, r = alloc_clause s lits 1 false in
-          s.n_problem <- s.n_problem + 1;
-          if lit_false s lits.(0) then begin
-            (* conflicts with current level-0 assignment *)
-            (if s.proof_mode then begin
-               (* resolvent of this unit with the reason chain of its negation *)
-               Epoch.reset s.seen;
-               let premises = Veci.create () and pivots = Veci.create () in
-               Veci.push premises id;
-               Epoch.set s.seen (Lit.var lits.(0)) 2;
-               resolve_zero s premises pivots;
-               s.empty_chain <-
-                 Some
-                   {
-                     Proof.premises = Veci.to_array premises;
-                     pivots = Veci.to_array pivots;
-                   }
-             end);
-            s.ok <- false;
-            id
-          end
-          else begin
-            if lit_unassigned s lits.(0) then begin
-              enqueue s lits.(0) r;
-              match propagate s with
-              | -1 -> ()
-              | confl ->
-                  record_empty_chain s confl;
-                  s.ok <- false
-            end;
-            id
-          end
-      | len ->
-          s.n_problem <- s.n_problem + 1;
-          (* watch two literals that are not false at level 0 if possible;
-             in proof mode input clauses may carry false literals *)
-          let pick from =
-            let k = ref from in
-            while !k < len && lit_false s lits.(!k) do
-              incr k
-            done;
-            if !k < len then begin
-              let tmp = lits.(from) in
-              lits.(from) <- lits.(!k);
-              lits.(!k) <- tmp;
-              true
-            end
-            else false
-          in
-          let ok0 = pick 0 in
-          let ok1 = ok0 && pick 1 in
-          let id, r = alloc_clause s lits len false in
-          if not ok0 then begin
-            (* all literals false at level 0 *)
-            attach s r;
-            record_empty_chain s r;
-            s.ok <- false
-          end
-          else if not ok1 then begin
-            (* clause is unit under level-0 assignment *)
-            attach s r;
-            if lit_unassigned s lits.(0) then begin
-              enqueue s lits.(0) r;
-              match propagate s with
-              | -1 -> ()
-              | confl ->
-                  record_empty_chain s confl;
-                  s.ok <- false
-            end
-          end
-          else attach s r;
+        end
+        else begin
+          if lit_unassigned s lits.(0) then begin
+            enqueue s lits.(0) r;
+            match propagate s with
+            | -1 -> ()
+            | confl ->
+                record_empty_chain s confl;
+                s.ok <- false
+          end;
           id
-    end
+        end
+    | len ->
+        s.n_problem <- s.n_problem + 1;
+        (* watch two literals that are not false at level 0 if possible;
+           in proof mode input clauses may carry false literals *)
+        let pick from =
+          let k = ref from in
+          while !k < len && lit_false s lits.(!k) do
+            incr k
+          done;
+          if !k < len then begin
+            let tmp = lits.(from) in
+            lits.(from) <- lits.(!k);
+            lits.(!k) <- tmp;
+            true
+          end
+          else false
+        in
+        let ok0 = pick 0 in
+        let ok1 = ok0 && pick 1 in
+        let id, r = alloc_clause s lits len false in
+        if not ok0 then begin
+          (* all literals false at level 0 *)
+          attach s r;
+          record_empty_chain s r;
+          s.ok <- false
+        end
+        else if not ok1 then begin
+          (* clause is unit under level-0 assignment *)
+          attach s r;
+          if lit_unassigned s lits.(0) then begin
+            enqueue s lits.(0) r;
+            match propagate s with
+            | -1 -> ()
+            | confl ->
+                record_empty_chain s confl;
+                s.ok <- false
+          end
+        end
+        else attach s r;
+        id
   end
 
-let add_clause s lits = add_clause_a s (Array.of_list lits)
+let add_clause s lits =
+  let lits = Array.of_list lits in
+  add_clause_array s lits (Array.length lits)
 
 (* A clause from the [on_model] hook, false under the full assignment on
    the trail. It is stored as a problem clause and placed like a learnt
@@ -928,7 +973,8 @@ let collect s =
     s.reason.(Veci.get rvars k) <- Veci.get s.cmap (Veci.get rids k)
   done;
   for l = 0 to (2 * s.nvars) - 1 do
-    Veci.clear s.watches.(l)
+    let w = s.watches.(l) in
+    if w != no_watches then Veci.clear w
   done;
   Veci.clear s.learnts;
   for k = 0 to Veci.length live - 1 do

@@ -66,6 +66,15 @@ val add_clause : t -> Lit.t list -> int
     kept and recorded as the refutation. Variables are allocated on
     demand. *)
 
+val add_clause_array : t -> Lit.t array -> int -> int
+(** [add_clause_array s buf n] is {!add_clause} on the clause
+    [buf.(0 .. n-1)], with the same result and the same stored clause.
+    It normalises those entries in place (their contents afterwards are
+    unspecified) and keeps nothing of [buf], whose literals are copied
+    into the clause store: a caller can fill one scratch buffer for every
+    clause it adds. Entries from [n] on are not read.
+    @raise Invalid_argument unless [0 <= n <= Array.length buf]. *)
+
 type verdict =
   | Accept  (** The model stands: [solve] answers [Sat]. *)
   | Stop  (** Give up: [solve] answers [Unknown]. *)

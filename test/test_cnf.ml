@@ -160,7 +160,7 @@ let test_totalizer_exact () =
   for n = 1 to 6 do
     let s = Solver.create () in
     let lits = List.init n (fun _ -> Lit.pos (Solver.new_var s)) in
-    let c = Cardinality.totalizer s lits in
+    let c = Cardinality.totalizer s (Array.of_list lits) in
     Alcotest.(check int) "size" n (Cardinality.size c);
     for mask = 0 to (1 lsl n) - 1 do
       let assumptions =
@@ -184,7 +184,7 @@ let test_at_most_at_least () =
   let n = 5 in
   let s = Solver.create () in
   let lits = List.init n (fun _ -> Lit.pos (Solver.new_var s)) in
-  let c = Cardinality.totalizer s lits in
+  let c = Cardinality.totalizer s (Array.of_list lits) in
   (* trivial bounds *)
   Alcotest.(check bool) "at_most n trivial" true (Cardinality.at_most c n = None);
   Alcotest.(check bool) "at_least 0 trivial" true
@@ -219,7 +219,7 @@ let prop_totalizer_bounds =
     gen (fun (n, k, force) ->
       let s = Solver.create () in
       let lits = List.init n (fun _ -> Lit.pos (Solver.new_var s)) in
-      let c = Cardinality.totalizer s lits in
+      let c = Cardinality.totalizer s (Array.of_list lits) in
       (* fix the inputs as in [force]; then at_most k must agree with the
          popcount *)
       let assumptions =
@@ -239,7 +239,7 @@ let test_totalizer_matches_popcount () =
     for k = 0 to n do
       let s = Solver.create () in
       let lits = List.init n (fun _ -> Lit.pos (Solver.new_var s)) in
-      let c = Cardinality.totalizer s lits in
+      let c = Cardinality.totalizer s (Array.of_list lits) in
       (match Cardinality.at_most c k with
       | Some l -> ignore (Solver.add_clause s [ l ])
       | None -> ());
@@ -265,8 +265,8 @@ let test_bound_difference () =
       let s = Solver.create () in
       let ls = List.init n (fun _ -> Lit.pos (Solver.new_var s)) in
       let rs = List.init n (fun _ -> Lit.pos (Solver.new_var s)) in
-      let left = Cardinality.totalizer s ls in
-      let right = Cardinality.totalizer s rs in
+      let left = Cardinality.totalizer s (Array.of_list ls) in
+      let right = Cardinality.totalizer s (Array.of_list rs) in
       let act = Lit.pos (Solver.new_var s) in
       Cardinality.add_bound_difference s ~left ~right ~k ~activator:act;
       for ml = 0 to (1 lsl n) - 1 do
@@ -316,6 +316,252 @@ let test_parity_miter_stress () =
   ignore (Solver.add_clause s2 [ Tseitin.lit_of enc2 broken ]);
   Alcotest.(check bool) "distinguishable" true (sat s2)
 
+(* ---------- the clause stream, against the reference encoders ---------- *)
+
+(* The Tseitin encoder as it was written over a [Hashtbl] node map and
+   list clauses. The encoder under test must allocate the same variables
+   in the same order and add the same clauses in the same order, so that
+   searches, cores and MG partitions over its CNF stay as they were. *)
+module Ref_tseitin = struct
+  type t = {
+    solver : Solver.t;
+    aig : Aig.t;
+    node_var : (int, int) Hashtbl.t;
+    mutable true_var : int;
+  }
+
+  let create solver aig =
+    { solver; aig; node_var = Hashtbl.create 256; true_var = -1 }
+
+  let add_clause enc lits = ignore (Solver.add_clause enc.solver lits)
+
+  let true_lit enc =
+    if enc.true_var < 0 then begin
+      let v = Solver.new_var enc.solver in
+      enc.true_var <- v;
+      add_clause enc [ Lit.pos v ]
+    end;
+    Lit.pos enc.true_var
+
+  let var_of_node enc id =
+    match Hashtbl.find_opt enc.node_var id with
+    | Some v -> v
+    | None ->
+        let v = Solver.new_var enc.solver in
+        Hashtbl.replace enc.node_var id v;
+        v
+
+  let lit_of_input enc i =
+    Lit.pos (var_of_node enc (Aig.node_of (Aig.input enc.aig i)))
+
+  let bind_input enc i lit =
+    Hashtbl.replace enc.node_var (Aig.node_of (Aig.input enc.aig i))
+      (Lit.var lit)
+
+  let encode_cone enc top =
+    let aig = enc.aig in
+    let is_done id =
+      id = 0 || Aig.is_input_edge aig (2 * id) || Hashtbl.mem enc.node_var id
+    in
+    let sat_edge e =
+      let n = Aig.node_of e in
+      let base =
+        if n = 0 then Lit.negate (true_lit enc)
+        else Lit.pos (var_of_node enc n)
+      in
+      if Aig.is_complement e then Lit.negate base else base
+    in
+    let stack = ref [ top ] in
+    while !stack <> [] do
+      let id = List.hd !stack in
+      if is_done id then stack := List.tl !stack
+      else begin
+        let f0, f1 = Aig.fanins aig id in
+        let n0 = Aig.node_of f0 and n1 = Aig.node_of f1 in
+        if is_done n0 && is_done n1 then begin
+          stack := List.tl !stack;
+          let a = sat_edge f0 in
+          let b = sat_edge f1 in
+          let v = Solver.new_var enc.solver in
+          Hashtbl.replace enc.node_var id v;
+          let n = Lit.pos v in
+          add_clause enc [ Lit.negate n; a ];
+          add_clause enc [ Lit.negate n; b ];
+          add_clause enc [ n; Lit.negate a; Lit.negate b ]
+        end
+        else begin
+          if not (is_done n0) then stack := n0 :: !stack;
+          if not (is_done n1) then stack := n1 :: !stack
+        end
+      end
+    done
+
+  let lit_of enc e =
+    let id = Aig.node_of e in
+    let base =
+      if id = 0 then Lit.negate (true_lit enc)
+      else if Aig.is_input_edge enc.aig (2 * id) then
+        Lit.pos (var_of_node enc id)
+      else begin
+        encode_cone enc id;
+        Lit.pos (Hashtbl.find enc.node_var id)
+      end
+    in
+    if Aig.is_complement e then Lit.negate base else base
+end
+
+(* The totalizer as it was written over lists. *)
+let rec ref_totalizer solver lits =
+  match lits with
+  | [] -> [||]
+  | [ l ] -> [| l |]
+  | _ ->
+      let n = List.length lits in
+      let left = List.filteri (fun i _ -> i < n / 2) lits in
+      let right = List.filteri (fun i _ -> i >= n / 2) lits in
+      let a = ref_totalizer solver left in
+      let b = ref_totalizer solver right in
+      let p = Array.length a and q = Array.length b in
+      let r = Array.init (p + q) (fun _ -> Lit.pos (Solver.new_var solver)) in
+      for i = 0 to p do
+        for j = 0 to q do
+          let s = i + j in
+          if s >= 1 then begin
+            let c1 = ref [ r.(s - 1) ] in
+            if i >= 1 then c1 := Lit.negate a.(i - 1) :: !c1;
+            if j >= 1 then c1 := Lit.negate b.(j - 1) :: !c1;
+            ignore (Solver.add_clause solver !c1)
+          end;
+          if s < p + q then begin
+            let c2 = ref [ Lit.negate r.(s) ] in
+            if i < p then c2 := a.(i) :: !c2;
+            if j < q then c2 := b.(j) :: !c2;
+            ignore (Solver.add_clause solver !c2)
+          end
+        done
+      done;
+      r
+
+(* Same variable count and the same clauses, id by id. *)
+let same_cnf s1 s2 =
+  Solver.n_vars s1 = Solver.n_vars s2
+  && Solver.n_clause_records s1 = Solver.n_clause_records s2
+  && List.for_all
+       (fun id -> Solver.clause_lits s1 id = Solver.clause_lits s2 id)
+       (List.init (Solver.n_clause_records s1) Fun.id)
+
+(* A random AIG as a list of steps over the edges made so far: new
+   inputs (one, or a block of up to 300 so that node ids spread far
+   apart), ANDs of earlier edges (complemented or not, constants among
+   them, so strashing shares subgraphs), and requests to encode an edge,
+   an input or to pin an unencoded input to a fresh variable. Every step
+   goes to both encoders, so the manager grows between requests. *)
+type aig_step =
+  | New_input
+  | New_inputs of int
+  | New_and of int * bool * int * bool
+  | Encode of int * bool
+  | Encode_input of int
+  | Bind of int
+
+let gen_aig_steps =
+  let open QCheck2.Gen in
+  list_size (int_range 1 60)
+    (frequency
+       [
+         (2, pure New_input);
+         (1, map (fun k -> New_inputs k) (int_range 1 300));
+         ( 6,
+           map
+             (fun (a, ca, b, cb) -> New_and (a, ca, b, cb))
+             (quad nat bool nat bool) );
+         (3, map2 (fun e c -> Encode (e, c)) nat bool);
+         (1, map (fun i -> Encode_input i) nat);
+         (1, map (fun i -> Bind i) nat);
+       ])
+
+let print_aig_step = function
+  | New_input -> "in"
+  | New_inputs k -> Printf.sprintf "in*%d" k
+  | New_and (a, ca, b, cb) -> Printf.sprintf "and(%d%s,%d%s)" a
+      (if ca then "'" else "") b (if cb then "'" else "")
+  | Encode (e, c) -> Printf.sprintf "enc(%d%s)" e (if c then "'" else "")
+  | Encode_input i -> Printf.sprintf "input(%d)" i
+  | Bind i -> Printf.sprintf "bind(%d)" i
+
+let prop_tseitin_stream =
+  QCheck2.Test.make ~count:500 ~name:"Tseitin clause stream = reference"
+    ~print:(fun steps -> String.concat " " (List.map print_aig_step steps))
+    gen_aig_steps (fun steps ->
+      let m = Aig.create () in
+      let x0 = Aig.fresh_input m in
+      (* the edges made so far; constants and the first input to start *)
+      let edges = ref [| Aig.f; Aig.t_; x0 |] in
+      let push e = edges := Array.append !edges [| e |] in
+      let edge k c =
+        let e = !edges.(k mod Array.length !edges) in
+        if c then Aig.not_ e else e
+      in
+      let s1 = Solver.create () and s2 = Solver.create () in
+      let enc = Tseitin.create ~solver:s1 m in
+      let ref_enc = Ref_tseitin.create s2 m in
+      let bound = Hashtbl.create 8 in
+      List.for_all
+        (fun step ->
+          (match step with
+          | New_input -> push (Aig.fresh_input m)
+          | New_inputs k ->
+              for _ = 1 to k do
+                push (Aig.fresh_input m)
+              done
+          | New_and (a, ca, b, cb) -> push (Aig.and_ m (edge a ca) (edge b cb))
+          | Encode _ | Encode_input _ | Bind _ -> ());
+          let ok =
+            match step with
+            | New_input | New_inputs _ | New_and _ -> true
+            | Encode (k, c) ->
+                Tseitin.lit_of enc (edge k c)
+                = Ref_tseitin.lit_of ref_enc (edge k c)
+            | Encode_input i ->
+                let i = i mod Aig.n_inputs m in
+                Tseitin.lit_of_input enc i = Ref_tseitin.lit_of_input ref_enc i
+            | Bind i ->
+                (* only an input neither encoder has seen may be bound *)
+                let i = i mod Aig.n_inputs m in
+                let probe = Aig.node_of (Aig.input m i) in
+                if Hashtbl.mem bound i || Hashtbl.mem ref_enc.node_var probe
+                then true
+                else begin
+                  Hashtbl.replace bound i ();
+                  let v1 = Lit.pos (Solver.new_var s1) in
+                  let v2 = Lit.pos (Solver.new_var s2) in
+                  Tseitin.bind_input enc i v1;
+                  Ref_tseitin.bind_input ref_enc i v2;
+                  v1 = v2
+                end
+          in
+          ok && same_cnf s1 s2)
+        steps)
+
+let prop_totalizer_stream =
+  let gen =
+    let open QCheck2.Gen in
+    let* n_vars = int_range 1 12 in
+    let+ lits = list_size (int_range 0 24) (map2 Lit.of_var bool (int_range 0 (n_vars - 1))) in
+    (n_vars, lits)
+  in
+  QCheck2.Test.make ~count:300 ~name:"totalizer clause stream = reference"
+    ~print:(fun (n, lits) ->
+      Printf.sprintf "vars=%d [%s]" n
+        (String.concat " " (List.map Lit.to_string lits)))
+    gen (fun (n_vars, lits) ->
+      let s1 = Solver.create () and s2 = Solver.create () in
+      Solver.ensure_var s1 (n_vars - 1);
+      Solver.ensure_var s2 (n_vars - 1);
+      let c = Cardinality.totalizer s1 (Array.of_list lits) in
+      let r = ref_totalizer s2 lits in
+      c.Cardinality.outputs = r && same_cnf s1 s2)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -339,5 +585,11 @@ let () =
           Alcotest.test_case "parity miter stress" `Quick
             test_parity_miter_stress;
         ] );
-      qsuite "properties" [ prop_tseitin_equisat; prop_totalizer_bounds ];
+      qsuite "properties"
+        [
+          prop_tseitin_equisat;
+          prop_totalizer_bounds;
+          prop_tseitin_stream;
+          prop_totalizer_stream;
+        ];
     ]

@@ -649,6 +649,137 @@ let prop_hook_matches_brute_force =
       let assumptions = List.init (n / 2) (fun v -> Lit.of_var (v mod 3 = 0) v) in
       agrees assumptions && agrees [] && Solver.audit s = [])
 
+(* Clause intake against a reference written here: the normal form
+   (sorted, duplicates dropped, a complementary pair or, outside proof
+   mode, a literal true at level 0 discarding the clause, a literal false
+   at level 0 dropped), the two watched slots (the first non-false
+   literal swapped to slot 0, the next to slot 1), the returned id and
+   [okay]. The level-0 assignment is the unit-propagation fixpoint of the
+   clauses stored so far, whatever order the solver reached it in.
+   Every other clause goes through [add_clause_array] from a buffer with
+   junk past its length, overwritten after the call. *)
+type ref_solver = {
+  proof : bool;
+  value : int array; (* per var: 0 unassigned, 1 true, 2 false *)
+  mutable stored : Lit.t array list; (* newest first *)
+  mutable ok : bool;
+  mutable n_vars : int;
+}
+
+let ref_value r l =
+  match r.value.(Lit.var l) with
+  | 0 -> 0
+  | a -> if Lit.is_pos l then a else 3 - a
+
+(* unit propagation over the stored clauses, to a fixpoint *)
+let ref_propagate r =
+  let changed = ref true in
+  while r.ok && !changed do
+    changed := false;
+    List.iter
+      (fun c ->
+        if r.ok && not (Array.exists (fun l -> ref_value r l = 1) c) then
+          match List.filter (fun l -> ref_value r l = 0) (Array.to_list c) with
+          | [] -> r.ok <- false
+          | [ l ] ->
+              r.value.(Lit.var l) <- (if Lit.is_pos l then 1 else 2);
+              changed := true
+          | _ -> ())
+      r.stored
+  done
+
+(* the expected return and, when a clause is stored, its literals *)
+let ref_add r lits =
+  List.iter (fun l -> r.n_vars <- max r.n_vars (Lit.var l + 1)) lits;
+  if not r.ok then (-1, None)
+  else begin
+    let sorted = List.sort_uniq compare lits in
+    let taut =
+      List.exists (fun l -> List.mem (Lit.negate l) sorted) sorted
+      || ((not r.proof) && List.exists (fun l -> ref_value r l = 1) sorted)
+    in
+    let kept =
+      if r.proof then sorted else List.filter (fun l -> ref_value r l = 0) sorted
+    in
+    if taut then (-1, None)
+    else if kept = [] && not r.proof then begin
+      r.ok <- false;
+      (-1, None)
+    end
+    else begin
+      let c = Array.of_list kept in
+      let pick from =
+        let k = ref from in
+        while !k < Array.length c && ref_value r c.(!k) = 2 do
+          incr k
+        done;
+        if !k < Array.length c then begin
+          let t = c.(from) in
+          c.(from) <- c.(!k);
+          c.(!k) <- t;
+          true
+        end
+        else false
+      in
+      if Array.length c >= 2 && pick 0 then ignore (pick 1);
+      let id = List.length r.stored in
+      r.stored <- Array.copy c :: r.stored;
+      if c = [||] then r.ok <- false else ref_propagate r;
+      (id, Some c)
+    end
+  end
+
+let gen_intake =
+  let open QCheck2.Gen in
+  let* proof = bool in
+  let* n_vars = int_range 1 8 in
+  let gen_lit = map2 Lit.of_var bool (int_range 0 (n_vars - 1)) in
+  let* units = list_size (int_range 0 3) (map (fun l -> [ l ]) gen_lit) in
+  let+ clauses = list_size (int_range 0 30) (list_size (int_range 0 6) gen_lit) in
+  (proof, n_vars, units @ clauses)
+
+let prop_clause_intake =
+  QCheck2.Test.make ~count:500 ~name:"clause intake = reference normal form"
+    ~print:(fun (proof, n, cs) ->
+      Printf.sprintf "proof=%b %s" proof (print_cnf (n, cs)))
+    gen_intake (fun (proof, n_vars, clauses) ->
+      let s = Solver.create ~proof () in
+      let r =
+        { proof; value = Array.make n_vars 0; stored = []; ok = true; n_vars = 0 }
+      in
+      let buf = Array.make 8 0 in
+      let step i lits =
+        let got =
+          if i mod 2 = 0 then Solver.add_clause s lits
+          else begin
+            let n = List.length lits in
+            List.iteri (fun k l -> buf.(k) <- l) lits;
+            (* junk past the clause: a literal over a var far out of range *)
+            Array.fill buf n (Array.length buf - n) (Lit.pos 1000);
+            let id = Solver.add_clause_array s buf n in
+            Array.fill buf 0 (Array.length buf) (Lit.neg_of_var 999);
+            id
+          end
+        in
+        let expected, stored = ref_add r lits in
+        got = expected
+        && Solver.okay s = r.ok
+        && Solver.n_vars s = r.n_vars
+        && Solver.n_clause_records s = List.length r.stored
+        && match stored with
+           | Some c -> Solver.clause_lits s got = c
+           | None -> true
+      in
+      List.for_all Fun.id (List.mapi step clauses)
+      (* later level-0 propagation may move watched literals, not change
+         the clause *)
+      && List.for_all2
+           (fun id c ->
+             let sorted a = List.sort compare (Array.to_list a) in
+             sorted (Solver.clause_lits s id) = sorted c)
+           (List.init (List.length r.stored) Fun.id)
+           (List.rev r.stored))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -731,5 +862,6 @@ let () =
           prop_core_sufficient;
           prop_model_complete;
           prop_hook_matches_brute_force;
+          prop_clause_intake;
         ];
     ]
