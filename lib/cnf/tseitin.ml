@@ -52,11 +52,12 @@ let true_lit enc =
 
 (* The node map is an int array indexed by node id, in pages of [page]
    entries, each made on the first write to it. A flat array would cost
-   one word per node of the manager, and a manager can be far larger
-   than the cones encoded in it: LJH builds every candidate's copies in
-   one manager per PO (C7552's output 0 grows to 91 388 nodes over 496
-   candidates), each with its own encoder. Pages hold 128 entries so
-   that they stay in the minor heap. *)
+   one word per node of the manager, and a manager can be larger than
+   the cone encoded in it: Problem.of_output on a whole circuit, as
+   decompose --recursive and the tests use it, encodes one output's cone
+   in the manager of every output (C7552's holds 351 AND nodes, its
+   output 0's cone 59). Pages hold 128 entries so that they stay in the
+   minor heap. *)
 let page_bits = 7
 
 let page = 1 lsl page_bits

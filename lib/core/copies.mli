@@ -84,7 +84,7 @@ val solver : t -> Step_sat.Solver.t
 
 val screen : t -> Screen.t
 (** The screen, built on first use: a [t] that never asks for it (a
-    certificate's, an LJH probe's) compiles no simulator. *)
+    certificate's, LJH's) compiles no simulator. *)
 
 val alpha_selector : t -> int -> Step_sat.Lit.t
 (** [alpha_selector c i]: asking it keeps [i] out of [XA].

@@ -33,14 +33,14 @@ let find ?time_budget (p : Problem.t) g =
       match time_budget with Some b -> t0 +. b | None -> infinity
     in
     let sat_calls = ref 0 in
-    (* The published tool derives interpolants from each refutation, which
-       requires a proof-logging, non-incremental solver: every candidate
-       partition is a freshly encoded SAT instance. We reproduce that
-       architecture (and its cost) here, unlike the incremental scaffold
-       shared by STEP-MG and the QBF models. *)
+    (* One scaffold per output, candidates as assumptions: formula (2)'s
+       control variables let one instance decide every partition, with
+       learnt clauses carried from one candidate to the next. It is built
+       on the first check, so a find that checks nothing builds nothing. *)
+    let copies = lazy (Copies.create p g) in
     let check part =
       incr sat_calls;
-      Copies.check ~deadline (Copies.create p g) part
+      Copies.check ~deadline (Lazy.force copies) part
     in
     let support = Array.of_list p.Problem.support in
     (* lexicographic seed pairs *)

@@ -17,9 +17,11 @@ type result = {
 }
 
 val find : ?time_budget:float -> Problem.t -> Gate.t -> result
-(** Scans every seed pair until one is decomposable. Always builds a
-    private scaffold (the original tool re-encodes formula (2) per
-    output), which is part of its measured cost.
+(** Scans every seed pair until one is decomposable. Builds one private
+    scaffold per output, candidates as assumptions: every seed and
+    growth candidate is decided on it under its selectors, and its
+    construction is part of the measured cost. A find that checks no
+    candidate ([n < 2], or a budget already spent) builds none.
 
     [time_budget] sets one deadline for the scan and every SAT check. A
     seed check it cuts short ends the scan with no partition; a growth

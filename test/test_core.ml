@@ -1695,6 +1695,78 @@ let prop_learned_pairs_witnessed =
         !ok
       end)
 
+(* LJH's seed scan and greedy growth, each candidate decided on f's
+   truth table: the seed pairs in lexicographic order of the support,
+   then each other variable into XA if possible, else into XB, else XC,
+   with the variables not yet placed shared. *)
+let ljh_reference (p : Problem.t) g =
+  let decomposable = Check.decomposable_semantic p g in
+  let calls = ref 0 in
+  let decomposes xa xb =
+    incr calls;
+    let xc =
+      List.filter
+        (fun i -> not (List.mem i xa || List.mem i xb))
+        p.Problem.support
+    in
+    decomposable (Partition.make ~xa ~xb ~xc)
+  in
+  let rec scan = function
+    | [] -> None
+    | u :: rest -> (
+        match List.find_opt (fun v -> decomposes [ u ] [ v ]) rest with
+        | Some v -> Some (u, v)
+        | None -> scan rest)
+  in
+  let partition =
+    Option.map
+      (fun (u, v) ->
+        let xa, xb, xc =
+          List.fold_left
+            (fun (xa, xb, xc) i ->
+              if i = u || i = v then (xa, xb, xc)
+              else if decomposes (i :: xa) xb then (i :: xa, xb, xc)
+              else if decomposes xa (i :: xb) then (xa, i :: xb, xc)
+              else (xa, xb, i :: xc))
+            ([ u ], [ v ], []) p.Problem.support
+        in
+        Partition.make ~xa ~xb ~xc)
+      (scan p.Problem.support)
+  in
+  (partition, !calls)
+
+(* LJH decides every candidate on one scaffold under assumptions; its
+   answer and its number of checks are those of the table-driven scan. *)
+let prop_ljh_matches_reference =
+  QCheck2.Test.make ~count:150 ~name:"LJH = table-driven LJH"
+    ~print:(fun (g, (what, _)) -> Gate.to_string g ^ " " ^ what)
+    QCheck2.Gen.(gen_gate >>= fun g -> map (fun c -> (g, c)) (gen_cone g))
+    (fun (g, (_, p)) ->
+      let r = Ljh.find p g in
+      let partition, sat_calls = ljh_reference p g in
+      let lists =
+        Option.map (fun (q : Partition.t) ->
+            (q.Partition.xa, q.Partition.xb, q.Partition.xc))
+      in
+      lists r.Ljh.partition = lists partition && r.Ljh.sat_calls = sat_calls)
+
+(* LJH builds one scaffold per output, so the output's manager grows by
+   one scaffold, not by one per candidate. *)
+let test_ljh_manager_bounded () =
+  List.iter
+    (fun name ->
+      let c = Step_circuits.Suite.by_name name in
+      let p = Problem.of_output (Circuit.cone c 0) 0 in
+      let before = Aig.n_nodes p.Problem.aig in
+      let r = Ljh.find p Gate.Or_gate in
+      let after = Aig.n_nodes p.Problem.aig in
+      if r.Ljh.sat_calls < 100 then
+        Alcotest.failf "%s: only %d checks" name r.Ljh.sat_calls;
+      if after > 4 * before then
+        Alcotest.failf "%s: manager grew from %d to %d nodes over %d checks"
+          name before after r.Ljh.sat_calls)
+    [ "C7552"; "s15850.1" ]
+
 (* XOR QD runs no abstraction solve: each query is one separator and at
    most one sat.verify check, and the refinements it counts are edges. *)
 let test_xor_qd_no_abstraction () =
@@ -1779,6 +1851,8 @@ let () =
             test_ljh_budget_bounds_checks;
           Alcotest.test_case "ljh budget bounds the extraction" `Quick
             test_ljh_budget_bounds_extraction;
+          Alcotest.test_case "ljh manager stays bounded" `Quick
+            test_ljh_manager_bounded;
           Alcotest.test_case "mg mus hook has witnesses" `Quick
             test_mg_mus_hook;
           Alcotest.test_case "side-3 tuple never banked" `Quick
@@ -1821,6 +1895,7 @@ let () =
           prop_xor_miter_matches_scaffold;
           prop_xor_separator_optimum;
           prop_learned_pairs_witnessed;
+          prop_ljh_matches_reference;
           prop_recursive_rebuild_equivalent;
         ];
     ]
