@@ -138,10 +138,12 @@ profsmoke:
 # independent `step certify` gate, and a deliberately corrupted proof
 # must make that gate fail non-zero. The directories saved by an
 # `--extract quantify` run (certificates extended with the fA/fB
-# equivalence obligation) and by a `-g auto` run must re-check too.
+# equivalence obligation) and by a `-g auto` run must re-check too. An
+# XOR leg does the same for certificates on the four-point miter: an
+# adder's XOR answers check, re-check, and fail once one is corrupted.
 certsmoke:
 	dune build bin/step.exe
-	rm -rf certsmoke_dir certsmoke_eq certsmoke_auto
+	rm -rf certsmoke_dir certsmoke_eq certsmoke_auto certsmoke_xor
 	dune exec --no-build bin/step.exe -- generate -k decoder -n 3 \
 	  -o certsmoke.blif
 	dune exec --no-build bin/step.exe -- decompose certsmoke.blif -g and \
@@ -161,8 +163,17 @@ certsmoke:
 	f=$$(grep -l '"proof"' certsmoke_dir/*.cert.json | head -1) && \
 	  sed -i 's/\\n/ 99\\n/' $$f
 	! dune exec --no-build bin/step.exe -- certify certsmoke_dir
-	rm -rf certsmoke_dir certsmoke_eq certsmoke_auto certsmoke.blif \
-	  certsmoke_out.txt
+	dune exec --no-build bin/step.exe -- generate -k adder -n 3 \
+	  -o certsmoke_xor.blif
+	dune exec --no-build bin/step.exe -- decompose certsmoke_xor.blif \
+	  -g xor -m qd --certify --cert-dir certsmoke_xor > certsmoke_out.txt
+	grep -E '^cert: checked=[1-9][0-9]* failed=0' certsmoke_out.txt
+	dune exec --no-build bin/step.exe -- certify certsmoke_xor
+	f=$$(grep -l '"proof"' certsmoke_xor/*.cert.json | head -1) && \
+	  sed -i 's/\\n/ 99\\n/' $$f
+	! dune exec --no-build bin/step.exe -- certify certsmoke_xor
+	rm -rf certsmoke_dir certsmoke_eq certsmoke_auto certsmoke_xor \
+	  certsmoke.blif certsmoke_xor.blif certsmoke_out.txt
 
 # Bounded proof fuzzing: random CNFs through the proof-logging solver,
 # every UNSAT answer re-checked by the independent LRAT/DRAT checker.

@@ -1,12 +1,12 @@
 (* Building proof-carrying certificates for decomposition answers.
 
-   The trick that makes the prop-1 scaffold exportable: a partition is
-   normally checked under selector *assumptions*, but assumption-based
-   refutations are conditional and cannot be exported as DRAT/LRAT. The
-   selector literals are plain literals, though — adding them as unit
-   clauses to a fresh proof-logging Copies scaffold turns the same check
-   into an assumption-free solve whose Unsat answer carries a complete,
-   unconditional refutation of "this partition fails to decompose f".
+   A partition is normally checked under selector *assumptions* (OR/AND)
+   or on a miter solved once and dropped (XOR); neither leaves an
+   exportable refutation. [Copies.certificate] builds the same check as
+   an assumption-free CNF on a fresh proof-logging solver, so its Unsat
+   answer carries a complete, unconditional refutation of "this
+   partition fails to decompose f", and its Sat model is a checkable
+   counterexample.
 
    Certificates produced here are checked (by default) with the
    independent checker in Step_cert before being attached to results, so
@@ -15,7 +15,6 @@
 
 module Aig = Step_aig.Aig
 module Solver = Step_sat.Solver
-module Lit = Step_sat.Lit
 module Lrat = Step_sat.Lrat
 module Tseitin = Step_cnf.Tseitin
 module Cert = Step_cert.Cert
@@ -37,21 +36,12 @@ exception Refuted of string
 (** The solver answer contradicts the claim being certified — a genuine
     soundness alarm, not a certificate-format problem. *)
 
-(* Assumption-free prop-1 solve: partition selectors as unit clauses. *)
-let prop1_solver p gate part =
-  let c = Copies.create ~proof:true p gate in
-  let solver = Copies.solver c in
-  List.iter
-    (fun l -> ignore (Solver.add_clause solver [ l ]))
-    (Copies.assumptions c part);
-  solver
-
 let prop1_obligation p gate part =
-  let solver = prop1_solver p gate part in
+  let solver = Copies.certificate p gate part in
   if Solver.solve solver = Solver.Sat then
     raise
       (Refuted
-         "claimed decomposition is satisfiable at the prop-1 scaffold \
+         "claimed decomposition is satisfiable at the prop-1 check \
           (partition does not decompose f)")
   else begin
     let e = Lrat.export solver in
@@ -69,7 +59,7 @@ let dimacs_model solver =
 
 (* Spot witness for an "indecomposable" answer: one concrete non-trivial
    partition (the balanced split of the support) shown satisfiable at the
-   prop-1 scaffold, i.e. refuted as a decomposition. This samples the
+   prop-1 check, i.e. refuted as a decomposition. This samples the
    claim rather than proving it for every partition — honest scope, see
    docs/CERTIFICATION.md. *)
 let witness_obligation p gate =
@@ -81,7 +71,7 @@ let witness_obligation p gate =
     let xa = List.filteri (fun i _ -> i < k) support in
     let xb = List.filteri (fun i _ -> i >= k) support in
     let part = Partition.make ~xa ~xb ~xc:[] in
-    let solver = prop1_solver p gate part in
+    let solver = Copies.certificate p gate part in
     if Solver.solve solver = Solver.Unsat then
       raise
         (Refuted

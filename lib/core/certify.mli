@@ -1,14 +1,14 @@
 (** Proof-carrying certificates for decomposition answers.
 
-    Builds {!Step_cert.Cert} records from the same scaffolds the
-    pipeline solves, but with proof logging on and the partition's
-    selector assumptions re-asserted as unit clauses — turning the
-    conditional assumption-based refutations of the hot path into
-    unconditional, exportable LRAT proofs:
+    Builds {!Step_cert.Cert} records from the same checks the pipeline
+    solves, rebuilt by {!Copies.certificate} as assumption-free CNFs on
+    a proof-logging solver: the OR/AND scaffold with the partition's
+    selectors as unit clauses, XOR's four-point miter with its parity as
+    clauses. Their refutations export as LRAT proofs:
 
     - a decomposed PO gets a ["prop1"] obligation — the UNSAT proof that
-      the multi-copy scaffold under the claimed partition is
-      unsatisfiable (Proposition 1: the partition decomposes [f]);
+      the check of the claimed partition is unsatisfiable (Proposition
+      1: the partition decomposes [f]);
     - an indecomposable PO gets a ["witness"] obligation — a SAT model
       showing one concrete balanced partition fails to decompose [f] (a
       sample refutation; the universal claim is as strong as the QBF
@@ -21,7 +21,7 @@
 
 exception Refuted of string
 (** The proof-logging re-solve contradicted the claim being certified
-    (e.g. a "decomposed" partition whose scaffold is satisfiable) — a
+    (e.g. a "decomposed" partition whose check is satisfiable) — a
     soundness alarm about the answer itself, not a certificate-format
     problem. *)
 

@@ -22,23 +22,18 @@ type miter = {
   mutable points : bool array * bool array * bool array; (* last Sat *)
 }
 
+(* OR and AND are decided on the scaffold, XOR on the miter *)
+type form = Scaffold of scaffold | Miter of miter
+
 type t = {
   problem : Problem.t;
   gate : Gate.t;
   sel_alpha : (int, Lit.t) Hashtbl.t;
   sel_beta : (int, Lit.t) Hashtbl.t;
   code : (Lit.t, int) Hashtbl.t; (* selector -> 2 * position + (0 α | 1 β) *)
-  scaffold : scaffold option; (* None for a plain XOR t *)
-  miter : miter option; (* Some exactly for XOR *)
+  form : form;
   screen : Screen.t Lazy.t;
 }
-
-let scaffold c =
-  match c.scaffold with
-  | Some s -> s
-  | None -> invalid_arg "Copies.solver: a plain XOR check has no scaffold"
-
-let solver c = Tseitin.solver (scaffold c).enc
 
 let screen c = Lazy.force c.screen
 
@@ -54,29 +49,20 @@ let fresh_copy aig support tag =
 
 let substitution tbl i = Hashtbl.find_opt tbl i
 
-(* The selector encoding: every copy on the problem's AIG, one solver,
-   and per input the two selectors with the equalities they carry. *)
-let build_scaffold ~proof (p : Problem.t) gate_ =
+(* The selector encoding of OR and AND: both copies on the problem's AIG,
+   one solver, and per input the two selectors with the equality each
+   carries. The matrix is [phase f ∧ ¬phase f' ∧ ¬phase f''], with
+   [phase] the identity for OR and negation for AND. *)
+let build_scaffold enc (p : Problem.t) phase =
   let aig = p.Problem.aig in
   let support = p.Problem.support in
   let c1 = fresh_copy aig support "cpyA" in
   let c2 = fresh_copy aig support "cpyB" in
   let f1 = Aig.compose aig (substitution c1) p.Problem.f in
   let f2 = Aig.compose aig (substitution c2) p.Problem.f in
-  let c3, matrix =
-    match gate_ with
-    | Gate.Or_gate ->
-        (None, Aig.and_list aig [ p.Problem.f; Aig.not_ f1; Aig.not_ f2 ])
-    | Gate.And_gate ->
-        (None, Aig.and_list aig [ Aig.not_ p.Problem.f; f1; f2 ])
-    | Gate.Xor_gate ->
-        let c3 = fresh_copy aig support "cpyC" in
-        let f3 = Aig.compose aig (substitution c3) p.Problem.f in
-        (Some c3, Aig.xor_list aig [ p.Problem.f; f1; f2; f3 ])
-  in
-  let enc =
-    if proof then Tseitin.create ~solver:(Solver.create ~proof:true ()) aig
-    else Tseitin.create aig
+  let matrix =
+    Aig.and_list aig
+      [ phase p.Problem.f; Aig.not_ (phase f1); Aig.not_ (phase f2) ]
   in
   let solver = Tseitin.solver enc in
   ignore (Solver.add_clause solver [ Tseitin.lit_of enc matrix ]);
@@ -85,46 +71,32 @@ let build_scaffold ~proof (p : Problem.t) gate_ =
   let orig_lit = Array.make n 0 in
   let copy1_lit = Array.make n 0 in
   let copy2_lit = Array.make n 0 in
-  let copy3_lit = Array.make n 0 in
   List.iteri
     (fun j i ->
       orig_lit.(j) <- Tseitin.lit_of_input enc i;
       copy1_lit.(j) <- input_lit c1 i;
-      copy2_lit.(j) <- input_lit c2 i;
-      match c3 with Some c3 -> copy3_lit.(j) <- input_lit c3 i | None -> ())
+      copy2_lit.(j) <- input_lit c2 i)
     support;
-  (* sel → (a ≡ b) for each equality pair carried by the selector *)
+  (* sel → (x ≡ copy) *)
   let buf = Array.make 3 0 in
-  let equal_under sel a b =
-    buf.(0) <- Lit.negate sel;
-    buf.(1) <- Lit.negate a;
-    buf.(2) <- b;
-    ignore (Solver.add_clause_array solver buf 3);
-    buf.(0) <- Lit.negate sel;
-    buf.(1) <- a;
-    buf.(2) <- Lit.negate b;
-    ignore (Solver.add_clause_array solver buf 3)
-  in
-  let mk_selectors pairs_of =
+  let selectors copy_lit =
     Array.init n (fun j ->
-        let s = Tseitin.fresh enc in
-        List.iter (fun (a, b) -> equal_under s a b) (pairs_of j);
-        s)
+        let sel = Tseitin.fresh enc in
+        let a = orig_lit.(j) and b = copy_lit.(j) in
+        buf.(0) <- Lit.negate sel;
+        buf.(1) <- Lit.negate a;
+        buf.(2) <- b;
+        ignore (Solver.add_clause_array solver buf 3);
+        buf.(0) <- Lit.negate sel;
+        buf.(1) <- a;
+        buf.(2) <- Lit.negate b;
+        ignore (Solver.add_clause_array solver buf 3);
+        sel)
   in
-  let x j = orig_lit.(j) and x1 j = copy1_lit.(j) in
-  let x2 j = copy2_lit.(j) and x3 j = copy3_lit.(j) in
-  let alpha, beta =
-    match gate_ with
-    | Gate.Or_gate | Gate.And_gate ->
-        ( mk_selectors (fun j -> [ (x j, x1 j) ]),
-          mk_selectors (fun j -> [ (x j, x2 j) ]) )
-    | Gate.Xor_gate ->
-        (* the fourth point reuses the primed values: pinning i outside XA
-           forces x ≡ x' and x''' ≡ x''; outside XB forces x ≡ x'' and
-           x''' ≡ x'; both together collapse all four points *)
-        ( mk_selectors (fun j -> [ (x j, x1 j); (x3 j, x2 j) ]),
-          mk_selectors (fun j -> [ (x j, x2 j); (x3 j, x1 j) ]) )
-  in
+  (* β's selectors take the lower variables; the solver's decisions
+     depend on the order *)
+  let beta = selectors copy2_lit in
+  let alpha = selectors copy1_lit in
   ({ enc; orig_lit; copy1_lit; copy2_lit }, alpha, beta)
 
 (* f's cone alone, input j standing for support position j *)
@@ -140,18 +112,24 @@ let build_miter (p : Problem.t) =
   in
   { cone; root; last_unsat = [||]; points = ([||], [||], [||]) }
 
-let create ?(proof = false) (p : Problem.t) gate_ =
+(* A [t] whose OR/AND scaffold is encoded into [solver] (default a fresh
+   plain one). XOR builds none: its selectors only name sides, so any
+   distinct literals do. *)
+let make ?solver (p : Problem.t) gate_ =
   let n = Problem.n_vars p in
-  let scaffold, alpha, beta =
+  let scaffold phase =
+    let enc = Tseitin.create ?solver p.Problem.aig in
+    let s, alpha, beta = build_scaffold enc p phase in
+    (Scaffold s, alpha, beta)
+  in
+  let form, alpha, beta =
     match gate_ with
-    | Gate.Xor_gate when not proof ->
-        (* the selectors only name sides, so any distinct literals do *)
-        ( None,
+    | Gate.Or_gate -> scaffold Fun.id
+    | Gate.And_gate -> scaffold Aig.not_
+    | Gate.Xor_gate ->
+        ( Miter (build_miter p),
           Array.init n (fun j -> Lit.pos (2 * j)),
           Array.init n (fun j -> Lit.pos ((2 * j) + 1)) )
-    | Gate.Or_gate | Gate.And_gate | Gate.Xor_gate ->
-        let s, alpha, beta = build_scaffold ~proof p gate_ in
-        (Some s, alpha, beta)
   in
   let sel_alpha = Hashtbl.create 16 and sel_beta = Hashtbl.create 16 in
   let code = Hashtbl.create (4 * n) in
@@ -168,13 +146,11 @@ let create ?(proof = false) (p : Problem.t) gate_ =
     sel_alpha;
     sel_beta;
     code;
-    scaffold;
-    miter =
-      (match gate_ with
-      | Gate.Xor_gate -> Some (build_miter p)
-      | Gate.Or_gate | Gate.And_gate -> None);
+    form;
     screen = lazy (Screen.create p gate_);
   }
+
+let create p gate_ = make p gate_
 
 (* An assert would vanish under -noassert and let a mismatched scaffold
    check the wrong formula, so a mismatch is an Invalid_argument. *)
@@ -215,10 +191,10 @@ let sides c sels =
   side
 
 (* The four points by substitution: per support position, the inputs of
-   the new manager that x, x', x'' and x''' read. A pinned input is one
-   input of all four, so the structural hash merges every node outside
-   the fanout of the free ones. *)
-let miter_check ?deadline m side =
+   a new manager that x, x', x'' and x''' read, and f's four copies on
+   them. A pinned input is one input of all four, so the structural hash
+   merges every node outside the fanout of the free ones. *)
+let four_points m side =
   let aig = Aig.create () in
   let n = Array.length side in
   let pts = Array.make_matrix 4 n Aig.f in
@@ -247,7 +223,11 @@ let miter_check ?deadline m side =
   let point k =
     Aig.import aig ~src:m.cone ~map_input:(fun j -> pts.(k).(j)) m.root
   in
-  let miter = Aig.xor_list aig (List.map point [ 0; 1; 2; 3 ]) in
+  (aig, pts, List.map point [ 0; 1; 2; 3 ])
+
+let miter_check ?deadline m side =
+  let aig, pts, points = four_points m side in
+  let miter = Aig.xor_list aig points in
   if miter = Aig.f then Solver.Unsat
   else begin
     let enc = Tseitin.create aig in
@@ -269,8 +249,8 @@ let miter_check ?deadline m side =
   end
 
 let decide ?deadline c sels =
-  match c.miter with
-  | Some m ->
+  match c.form with
+  | Miter m ->
       let side = sides c sels in
       if side = m.last_unsat then Mus.Unsat sels
       else begin
@@ -281,7 +261,7 @@ let decide ?deadline c sels =
         | Solver.Sat -> Mus.Sat
         | Solver.Unknown -> Mus.Unknown
       end
-  | None -> Mus.solver_oracle ?deadline (solver c) sels
+  | Scaffold sc -> Mus.solver_oracle ?deadline (Tseitin.solver sc.enc) sels
 
 let assumptions c (p : Partition.t) =
   let support = c.problem.Problem.support in
@@ -315,10 +295,37 @@ let check ?deadline c p =
   | Mus.Unknown -> Solver.Unknown
 
 let model_points c =
-  match c.miter with
-  | Some m -> m.points
-  | None ->
-      let sc = scaffold c in
+  match c.form with
+  | Miter m -> m.points
+  | Scaffold sc ->
       let s = Tseitin.solver sc.enc in
       let read lits = Array.map (Solver.model_value s) lits in
       (read sc.orig_lit, read sc.copy1_lit, read sc.copy2_lit)
+
+(* OR/AND: a proof-logging scaffold with the partition's selectors as
+   unit clauses. XOR: the four points of the partition's sides, their
+   parity asserted as the eight clauses that each exclude one even
+   assignment of the four point literals, so a miter that the structural
+   hash folds to constant false still ships a CNF and its refutation. *)
+let certificate (p : Problem.t) gate_ part =
+  let solver = Solver.create ~proof:true () in
+  let c = make ~solver p gate_ in
+  let sels = assumptions c part in
+  (match c.form with
+  | Scaffold _ ->
+      List.iter (fun l -> ignore (Solver.add_clause solver [ l ])) sels
+  | Miter m ->
+      let aig, _, points = four_points m (sides c sels) in
+      let enc = Tseitin.create ~solver aig in
+      let lits = Array.of_list (List.map (Tseitin.lit_of enc) points) in
+      let buf = Array.make 4 0 in
+      for v = 0 to 15 do
+        let ones = ref 0 in
+        for k = 0 to 3 do
+          let bit = (v lsr k) land 1 = 1 in
+          if bit then incr ones;
+          buf.(k) <- (if bit then Lit.negate lits.(k) else lits.(k))
+        done;
+        if !ones land 1 = 0 then ignore (Solver.add_clause_array solver buf 4)
+      done);
+  solver

@@ -29,17 +29,19 @@
     {b XOR} asks for the four-point condition
     [f(X) ⊕ f(X') ⊕ f(X'') ⊕ f(X''') = 0], where the fourth point
     combines the primed values: [x'''ᵢ = x'ᵢ] on [XA], [x''ᵢ] on [XB],
-    [xᵢ] on [XC]. The selector form of it needs a third copy and two
-    equalities per selector ([αᵢ ⇒ (xᵢ ≡ x'ᵢ) ∧ (x'''ᵢ ≡ x''ᵢ)],
-    [βᵢ ⇒ (xᵢ ≡ x''ᵢ) ∧ (x'''ᵢ ≡ x'ᵢ)]), and its refutations are slow:
-    four cone copies tied on all but a few inputs compute equal values
-    at most internal nodes, and CDCL learns each such equality one
-    conflict at a time. So XOR is decided by {e substitution} instead.
-    Each check builds the four points in a fresh AIG manager, importing
-    f's cone four times with a pinned input mapped to one shared input
-    of all four. The structural hash then merges every node outside the
-    fanout of the free inputs, and the XOR of the four copies, solved on
-    a fresh solver, is a small, easy instance. A [Sat] answer refutes the
+    [xᵢ] on [XC]. It holds exactly when every four-point difference
+    across [XA × XB] is zero (Bogdanov and Wang, "Learning and Testing
+    Variable Partitions"). XOR has no selector scaffold. Its selector
+    form would need a third copy and two equalities per selector, and
+    its refutations are slow: four cone copies tied on all but a few
+    inputs compute equal values at most internal nodes, and CDCL learns
+    each such equality one conflict at a time. XOR is decided by
+    {e substitution} instead. Each check builds the four points in a
+    fresh AIG manager, importing f's cone four times with a pinned input
+    mapped to one shared input of all four. The structural hash then
+    merges every node outside the fanout of the free inputs, and the XOR
+    of the four copies, solved on a fresh solver, is a small, easy
+    instance. A [Sat] answer refutes the
     selector set; the answer's core is the set asked, as a miter has no
     selector core. One entry remembers the side array of the last
     [Unsat], which answers a repeat (the group MUS's first call asks
@@ -48,10 +50,11 @@
     [Unsat] under a partition's selectors means the function is
     bi-decomposable with that gate and partition.
 
-    The selector form of XOR is built only with [~proof:true], for
-    {!Certify}: a certificate is an assumption-free refutation of the
-    scaffold, so the independent checker never relies on the miter. A
-    plain XOR [t] has selectors only as names.
+    A certificate needs an assumption-free CNF, so {!certificate} builds
+    the check of one partition afresh on a proof-logging solver: the
+    OR/AND scaffold with the partition's selectors as unit clauses, and
+    for XOR the same four-point miter, with the parity of the four
+    points asserted as clauses. An XOR [t] has selectors only as names.
 
     A [t] also carries the one simulation {!Screen} of its problem and
     gate, built on first use. STEP-MG and the QBF search that it
@@ -60,15 +63,25 @@
 
 type t
 
-val create : ?proof:bool -> Problem.t -> Gate.t -> t
-(** With [~proof:true] the scaffold's solver logs resolution chains, so a
-    refutation obtained {e without assumptions} (e.g. with a partition's
-    selector assumptions added as unit clauses, see {!Certify}) can be
-    exported as a DRAT/LRAT certificate; for XOR only then is the
-    scaffold built. Default [false]: proof logging disables clause
-    minimization and keeps deleted clause literals, so it is never
-    turned on for the hot solve path. {!decide} never uses a proof
-    scaffold for XOR. *)
+val create : Problem.t -> Gate.t -> t
+(** The check of [p] under the gate: the OR/AND scaffold, encoded on
+    [p]'s AIG, or XOR's cone for the miter. *)
+
+val certificate : Problem.t -> Gate.t -> Partition.t -> Step_sat.Solver.t
+(** [certificate p g part] is a fresh proof-logging solver that holds
+    the check of [part] as an assumption-free CNF, so its [Unsat] answer
+    exports as an LRAT refutation ({!Certify}) and its [Sat] model is a
+    counterexample:
+    - OR/AND: a new scaffold, built as {!create} builds it, with
+      {!assumptions} added as unit clauses;
+    - XOR: the four-point miter that {!decide} solves on the partition's
+      sides, pinned inputs substituted, with the four point literals'
+      odd parity as eight clauses of four literals. When the structural
+      hash folds the miter to constant false, the CNF is these clauses
+      over the merged points, still unsatisfiable and never empty.
+    Proof logging disables clause minimization and keeps deleted clause
+    literals, so it is never on for the search's own checks.
+    @raise Invalid_argument as {!assumptions} does. *)
 
 val resolve : caller:string -> t option -> Problem.t -> Gate.t -> t
 (** [resolve ~caller copies p g] is the given [t], or a fresh one for
@@ -76,11 +89,6 @@ val resolve : caller:string -> t option -> Problem.t -> Gate.t -> t
     @raise Invalid_argument, with a message that starts with [caller],
     if the given [t] was built for another problem or gate (it names
     both gates). *)
-
-val solver : t -> Step_sat.Solver.t
-(** The scaffold's solver, whose assumptions are selector literals.
-    @raise Invalid_argument on a plain (not proof) XOR [t], which has no
-    scaffold. *)
 
 val screen : t -> Screen.t
 (** The screen, built on first use: a [t] that never asks for it (a

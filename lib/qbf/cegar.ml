@@ -2,7 +2,6 @@ module Aig = Step_aig.Aig
 module Solver = Step_sat.Solver
 module Lit = Step_sat.Lit
 module Tseitin = Step_cnf.Tseitin
-module Lrat = Step_sat.Lrat
 module Obs = Step_obs.Obs
 module Clock = Step_obs.Clock
 module Metrics = Step_obs.Metrics
@@ -26,13 +25,9 @@ let h_iters_run = Metrics.histogram "cegar.iterations_per_run"
 
 type outcome = Valid of (int -> bool) | Invalid | Unknown
 
-type stats = {
-  iterations : int;
-  abstraction_nodes : int;
-  refutation : Lrat.export option;
-}
+type stats = { iterations : int; abstraction_nodes : int }
 
-let solve ?(max_iterations = max_int) ?time_budget ?(certify = false) aig
+let solve ?(max_iterations = max_int) ?time_budget aig
     ~matrix ~exists_vars ~forall_vars =
   let support = Aig.support aig matrix in
   (* one hash set per block, not List.mem per support variable — the
@@ -57,13 +52,7 @@ let solve ?(max_iterations = max_int) ?time_budget ?(certify = false) aig
      φ(X, y°) are built in the same AIG manager (strashing shares their
      structure) and Tseitin-encoded with the X inputs bound to fixed SAT
      variables. *)
-  let abs =
-    (* certify: proof-log the abstraction solver, so an [Invalid] answer
-       (abstraction Unsat) carries an exportable LRAT refutation of the
-       accumulated instantiations *)
-    if certify then Tseitin.create ~solver:(Solver.create ~proof:true ()) aig
-    else Tseitin.create aig
-  in
+  let abs = Tseitin.create aig in
   let abs_solver = Tseitin.solver abs in
   let x_lit = Hashtbl.create 16 in
   List.iter
@@ -81,13 +70,7 @@ let solve ?(max_iterations = max_int) ?time_budget ?(certify = false) aig
       Metrics.observe h_iters_run (float_of_int iter);
     Obs.add_attr "iterations" (Step_obs.Json.Int iter);
     Obs.add_attr "abstraction_nodes" (Step_obs.Json.Int abstraction_nodes);
-    let refutation =
-      match outcome with
-      | Invalid when certify && Solver.has_refutation abs_solver ->
-          Some (Lrat.export abs_solver)
-      | _ -> None
-    in
-    (outcome, { iterations = iter; abstraction_nodes; refutation })
+    (outcome, { iterations = iter; abstraction_nodes })
   in
   (* Every SAT call runs under the deadline, so a single hard solve
      cannot overshoot it: it comes back [Unknown] and so do we. *)

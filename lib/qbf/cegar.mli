@@ -26,18 +26,11 @@ type outcome =
 type stats = {
   iterations : int; (** CEGAR refinement rounds. *)
   abstraction_nodes : int; (** AIG nodes created for instantiations. *)
-  refutation : Step_sat.Lrat.export option;
-      (** With [~certify:true] and an [Invalid] answer: the LRAT
-          refutation of the accumulated abstraction (the instantiation
-          clauses), exportable as a checkable certificate that no
-          existential candidate survives the counterexamples seen.
-          [None] otherwise. *)
 }
 
 val solve :
   ?max_iterations:int ->
   ?time_budget:float ->
-  ?certify:bool ->
   Step_aig.Aig.t ->
   matrix:Step_aig.Aig.lit ->
   exists_vars:int list ->

@@ -474,6 +474,135 @@ let test_certify_tampered () =
       check_bool "tampered obligation rejected" false
         (Certify.add_obligation ct ~po:"t" (cut ob)).Certify.ok
 
+(* ---------- Certify: XOR answers on the four-point miter ---------- *)
+
+(* f = g(a0, a1, c) ⊕ h(b0, b1, c), planted XOR with XA = {a0, a1},
+   XB = {b0, b1}, XC = {c} *)
+let planted_xor () =
+  let m = Aig.create () in
+  let a0 = Aig.fresh_input m and a1 = Aig.fresh_input m in
+  let b0 = Aig.fresh_input m and b1 = Aig.fresh_input m in
+  let c = Aig.fresh_input m in
+  let g = Aig.or_ m (Aig.and_ m a0 c) a1 in
+  let h = Aig.and_ m b0 (Aig.not_ (Aig.or_ m b1 c)) in
+  let p = Problem.of_edge m (Aig.xor_ m g h) in
+  let idx = Aig.input_index m in
+  let part =
+    Partition.make ~xa:[ idx a0; idx a1 ] ~xb:[ idx b0; idx b1 ]
+      ~xc:[ idx c ]
+  in
+  (p, part)
+
+let xor_cert p part =
+  match
+    Certify.for_po ~po:"t" ~method_name:"test" p Gate.Xor_gate (Some part)
+  with
+  | None -> Alcotest.fail "expected a certificate"
+  | Some (cert, ct) -> (
+      check_bool "checker accepted" true ct.Certify.ok;
+      match cert.Cert.obligations with
+      | [ ({ Cert.label = "prop1"; answer = Cert.Unsat _; _ } as ob) ] ->
+          check_bool "non-empty cnf" true (Array.length ob.Cert.cnf > 0);
+          check_bool "independent check" false
+            (Diag.has_errors (Cert.check_obligation ~po:"t" ob));
+          ob
+      | _ -> Alcotest.fail "expected one prop1 refutation")
+
+let test_certify_xor_decomposed () =
+  let p, part = planted_xor () in
+  ignore (xor_cert p part)
+
+(* a ∧ b has a nonzero four-point difference across {a} × {b} *)
+let test_certify_xor_refuted () =
+  let m = Aig.create () in
+  let a = Aig.fresh_input m and b = Aig.fresh_input m in
+  let p = Problem.of_edge m (Aig.and_ m a b) in
+  let part =
+    Partition.make ~xa:[ Aig.input_index m a ] ~xb:[ Aig.input_index m b ]
+      ~xc:[]
+  in
+  match
+    Certify.for_po ~po:"t" ~method_name:"test" p Gate.Xor_gate (Some part)
+  with
+  | exception Certify.Refuted _ -> ()
+  | Some _ | None -> Alcotest.fail "expected Refuted"
+
+(* a ∧ b is not XOR-decomposable: its witness model satisfies the CNF *)
+let test_certify_xor_witness () =
+  let m = Aig.create () in
+  let a = Aig.fresh_input m and b = Aig.fresh_input m in
+  let p = Problem.of_edge m (Aig.and_ m a b) in
+  match Certify.for_po ~po:"t" ~method_name:"test" p Gate.Xor_gate None with
+  | None -> Alcotest.fail "expected a witness certificate"
+  | Some (cert, ct) -> (
+      check_bool "checker accepted" true ct.Certify.ok;
+      match cert.Cert.obligations with
+      | [ { Cert.label = "witness"; cnf; answer = Cert.Sat model; _ } ] ->
+          check_bool "model checks" false
+            (Diag.has_errors (Cert.check_model ~item:"w" ~cnf ~model ()))
+      | _ -> Alcotest.fail "expected one witness model")
+
+(* Whether the four points of [part] on f's cone, pinned inputs shared,
+   XOR to constant false in a fresh manager. *)
+let miter_folds (p : Problem.t) (part : Partition.t) =
+  let m = Aig.create () in
+  let fresh = Hashtbl.create 8 in
+  let input k i =
+    match Hashtbl.find_opt fresh (k, i) with
+    | Some e -> e
+    | None ->
+        let e = Aig.fresh_input m in
+        Hashtbl.replace fresh (k, i) e;
+        e
+  in
+  (* point k reads the base input, x' on XA for k = 1, 3, x'' on XB for
+     k = 2, 3 *)
+  let point k =
+    Aig.import m ~src:p.Problem.aig
+      ~map_input:(fun i ->
+        if List.mem i part.Partition.xa && k land 1 = 1 then input 1 i
+        else if List.mem i part.Partition.xb && k land 2 = 2 then input 2 i
+        else input 0 i)
+      p.Problem.f
+  in
+  Aig.xor_list m (List.map point [ 0; 1; 2; 3 ]) = Aig.f
+
+(* f = g(c) ⊕ h(b, c) with XA empty: the first two points and the last
+   two merge, so the structural hash folds the miter to constant false;
+   the obligation still ships the parity clauses and their refutation. *)
+let test_certify_xor_folded () =
+  let m = Aig.create () in
+  let b = Aig.fresh_input m and c = Aig.fresh_input m in
+  let f = Aig.xor_ m (Aig.not_ c) (Aig.or_ m b c) in
+  let p = Problem.of_edge m f in
+  let part =
+    Partition.make ~xa:[] ~xb:[ Aig.input_index m b ]
+      ~xc:[ Aig.input_index m c ]
+  in
+  check_bool "miter folds" true (miter_folds p part);
+  ignore (xor_cert p part);
+  (* every input pinned: all four points are one literal *)
+  let all_c = Partition.make ~xa:[] ~xb:[] ~xc:p.Problem.support in
+  check_bool "pinned miter folds" true (miter_folds p all_c);
+  ignore (xor_cert p all_c)
+
+(* Flipping the proof's final byte, the 0 that ends the empty clause's
+   hints, leaves the refutation unterminated. *)
+let test_certify_xor_flipped_byte () =
+  let p, part = planted_xor () in
+  let ob = xor_cert p part in
+  match ob.Cert.answer with
+  | Cert.Unsat { format; proof } ->
+      let b = Bytes.of_string proof in
+      let last = String.rindex proof '0' in
+      Bytes.set b last '1';
+      let flipped =
+        { ob with Cert.answer = Cert.Unsat { format; proof = Bytes.to_string b } }
+      in
+      check_bool "flipped byte rejected" true
+        (Diag.has_errors (Cert.check_obligation ~po:"t" flipped))
+  | Cert.Sat _ -> Alcotest.fail "expected a refutation"
+
 let () =
   Alcotest.run "step_cert"
     [
@@ -532,6 +661,15 @@ let () =
           Alcotest.test_case "witness" `Quick test_certify_witness;
           Alcotest.test_case "refuted claim" `Quick test_certify_refuted;
           Alcotest.test_case "tampered proof" `Quick test_certify_tampered;
+          Alcotest.test_case "xor decomposed" `Quick
+            test_certify_xor_decomposed;
+          Alcotest.test_case "xor refuted claim" `Quick
+            test_certify_xor_refuted;
+          Alcotest.test_case "xor witness" `Quick test_certify_xor_witness;
+          Alcotest.test_case "xor folded miter" `Quick
+            test_certify_xor_folded;
+          Alcotest.test_case "xor flipped proof byte" `Quick
+            test_certify_xor_flipped_byte;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_drat_certificates_check ] );
